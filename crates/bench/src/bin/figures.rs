@@ -66,6 +66,7 @@
 #![forbid(unsafe_code)]
 
 use bebop::SpeedupSummary;
+use bebop_bench::perf_json::Timing;
 use bebop_bench::sweep::{run_sweep_jobs, SweepOptions, SweepRequest};
 use bebop_bench::*;
 use std::time::Instant;
@@ -340,23 +341,6 @@ fn print_grouped(title: &str, groups: &[(String, Vec<bebop::BenchResult>)], per_
     }
 }
 
-/// One timed experiment in the JSON perf report.
-struct Timing {
-    name: &'static str,
-    wall_s: f64,
-    uops: u64,
-}
-
-impl Timing {
-    fn uops_per_sec(&self) -> f64 {
-        if self.wall_s <= 0.0 {
-            0.0
-        } else {
-            self.uops as f64 / self.wall_s
-        }
-    }
-}
-
 /// Runs `f`, printing nothing itself; records wall-clock and the simulated µ-op
 /// count `f` reports into the perf report.
 fn timed(report: &mut Vec<Timing>, name: &'static str, f: impl FnOnce() -> u64) {
@@ -369,172 +353,6 @@ fn timed(report: &mut Vec<Timing>, name: &'static str, f: impl FnOnce() -> u64) 
     });
 }
 
-/// Aggregated wrong-path counters for the perf JSON (zero when the
-/// `--wrong-path` experiment did not run; old reports parse the missing
-/// fields as zero).
-#[derive(Default)]
-struct WrongPathAgg {
-    fetched: u64,
-    executed: u64,
-    vp_trains: u64,
-    pollution_mispredicts: u64,
-}
-
-/// Aggregated multi-programming counters for the perf JSON (zero when the
-/// `--mix` experiment did not run; old reports parse the missing fields as
-/// zero).
-#[derive(Default)]
-struct MixAgg {
-    context_switches: u64,
-    shard_steals: u64,
-}
-
-/// Aggregated phase-sampling counters for the perf JSON (zero when the
-/// `--sample` experiment did not run; old reports parse the missing fields as
-/// zero).
-#[derive(Default)]
-struct SampledAgg {
-    slices: u64,
-    phases: u64,
-    simulated_uops: u64,
-    full_uops: u64,
-}
-
-/// Aggregated sweep-engine counters for the perf JSON (zero when no `--sweep`
-/// ran; old reports parse the missing fields as zero).
-#[derive(Default)]
-struct SweepAgg {
-    cells_total: u64,
-    cells_resumed: u64,
-    cells_executed: u64,
-    cells_quarantined: u64,
-    cells_timed_out: u64,
-    checkpoint_resumes: u64,
-    io_retries: u64,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    path: &str,
-    report: &[Timing],
-    opts: &Options,
-    benchmarks: usize,
-    set: &TraceSet,
-    store: Option<&bebop_bench::TraceStore>,
-    wp: &WrongPathAgg,
-    mix: &MixAgg,
-    sampled: &SampledAgg,
-    sweep: &SweepAgg,
-) -> std::io::Result<()> {
-    // The worker-pool width the experiments actually fanned out with (the
-    // flattened (config × workload) task lists of the sweeps saturate it).
-    let threads = bebop::par::worker_threads();
-    let total_wall: f64 = report.iter().map(|t| t.wall_s).sum();
-    let total_uops: u64 = report.iter().map(|t| t.uops).sum();
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"bebop-bench-figures/v1\",\n");
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str(&format!("  \"uops_per_run\": {},\n", opts.uops));
-    out.push_str(&format!("  \"benchmarks\": {benchmarks},\n"));
-    // Trace-store traffic (zero without --trace-dir): cache regressions show
-    // up as a hit-rate drop here before they show up as wall-clock.
-    out.push_str(&format!(
-        "  \"trace_store_hits\": {},\n",
-        store.map_or(0, |s| s.hits())
-    ));
-    out.push_str(&format!(
-        "  \"trace_store_misses\": {},\n",
-        store.map_or(0, |s| s.misses())
-    ));
-    out.push_str(&format!(
-        "  \"trace_generated_uops\": {},\n",
-        set.generated_uops()
-    ));
-    // Wrong-path execution traffic (zero unless --wrong-path ran): the
-    // fetched/executed split plus the pollution counters of the polluted run.
-    out.push_str(&format!("  \"wrong_path_fetched\": {},\n", wp.fetched));
-    out.push_str(&format!("  \"wrong_path_executed\": {},\n", wp.executed));
-    out.push_str(&format!("  \"wrong_path_vp_trains\": {},\n", wp.vp_trains));
-    out.push_str(&format!(
-        "  \"wrong_path_pollution_mispredicts\": {},\n",
-        wp.pollution_mispredicts
-    ));
-    // Multi-programming traffic (zero unless --mix ran): quantum-boundary
-    // context switches and cross-context predictor-entry steals across every
-    // (pair, policy) run.
-    out.push_str(&format!(
-        "  \"mix_context_switches\": {},\n",
-        mix.context_switches
-    ));
-    out.push_str(&format!("  \"mix_shard_steals\": {},\n", mix.shard_steals));
-    // Phase-sampling traffic (zero unless --sample ran): the simulated/full
-    // split is the cost ledger — sampled runs must stay a small fraction of
-    // the full-run budget.
-    out.push_str(&format!("  \"sampled_slices\": {},\n", sampled.slices));
-    out.push_str(&format!("  \"sampled_phases\": {},\n", sampled.phases));
-    out.push_str(&format!(
-        "  \"sampled_simulated_uops\": {},\n",
-        sampled.simulated_uops
-    ));
-    out.push_str(&format!(
-        "  \"sampled_full_uops\": {},\n",
-        sampled.full_uops
-    ));
-    // Sweep-engine traffic (zero unless --sweep ran): the resumed/executed
-    // split is the crash-safety ledger — resumed cells cost no simulation.
-    out.push_str(&format!(
-        "  \"sweep_cells_total\": {},\n",
-        sweep.cells_total
-    ));
-    out.push_str(&format!(
-        "  \"sweep_cells_resumed\": {},\n",
-        sweep.cells_resumed
-    ));
-    out.push_str(&format!(
-        "  \"sweep_cells_executed\": {},\n",
-        sweep.cells_executed
-    ));
-    out.push_str(&format!(
-        "  \"sweep_cells_quarantined\": {},\n",
-        sweep.cells_quarantined
-    ));
-    out.push_str(&format!(
-        "  \"sweep_cells_timed_out\": {},\n",
-        sweep.cells_timed_out
-    ));
-    out.push_str(&format!(
-        "  \"sweep_checkpoint_resumes\": {},\n",
-        sweep.checkpoint_resumes
-    ));
-    out.push_str(&format!("  \"sweep_io_retries\": {},\n", sweep.io_retries));
-    out.push_str(&format!("  \"total_wall_s\": {total_wall:.6},\n"));
-    out.push_str(&format!("  \"total_uops\": {total_uops},\n"));
-    out.push_str(&format!(
-        "  \"total_uops_per_sec\": {:.1},\n",
-        if total_wall > 0.0 {
-            total_uops as f64 / total_wall
-        } else {
-            0.0
-        }
-    ));
-    out.push_str("  \"experiments\": [\n");
-    for (i, t) in report.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"wall_s\": {:.6}, \"uops\": {}, \"uops_per_sec\": {:.1}}}{}\n",
-            t.name,
-            t.wall_s,
-            t.uops,
-            t.uops_per_sec(),
-            if i + 1 == report.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    perf_json::write_atomic(path.as_ref(), &out)?;
-    eprintln!("[figures] perf report written to {path}");
-    Ok(())
-}
-
 fn main() {
     // Ctrl-C / SIGTERM set a flag the simulation loops poll: in-flight cells
     // write a final checkpoint, the journal keeps every completed cell, and
@@ -545,6 +363,9 @@ fn main() {
     let specs = workloads(opts.subset);
     let uops = opts.uops;
     let mut report: Vec<Timing> = Vec::new();
+    // Informational counters for the perf report: each mode pushes its own
+    // entries, so a mode that did not run writes none.
+    let mut counters: Vec<(&'static str, u64)> = Vec::new();
     println!(
         "BeBoP figure harness: {} benchmarks, {} µ-ops per run, {} worker thread(s)",
         specs.len(),
@@ -595,12 +416,14 @@ fn main() {
         );
         // The timing entry covers *materialising* the recordings (generated
         // live or deserialised from the store); the JSON additionally carries
-        // the store hit/miss split so warm-cache speedups stay explicable.
+        // the generated share and the store hit/miss split so warm-cache
+        // speedups stay explicable.
         report.push(Timing {
             name: "tracegen",
             wall_s: tracegen_wall,
             uops: set.materialised_uops(),
         });
+        counters.push(("trace_generated_uops", set.generated_uops()));
     } else if needs_traces {
         println!("Trace cache: disabled, workloads stream live generation");
     } else {
@@ -751,7 +574,6 @@ fn main() {
         });
     }
 
-    let mut wp_agg = WrongPathAgg::default();
     if wants(&opts, "wrongpath") {
         timed(&mut report, "wrongpath", || {
             let out = run_wrong_path(&specs, uops, &opts.trace_cache, store.as_ref());
@@ -804,17 +626,30 @@ fn main() {
                 out.mean_coverage(|r| &r.polluted),
                 out.mean_coverage(|r| &r.polluted) - out.mean_coverage(|r| &r.clean),
             );
-            wp_agg = WrongPathAgg {
-                fetched: out.polluted_total(|s| s.wrong_path.fetched),
-                executed: out.polluted_total(|s| s.wrong_path.executed),
-                vp_trains: out.polluted_total(|s| s.wrong_path.vp_trains),
-                pollution_mispredicts: out.polluted_total(|s| s.wrong_path.pollution_mispredicts),
-            };
+            // The fetched/executed split plus the polluted run's pollution
+            // counters.
+            counters.extend([
+                (
+                    "wrong_path_fetched",
+                    out.polluted_total(|s| s.wrong_path.fetched),
+                ),
+                (
+                    "wrong_path_executed",
+                    out.polluted_total(|s| s.wrong_path.executed),
+                ),
+                (
+                    "wrong_path_vp_trains",
+                    out.polluted_total(|s| s.wrong_path.vp_trains),
+                ),
+                (
+                    "wrong_path_pollution_mispredicts",
+                    out.polluted_total(|s| s.wrong_path.pollution_mispredicts),
+                ),
+            ]);
             out.simulated_uops
         });
     }
 
-    let mut mix_agg = MixAgg::default();
     if wants(&opts, "mix") {
         timed(&mut report, "mix", || {
             let out = run_mix(&specs, uops, store.as_ref());
@@ -860,15 +695,18 @@ fn main() {
                 out.sum_checked_runs,
                 out.rows.len() * 3
             );
-            mix_agg = MixAgg {
-                context_switches: out.total(|p| p.stats.context_switches),
-                shard_steals: out.total(|p| p.steals),
-            };
+            // Summed over every (pair, policy) run.
+            counters.extend([
+                (
+                    "mix_context_switches",
+                    out.total(|p| p.stats.context_switches),
+                ),
+                ("mix_shard_steals", out.total(|p| p.steals)),
+            ]);
             out.simulated_uops
         });
     }
 
-    let mut sampled_agg = SampledAgg::default();
     if wants(&opts, "sample") {
         timed(&mut report, "sample", || {
             let mut cfg = sampling::SamplingConfig::for_budget(uops);
@@ -936,17 +774,24 @@ fn main() {
                 out.full_uops,
                 out.simulated_uops as f64 / out.full_uops as f64 * 100.0
             );
-            sampled_agg = SampledAgg {
-                slices: out.rows.iter().map(|r| r.slices as u64).sum(),
-                phases: out.rows.iter().map(|r| r.phases as u64).sum(),
-                simulated_uops: out.simulated_uops,
-                full_uops: out.full_uops,
-            };
+            // The simulated/full split is the cost ledger: sampled runs must
+            // stay a small fraction of the full-run budget.
+            counters.extend([
+                (
+                    "sampled_slices",
+                    out.rows.iter().map(|r| r.slices as u64).sum(),
+                ),
+                (
+                    "sampled_phases",
+                    out.rows.iter().map(|r| r.phases as u64).sum(),
+                ),
+                ("sampled_simulated_uops", out.simulated_uops),
+                ("sampled_full_uops", out.full_uops),
+            ]);
             out.simulated_uops + out.generated_uops
         });
     }
 
-    let mut sweep_agg = SweepAgg::default();
     if let Some(dir) = &opts.sweep_dir {
         let dir = std::path::PathBuf::from(dir);
         // Starting over an existing sweep must be a conscious decision: an
@@ -1018,38 +863,43 @@ fn main() {
                     out.total - out.resumed - out.executed
                 );
             }
-            sweep_agg = SweepAgg {
-                cells_total: out.total as u64,
-                cells_resumed: out.resumed as u64,
-                cells_executed: out.executed as u64,
-                cells_quarantined: out.quarantined.len() as u64,
-                cells_timed_out: out
-                    .quarantined
-                    .iter()
-                    .filter(|(_, kind, _)| *kind == bebop_bench::sweep::ReasonKind::Timeout)
-                    .count() as u64,
-                checkpoint_resumes: out.checkpoint_resumes,
-                io_retries: out.io_retries,
-            };
+            // The resumed/executed split is the crash-safety ledger: resumed
+            // cells cost no simulation.
+            let timed_out = out
+                .quarantined
+                .iter()
+                .filter(|(_, kind, _)| *kind == bebop_bench::sweep::ReasonKind::Timeout)
+                .count();
+            counters.extend([
+                ("sweep_cells_total", out.total as u64),
+                ("sweep_cells_resumed", out.resumed as u64),
+                ("sweep_cells_executed", out.executed as u64),
+                ("sweep_cells_quarantined", out.quarantined.len() as u64),
+                ("sweep_cells_timed_out", timed_out as u64),
+                ("sweep_checkpoint_resumes", out.checkpoint_resumes),
+                ("sweep_io_retries", out.io_retries),
+            ]);
             out.simulated_uops
         });
     }
 
+    if let Some(st) = &store {
+        // Store traffic of every experiment above: cache regressions show up
+        // as a hit-rate drop here before they show up as wall-clock.
+        counters.extend([
+            ("trace_store_hits", st.hits()),
+            ("trace_store_misses", st.misses()),
+        ]);
+    }
     if let Some(path) = &opts.json {
-        if let Err(e) = write_json(
-            path,
-            &report,
-            &opts,
-            set.len(),
-            &set,
-            store.as_ref(),
-            &wp_agg,
-            &mix_agg,
-            &sampled_agg,
-            &sweep_agg,
-        ) {
+        // The worker-pool width the experiments actually fanned out with (the
+        // flattened (config × workload) task lists of the sweeps saturate it).
+        let threads = bebop::par::worker_threads();
+        let text = perf_json::render(threads, uops, set.len(), &counters, &report);
+        if let Err(e) = bebop_trace::write_atomic(path.as_ref(), text.as_bytes()) {
             eprintln!("[figures] cannot write the JSON perf report to {path}: {e}");
             std::process::exit(1);
         }
+        eprintln!("[figures] perf report written to {path}");
     }
 }

@@ -16,6 +16,8 @@
 //! single-experiment cliff cannot hide inside a passing aggregate — the
 //! shape of regression the aggregate-only gate historically waved through.
 //! An experiment missing from the current report also fails in that mode.
+//! Every counter that is nonzero in either report prints as
+//! `name: current (baseline N)`; counters never gate.
 
 #![forbid(unsafe_code)]
 
@@ -69,7 +71,7 @@ fn main() {
 
     let baseline = load(&paths[0]);
     let current = load(&paths[1]);
-    let diff = perf_json::diff_gated(&baseline, &current, tolerance, per_experiment);
+    let diff = perf_json::diff(&baseline, &current, tolerance, per_experiment);
     match per_experiment {
         Some(t) => println!(
             "[perf_gate] {} (baseline) vs {} (current), tolerance {:.0}% aggregate / {:.0}% per experiment:",

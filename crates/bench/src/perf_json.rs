@@ -1,11 +1,42 @@
-//! Reading and diffing the `figures --json` perf reports.
+//! Writing, reading and diffing the `figures --json` perf reports.
 //!
 //! The report format is this repository's own (`bebop-bench-figures/v1`,
-//! written by the `figures` binary), so a dependency-free field scanner is
-//! enough: no external JSON crate is available in the offline build image, and
-//! none is needed. The `perf_gate` binary uses [`diff`] in CI to fail pull
-//! requests whose aggregate µops/sec regresses more than the tolerance against
-//! the committed `BENCH_figures.json` baseline.
+//! rendered by [`render`] for the `figures` binary), so a dependency-free
+//! field scanner is enough: no external JSON crate is available in the offline
+//! build image, and none is needed. The `perf_gate` binary uses [`diff`] in CI
+//! to fail pull requests whose µops/sec regresses more than the tolerance
+//! against the committed `BENCH_figures.json` baseline.
+//!
+//! Besides throughput, a report carries a `"counters"` object: named `u64`
+//! counters the run's modes reported (trace-store hits, wrong-path traffic,
+//! sweep cells, …). A mode that did not run writes no entries, and an absent
+//! counter reads as zero, so reports from before a counter existed (the
+//! committed baseline among them) parse unchanged. Counters are
+//! informational: [`diff`] shows them, only µops/sec gates.
+
+use std::collections::{BTreeMap, BTreeSet};
+
+/// One timed experiment of a perf report.
+#[derive(Debug, Clone)]
+pub struct Timing {
+    /// Experiment name (`table2`, `fig8`, `sweep`, …).
+    pub name: &'static str,
+    /// Wall-clock seconds the experiment took.
+    pub wall_s: f64,
+    /// µ-ops the experiment simulated (or recorded, for `tracegen`).
+    pub uops: u64,
+}
+
+impl Timing {
+    /// Simulated µ-ops per wall-clock second (0 for an untimed experiment).
+    pub fn uops_per_sec(&self) -> f64 {
+        if self.wall_s <= 0.0 {
+            0.0
+        } else {
+            self.uops as f64 / self.wall_s
+        }
+    }
+}
 
 /// One parsed perf report.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,84 +47,82 @@ pub struct PerfReport {
     pub uops_per_run: u64,
     /// Aggregate simulation throughput over every experiment.
     pub total_uops_per_sec: f64,
-    /// Persistent trace-store hits during the run (0 without `--trace-dir`,
-    /// and for reports from before the store existed).
-    pub trace_store_hits: u64,
-    /// Persistent trace-store misses during the run.
-    pub trace_store_misses: u64,
-    /// Wrong-path µ-ops fetched by the `--wrong-path` experiment (0 when it
-    /// did not run, and for reports from before the mode existed).
-    pub wrong_path_fetched: u64,
-    /// Wrong-path µ-ops that were speculatively executed.
-    pub wrong_path_executed: u64,
-    /// Polluting wrong-path predictor updates delivered by the experiment.
-    pub wrong_path_vp_trains: u64,
-    /// Heuristically attributed pollution-induced value mispredictions.
-    pub wrong_path_pollution_mispredicts: u64,
-    /// Quantum-boundary context switches simulated by the `--mix` experiment
-    /// (0 when it did not run, and for reports from before the mode existed).
-    pub mix_context_switches: u64,
-    /// Cross-context predictor-entry steals observed by the `--mix`
-    /// experiment's sharded tables.
-    pub mix_shard_steals: u64,
-    /// Cells in the `--sweep` request (0 when no sweep ran, and for reports
-    /// from before the sweep engine existed).
-    pub sweep_cells_total: u64,
-    /// Sweep cells restored from the journal instead of re-simulated.
-    pub sweep_cells_resumed: u64,
-    /// Sweep cells newly simulated by the run.
-    pub sweep_cells_executed: u64,
-    /// Sweep cells quarantined (panicked configuration).
-    pub sweep_cells_quarantined: u64,
-    /// Transient-I/O retries the sweep engine performed.
-    pub sweep_io_retries: u64,
-    /// Profiling slices in the `--sample` experiment, summed over benchmarks
-    /// (0 when it did not run, and for reports from before sampling existed).
-    pub sampled_slices: u64,
-    /// Phases (representative slices) the `--sample` experiment simulated,
-    /// summed over benchmarks.
-    pub sampled_phases: u64,
-    /// Detailed µ-ops the `--sample` experiment actually simulated.
-    pub sampled_simulated_uops: u64,
-    /// µ-ops a full (unsampled) run of the same budget would simulate.
-    pub sampled_full_uops: u64,
+    /// The report's `"counters"` object, by name (empty for reports from
+    /// before the object existed).
+    pub counters: BTreeMap<String, u64>,
     /// `(experiment name, µops/sec)` rows, in report order.
     pub experiments: Vec<(String, f64)>,
 }
 
-/// Writes `text` to `path` via a temporary file in the same directory plus an
-/// atomic rename, so a crash mid-write can never leave a torn report for the
-/// perf gate (or a watching dashboard) to choke on.
-pub fn write_atomic(path: &std::path::Path, text: &str) -> std::io::Result<()> {
-    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
-    let mut tmp = dir.map_or_else(std::path::PathBuf::new, |d| d.to_path_buf());
-    tmp.push(format!(
-        ".tmp-{}-{}",
-        path.file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("perf-report"),
-        std::process::id()
-    ));
-    std::fs::write(&tmp, text)?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
+impl PerfReport {
+    /// Counter `name`, zero when the report does not carry it.
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
     }
 }
 
-/// Extracts the JSON number following `"key":` in `text`, starting at `from`.
-fn number_after(text: &str, key: &str, from: usize) -> Option<(f64, usize)> {
+/// Renders a `bebop-bench-figures/v1` report: the run header, `counters` in
+/// the given order, the totals over `timings`, and one row per timing.
+pub fn render(
+    threads: usize,
+    uops_per_run: u64,
+    benchmarks: usize,
+    counters: &[(&str, u64)],
+    timings: &[Timing],
+) -> String {
+    let total_wall: f64 = timings.iter().map(|t| t.wall_s).sum();
+    let total_uops: u64 = timings.iter().map(|t| t.uops).sum();
+    let mut out = String::new();
+    out.push_str("{\n");
+    out.push_str("  \"schema\": \"bebop-bench-figures/v1\",\n");
+    out.push_str(&format!("  \"threads\": {threads},\n"));
+    out.push_str(&format!("  \"uops_per_run\": {uops_per_run},\n"));
+    out.push_str(&format!("  \"benchmarks\": {benchmarks},\n"));
+    out.push_str("  \"counters\": {");
+    for (i, (name, value)) in counters.iter().enumerate() {
+        let sep = if i == 0 { "\n" } else { ",\n" };
+        out.push_str(&format!("{sep}    \"{name}\": {value}"));
+    }
+    out.push_str(if counters.is_empty() {
+        "},\n"
+    } else {
+        "\n  },\n"
+    });
+    out.push_str(&format!("  \"total_wall_s\": {total_wall:.6},\n"));
+    out.push_str(&format!("  \"total_uops\": {total_uops},\n"));
+    out.push_str(&format!(
+        "  \"total_uops_per_sec\": {:.1},\n",
+        if total_wall > 0.0 {
+            total_uops as f64 / total_wall
+        } else {
+            0.0
+        }
+    ));
+    out.push_str("  \"experiments\": [\n");
+    for (i, t) in timings.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"name\": \"{}\", \"wall_s\": {:.6}, \"uops\": {}, \"uops_per_sec\": {:.1}}}{}\n",
+            t.name,
+            t.wall_s,
+            t.uops,
+            t.uops_per_sec(),
+            if i + 1 == timings.len() { "" } else { "," }
+        ));
+    }
+    out.push_str("  ]\n}\n");
+    out
+}
+
+/// The JSON number token following `"key":` in `text`, searching from
+/// `from`, plus the offset just past the key.
+fn number_after<'a>(text: &'a str, key: &str, from: usize) -> Option<(&'a str, usize)> {
     let pat = format!("\"{key}\"");
     let at = text[from..].find(&pat)? + from + pat.len();
     let rest = text[at..].trim_start_matches([':', ' ', '\t']);
     let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
+        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | 'e' | 'E')))
         .unwrap_or(rest.len());
-    let value: f64 = rest[..end].parse().ok()?;
-    Some((value, at))
+    Some((&rest[..end], at))
 }
 
 /// Extracts the JSON string following `"key":` in `text`, starting at `from`.
@@ -105,57 +134,49 @@ fn string_after(text: &str, key: &str, from: usize) -> Option<(String, usize)> {
     Some((text[open..close].to_string(), close))
 }
 
+/// Parses the flat `"counters": { "name": <u64>, ... }` object; an absent
+/// object is an empty map, a malformed one is `None`.
+fn parse_counters(text: &str) -> Option<BTreeMap<String, u64>> {
+    let mut counters = BTreeMap::new();
+    let Some(at) = text.find("\"counters\"") else {
+        return Some(counters);
+    };
+    let open = text[at..].find('{')? + at + 1;
+    let close = text[open..].find('}')? + open;
+    for entry in text[open..close].split(',') {
+        if entry.trim().is_empty() {
+            continue;
+        }
+        let (name, value) = entry.split_once(':')?;
+        let name = name.trim().strip_prefix('"')?.strip_suffix('"')?;
+        counters.insert(name.to_string(), value.trim().parse().ok()?);
+    }
+    Some(counters)
+}
+
 /// Parses a `bebop-bench-figures/v1` report.
 ///
-/// Returns `None` when the schema marker or any required field is missing, so
-/// callers fail loudly on truncated or foreign files instead of gating on
-/// garbage.
+/// Returns `None` when the schema marker or any required field is missing,
+/// or the counters object is malformed, so callers fail loudly on truncated
+/// or foreign files instead of gating on garbage.
 pub fn parse(text: &str) -> Option<PerfReport> {
     if !text.contains("bebop-bench-figures/v1") {
         return None;
     }
-    let threads = number_after(text, "threads", 0)?.0 as u64;
-    let uops_per_run = number_after(text, "uops_per_run", 0)?.0 as u64;
-    let total_uops_per_sec = number_after(text, "total_uops_per_sec", 0)?.0;
-    // Optional: reports written before the persistent trace store read as 0.
-    let trace_store_hits = number_after(text, "trace_store_hits", 0).map_or(0, |(v, _)| v as u64);
-    let trace_store_misses =
-        number_after(text, "trace_store_misses", 0).map_or(0, |(v, _)| v as u64);
-    // Optional: reports written before the wrong-path mode read as 0.
-    let wrong_path_fetched =
-        number_after(text, "wrong_path_fetched", 0).map_or(0, |(v, _)| v as u64);
-    let wrong_path_executed =
-        number_after(text, "wrong_path_executed", 0).map_or(0, |(v, _)| v as u64);
-    let wrong_path_vp_trains =
-        number_after(text, "wrong_path_vp_trains", 0).map_or(0, |(v, _)| v as u64);
-    let wrong_path_pollution_mispredicts =
-        number_after(text, "wrong_path_pollution_mispredicts", 0).map_or(0, |(v, _)| v as u64);
-    // Optional: reports written before the multi-programmed mode read as 0.
-    let mix_context_switches =
-        number_after(text, "mix_context_switches", 0).map_or(0, |(v, _)| v as u64);
-    let mix_shard_steals = number_after(text, "mix_shard_steals", 0).map_or(0, |(v, _)| v as u64);
-    // Optional: reports written before the sweep engine read as 0.
-    let sweep_cells_total = number_after(text, "sweep_cells_total", 0).map_or(0, |(v, _)| v as u64);
-    let sweep_cells_resumed =
-        number_after(text, "sweep_cells_resumed", 0).map_or(0, |(v, _)| v as u64);
-    let sweep_cells_executed =
-        number_after(text, "sweep_cells_executed", 0).map_or(0, |(v, _)| v as u64);
-    let sweep_cells_quarantined =
-        number_after(text, "sweep_cells_quarantined", 0).map_or(0, |(v, _)| v as u64);
-    let sweep_io_retries = number_after(text, "sweep_io_retries", 0).map_or(0, |(v, _)| v as u64);
-    // Optional: reports written before phase sampling read as 0.
-    let sampled_slices = number_after(text, "sampled_slices", 0).map_or(0, |(v, _)| v as u64);
-    let sampled_phases = number_after(text, "sampled_phases", 0).map_or(0, |(v, _)| v as u64);
-    let sampled_simulated_uops =
-        number_after(text, "sampled_simulated_uops", 0).map_or(0, |(v, _)| v as u64);
-    let sampled_full_uops = number_after(text, "sampled_full_uops", 0).map_or(0, |(v, _)| v as u64);
+    let threads = number_after(text, "threads", 0)?.0.parse().ok()?;
+    let uops_per_run = number_after(text, "uops_per_run", 0)?.0.parse().ok()?;
+    let total_uops_per_sec = number_after(text, "total_uops_per_sec", 0)?
+        .0
+        .parse()
+        .ok()?;
+    let counters = parse_counters(text)?;
 
     let exp_at = text.find("\"experiments\"")?;
     let mut experiments = Vec::new();
     let mut cursor = exp_at;
     while let Some((name, after_name)) = string_after(text, "name", cursor) {
         let (ups, after_ups) = number_after(text, "uops_per_sec", after_name)?;
-        experiments.push((name, ups));
+        experiments.push((name, ups.parse().ok()?));
         cursor = after_ups;
     }
     if experiments.is_empty() {
@@ -165,23 +186,7 @@ pub fn parse(text: &str) -> Option<PerfReport> {
         threads,
         uops_per_run,
         total_uops_per_sec,
-        trace_store_hits,
-        trace_store_misses,
-        wrong_path_fetched,
-        wrong_path_executed,
-        wrong_path_vp_trains,
-        wrong_path_pollution_mispredicts,
-        mix_context_switches,
-        mix_shard_steals,
-        sweep_cells_total,
-        sweep_cells_resumed,
-        sweep_cells_executed,
-        sweep_cells_quarantined,
-        sweep_io_retries,
-        sampled_slices,
-        sampled_phases,
-        sampled_simulated_uops,
-        sampled_full_uops,
+        counters,
         experiments,
     })
 }
@@ -189,7 +194,8 @@ pub fn parse(text: &str) -> Option<PerfReport> {
 /// The verdict of a baseline-vs-current comparison.
 #[derive(Debug, Clone)]
 pub struct PerfDiff {
-    /// Human-readable comparison rows (one per experiment plus the total).
+    /// Human-readable comparison rows (one per nonzero counter, one per
+    /// experiment, plus the total).
     pub lines: Vec<String>,
     /// `Some(message)` when the aggregate throughput (or, in per-experiment
     /// mode, any single experiment) regressed beyond its tolerance — the
@@ -210,25 +216,19 @@ fn ratio_row(name: &str, base: f64, cur: f64, tolerance: f64) -> (String, bool) 
     )
 }
 
-/// Compares `current` against `baseline` with a relative `tolerance`
-/// (0.20 = fail on a >20% drop). The gate fires on the *aggregate*
-/// µops/sec only; per-experiment regressions are reported as context (single
-/// experiments are noisy on shared CI runners, the aggregate is not).
+/// Compares `current` against `baseline` with a relative `tolerance` on the
+/// aggregate µops/sec (0.20 = fail on a >20% drop). Every counter that is
+/// nonzero on either side gets one informational line.
 ///
-/// This is the aggregate-only mode kept for existing callers;
-/// [`diff_gated`] adds per-experiment gating on top.
-pub fn diff(baseline: &PerfReport, current: &PerfReport, tolerance: f64) -> PerfDiff {
-    diff_gated(baseline, current, tolerance, None)
-}
-
-/// Like [`diff`], but when `per_experiment` is `Some(t)` every experiment
-/// also gates individually with relative tolerance `t`. A single experiment
-/// is far noisier than the aggregate on a shared CI runner, so `t` should be
+/// With `per_experiment` = `None` only the aggregate gates; per-experiment
+/// regressions are reported as context (single experiments are noisy on
+/// shared CI runners, the aggregate is not). With `Some(t)` every experiment
+/// also gates individually with relative tolerance `t`, which should be
 /// looser than the aggregate tolerance (the historical bug this closes: a
 /// one-experiment cliff — e.g. one figure falling to a third of its siblings
 /// — hides inside an aggregate that still passes). An experiment present in
-/// the baseline but missing from the current report also fails in this mode.
-pub fn diff_gated(
+/// the baseline but missing from the current report also fails in that mode.
+pub fn diff(
     baseline: &PerfReport,
     current: &PerfReport,
     tolerance: f64,
@@ -241,66 +241,16 @@ pub fn diff_gated(
             baseline.threads, baseline.uops_per_run, current.threads, current.uops_per_run
         ));
     }
-    if baseline.trace_store_hits + baseline.trace_store_misses > 0
-        || current.trace_store_hits + current.trace_store_misses > 0
-    {
-        lines.push(format!(
-            "  trace store: {} hit(s) / {} miss(es) (baseline {} / {})",
-            current.trace_store_hits,
-            current.trace_store_misses,
-            baseline.trace_store_hits,
-            baseline.trace_store_misses
-        ));
-    }
-    if baseline.wrong_path_fetched > 0 || current.wrong_path_fetched > 0 {
-        lines.push(format!(
-            "  wrong path: {} fetched / {} executed / {} polluting train(s) / {} attributed mispredict(s) (baseline {} / {} / {} / {})",
-            current.wrong_path_fetched,
-            current.wrong_path_executed,
-            current.wrong_path_vp_trains,
-            current.wrong_path_pollution_mispredicts,
-            baseline.wrong_path_fetched,
-            baseline.wrong_path_executed,
-            baseline.wrong_path_vp_trains,
-            baseline.wrong_path_pollution_mispredicts
-        ));
-    }
-    if baseline.mix_context_switches > 0 || current.mix_context_switches > 0 {
-        lines.push(format!(
-            "  mix: {} context switch(es) / {} shard steal(s) (baseline {} / {})",
-            current.mix_context_switches,
-            current.mix_shard_steals,
-            baseline.mix_context_switches,
-            baseline.mix_shard_steals
-        ));
-    }
-    if baseline.sweep_cells_total > 0 || current.sweep_cells_total > 0 {
-        lines.push(format!(
-            "  sweep: {} cell(s), {} resumed / {} executed / {} quarantined, {} io retry(ies) (baseline {} / {} / {} / {} / {})",
-            current.sweep_cells_total,
-            current.sweep_cells_resumed,
-            current.sweep_cells_executed,
-            current.sweep_cells_quarantined,
-            current.sweep_io_retries,
-            baseline.sweep_cells_total,
-            baseline.sweep_cells_resumed,
-            baseline.sweep_cells_executed,
-            baseline.sweep_cells_quarantined,
-            baseline.sweep_io_retries
-        ));
-    }
-    if baseline.sampled_phases > 0 || current.sampled_phases > 0 {
-        lines.push(format!(
-            "  sample: {} slice(s), {} phase(s), {} of {} µops simulated (baseline {} / {} / {} / {})",
-            current.sampled_slices,
-            current.sampled_phases,
-            current.sampled_simulated_uops,
-            current.sampled_full_uops,
-            baseline.sampled_slices,
-            baseline.sampled_phases,
-            baseline.sampled_simulated_uops,
-            baseline.sampled_full_uops
-        ));
+    let names: BTreeSet<&String> = baseline
+        .counters
+        .keys()
+        .chain(current.counters.keys())
+        .collect();
+    for name in names {
+        let (base, cur) = (baseline.counter(name), current.counter(name));
+        if base > 0 || cur > 0 {
+            lines.push(format!("  {name}: {cur} (baseline {base})"));
+        }
     }
     let exp_tolerance = per_experiment.unwrap_or(tolerance);
     let mut exp_failures: Vec<String> = Vec::new();
@@ -390,232 +340,121 @@ mod tests {
 
     #[test]
     fn store_counters_default_to_zero_on_old_reports() {
-        // The committed baseline predates the trace store; its absence of the
-        // counters must parse as zero traffic, not as a parse failure.
+        // Reports from before the counters object (the committed baseline
+        // carries flat per-mode fields instead) read every counter as zero
+        // traffic, not as a parse failure.
         let r = parse(&report(1000.0, 1000.0)).expect("parse");
-        assert_eq!((r.trace_store_hits, r.trace_store_misses), (0, 0));
+        assert!(r.counters.is_empty());
+        assert_eq!(r.counter("trace_store_hits"), 0);
+        let committed = include_str!("../../../BENCH_figures.json");
+        let r = parse(committed).expect("baseline parses");
+        assert!(r.counters.is_empty(), "{:?}", r.counters);
+        let lines = diff(&r, &r, 0.20, None).lines;
+        assert!(!lines.iter().any(|l| l.contains("trace_generated_uops")));
+    }
+
+    /// The counters each `figures` mode can write, each with a distinct
+    /// nonzero value (one above 2^53, which an `f64` round trip would corrupt).
+    const STORE_COUNTERS: [(&str, u64); 3] = [
+        ("trace_store_hits", 36),
+        ("trace_store_misses", 2),
+        ("trace_generated_uops", (1 << 53) + 1),
+    ];
+    const WRONG_PATH_COUNTERS: [(&str, u64); 4] = [
+        ("wrong_path_fetched", 1234),
+        ("wrong_path_executed", 1000),
+        ("wrong_path_vp_trains", 321),
+        ("wrong_path_pollution_mispredicts", 7),
+    ];
+    const MIX_COUNTERS: [(&str, u64); 2] = [("mix_context_switches", 57), ("mix_shard_steals", 12)];
+    const SAMPLED_COUNTERS: [(&str, u64); 4] = [
+        ("sampled_slices", 300),
+        ("sampled_phases", 48),
+        ("sampled_simulated_uops", 240_000),
+        ("sampled_full_uops", 1_200_000),
+    ];
+    const SWEEP_COUNTERS: [(&str, u64); 7] = [
+        ("sweep_cells_total", 66),
+        ("sweep_cells_resumed", 40),
+        ("sweep_cells_executed", 26),
+        ("sweep_cells_quarantined", 3),
+        ("sweep_cells_timed_out", 1),
+        ("sweep_checkpoint_resumes", 5),
+        ("sweep_io_retries", 9),
+    ];
+
+    /// Every counter `figures` can write.
+    fn figures_counters() -> Vec<(&'static str, u64)> {
+        [
+            &STORE_COUNTERS[..],
+            &WRONG_PATH_COUNTERS,
+            &MIX_COUNTERS,
+            &SAMPLED_COUNTERS,
+            &SWEEP_COUNTERS,
+        ]
+        .concat()
+    }
+
+    /// Renders `counters` into a report, parses it back and checks each
+    /// value, the diff line it gets against an old report without counters,
+    /// and that neither a report without them nor one writing them as zero
+    /// shows a line for them.
+    fn assert_counters_round_trip(counters: &[(&str, u64)]) {
+        let old = parse(&report(1000.0, 1000.0)).expect("parse");
+        let timings = [Timing {
+            name: "fig8",
+            wall_s: 2.0,
+            uops: 1000,
+        }];
+        let quiet = parse(&render(1, 200_000, 6, &[], &timings)).expect("parse");
+        assert!(quiet.counters.is_empty());
+        let loud = parse(&render(1, 200_000, 6, counters, &timings)).expect("parse");
+        assert_eq!(loud.counters.len(), counters.len());
+        assert_eq!(loud.experiments, vec![("fig8".to_string(), 500.0)]);
+        let shown = diff(&old, &loud, 0.20, None).lines;
+        let zeros: Vec<(&str, u64)> = counters.iter().map(|&(name, _)| (name, 0)).collect();
+        let zero = parse(&render(1, 200_000, 6, &zeros, &timings)).expect("parse");
+        let silent = diff(&zero, &quiet, 0.20, None).lines;
+        let unchanged = diff(&old, &old, 0.20, None).lines;
+        for &(name, value) in counters {
+            assert_eq!(old.counter(name), 0, "{name}");
+            assert_eq!(loud.counter(name), value, "{name}");
+            assert_eq!(zero.counters.get(name), Some(&0), "{name}");
+            let line = format!("  {name}: {value} (baseline 0)");
+            assert!(shown.contains(&line), "{line:?} not in {shown:?}");
+            assert!(!silent.iter().any(|l| l.contains(name)), "{silent:?}");
+            assert!(!unchanged.iter().any(|l| l.contains(name)), "{unchanged:?}");
+        }
     }
 
     #[test]
     fn store_counters_parse_and_show_in_the_diff() {
-        let with_store = r#"{
-  "schema": "bebop-bench-figures/v1",
-  "threads": 1,
-  "uops_per_run": 200000,
-  "benchmarks": 36,
-  "trace_store_hits": 36,
-  "trace_store_misses": 2,
-  "trace_generated_uops": 400000,
-  "total_wall_s": 10.5,
-  "total_uops": 1000,
-  "total_uops_per_sec": 1000.0,
-  "experiments": [
-    {"name": "fig8", "wall_s": 9.5, "uops": 500, "uops_per_sec": 1000.0}
-  ]
-}
-"#;
-        let cur = parse(with_store).expect("parse");
-        assert_eq!((cur.trace_store_hits, cur.trace_store_misses), (36, 2));
-        let base = parse(&report(1000.0, 1000.0)).unwrap();
-        let d = diff(&base, &cur, 0.20);
-        assert!(
-            d.lines.iter().any(|l| l.contains("36 hit(s) / 2 miss(es)")),
-            "{:?}",
-            d.lines
-        );
-        // No store traffic on either side: no store line.
-        let quiet = diff(&base, &base, 0.20);
-        assert!(!quiet.lines.iter().any(|l| l.contains("trace store")));
+        assert_counters_round_trip(&STORE_COUNTERS);
     }
 
     #[test]
     fn wrong_path_counters_parse_and_default_to_zero() {
-        // Old reports (no wrong-path fields) parse as zero traffic.
-        let old = parse(&report(1000.0, 1000.0)).expect("parse");
-        assert_eq!(old.wrong_path_fetched, 0);
-        assert_eq!(old.wrong_path_executed, 0);
-        assert_eq!(old.wrong_path_vp_trains, 0);
-        assert_eq!(old.wrong_path_pollution_mispredicts, 0);
-
-        let with_wp = r#"{
-  "schema": "bebop-bench-figures/v1",
-  "threads": 1,
-  "uops_per_run": 200000,
-  "benchmarks": 36,
-  "wrong_path_fetched": 1234,
-  "wrong_path_executed": 1000,
-  "wrong_path_vp_trains": 321,
-  "wrong_path_pollution_mispredicts": 7,
-  "total_wall_s": 10.5,
-  "total_uops": 1000,
-  "total_uops_per_sec": 1000.0,
-  "experiments": [
-    {"name": "wrongpath", "wall_s": 9.5, "uops": 500, "uops_per_sec": 1000.0}
-  ]
-}
-"#;
-        let cur = parse(with_wp).expect("parse");
-        assert_eq!(cur.wrong_path_fetched, 1234);
-        assert_eq!(cur.wrong_path_executed, 1000);
-        assert_eq!(cur.wrong_path_vp_trains, 321);
-        assert_eq!(cur.wrong_path_pollution_mispredicts, 7);
-        let d = diff(&old, &cur, 0.20);
-        assert!(
-            d.lines
-                .iter()
-                .any(|l| l.contains("1234 fetched / 1000 executed / 321 polluting")),
-            "{:?}",
-            d.lines
-        );
-        // No wrong-path traffic on either side: no wrong-path line.
-        let quiet = diff(&old, &old, 0.20);
-        assert!(!quiet.lines.iter().any(|l| l.contains("wrong path")));
+        assert_counters_round_trip(&WRONG_PATH_COUNTERS);
     }
 
     #[test]
     fn mix_counters_parse_and_default_to_zero() {
-        // Old reports (no mix fields) parse as zero traffic.
-        let old = parse(&report(1000.0, 1000.0)).expect("parse");
-        assert_eq!(old.mix_context_switches, 0);
-        assert_eq!(old.mix_shard_steals, 0);
-
-        let with_mix = r#"{
-  "schema": "bebop-bench-figures/v1",
-  "threads": 1,
-  "uops_per_run": 200000,
-  "benchmarks": 36,
-  "mix_context_switches": 57,
-  "mix_shard_steals": 12,
-  "total_wall_s": 10.5,
-  "total_uops": 1000,
-  "total_uops_per_sec": 1000.0,
-  "experiments": [
-    {"name": "mix", "wall_s": 9.5, "uops": 500, "uops_per_sec": 1000.0}
-  ]
-}
-"#;
-        let cur = parse(with_mix).expect("parse");
-        assert_eq!(cur.mix_context_switches, 57);
-        assert_eq!(cur.mix_shard_steals, 12);
-        let d = diff(&old, &cur, 0.20);
-        assert!(
-            d.lines
-                .iter()
-                .any(|l| l.contains("57 context switch(es) / 12 shard steal(s)")),
-            "{:?}",
-            d.lines
-        );
-        // No mix traffic on either side: no mix line.
-        let quiet = diff(&old, &old, 0.20);
-        assert!(!quiet.lines.iter().any(|l| l.contains("mix:")));
+        assert_counters_round_trip(&MIX_COUNTERS);
     }
 
     #[test]
     fn sweep_counters_parse_and_default_to_zero() {
-        // Old reports (no sweep fields) parse as zero traffic.
-        let old = parse(&report(1000.0, 1000.0)).expect("parse");
-        assert_eq!(old.sweep_cells_total, 0);
-        assert_eq!(old.sweep_cells_resumed, 0);
-        assert_eq!(old.sweep_cells_executed, 0);
-        assert_eq!(old.sweep_cells_quarantined, 0);
-        assert_eq!(old.sweep_io_retries, 0);
-
-        let with_sweep = r#"{
-  "schema": "bebop-bench-figures/v1",
-  "threads": 1,
-  "uops_per_run": 200000,
-  "benchmarks": 6,
-  "sweep_cells_total": 66,
-  "sweep_cells_resumed": 40,
-  "sweep_cells_executed": 26,
-  "sweep_cells_quarantined": 1,
-  "sweep_io_retries": 3,
-  "total_wall_s": 10.5,
-  "total_uops": 1000,
-  "total_uops_per_sec": 1000.0,
-  "experiments": [
-    {"name": "sweep", "wall_s": 9.5, "uops": 500, "uops_per_sec": 1000.0}
-  ]
-}
-"#;
-        let cur = parse(with_sweep).expect("parse");
-        assert_eq!(cur.sweep_cells_total, 66);
-        assert_eq!(cur.sweep_cells_resumed, 40);
-        assert_eq!(cur.sweep_cells_executed, 26);
-        assert_eq!(cur.sweep_cells_quarantined, 1);
-        assert_eq!(cur.sweep_io_retries, 3);
-        let d = diff(&old, &cur, 0.20);
-        assert!(
-            d.lines
-                .iter()
-                .any(|l| l.contains("66 cell(s), 40 resumed / 26 executed / 1 quarantined")),
-            "{:?}",
-            d.lines
-        );
-        // No sweep traffic on either side: no sweep line.
-        let quiet = diff(&old, &old, 0.20);
-        assert!(!quiet.lines.iter().any(|l| l.contains("sweep:")));
+        assert_counters_round_trip(&SWEEP_COUNTERS);
     }
 
     #[test]
     fn sampled_counters_parse_and_default_to_zero() {
-        // Old reports (no sampling fields) parse as zero traffic.
-        let old = parse(&report(1000.0, 1000.0)).expect("parse");
-        assert_eq!(old.sampled_slices, 0);
-        assert_eq!(old.sampled_phases, 0);
-        assert_eq!(old.sampled_simulated_uops, 0);
-        assert_eq!(old.sampled_full_uops, 0);
-
-        let with_sample = r#"{
-  "schema": "bebop-bench-figures/v1",
-  "threads": 1,
-  "uops_per_run": 200000,
-  "benchmarks": 6,
-  "sampled_slices": 300,
-  "sampled_phases": 48,
-  "sampled_simulated_uops": 240000,
-  "sampled_full_uops": 1200000,
-  "total_wall_s": 10.5,
-  "total_uops": 1000,
-  "total_uops_per_sec": 1000.0,
-  "experiments": [
-    {"name": "sample", "wall_s": 9.5, "uops": 500, "uops_per_sec": 1000.0}
-  ]
-}
-"#;
-        let cur = parse(with_sample).expect("parse");
-        assert_eq!(cur.sampled_slices, 300);
-        assert_eq!(cur.sampled_phases, 48);
-        assert_eq!(cur.sampled_simulated_uops, 240_000);
-        assert_eq!(cur.sampled_full_uops, 1_200_000);
-        let d = diff(&old, &cur, 0.20);
-        assert!(
-            d.lines
-                .iter()
-                .any(|l| l.contains("300 slice(s), 48 phase(s), 240000 of 1200000")),
-            "{:?}",
-            d.lines
-        );
-        // No sampling traffic on either side: no sample line.
-        let quiet = diff(&old, &old, 0.20);
-        assert!(!quiet.lines.iter().any(|l| l.contains("sample:")));
+        assert_counters_round_trip(&SAMPLED_COUNTERS);
     }
 
     #[test]
-    fn write_atomic_replaces_the_file_in_one_step() {
-        let dir = std::env::temp_dir().join(format!("bebop-perfjson-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("report.json");
-        write_atomic(&path, "first").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "first");
-        write_atomic(&path, "second").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "second");
-        // No temporary debris left behind.
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
-        // A missing parent directory is a clean error, not a panic.
-        assert!(write_atomic(&dir.join("no/such/dir/r.json"), "x").is_err());
-        let _ = std::fs::remove_dir_all(&dir);
+    fn every_figures_counter_round_trips_and_shows_in_the_diff() {
+        assert_counters_round_trip(&figures_counters());
     }
 
     #[test]
@@ -623,6 +462,31 @@ mod tests {
         assert!(parse("{}").is_none());
         assert!(parse("{\"schema\": \"bebop-bench-figures/v1\"}").is_none());
         assert!(parse("not json at all").is_none());
+        let with_counter = |value: &str| {
+            report(1000.0, 1000.0).replacen(
+                "\"threads\"",
+                &format!("\"counters\": {{\"x\": {value}}},\n  \"threads\""),
+                1,
+            )
+        };
+        assert_eq!(parse(&with_counter("1")).map(|r| r.counter("x")), Some(1));
+        assert!(parse(&with_counter("-1")).is_none());
+        assert!(parse(&with_counter("1.5")).is_none());
+        // Every prefix of a real report parses to something or to nothing,
+        // never to a panic: the committed baseline, and a report with counters.
+        let committed = include_str!("../../../BENCH_figures.json");
+        let timings = [Timing {
+            name: "fig8",
+            wall_s: 1.0,
+            uops: 10,
+        }];
+        let rendered = render(2, 1000, 6, &figures_counters(), &timings);
+        for text in [committed, rendered.as_str()] {
+            assert!(parse(text).is_some());
+            for end in (0..text.len()).filter(|&end| text.is_char_boundary(end)) {
+                let _ = parse(&text[..end]);
+            }
+        }
     }
 
     #[test]
@@ -630,7 +494,7 @@ mod tests {
         let base = parse(&report(1000.0, 1000.0)).unwrap();
         let cur = parse(&report(900.0, 500.0)).unwrap();
         // Total dropped 10% (within 20%); fig8 dropped 50% but only informs.
-        let d = diff(&base, &cur, 0.20);
+        let d = diff(&base, &cur, 0.20, None);
         assert!(d.failure.is_none(), "{:?}", d.lines);
         assert!(d.lines.iter().any(|l| l.contains("REGRESSION")));
     }
@@ -639,7 +503,7 @@ mod tests {
     fn diff_fails_on_aggregate_regression() {
         let base = parse(&report(1000.0, 1000.0)).unwrap();
         let cur = parse(&report(700.0, 1000.0)).unwrap();
-        let d = diff(&base, &cur, 0.20);
+        let d = diff(&base, &cur, 0.20, None);
         assert!(d.failure.is_some());
     }
 
@@ -649,8 +513,8 @@ mod tests {
         // tolerance — the exact shape the aggregate-only gate waved through.
         let base = parse(&report(1000.0, 1000.0)).unwrap();
         let cur = parse(&report(950.0, 500.0)).unwrap();
-        assert!(diff(&base, &cur, 0.20).failure.is_none());
-        let gated = diff_gated(&base, &cur, 0.20, Some(0.35));
+        assert!(diff(&base, &cur, 0.20, None).failure.is_none());
+        let gated = diff(&base, &cur, 0.20, Some(0.35));
         let msg = gated.failure.expect("per-experiment gate must fire");
         assert!(msg.contains("fig8"), "{msg}");
         assert!(!msg.contains("aggregate"), "{msg}");
@@ -663,7 +527,7 @@ mod tests {
         // aggregate tolerance if applied per row.
         let base = parse(&report(1000.0, 1000.0)).unwrap();
         let cur = parse(&report(980.0, 700.0)).unwrap();
-        assert!(diff_gated(&base, &cur, 0.20, Some(0.35)).failure.is_none());
+        assert!(diff(&base, &cur, 0.20, Some(0.35)).failure.is_none());
     }
 
     #[test]
@@ -681,8 +545,8 @@ mod tests {
 "#;
         let cur = parse(one_exp).unwrap();
         // Aggregate-only mode reports the hole but does not gate on it.
-        assert!(diff(&base, &cur, 0.20).failure.is_none());
-        let msg = diff_gated(&base, &cur, 0.20, Some(0.35))
+        assert!(diff(&base, &cur, 0.20, None).failure.is_none());
+        let msg = diff(&base, &cur, 0.20, Some(0.35))
             .failure
             .expect("missing experiment must fail the per-experiment gate");
         assert!(msg.contains("fig8 missing"), "{msg}");
@@ -692,7 +556,7 @@ mod tests {
     fn per_experiment_gate_reports_aggregate_and_experiment_failures_together() {
         let base = parse(&report(1000.0, 1000.0)).unwrap();
         let cur = parse(&report(500.0, 100.0)).unwrap();
-        let msg = diff_gated(&base, &cur, 0.20, Some(0.35)).failure.unwrap();
+        let msg = diff(&base, &cur, 0.20, Some(0.35)).failure.unwrap();
         assert!(msg.contains("aggregate"), "{msg}");
         assert!(msg.contains("fig8"), "{msg}");
     }
@@ -701,6 +565,6 @@ mod tests {
     fn diff_improvements_never_fail() {
         let base = parse(&report(1000.0, 1000.0)).unwrap();
         let cur = parse(&report(5000.0, 5000.0)).unwrap();
-        assert!(diff(&base, &cur, 0.20).failure.is_none());
+        assert!(diff(&base, &cur, 0.20, None).failure.is_none());
     }
 }

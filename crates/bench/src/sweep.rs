@@ -61,7 +61,9 @@ use bebop::{
     configs, panic_reason, par, run_source_resumable, shutdown_requested, PredictorKind,
     ResumeOptions, RunControl, RunOutcome, SimStats, UopSource,
 };
-use bebop_trace::{spec_fingerprint, FaultPlan, TraceBuffer, WorkloadSpec};
+use bebop_trace::{
+    fnv1a, spec_fingerprint, write_atomic, FaultPlan, TraceBuffer, WorkloadSpec, FNV_OFFSET_BASIS,
+};
 use bebop_uarch::{gmean, PipelineConfig};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -80,17 +82,6 @@ pub const SWEEP_FORMAT_VERSION: u32 = 1;
 const MANIFEST_FILE: &str = "MANIFEST.bbsweep";
 const JOURNAL_FILE: &str = "journal.bbl";
 const LEDGER_FILE: &str = "ledger.bbl";
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 // ---------------------------------------------------------------------------
 // Job identity
@@ -124,7 +115,7 @@ impl JobKey {
         enc.extend_from_slice(format!("{pipeline:?}").as_bytes());
         enc.push(0);
         enc.extend_from_slice(format!("{predictor:?}").as_bytes());
-        JobKey(fnv1a(FNV_OFFSET, &enc))
+        JobKey(fnv1a(FNV_OFFSET_BASIS, &enc))
     }
 }
 
@@ -189,7 +180,7 @@ impl SweepRequest {
     /// different grids in one journal could otherwise go unnoticed until the
     /// cell counts stop adding up.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = fnv1a(FNV_OFFSET, b"BBPSWEEPREQ");
+        let mut h = fnv1a(FNV_OFFSET_BASIS, b"BBPSWEEPREQ");
         h = fnv1a(h, &SWEEP_FORMAT_VERSION.to_le_bytes());
         h = fnv1a(h, &self.uops.to_le_bytes());
         h = fnv1a(h, &(self.workloads.len() as u64).to_le_bytes());
@@ -352,7 +343,7 @@ impl CellRecord {
             vp_eligible: stats.vp.eligible,
             vp_predicted: stats.vp.predicted,
             vp_correct: stats.vp.correct,
-            digest: fnv1a(FNV_OFFSET, format!("{stats:?}").as_bytes()),
+            digest: fnv1a(FNV_OFFSET_BASIS, format!("{stats:?}").as_bytes()),
             reason_kind: None,
         }
     }
@@ -396,7 +387,7 @@ impl CellRecord {
             self.vp_correct,
             self.digest
         );
-        let cksum = fnv1a(FNV_OFFSET, body.as_bytes());
+        let cksum = fnv1a(FNV_OFFSET_BASIS, body.as_bytes());
         format!("{body} {cksum:016x}")
     }
 
@@ -411,7 +402,7 @@ impl CellRecord {
     fn decode(line: &str) -> Option<CellRecord> {
         let (body, cksum_str) = line.rsplit_once(' ')?;
         let cksum = u64::from_str_radix(cksum_str, 16).ok()?;
-        if cksum_str.len() != 16 || fnv1a(FNV_OFFSET, body.as_bytes()) != cksum {
+        if cksum_str.len() != 16 || fnv1a(FNV_OFFSET_BASIS, body.as_bytes()) != cksum {
             return None;
         }
         let fields: Vec<&str> = body.split(' ').collect();
@@ -534,7 +525,7 @@ impl SweepLedger {
     }
 
     /// Writes the compacted ledger — header, every record in job order, and a
-    /// trailing whole-file checksum — via temporary file + atomic rename.
+    /// trailing whole-file checksum — via [`write_atomic`].
     /// Called only when every cell is present, so the file is byte-identical
     /// regardless of how many kill/resume cycles produced the records.
     pub fn finalize(&self, fingerprint: u64, records: &[CellRecord]) -> io::Result<PathBuf> {
@@ -546,17 +537,13 @@ impl SweepLedger {
             out.push_str(&rec.encode());
             out.push('\n');
         }
-        out.push_str(&format!("END {:016x}\n", fnv1a(FNV_OFFSET, out.as_bytes())));
+        out.push_str(&format!(
+            "END {:016x}\n",
+            fnv1a(FNV_OFFSET_BASIS, out.as_bytes())
+        ));
         let path = self.ledger_path();
-        let tmp = self.dir.join(format!(".tmp-ledger-{}", std::process::id()));
-        fs::write(&tmp, &out)?;
-        match fs::rename(&tmp, &path) {
-            Ok(()) => Ok(path),
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
+        write_atomic(&path, out.as_bytes())?;
+        Ok(path)
     }
 
     /// Path of the append-only journal.
@@ -770,12 +757,7 @@ pub fn run_sweep_jobs(
             ));
         }
         Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            let tmp = dir.join(format!(".tmp-manifest-{}", std::process::id()));
-            fs::write(&tmp, &manifest)?;
-            if let Err(e) = fs::rename(&tmp, &manifest_path) {
-                let _ = fs::remove_file(&tmp);
-                return Err(e);
-            }
+            write_atomic(&manifest_path, manifest.as_bytes())?;
         }
         Err(e) => return Err(e),
     }
@@ -1108,21 +1090,21 @@ mod tests {
         // journals are lossless — and classify as a panic, the only failure
         // class that engine could record.
         let body = "C 0123456789abcdef 1 2 bad 0 0 0 0 0 0000000000000000 boom";
-        let line = format!("{body} {:016x}", fnv1a(FNV_OFFSET, body.as_bytes()));
+        let line = format!("{body} {:016x}", fnv1a(FNV_OFFSET_BASIS, body.as_bytes()));
         let rec = CellRecord::decode(&line).expect("legacy line must decode");
         assert_eq!(rec.status, CellStatus::Quarantined("boom".to_string()));
         assert_eq!(rec.reason_kind, Some(ReasonKind::Panic));
 
         // Same vintage, completed cell: no failure class.
         let body = "C 0123456789abcdef 1 2 ok 10 20 3 2 1 00000000deadbeef -";
-        let line = format!("{body} {:016x}", fnv1a(FNV_OFFSET, body.as_bytes()));
+        let line = format!("{body} {:016x}", fnv1a(FNV_OFFSET_BASIS, body.as_bytes()));
         let rec = CellRecord::decode(&line).expect("legacy ok line must decode");
         assert_eq!(rec.status, CellStatus::Ok);
         assert_eq!(rec.reason_kind, None);
 
         // A completed cell claiming a failure class is malformed.
         let body = "C 0123456789abcdef 1 2 ok 10 20 3 2 1 00000000deadbeef - panic";
-        let line = format!("{body} {:016x}", fnv1a(FNV_OFFSET, body.as_bytes()));
+        let line = format!("{body} {:016x}", fnv1a(FNV_OFFSET_BASIS, body.as_bytes()));
         assert_eq!(CellRecord::decode(&line), None);
     }
 

@@ -176,29 +176,15 @@ impl SimCheckpoint {
         })
     }
 
-    /// Atomically writes the checkpoint to `path` (temp file in the same
-    /// directory, then rename): a reader sees the previous complete
+    /// Atomically writes the checkpoint to `path` (creating its directory)
+    /// via [`bebop_trace::write_atomic`]: a reader sees the previous complete
     /// checkpoint or the new complete one, never a torn write.
     pub fn write_atomic(&self, path: &Path) -> io::Result<()> {
         let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
         if let Some(dir) = dir {
             fs::create_dir_all(dir)?;
         }
-        let file_name = path
-            .file_name()
-            .ok_or_else(|| io::Error::other("checkpoint path has no file name"))?;
-        let mut tmp_name = std::ffi::OsString::from(".");
-        tmp_name.push(file_name);
-        tmp_name.push(".tmp");
-        let tmp = path.with_file_name(tmp_name);
-        fs::write(&tmp, self.encode())?;
-        match fs::rename(&tmp, path) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
+        bebop_trace::write_atomic(path, &self.encode())
     }
 
     /// Loads and validates the checkpoint at `path`. A missing file is

@@ -20,9 +20,7 @@ use std::collections::BTreeSet;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::store::fnv1a;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+use crate::store::{fnv1a, FNV_OFFSET_BASIS};
 
 /// Index of each fault category in the injection counters.
 const READ_ERROR: usize = 0;
@@ -121,7 +119,7 @@ impl FaultPlan {
     /// The next deterministic pseudo-random draw.
     fn draw(&self) -> u64 {
         let n = self.rolls.fetch_add(1, Ordering::Relaxed);
-        fnv1a(FNV_OFFSET ^ self.seed, &n.to_le_bytes())
+        fnv1a(FNV_OFFSET_BASIS ^ self.seed, &n.to_le_bytes())
     }
 
     /// Decides whether to inject a fault of category `kind` at rate `one_in`.

@@ -88,12 +88,14 @@ const CHECKSUM_OFFSET: usize = 56;
 // FNV-1a hashing (checksum + spec fingerprint)
 // ---------------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a offset basis: the initial hash state for [`fnv1a`].
+pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// One FNV-1a round over `bytes`, continuing from hash state `h` (seed with
-/// [`FNV_OFFSET_BASIS`]). Shared by the trace store, the fault injector and
-/// the simulation checkpoint codec in the `bebop` core crate.
+/// [`FNV_OFFSET_BASIS`]). The workspace's one FNV-1a: the trace store, the
+/// fault injector, the BBV projection, the simulation checkpoint codec and
+/// the sweep engine's job keys and ledger checksums all hash with it.
 pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
@@ -101,9 +103,6 @@ pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     }
     h
 }
-
-/// The FNV-1a offset basis: the initial hash state for [`fnv1a`].
-pub const FNV_OFFSET_BASIS: u64 = FNV_OFFSET;
 
 /// Version of the *generation behaviour*: the mapping from a [`WorkloadSpec`]
 /// to a µ-op stream. Bump it whenever `TraceGenerator` (or anything it calls —
@@ -220,7 +219,7 @@ pub fn spec_fingerprint(spec: &WorkloadSpec) -> u64 {
 
     put_u64(&mut enc, u64::from(burst_uops));
 
-    fnv1a(FNV_OFFSET, &enc)
+    fnv1a(FNV_OFFSET_BASIS, &enc)
 }
 
 /// A stable fingerprint of a [`crate::MixSpec`]: the quantum, the context
@@ -236,7 +235,7 @@ pub(crate) fn mix_fingerprint(mix: &crate::MixSpec) -> u64 {
     for spec in &mix.contexts {
         enc.extend_from_slice(&spec_fingerprint(spec).to_le_bytes());
     }
-    fnv1a(FNV_OFFSET, &enc)
+    fnv1a(FNV_OFFSET_BASIS, &enc)
 }
 
 /// The folded seed a mix recording's header carries (order-sensitive fold of
@@ -247,7 +246,7 @@ pub(crate) fn mix_seed(mix: &crate::MixSpec) -> u64 {
     for spec in &mix.contexts {
         enc.extend_from_slice(&spec.seed.to_le_bytes());
     }
-    fnv1a(FNV_OFFSET, &enc)
+    fnv1a(FNV_OFFSET_BASIS, &enc)
 }
 
 /// The identity of one recording inside a [`TraceStore`]: the cache key
@@ -473,7 +472,7 @@ pub fn encode_trace_key(key: &TraceKey, buf: &TraceBuffer) -> Vec<u8> {
     out.extend_from_slice(asid);
 
     let checksum = fnv1a(
-        fnv1a(FNV_OFFSET, &out[..CHECKSUM_OFFSET]),
+        fnv1a(FNV_OFFSET_BASIS, &out[..CHECKSUM_OFFSET]),
         &out[HEADER_LEN..],
     );
     out[CHECKSUM_OFFSET..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
@@ -556,7 +555,7 @@ pub fn decode_trace(bytes: &[u8]) -> Result<DecodedTrace, StoreError> {
     }
 
     let checksum = fnv1a(
-        fnv1a(FNV_OFFSET, &bytes[..CHECKSUM_OFFSET]),
+        fnv1a(FNV_OFFSET_BASIS, &bytes[..CHECKSUM_OFFSET]),
         &bytes[HEADER_LEN..],
     );
     if checksum != stored_checksum {
@@ -601,6 +600,39 @@ pub fn decode_trace(bytes: &[u8]) -> Result<DecodedTrace, StoreError> {
 // ---------------------------------------------------------------------------
 // The directory cache
 // ---------------------------------------------------------------------------
+
+/// Writes `bytes` to `path` through a temporary file in the same directory
+/// and a rename, so a reader sees the previous complete file or the new one,
+/// never a torn write. The temporary name carries the process id and a
+/// per-process counter, so concurrent writers into one directory (parallel
+/// store saves, or two processes sharing it) never share a temporary file. A
+/// failed rename removes the temporary file. There is no fsync: this guards
+/// against a crash of the writing process, not against power loss.
+///
+/// The one atomic-write path of the workspace: trace-store saves, simulation
+/// checkpoints, the sweep manifest and ledger, and the perf report.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+    let file_name = path
+        .file_name()
+        .ok_or_else(|| io::Error::other(format!("{} has no file name", path.display())))?;
+    let mut tmp_name = std::ffi::OsString::from(".tmp-");
+    tmp_name.push(file_name);
+    tmp_name.push(format!(
+        "-{}-{}",
+        std::process::id(),
+        TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = path.with_file_name(tmp_name);
+    fs::write(&tmp, bytes)?;
+    match fs::rename(&tmp, path) {
+        Ok(()) => Ok(()),
+        Err(e) => {
+            let _ = fs::remove_file(&tmp);
+            Err(e)
+        }
+    }
+}
 
 /// Outcome of an eviction sweep ([`TraceStore::sweep`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -793,33 +825,20 @@ impl TraceStore {
         Some(decoded.buffer)
     }
 
-    /// Persists a recording of `(spec, uops)` via write-to-temporary +
-    /// atomic rename, and returns the final path.
+    /// Persists a recording of `(spec, uops)` via [`write_atomic`], and
+    /// returns the final path.
     pub fn save(&self, spec: &WorkloadSpec, uops: u64, buf: &TraceBuffer) -> io::Result<PathBuf> {
         self.save_key(&TraceKey::for_spec(spec), uops, buf)
     }
 
     /// [`TraceStore::save`] for an arbitrary [`TraceKey`] (mixes included).
     pub fn save_key(&self, key: &TraceKey, uops: u64, buf: &TraceBuffer) -> io::Result<PathBuf> {
-        static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
         let path = self.trace_path_key(key, uops);
-        let tmp = self.dir.join(format!(
-            ".tmp-{:016x}-{}-{}",
-            key.fingerprint,
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
         if let Some(plan) = &self.faults {
             plan.check_write()?;
         }
-        fs::write(&tmp, encode_trace_key(key, buf))?;
-        match fs::rename(&tmp, &path) {
-            Ok(()) => Ok(path),
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
+        write_atomic(&path, &encode_trace_key(key, buf))?;
+        Ok(path)
     }
 
     /// Loads the recording of `(spec, uops)` or, on a miss, records it live
@@ -1334,6 +1353,61 @@ mod tests {
         let name = path.file_name().unwrap().to_str().unwrap();
         assert!(name.starts_with("4__.we_ird_name-"));
         assert!(name.ends_with(&format!("500u.v{TRACE_FORMAT_VERSION}.{TRACE_EXT}")));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn write_atomic_replaces_the_file_in_one_step() {
+        let dir = tmp_dir("atomic");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("report.json");
+        write_atomic(&path, b"first").unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), "first");
+        write_atomic(&path, b"second").unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), "second");
+        // No temporary debris left behind.
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
+        // A missing parent directory is a clean error, not a panic.
+        assert!(write_atomic(&dir.join("no/such/dir/r.json"), b"x").is_err());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_write_atomic_into_one_directory_never_collides() {
+        // Two threads of one process rewrite their own files and one shared
+        // file in the same directory, released together every round: a
+        // temporary name shared between calls would let one thread's rename
+        // take the other's temporary file and fail the second rename. Errors
+        // are counted, not unwrapped, so a failing thread still meets its
+        // partner at the barrier.
+        let dir = tmp_dir("atomic-threads");
+        fs::create_dir_all(&dir).unwrap();
+        let round = std::sync::Barrier::new(2);
+        let failures: usize = std::thread::scope(|s| {
+            let writers: Vec<_> = (0..2u8)
+                .map(|t| {
+                    let (dir, round) = (&dir, &round);
+                    s.spawn(move || {
+                        let mut failed = 0;
+                        for i in 0..1000u32 {
+                            round.wait();
+                            let body = format!("{t}:{i}");
+                            let shared = write_atomic(&dir.join("shared"), body.as_bytes());
+                            let own = write_atomic(&dir.join(format!("own-{t}")), body.as_bytes());
+                            failed += usize::from(own.is_err()) + usize::from(shared.is_err());
+                        }
+                        failed
+                    })
+                })
+                .collect();
+            writers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        assert_eq!(failures, 0, "concurrent writes collided");
+        assert_eq!(fs::read_to_string(dir.join("own-0")).unwrap(), "0:999");
+        assert_eq!(fs::read_to_string(dir.join("own-1")).unwrap(), "1:999");
+        let shared = fs::read_to_string(dir.join("shared")).unwrap();
+        assert!(shared == "0:999" || shared == "1:999", "{shared}");
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 3, "temporary debris");
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -21,6 +21,7 @@ use bebop::{
     configs, run_one, run_source, run_source_with, MixSpec, PipelineConfig, PredictorKind,
     SharingPolicy, UopSource, WorkloadSpec,
 };
+use bebop_trace::{fnv1a, FNV_OFFSET_BASIS};
 
 const UOPS: u64 = 20_000;
 const QUANTUM: u64 = 1_000;
@@ -44,14 +45,6 @@ fn all_kinds() -> Vec<PredictorKind> {
     ]
 }
 
-fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[test]
 fn single_context_mix_stream_matches_the_pre_mix_golden_hash() {
     // The same hash function and golden value as the pre-wrong-path baseline
@@ -59,20 +52,20 @@ fn single_context_mix_stream_matches_the_pre_mix_golden_hash() {
     // plain stream byte for byte, with every µ-op still tagged ASID 0.
     let spec = WorkloadSpec::named_demo("golden");
     let mix = MixSpec::new("golden-solo", QUANTUM, vec![spec]);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_OFFSET_BASIS;
     for u in mix.generator().take(50_000) {
         assert_eq!(u.asid, 0, "a one-context mix must stay ASID 0");
         assert!(!u.wrong_path);
-        h = fnv(h, &u.seq.to_le_bytes());
-        h = fnv(h, &u.pc.to_le_bytes());
-        h = fnv(h, &u.value.to_le_bytes());
-        h = fnv(h, &[u.uop_idx, u.inst_num_uops, u.inst_len]);
+        h = fnv1a(h, &u.seq.to_le_bytes());
+        h = fnv1a(h, &u.pc.to_le_bytes());
+        h = fnv1a(h, &u.value.to_le_bytes());
+        h = fnv1a(h, &[u.uop_idx, u.inst_num_uops, u.inst_len]);
         if let Some(m) = u.mem {
-            h = fnv(h, &m.addr.to_le_bytes());
+            h = fnv1a(h, &m.addr.to_le_bytes());
         }
         if let Some(b) = u.branch {
-            h = fnv(h, &[b.taken as u8]);
-            h = fnv(h, &b.target.to_le_bytes());
+            h = fnv1a(h, &[b.taken as u8]);
+            h = fnv1a(h, &b.target.to_le_bytes());
         }
     }
     assert_eq!(

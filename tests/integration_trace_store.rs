@@ -11,7 +11,9 @@ use bebop::{
     configs, run_source, spec_fingerprint, MixSpec, PipelineConfig, PredictorKind, TraceBuffer,
     TraceStore, UopSource, WorkloadSpec,
 };
-use bebop_trace::{decode_trace, encode_trace, StoreError, TraceKey, TRACE_FORMAT_VERSION};
+use bebop_trace::{
+    decode_trace, encode_trace, fnv1a, StoreError, TraceKey, FNV_OFFSET_BASIS, TRACE_FORMAT_VERSION,
+};
 use std::fs;
 use std::path::PathBuf;
 
@@ -165,20 +167,10 @@ fn corrupt_and_stale_files_regenerate_transparently() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// FNV-1a, reimplemented here so the tests can re-checksum deliberately
-/// doctored headers (same function as the store's).
-fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Rewrites the header checksum of a trace file whose header was edited, so
 /// version-downgrade tests exercise the *version* check, not the checksum.
 fn rechecksum(bytes: &mut [u8]) {
-    let sum = fnv(fnv(0xcbf2_9ce4_8422_2325, &bytes[..56]), &bytes[64..]);
+    let sum = fnv1a(fnv1a(FNV_OFFSET_BASIS, &bytes[..56]), &bytes[64..]);
     bytes[56..64].copy_from_slice(&sum.to_le_bytes());
 }
 

@@ -17,7 +17,7 @@ use bebop::{
     configs, run_source, PipelineConfig, PredictorKind, TraceBuffer, TraceStore, UopSource,
     WorkloadSpec,
 };
-use bebop_trace::{decode_trace, encode_trace, TraceGenerator};
+use bebop_trace::{decode_trace, encode_trace, fnv1a, TraceGenerator, FNV_OFFSET_BASIS};
 
 const UOPS: u64 = 20_000;
 
@@ -138,23 +138,15 @@ fn pollution_policies_differ_only_through_the_predictor() {
 // Wrong-path-off regression against pre-mode golden values.
 // ---------------------------------------------------------------------------
 
-fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// A stable fingerprint of the first 50 000 µ-ops of a stream, covering every
 /// field the pipeline consumes.
 fn stream_hash(spec: &WorkloadSpec) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_OFFSET_BASIS;
     for u in TraceGenerator::new(spec).take(50_000) {
-        h = fnv(h, &u.seq.to_le_bytes());
-        h = fnv(h, &u.pc.to_le_bytes());
-        h = fnv(h, &u.value.to_le_bytes());
-        h = fnv(
+        h = fnv1a(h, &u.seq.to_le_bytes());
+        h = fnv1a(h, &u.pc.to_le_bytes());
+        h = fnv1a(h, &u.value.to_le_bytes());
+        h = fnv1a(
             h,
             &[
                 u.uop_idx,
@@ -164,11 +156,11 @@ fn stream_hash(spec: &WorkloadSpec) -> u64 {
             ],
         );
         if let Some(m) = u.mem {
-            h = fnv(h, &m.addr.to_le_bytes());
+            h = fnv1a(h, &m.addr.to_le_bytes());
         }
         if let Some(b) = u.branch {
-            h = fnv(h, &[b.taken as u8]);
-            h = fnv(h, &b.target.to_le_bytes());
+            h = fnv1a(h, &[b.taken as u8]);
+            h = fnv1a(h, &b.target.to_le_bytes());
         }
     }
     h
@@ -181,22 +173,22 @@ fn default_stream_is_byte_identical_to_the_pre_wrong_path_baseline() {
     // the pre-mode hash had no such field, so a constant 0 byte preserves
     // equality only if no default-spec µ-op is ever marked wrong-path).
     let spec = WorkloadSpec::named_demo("golden");
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_OFFSET_BASIS;
     for u in TraceGenerator::new(&spec).take(50_000) {
         assert!(
             !u.wrong_path,
             "default specs must not emit wrong-path µ-ops"
         );
-        h = fnv(h, &u.seq.to_le_bytes());
-        h = fnv(h, &u.pc.to_le_bytes());
-        h = fnv(h, &u.value.to_le_bytes());
-        h = fnv(h, &[u.uop_idx, u.inst_num_uops, u.inst_len]);
+        h = fnv1a(h, &u.seq.to_le_bytes());
+        h = fnv1a(h, &u.pc.to_le_bytes());
+        h = fnv1a(h, &u.value.to_le_bytes());
+        h = fnv1a(h, &[u.uop_idx, u.inst_num_uops, u.inst_len]);
         if let Some(m) = u.mem {
-            h = fnv(h, &m.addr.to_le_bytes());
+            h = fnv1a(h, &m.addr.to_le_bytes());
         }
         if let Some(b) = u.branch {
-            h = fnv(h, &[b.taken as u8]);
-            h = fnv(h, &b.target.to_le_bytes());
+            h = fnv1a(h, &[b.taken as u8]);
+            h = fnv1a(h, &b.target.to_le_bytes());
         }
     }
     assert_eq!(
