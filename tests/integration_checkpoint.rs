@@ -10,10 +10,10 @@
 
 use bebop::{
     configs, par, run_fingerprint, run_source, run_source_resumable, set_shutdown_requested,
-    PipelineConfig, PredictorKind, ResumeOptions, RunControl, RunOutcome, SimCheckpoint, UopSource,
-    WorkloadSpec,
+    MixSpec, PipelineConfig, PredictorKind, ResumeOptions, RunControl, RunOutcome, SharingPolicy,
+    SimCheckpoint, UopSource, WorkloadSpec, CHECKPOINT_FORMAT_VERSION,
 };
-use bebop_trace::TraceBuffer;
+use bebop_trace::{fnv1a, TraceBuffer, FNV_OFFSET_BASIS};
 use bebop_uarch::{Pipeline, ValuePredictor};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -375,4 +375,161 @@ fn signal_interruption_leaves_a_resumable_checkpoint() {
     assert!(resumed.resumed_from.is_some());
     assert_eq!(resumed.outcome, RunOutcome::Complete(reference));
     assert!(!path.exists());
+}
+
+/// One payload-pinning scenario: a pipeline configuration, a predictor and
+/// the recorded trace they run over.
+struct PinCase {
+    label: String,
+    cfg: PipelineConfig,
+    kind: PredictorKind,
+    trace: TraceBuffer,
+}
+
+/// Commit points at which every [`PinCase`] is snapshotted.
+const PIN_CUTS: [u64; 2] = [2_500, 9_000];
+
+/// The scenarios whose component payloads are pinned: every predictor kind
+/// on the plain pipeline, the sharded BeBoP table under every sharing policy
+/// over a two-context mix, and every kind on a wrong-path pipeline (whose
+/// window holds in-flight wrong-path µ-ops at the cut).
+fn pin_cases() -> Vec<PinCase> {
+    let n = PIN_CUTS[1] + 1_000;
+    let plain = TraceBuffer::record(&WorkloadSpec::named_demo("ckpt-pin"), n);
+    let mut wp_spec = WorkloadSpec::new("ckpt-pin-wp", 77).with_wrong_path(8);
+    wp_spec.branches.random_frac = 0.3;
+    let wrong_path = TraceBuffer::record(&wp_spec, n);
+    let mix = MixSpec::pair(
+        1_000,
+        bebop::spec_benchmark("171.swim"),
+        bebop::spec_benchmark("403.gcc"),
+    )
+    .record(n);
+
+    let mut cases = Vec::new();
+    for (i, kind) in all_kinds().into_iter().enumerate() {
+        cases.push(PinCase {
+            label: format!("plain-{i}"),
+            cfg: PipelineConfig::baseline_vp_6_60(),
+            kind,
+            trace: plain.clone(),
+        });
+    }
+    for policy in SharingPolicy::ALL {
+        cases.push(PinCase {
+            label: format!("mix-{}", policy.label()),
+            cfg: PipelineConfig::baseline_vp_6_60().with_mix(policy),
+            kind: PredictorKind::BlockDVtage(configs::medium_mix(policy, 2)),
+            trace: mix.clone(),
+        });
+    }
+    for (i, kind) in all_kinds().into_iter().enumerate() {
+        cases.push(PinCase {
+            label: format!("wrong-path-{i}"),
+            cfg: PipelineConfig::baseline_vp_6_60().with_wrong_path(true),
+            kind,
+            trace: wrong_path.clone(),
+        });
+    }
+    cases
+}
+
+/// The `(pipeline, predictor)` payloads of `case` at each of [`PIN_CUTS`].
+fn pin_payloads(case: &PinCase) -> Vec<(u64, Vec<u8>, Vec<u8>)> {
+    let mut pipeline = Pipeline::new(case.cfg.clone());
+    let mut predictor = case.kind.build();
+    let mut stream = UopSource::Replay(&case.trace).stream();
+    let mut stream_pos = 0u64;
+    PIN_CUTS
+        .iter()
+        .map(|&cut| {
+            pipeline.run_segment(&mut stream, &mut predictor, cut, &mut stream_pos);
+            (cut, pipeline.save_state(), predictor.save_state())
+        })
+        .collect()
+}
+
+/// FNV-1a digests of the component payloads, pinned when
+/// `CHECKPOINT_FORMAT_VERSION` was 2: `(case, cut, pipeline, predictor)`.
+const PINNED_PAYLOAD_DIGESTS: &[(&str, u64, u64, u64)] = &[
+    ("plain-0", 2500, 0xfa45bebeb7e3b26a, 0xcbf29ce484222325),
+    ("plain-0", 9000, 0x9fd25bff9a9d29b8, 0xcbf29ce484222325),
+    ("plain-1", 2500, 0x48d215e0695b4576, 0xcbf29ce484222325),
+    ("plain-1", 9000, 0xb1b3cc9358aa4261, 0xcbf29ce484222325),
+    ("plain-2", 2500, 0xfa45bebeb7e3b26a, 0x84c26d0fbb83757d),
+    ("plain-2", 9000, 0x9fd25bff9a9d29b8, 0x9f898a399b42308d),
+    ("plain-3", 2500, 0xfa45bebeb7e3b26a, 0x9476d82303e5918d),
+    ("plain-3", 9000, 0x8aea47c25780955f, 0x50dbebacd0f0b038),
+    ("plain-4", 2500, 0xfa45bebeb7e3b26a, 0x5682522da7318fe5),
+    ("plain-4", 9000, 0x8aea47c25780955f, 0xa23159204afca6e7),
+    ("plain-5", 2500, 0xfa45bebeb7e3b26a, 0x6dfa66aef0a6898d),
+    ("plain-5", 9000, 0x81662c6ed335c0ca, 0x967bd0f994788bd7),
+    ("plain-6", 2500, 0xfa45bebeb7e3b26a, 0xb4827aefdc1ca05e),
+    ("plain-6", 9000, 0x81662c6ed335c0ca, 0xb208d33367b4bc78),
+    ("plain-7", 2500, 0xfa45bebeb7e3b26a, 0x3d4275b181a8f0e7),
+    ("plain-7", 9000, 0x01f882ab36ef1e0e, 0xcc90deac20e89536),
+    ("plain-8", 2500, 0xfa45bebeb7e3b26a, 0x9438b797a699984d),
+    ("plain-8", 9000, 0x78886f00bee61708, 0x46d9f0a859610109),
+    ("mix-shared", 2500, 0x63de558384f9a9da, 0x7421812c2cfed42a),
+    ("mix-shared", 9000, 0x9c139715c4512fdd, 0xb2c7fb0e14750498),
+    (
+        "mix-partitioned",
+        2500,
+        0x63de558384f9a9da,
+        0xd10c1f4ee45fcee6,
+    ),
+    (
+        "mix-partitioned",
+        9000,
+        0x1dfdc569394b561f,
+        0x722f206ceb403406,
+    ),
+    ("mix-tagged", 2500, 0x63de558384f9a9da, 0x344b304d63944ecf),
+    ("mix-tagged", 9000, 0x1dfdc569394b561f, 0x9409ac430234c913),
+    ("wrong-path-0", 2500, 0xa5308775a6a0c55d, 0xcbf29ce484222325),
+    ("wrong-path-0", 9000, 0xf6755dfe647587c6, 0xcbf29ce484222325),
+    ("wrong-path-1", 2500, 0x2dad4dccca898f07, 0xcbf29ce484222325),
+    ("wrong-path-1", 9000, 0x8e5d9c763697eddc, 0xcbf29ce484222325),
+    ("wrong-path-2", 2500, 0xa5308775a6a0c55d, 0xd1d562457950830d),
+    ("wrong-path-2", 9000, 0xf6755dfe647587c6, 0x501d3375712ccda7),
+    ("wrong-path-3", 2500, 0xa5308775a6a0c55d, 0xcc1b95f25085b056),
+    ("wrong-path-3", 9000, 0xf6755dfe647587c6, 0x2e0267e629fe678d),
+    ("wrong-path-4", 2500, 0xa5308775a6a0c55d, 0x5372e12f5ed1b630),
+    ("wrong-path-4", 9000, 0x34400a91a0e4bde7, 0xaa2d2cbd0ee2c657),
+    ("wrong-path-5", 2500, 0xa5308775a6a0c55d, 0x9742165a17d92f54),
+    ("wrong-path-5", 9000, 0xf6755dfe647587c6, 0x90c95e55ddbe20aa),
+    ("wrong-path-6", 2500, 0xa5308775a6a0c55d, 0x3df1bf8a2eb994e9),
+    ("wrong-path-6", 9000, 0x34400a91a0e4bde7, 0x408d84f694529ee0),
+    ("wrong-path-7", 2500, 0xa5308775a6a0c55d, 0xff3109deaae02508),
+    ("wrong-path-7", 9000, 0x240c26312ef706af, 0xe6312c99006b273b),
+    ("wrong-path-8", 2500, 0xa5308775a6a0c55d, 0xb83c1d5394e2e035),
+    ("wrong-path-8", 9000, 0x5de59b56bdca1f24, 0x624e4a003fd0853d),
+];
+
+/// The checkpoint format guard: the bytes every component writes are pinned.
+/// A layout change must bump `CHECKPOINT_FORMAT_VERSION` and re-pin these
+/// digests; a refactor of the codec must leave them untouched.
+#[test]
+fn component_payload_bytes_are_pinned() {
+    assert_eq!(CHECKPOINT_FORMAT_VERSION, 2, "re-pin the digests below");
+    let digest = |b: &[u8]| fnv1a(FNV_OFFSET_BASIS, b);
+    let cases = pin_cases();
+    let got: Vec<(String, u64, u64, u64)> = par::par_map(&cases, |case| {
+        pin_payloads(case)
+            .into_iter()
+            .map(|(cut, p, q)| (case.label.clone(), cut, digest(&p), digest(&q)))
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    let rendered: String = got
+        .iter()
+        .map(|(l, c, p, q)| format!("    (\"{l}\", {c}, {p:#018x}, {q:#018x}),\n"))
+        .collect();
+    let want: Vec<(String, u64, u64, u64)> = PINNED_PAYLOAD_DIGESTS
+        .iter()
+        .map(|&(l, c, p, q)| (l.to_string(), c, p, q))
+        .collect();
+    assert_eq!(got, want, "payload digests moved; now:\n{rendered}");
 }
