@@ -20,7 +20,8 @@
 //!   via temporary-file + atomic rename, in job order with a trailing
 //!   whole-file checksum: byte-identical no matter how many times the sweep
 //!   was killed and resumed on the way there.
-//! * Every job runs panic-isolated ([`bebop::run_source_checked`]); a
+//! * Every job runs panic-isolated (`catch_unwind` around
+//!   [`bebop::run_source_resumable`], reason via [`bebop::panic_reason`]); a
 //!   poisoned configuration is *quarantined* (recorded with a reason,
 //!   reported, excluded from aggregates) instead of aborting the sweep.
 //!   Transient store I/O errors are retried with exponential backoff;

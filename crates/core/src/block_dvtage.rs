@@ -26,10 +26,10 @@ use crate::slot_simd;
 use crate::spec_window::{SlotPredictions, SpecWindowSize, SpeculativeWindow, MAX_NPRED};
 use crate::update_queue::FifoUpdateQueue;
 use bebop_isa::{
-    byte_index_in_block, fetch_block_pc, DynUop, SeqNum, StateError, StateReader, StateResult,
-    StateWriter,
+    byte_index_in_block, ensure, fetch_block_pc, snap, snapshot, DynUop, SeqNum, StateResult,
+    VarVec,
 };
-use bebop_uarch::{PredictCtx, SharingPolicy, SquashInfo, ValuePredictor};
+use bebop_uarch::{restore_predictor, PredictCtx, SharingPolicy, SquashInfo, ValuePredictor};
 use bebop_vp::{
     CompParams, ForwardProbabilisticCounter, FpcParams, ShardCounters, ShardedTable, MAX_TAGGED,
 };
@@ -224,7 +224,7 @@ struct TaggedEntry {
 }
 
 /// The prediction block currently being attributed to fetched µ-ops.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct CurrentBlock {
     block_pc: u64,
     /// Context the block was predicted for (same-block squash recovery must
@@ -254,11 +254,11 @@ struct BlockRecord {
     provider_conf_levels: [u8; MAX_NPRED],
     provider_strides: [i64; MAX_NPRED],
     /// Retired (byte index, actual value) pairs accumulated for this block.
-    results: Vec<(u8, u64)>,
+    results: VarVec<(u8, u64)>,
 }
 
-impl BlockRecord {
-    fn empty() -> Self {
+impl Default for BlockRecord {
+    fn default() -> Self {
         BlockRecord {
             lvt_index: 0,
             lvt_tag: 0,
@@ -269,7 +269,7 @@ impl BlockRecord {
             slot_pred: [None; MAX_NPRED],
             provider_conf_levels: [0; MAX_NPRED],
             provider_strides: [0; MAX_NPRED],
-            results: Vec::with_capacity(MAX_NPRED),
+            results: VarVec(Vec::with_capacity(MAX_NPRED)),
         }
     }
 }
@@ -627,7 +627,7 @@ impl BlockDVtage {
         // Push the prediction block into the speculative window and the FIFO queue,
         // reusing a pooled record so steady state allocates nothing.
         self.window.push(wkey, first_seq, slot_pred);
-        let mut rec = self.record_pool.pop().unwrap_or_else(BlockRecord::empty);
+        let mut rec = self.record_pool.pop().unwrap_or_default();
         rec.lvt_index = lvt_index;
         rec.lvt_tag = lvt_tag;
         rec.asid = asid;
@@ -670,7 +670,7 @@ impl BlockDVtage {
         let mut assignments = [(0usize, 0u8, 0u64); MAX_NPRED];
         let mut num_assigned = 0usize;
         let mut cursor = 0usize;
-        for &(b, actual) in &rec.results {
+        for &(b, actual) in rec.results.iter() {
             if let Some(i) = (cursor..np).find(|&i| !consumed[i] && rec.slot_tags[i] == Some(b)) {
                 consumed[i] = true;
                 cursor = i + 1;
@@ -847,272 +847,104 @@ impl BlockDVtage {
         self.record_pool.push(rec);
     }
 
-    fn save_slot_strides(w: &mut StateWriter, s: &SlotStrides) {
-        for &v in &s.strides {
-            w.i64(v);
+    /// Clamps restored confidence levels to the configured saturation,
+    /// rejects in-flight block records indexing outside the tables, and
+    /// drops recycled records (they hold no state).
+    fn check_restored(&mut self) -> StateResult<()> {
+        let fpc = &self.cfg.fpc;
+        let vt0 = self.vt0.iter_mut().map(|e| &mut e.slots);
+        let tagged = self
+            .tagged
+            .iter_mut()
+            .flat_map(|t| t.iter_mut().map(|e| &mut e.slots));
+        for c in vt0.chain(tagged).flat_map(|s| s.conf.iter_mut()) {
+            c.set_level(c.level(), fpc);
         }
-        for c in &s.conf {
-            w.u8(c.level());
-        }
-    }
-
-    fn restore_slot_strides(
-        r: &mut StateReader,
-        s: &mut SlotStrides,
-        fpc: &FpcParams,
-    ) -> StateResult<()> {
-        for v in s.strides.iter_mut() {
-            *v = r.i64()?;
-        }
-        for c in s.conf.iter_mut() {
-            let level = r.u8()?;
-            c.set_level(level, fpc);
-        }
-        Ok(())
-    }
-
-    fn save_block_record(w: &mut StateWriter, rec: &BlockRecord) {
-        w.u64(rec.lvt_index as u64);
-        w.u16(rec.lvt_tag);
-        w.u8(rec.asid);
-        match rec.provider {
-            Some((c, i)) => {
-                w.bool(true);
-                w.u64(c as u64);
-                w.u64(i as u64);
-            }
-            None => w.bool(false),
-        }
-        for &(idx, tag) in &rec.alloc_slots {
-            w.u64(idx as u64);
-            w.u16(tag);
-        }
-        for t in &rec.slot_tags {
-            match t {
-                Some(b) => {
-                    w.bool(true);
-                    w.u8(*b);
-                }
-                None => w.bool(false),
-            }
-        }
-        for p in &rec.slot_pred {
-            w.opt_u64(*p);
-        }
-        for &l in &rec.provider_conf_levels {
-            w.u8(l);
-        }
-        for &s in &rec.provider_strides {
-            w.i64(s);
-        }
-        w.len_of(rec.results.len());
-        for &(b, v) in &rec.results {
-            w.u8(b);
-            w.u64(v);
-        }
-    }
-
-    fn restore_block_record(&self, r: &mut StateReader) -> StateResult<BlockRecord> {
-        let mut rec = BlockRecord::empty();
-        rec.lvt_index = r.u64()? as usize;
-        if rec.lvt_index >= self.cfg.base_entries {
-            return Err(StateError("block record LVT index out of range"));
-        }
-        rec.lvt_tag = r.u16()?;
-        rec.asid = r.u8()?;
-        rec.provider = if r.bool()? {
-            let c = r.u64()? as usize;
-            let i = r.u64()? as usize;
-            if c >= self.cfg.num_tagged || i >= self.cfg.tagged_entries {
-                return Err(StateError("block record provider out of range"));
-            }
-            Some((c, i))
-        } else {
-            None
-        };
-        for slot in rec.alloc_slots.iter_mut() {
-            let idx = r.u64()? as usize;
-            let tag = r.u16()?;
-            *slot = (idx, tag);
-        }
-        for (c, &(idx, _)) in rec.alloc_slots.iter().enumerate().take(self.cfg.num_tagged) {
-            let _ = c;
-            if idx >= self.cfg.tagged_entries {
-                return Err(StateError("block record allocation slot out of range"));
-            }
-        }
-        for t in rec.slot_tags.iter_mut() {
-            *t = if r.bool()? { Some(r.u8()?) } else { None };
-        }
-        for p in rec.slot_pred.iter_mut() {
-            *p = r.opt_u64()?;
-        }
-        for l in rec.provider_conf_levels.iter_mut() {
-            *l = r.u8()?;
-        }
-        for s in rec.provider_strides.iter_mut() {
-            *s = r.i64()?;
-        }
-        let n = r.len_of(9)?;
-        rec.results.clear();
-        for _ in 0..n {
-            let b = r.u8()?;
-            let v = r.u64()?;
-            rec.results.push((b, v));
-        }
-        Ok(rec)
-    }
-
-    fn save_state_impl(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        self.lvt.save_state_with(&mut w, |w, e| {
-            w.bool(e.valid);
-            w.u16(e.tag);
-            w.u8(e.slot_valid);
-            for &b in &e.byte_tags {
-                w.u8(b);
-            }
-            for &v in &e.lasts {
-                w.u64(v);
-            }
-        });
-        self.vt0
-            .save_state_with(&mut w, |w, e| Self::save_slot_strides(w, &e.slots));
-        w.len_of(self.tagged.len());
-        for t in &self.tagged {
-            t.save_state_with(&mut w, |w, e| {
-                w.bool(e.valid);
-                w.u16(e.tag);
-                w.bool(e.useful);
-                Self::save_slot_strides(w, &e.slots);
-            });
-        }
-        self.window.save_state(&mut w);
-        self.fifo.save_state_with(&mut w, Self::save_block_record);
-        match &self.current {
-            Some(cur) => {
-                w.bool(true);
-                w.u64(cur.block_pc);
-                w.u8(cur.asid);
-                w.u64(cur.first_seq);
-                w.u64(cur.cursor as u64);
-                w.bool(cur.forbid_use);
-                for t in &cur.slot_tags {
-                    match t {
-                        Some(b) => {
-                            w.bool(true);
-                            w.u8(*b);
-                        }
-                        None => w.bool(false),
-                    }
-                }
-                for p in &cur.slot_pred {
-                    w.opt_u64(*p);
-                }
-                for &c in &cur.slot_conf {
-                    w.bool(c);
-                }
-            }
-            None => w.bool(false),
-        }
-        w.bool(self.force_new_block);
-        w.opt_u64(self.last_retired);
-        w.u64(self.rng);
-        w.u64(self.updates);
-        w.u64(self.window_hits);
-        w.u64(self.window_lookups);
-        w.finish()
-    }
-
-    fn restore_state_impl(&mut self, r: &mut StateReader) -> StateResult<()> {
-        let fpc = self.cfg.fpc.clone();
-        self.lvt.restore_state_with(r, 76, |r, e| {
-            e.valid = r.bool()?;
-            e.tag = r.u16()?;
-            e.slot_valid = r.u8()?;
-            for b in e.byte_tags.iter_mut() {
-                *b = r.u8()?;
-            }
-            for v in e.lasts.iter_mut() {
-                *v = r.u64()?;
-            }
-            Ok(())
-        })?;
-        self.vt0.restore_state_with(r, 72, |r, e| {
-            Self::restore_slot_strides(r, &mut e.slots, &fpc)
-        })?;
-        if r.len_of(73)? != self.tagged.len() {
-            return Err(StateError("tagged component count mismatch"));
-        }
-        for t in self.tagged.iter_mut() {
-            t.restore_state_with(r, 76, |r, e| {
-                e.valid = r.bool()?;
-                e.tag = r.u16()?;
-                e.useful = r.bool()?;
-                Self::restore_slot_strides(r, &mut e.slots, &fpc)
-            })?;
-        }
-        self.window.restore_state(r)?;
-        // The FIFO decoder needs `&self` for bounds checks, so records are
-        // decoded into a scratch list first and installed afterwards.
-        let n = r.len_of(100)?;
-        let mut records = Vec::new();
-        let mut last_seq = None;
-        for _ in 0..n {
-            let seq = r.u64()?;
-            if last_seq.is_some_and(|p| seq < p) {
-                return Err(StateError("block records out of program order"));
-            }
-            last_seq = Some(seq);
-            let rec = self.restore_block_record(r)?;
-            records.push((seq, rec));
-        }
-        self.fifo = FifoUpdateQueue::new();
-        for (seq, rec) in records {
-            self.fifo.push(seq, rec);
+        let (num_tagged, entries) = (self.cfg.num_tagged, self.cfg.tagged_entries);
+        for rec in self.fifo.records() {
+            ensure(
+                rec.lvt_index < self.cfg.base_entries,
+                "block record LVT index out of range",
+            )?;
+            ensure(
+                rec.provider
+                    .map_or(true, |(c, i)| c < num_tagged && i < entries),
+                "block record provider out of range",
+            )?;
+            ensure(
+                rec.alloc_slots[..num_tagged]
+                    .iter()
+                    .all(|&(i, _)| i < entries),
+                "block record allocation slot out of range",
+            )?;
         }
         self.record_pool.clear();
-        self.current = if r.bool()? {
-            let block_pc = r.u64()?;
-            let asid = r.u8()?;
-            let first_seq = r.u64()?;
-            let cursor = r.u64()? as usize;
-            if cursor > MAX_NPRED {
-                return Err(StateError("current block cursor out of range"));
-            }
-            let forbid_use = r.bool()?;
-            let mut slot_tags = [None; MAX_NPRED];
-            for t in slot_tags.iter_mut() {
-                *t = if r.bool()? { Some(r.u8()?) } else { None };
-            }
-            let mut slot_pred = [None; MAX_NPRED];
-            for p in slot_pred.iter_mut() {
-                *p = r.opt_u64()?;
-            }
-            let mut slot_conf = [false; MAX_NPRED];
-            for c in slot_conf.iter_mut() {
-                *c = r.bool()?;
-            }
-            Some(CurrentBlock {
-                block_pc,
-                asid,
-                first_seq,
-                cursor,
-                forbid_use,
-                slot_tags,
-                slot_pred,
-                slot_conf,
-            })
-        } else {
-            None
-        };
-        self.force_new_block = r.bool()?;
-        self.last_retired = r.opt_u64()?;
-        self.rng = r.u64()?;
-        self.updates = r.u64()?;
-        self.window_hits = r.u64()?;
-        self.window_lookups = r.u64()?;
-        r.expect_done()
+        Ok(())
+    }
+}
+
+snap!(LvtEntry {
+    valid: bool,
+    tag: u16,
+    slot_valid: u8,
+    byte_tags: [u8; MAX_NPRED],
+    lasts: [u64; MAX_NPRED],
+});
+snap!(SlotStrides {
+    strides: [i64; MAX_NPRED],
+    conf: [ForwardProbabilisticCounter; MAX_NPRED],
+});
+snap!(Vt0Entry { slots: SlotStrides });
+snap!(TaggedEntry {
+    valid: bool,
+    tag: u16,
+    useful: bool,
+    slots: SlotStrides,
+});
+snap!(BlockRecord {
+    lvt_index: usize,
+    lvt_tag: u16,
+    asid: u8,
+    provider: Option<(usize, usize)>,
+    alloc_slots: [(usize, u16); MAX_TAGGED],
+    slot_tags: [Option<u8>; MAX_NPRED],
+    slot_pred: SlotPredictions,
+    provider_conf_levels: [u8; MAX_NPRED],
+    provider_strides: [i64; MAX_NPRED],
+    results: VarVec<(u8, u64)>,
+});
+snap!(CurrentBlock {
+    block_pc: u64,
+    asid: u8,
+    first_seq: u64,
+    cursor: usize,
+    forbid_use: bool,
+    slot_tags: [Option<u8>; MAX_NPRED],
+    slot_pred: SlotPredictions,
+    slot_conf: [bool; MAX_NPRED],
+} validate check_restored);
+snap!(BlockDVtage {
+    lvt: ShardedTable<LvtEntry>,
+    vt0: ShardedTable<Vt0Entry>,
+    tagged: Vec<ShardedTable<TaggedEntry>>,
+    window: SpeculativeWindow,
+    fifo: FifoUpdateQueue<BlockRecord>,
+    current: Option<CurrentBlock>,
+    force_new_block: bool,
+    last_retired: Option<u64>,
+    rng: u64,
+    updates: u64,
+    window_hits: u64,
+    window_lookups: u64,
+} validate check_restored);
+
+impl CurrentBlock {
+    /// Rejects a restored slot cursor past the block's slots.
+    fn check_restored(&mut self) -> StateResult<()> {
+        ensure(
+            self.cursor <= MAX_NPRED,
+            "current block cursor out of range",
+        )
     }
 }
 
@@ -1271,12 +1103,11 @@ impl ValuePredictor for BlockDVtage {
     }
 
     fn save_state(&self) -> Vec<u8> {
-        self.save_state_impl()
+        snapshot(self)
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        self.restore_state_impl(&mut StateReader::new(bytes))
-            .map_err(|e| format!("BeBoP D-VTAGE: {e}"))
+        restore_predictor(self, bytes)
     }
 }
 

@@ -376,45 +376,6 @@ pub fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// [`run_source`] with panic isolation: a panic anywhere inside the simulation
-/// (a debug assertion, an arithmetic overflow, a poisoned configuration)
-/// surfaces as `Err(reason)` instead of unwinding into the caller.
-///
-/// This is the job-runner entry point of the sweep engine: one poisoned cell
-/// out of 10⁴–10⁶ must quarantine that cell, not lose the sweep. The pipeline
-/// and predictor are built fresh per call and dropped on unwind, so no shared
-/// state can be observed in a broken condition afterwards (hence the
-/// `AssertUnwindSafe`).
-///
-/// # Example
-///
-/// ```
-/// use bebop::{run_source_checked, PredictorKind, UopSource};
-/// use bebop_trace::WorkloadSpec;
-/// use bebop_uarch::PipelineConfig;
-///
-/// let spec = WorkloadSpec::named_demo("checked-demo");
-/// let stats = run_source_checked(
-///     UopSource::Live(&spec),
-///     &PipelineConfig::baseline_vp_6_60(),
-///     &PredictorKind::DVtage,
-///     2_000,
-/// )
-/// .expect("healthy config must not panic");
-/// assert_eq!(stats.uops, 2_000);
-/// ```
-pub fn run_source_checked(
-    source: UopSource<'_>,
-    pipeline: &PipelineConfig,
-    predictor: &PredictorKind,
-    max_uops: u64,
-) -> Result<SimStats, String> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_source(source, pipeline, predictor, max_uops)
-    }))
-    .map_err(panic_reason)
-}
-
 /// Runs one workload (generated live) on one pipeline configuration with one
 /// predictor for `max_uops` µ-ops and returns the statistics.
 ///

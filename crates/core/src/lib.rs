@@ -66,8 +66,8 @@ pub use bebop_vp::MAX_TAGGED;
 pub use block_dvtage::{BlockDVtage, BlockDVtageConfig};
 pub use checkpoint::{CheckpointError, SimCheckpoint, CHECKPOINT_FORMAT_VERSION, CHECKPOINT_MAGIC};
 pub use driver::{
-    compare, panic_reason, run_one, run_slice, run_source, run_source_checked, run_source_with,
-    AnyPredictor, BenchResult, PredictorKind, SpeedupSummary, UopSource, UopStream,
+    compare, panic_reason, run_one, run_slice, run_source, run_source_with, AnyPredictor,
+    BenchResult, PredictorKind, SpeedupSummary, UopSource, UopStream,
 };
 pub use recovery::RecoveryPolicy;
 pub use resume::{

@@ -335,8 +335,10 @@ pub fn run_source_resumable(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::configs;
     use crate::driver::run_source;
-    use bebop_trace::WorkloadSpec;
+    use bebop_trace::{MixSpec, WorkloadSpec};
+    use bebop_uarch::SharingPolicy;
 
     fn demo() -> WorkloadSpec {
         WorkloadSpec::named_demo("resume-unit")
@@ -383,28 +385,77 @@ mod tests {
     /// and a save/restore cycle at the stop point is byte-lossless (the LFSR
     /// low-bit coercion bug hid here — an even RNG state was perturbed by
     /// restore, so resumed runs diverged only for cuts with even states).
+    /// Every predictor kind is covered, plus the sharded BeBoP table over a
+    /// two-context mix; the hybrid keeps the dense cut sweep that caught the
+    /// LFSR bug, the rest a thinned one.
     #[test]
     fn segment_stop_and_restore_are_state_transparent() {
         let spec = WorkloadSpec::named_demo("ckpt-roundtrip");
         let cfg = PipelineConfig::baseline_vp_6_60();
-        let kind = PredictorKind::VtageStrideHybrid;
-        const TOTAL: u64 = 6_000;
+        let dense: Vec<u64> = (800..5400).step_by(400).collect();
+        let thin: Vec<u64> = (800..5400).step_by(1500).collect();
+        let kinds = [
+            PredictorKind::None,
+            PredictorKind::Perfect,
+            PredictorKind::LastValue,
+            PredictorKind::Stride,
+            PredictorKind::TwoDeltaStride,
+            PredictorKind::Vtage,
+            PredictorKind::VtageStrideHybrid,
+            PredictorKind::DVtage,
+            PredictorKind::BlockDVtage(configs::medium()),
+        ];
+        for kind in &kinds {
+            let cuts = if matches!(kind, PredictorKind::VtageStrideHybrid) {
+                &dense
+            } else {
+                &thin
+            };
+            check_transparent(UopSource::Live(&spec), &cfg, kind, cuts);
+        }
+        let policy = SharingPolicy::Tagged;
+        let mix = MixSpec::pair(
+            1_000,
+            WorkloadSpec::named_demo("ckpt-mix-a"),
+            WorkloadSpec::named_demo("ckpt-mix-b"),
+        )
+        .record(TRANSPARENCY_UOPS);
+        check_transparent(
+            UopSource::Replay(&mix),
+            &cfg.clone().with_mix(policy),
+            &PredictorKind::BlockDVtage(configs::medium_mix(policy, 2)),
+            &thin,
+        );
+    }
+
+    const TRANSPARENCY_UOPS: u64 = 6_000;
+
+    /// Runs `kind` over `source` to [`TRANSPARENCY_UOPS`] three ways — in one
+    /// segment, stopped and continued at each cut, and restored from the
+    /// cut's snapshot — and requires byte-identical component state.
+    fn check_transparent(
+        source: UopSource<'_>,
+        cfg: &PipelineConfig,
+        kind: &PredictorKind,
+        cuts: &[u64],
+    ) {
+        const TOTAL: u64 = TRANSPARENCY_UOPS;
+        let name = kind.build().name().to_string();
 
         // Monolithic reference state.
         let mut pa = Pipeline::new(cfg.clone());
         let mut qa = kind.build();
-        let mut sa = UopSource::Live(&spec).stream();
+        let mut sa = source.stream();
         let mut posa = 0u64;
         pa.run_segment(&mut sa, &mut qa, TOTAL, &mut posa);
         let ref_pipeline = pa.save_state();
         let ref_predictor = qa.save_state();
 
-        for cut in (800..5400).step_by(400) {
-            let cut = cut as u64;
+        for &cut in cuts {
             // B: stop at the cut and continue (no restore).
             let mut pb = Pipeline::new(cfg.clone());
             let mut qb = kind.build();
-            let mut sb = UopSource::Live(&spec).stream();
+            let mut sb = source.stream();
             let mut posb = 0u64;
             pb.run_segment(&mut sb, &mut qb, cut, &mut posb);
             let pb_bytes = pb.save_state();
@@ -414,12 +465,12 @@ mod tests {
             assert_eq!(
                 pb.save_state(),
                 ref_pipeline,
-                "cut {cut}: stop/continue perturbs the pipeline"
+                "{name} cut {cut}: stop/continue perturbs the pipeline"
             );
             assert_eq!(
                 qb.save_state(),
                 ref_predictor,
-                "cut {cut}: stop/continue perturbs the predictor"
+                "{name} cut {cut}: stop/continue perturbs the predictor"
             );
 
             // C: restore from the cut snapshot and continue.
@@ -430,7 +481,7 @@ mod tests {
             assert_eq!(
                 pc.save_state(),
                 pb_bytes,
-                "cut {cut}: pipeline restore lossy"
+                "{name} cut {cut}: pipeline restore lossy"
             );
             let qc_bytes = qc.save_state();
             if qc_bytes != qb_bytes {
@@ -442,27 +493,30 @@ mod tests {
                     .position(|(x, y)| x != y)
                     .unwrap_or(qc_bytes.len().min(qb_bytes.len()));
                 panic!(
-                    "cut {cut}: predictor restore lossy: lens {} vs {}, first diff at byte {diff}",
+                    "{name} cut {cut}: predictor restore lossy: lens {} vs {}, first diff at byte {diff}",
                     qc_bytes.len(),
                     qb_bytes.len(),
                 );
             }
-            let mut sc = UopSource::Live(&spec).stream();
+            let mut sc = source.stream();
             for _ in 0..cut_pos {
                 sc.next();
             }
             let mut posc = cut_pos;
             pc.run_segment(&mut sc, &mut qc, TOTAL, &mut posc);
-            assert_eq!(posc, posb, "cut {cut}: restored stream cursor diverged");
+            assert_eq!(
+                posc, posb,
+                "{name} cut {cut}: restored stream cursor diverged"
+            );
             assert_eq!(
                 pc.save_state(),
                 ref_pipeline,
-                "cut {cut}: restore/continue perturbs the pipeline"
+                "{name} cut {cut}: restore/continue perturbs the pipeline"
             );
             assert_eq!(
                 qc.save_state(),
                 ref_predictor,
-                "cut {cut}: restore/continue perturbs the predictor"
+                "{name} cut {cut}: restore/continue perturbs the predictor"
             );
         }
     }

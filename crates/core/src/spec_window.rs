@@ -7,7 +7,7 @@
 //! needed) and read associatively by partial tag, with an internal sequence number
 //! selecting the most recent matching entry.
 
-use bebop_isa::{SeqNum, StateError, StateReader, StateResult, StateWriter};
+use bebop_isa::{ensure, in_program_order, snap, SeqNum, StateResult};
 use std::collections::VecDeque;
 
 /// The maximum number of prediction slots per entry (`Npred`) supported by the
@@ -42,7 +42,7 @@ impl SpecWindowSize {
 }
 
 /// One prediction block held in the speculative window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpecWindowEntry {
     /// Partial tag of the fetch block (e.g. 15 bits; false positives are allowed
     /// since value prediction is speculative by nature).
@@ -216,51 +216,22 @@ impl SpeculativeWindow {
         self.entries.clear();
     }
 
-    /// Serialises the window contents (entries only; capacity and tag width
-    /// are configuration and are re-derived at construction).
-    pub fn save_state(&self, w: &mut StateWriter) {
-        w.len_of(self.entries.len());
-        for e in &self.entries {
-            w.u64(e.partial_tag);
-            w.u64(e.seq);
-            for v in &e.values {
-                w.opt_u64(*v);
-            }
-        }
-    }
-
-    /// Restores window contents saved by [`SpeculativeWindow::save_state`]
-    /// onto a window of identical configuration.
-    pub fn restore_state(&mut self, r: &mut StateReader) -> StateResult<()> {
-        let n = r.len_of(24)?;
-        if let Some(cap) = self.capacity {
-            if n > cap {
-                return Err(StateError("speculative window overfilled"));
-            }
-        }
-        if self.is_disabled() && n > 0 {
-            return Err(StateError("disabled speculative window has entries"));
-        }
-        self.entries.clear();
-        let mut last_seq = None;
-        for _ in 0..n {
-            let partial_tag = r.u64()?;
-            let seq = r.u64()?;
-            if last_seq.is_some_and(|p| seq <= p) {
-                return Err(StateError("speculative window entries out of order"));
-            }
-            last_seq = Some(seq);
-            let mut values = [None; MAX_NPRED];
-            for v in values.iter_mut() {
-                *v = r.opt_u64()?;
-            }
-            self.entries.push_back(SpecWindowEntry {
-                partial_tag,
-                seq,
-                values,
-            });
-        }
-        Ok(())
+    /// Rejects restored contents the window could never hold: more entries
+    /// than its capacity, any entry in a disabled window, or entry keys not
+    /// strictly increasing.
+    fn check_restored(&mut self) -> StateResult<()> {
+        ensure(
+            self.capacity.map_or(true, |cap| self.entries.len() <= cap),
+            "speculative window overfilled",
+        )?;
+        ensure(
+            !self.is_disabled() || self.entries.is_empty(),
+            "disabled speculative window has entries",
+        )?;
+        ensure(
+            in_program_order(self.entries.iter().map(|e| e.seq), true),
+            "speculative window entries out of order",
+        )
     }
 
     /// Invariant check (`simcheck` feature): entry keys — the sequence number
@@ -283,6 +254,13 @@ impl SpeculativeWindow {
         }
     }
 }
+
+snap!(SpecWindowEntry {
+    partial_tag: u64,
+    seq: u64,
+    values: SlotPredictions,
+});
+snap!(SpeculativeWindow { entries: VecDeque<SpecWindowEntry> } validate check_restored);
 
 #[cfg(test)]
 mod tests {

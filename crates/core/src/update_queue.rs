@@ -7,7 +7,7 @@
 //! only rollback on a pipeline flush, for which each record is tagged with the
 //! sequence number of the first µ-op of its block.
 
-use bebop_isa::{SeqNum, StateError, StateReader, StateResult, StateWriter};
+use bebop_isa::{ensure, in_program_order, snap, SeqNum, Snap, StateResult};
 use std::collections::VecDeque;
 
 /// A FIFO of in-flight per-block prediction records tagged with sequence numbers.
@@ -83,6 +83,11 @@ impl<T> FifoUpdateQueue<T> {
         self.entries.back_mut().map(|(s, t)| (&*s, t))
     }
 
+    /// The in-flight records, oldest first.
+    pub(crate) fn records(&self) -> impl Iterator<Item = &T> {
+        self.entries.iter().map(|(_, t)| t)
+    }
+
     /// Pops the oldest record.
     pub fn pop_front(&mut self) -> Option<(SeqNum, T)> {
         self.entries.pop_front()
@@ -114,44 +119,18 @@ impl<T> FifoUpdateQueue<T> {
         }
     }
 
-    /// Serialises the in-flight records; `save_record` encodes one `T`.
-    pub fn save_state_with(
-        &self,
-        w: &mut StateWriter,
-        mut save_record: impl FnMut(&mut StateWriter, &T),
-    ) {
-        w.len_of(self.entries.len());
-        for (seq, record) in &self.entries {
-            w.u64(*seq);
-            save_record(w, record);
-        }
-    }
-
-    /// Restores records saved by [`FifoUpdateQueue::save_state_with`].
-    /// `min_record_bytes` is the smallest possible encoding of one record
-    /// (bounds the length prefix); `restore_record` decodes one `T`. Program
-    /// order of the restored records is validated.
-    pub fn restore_state_with(
-        &mut self,
-        r: &mut StateReader,
-        min_record_bytes: usize,
-        mut restore_record: impl FnMut(&mut StateReader) -> StateResult<T>,
-    ) -> StateResult<()> {
-        let n = r.len_of(8 + min_record_bytes)?;
-        self.entries.clear();
-        let mut last_seq = None;
-        for _ in 0..n {
-            let seq = r.u64()?;
-            if last_seq.is_some_and(|p| seq < p) {
-                return Err(StateError("update queue records out of program order"));
-            }
-            last_seq = Some(seq);
-            let record = restore_record(r)?;
-            self.entries.push_back((seq, record));
-        }
-        Ok(())
+    /// Rejects restored records out of program order.
+    fn check_restored(&mut self) -> StateResult<()> {
+        ensure(
+            in_program_order(self.entries.iter().map(|&(seq, _)| seq), false),
+            "update queue records out of program order",
+        )
     }
 }
+
+snap!(impl[T: Snap + Default] FifoUpdateQueue<T> {
+    entries: VecDeque<(SeqNum, T)>,
+} validate check_restored);
 
 #[cfg(test)]
 mod tests {

@@ -12,9 +12,10 @@ use std::fmt;
 pub type SeqNum = u64;
 
 /// The kind of a control-flow transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum BranchKind {
     /// Conditional direct branch.
+    #[default]
     Conditional,
     /// Unconditional direct branch/jump.
     Unconditional,
@@ -27,7 +28,7 @@ pub enum BranchKind {
 }
 
 /// The dynamic outcome of a branch µ-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct BranchInfo {
     /// The kind of control-flow transfer.
     pub kind: BranchKind,
@@ -38,7 +39,7 @@ pub struct BranchInfo {
 }
 
 /// A dynamic memory access performed by a load or store µ-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct MemAccess {
     /// Effective virtual address.
     pub addr: u64,
@@ -59,7 +60,7 @@ pub struct MemAccess {
 /// assert_eq!(dyn_uop.value, 42);
 /// assert!(dyn_uop.uop.vp_eligible());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DynUop {
     /// Program-order sequence number of this µ-op.
     pub seq: SeqNum,

@@ -55,5 +55,8 @@ pub use dynuop::{BranchInfo, BranchKind, DynUop, MemAccess, SeqNum};
 pub use inst::{InstBuilder, StaticInst, MAX_INST_BYTES, MAX_UOPS_PER_INST};
 pub use program::{BasicBlock, BasicBlockId, Program, ProgramBuilder, Terminator};
 pub use reg::{ArchReg, RegClass, NUM_ARCH_REGS, NUM_FP_REGS, NUM_INT_REGS};
-pub use state::{StateError, StateReader, StateResult, StateWriter};
+pub use state::{
+    ensure, in_program_order, restore_snapshot, snapshot, Nested, Snap, StateError, StateReader,
+    StateResult, StateWriter, VarVec,
+};
 pub use uop::{ExecClass, Uop, UopKind, MAX_SRCS};

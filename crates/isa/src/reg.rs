@@ -46,7 +46,7 @@ impl fmt::Display for RegClass {
 /// assert_eq!(r.index_in_class(), 5);
 /// assert!(ArchReg::flags().is_flags());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ArchReg(u16);
 
 impl ArchReg {

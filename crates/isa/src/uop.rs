@@ -8,7 +8,7 @@ pub const MAX_SRCS: usize = 3;
 
 /// The kind of a µ-op, which determines the functional unit it executes on and
 /// whether it is eligible for value prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum UopKind {
     /// Single-cycle integer ALU operation.
     Alu,
@@ -34,6 +34,7 @@ pub enum UopKind {
     /// they need neither prediction nor validation.
     LoadImm,
     /// No-operation (consumes front-end bandwidth only).
+    #[default]
     Nop,
 }
 
@@ -112,7 +113,7 @@ pub enum ExecClass {
 /// assert!(uop.produces_value());
 /// assert_eq!(uop.srcs().count(), 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Uop {
     kind: UopKind,
     dst: Option<ArchReg>,

@@ -1,11 +1,11 @@
 //! Branch target buffer and return-address stack.
 
-use bebop_isa::{StateError, StateReader, StateResult, StateWriter};
+use bebop_isa::{ensure, snap, StateResult, VarVec};
 
 /// A set-associative branch target buffer (Table I: 2-way, 8K entries).
 #[derive(Debug, Clone)]
 pub struct Btb {
-    sets: Vec<Vec<(u64, u64)>>, // (pc tag, target), MRU first
+    sets: Vec<VarVec<(u64, u64)>>, // (pc tag, target), MRU first
     ways: usize,
     set_mask: u64,
 }
@@ -21,7 +21,7 @@ impl Btb {
         let sets = (entries / ways).max(1);
         assert!(sets.is_power_of_two(), "BTB sets must be a power of two");
         Btb {
-            sets: vec![Vec::with_capacity(ways); sets],
+            sets: vec![VarVec(Vec::with_capacity(ways)); sets],
             ways,
             set_mask: sets as u64 - 1,
         }
@@ -52,45 +52,22 @@ impl Btb {
         lines.insert(0, (pc, target));
     }
 
-    /// Serialises the BTB contents (set lines in MRU order) for checkpointing.
-    pub fn save_state(&self, w: &mut StateWriter) {
-        w.len_of(self.sets.len());
-        for set in &self.sets {
-            w.len_of(set.len());
-            for &(tag, target) in set {
-                w.u64(tag);
-                w.u64(target);
-            }
-        }
-    }
-
-    /// Restores state saved by [`Btb::save_state`] onto a freshly constructed
-    /// BTB of the identical geometry.
-    pub fn restore_state(&mut self, r: &mut StateReader) -> StateResult<()> {
-        if r.len_of(8)? != self.sets.len() {
-            return Err(StateError("BTB set count mismatch"));
-        }
-        for set in self.sets.iter_mut() {
-            let n = r.len_of(16)?;
-            if n > self.ways {
-                return Err(StateError("BTB set overfilled"));
-            }
-            set.clear();
-            for _ in 0..n {
-                let tag = r.u64()?;
-                let target = r.u64()?;
-                set.push((tag, target));
-            }
-        }
-        Ok(())
+    /// Rejects restored sets holding more lines than the associativity.
+    fn check_restored(&mut self) -> StateResult<()> {
+        ensure(
+            self.sets.iter().all(|set| set.len() <= self.ways),
+            "BTB set overfilled",
+        )
     }
 }
+
+snap!(Btb { sets: Vec<VarVec<(u64, u64)>> } validate check_restored);
 
 /// A bounded return-address stack. Pushing onto a full stack drops the oldest
 /// entry (wrap-around), as hardware RASes do.
 #[derive(Debug, Clone)]
 pub struct ReturnAddressStack {
-    entries: Vec<u64>,
+    entries: VarVec<u64>,
     capacity: usize,
 }
 
@@ -103,7 +80,7 @@ impl ReturnAddressStack {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         ReturnAddressStack {
-            entries: Vec::with_capacity(capacity),
+            entries: VarVec(Vec::with_capacity(capacity)),
             capacity,
         }
     }
@@ -126,28 +103,16 @@ impl ReturnAddressStack {
         self.entries.len()
     }
 
-    /// Serialises the stack contents for checkpointing.
-    pub fn save_state(&self, w: &mut StateWriter) {
-        w.len_of(self.entries.len());
-        for &e in &self.entries {
-            w.u64(e);
-        }
-    }
-
-    /// Restores state saved by [`ReturnAddressStack::save_state`] onto a
-    /// freshly constructed stack of the identical capacity.
-    pub fn restore_state(&mut self, r: &mut StateReader) -> StateResult<()> {
-        let n = r.len_of(8)?;
-        if n > self.capacity {
-            return Err(StateError("RAS depth exceeds capacity"));
-        }
-        self.entries.clear();
-        for _ in 0..n {
-            self.entries.push(r.u64()?);
-        }
-        Ok(())
+    /// Rejects a restored stack deeper than its capacity.
+    fn check_restored(&mut self) -> StateResult<()> {
+        ensure(
+            self.entries.len() <= self.capacity,
+            "RAS depth exceeds capacity",
+        )
     }
 }
+
+snap!(ReturnAddressStack { entries: VarVec<u64> } validate check_restored);
 
 #[cfg(test)]
 mod tests {

@@ -6,7 +6,7 @@ mod tage;
 pub use btb::{Btb, ReturnAddressStack};
 pub use tage::{Tage, TageConfig};
 
-use bebop_isa::{BranchInfo, BranchKind, StateReader, StateResult, StateWriter};
+use bebop_isa::{snap, BranchInfo, BranchKind};
 
 /// Statistics of the branch prediction unit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -125,30 +125,19 @@ impl BranchPredictorUnit {
     pub fn stats(&self) -> BranchStats {
         self.stats
     }
-
-    /// Serialises the whole unit's mutable state (TAGE, BTB, RAS, stats) for
-    /// checkpointing.
-    pub fn save_state(&self, w: &mut StateWriter) {
-        self.tage.save_state(w);
-        self.btb.save_state(w);
-        self.ras.save_state(w);
-        w.u64(self.stats.cond_branches);
-        w.u64(self.stats.cond_mispredicts);
-        w.u64(self.stats.target_mispredicts);
-    }
-
-    /// Restores state saved by [`BranchPredictorUnit::save_state`] onto a
-    /// freshly constructed unit of the identical configuration.
-    pub fn restore_state(&mut self, r: &mut StateReader) -> StateResult<()> {
-        self.tage.restore_state(r)?;
-        self.btb.restore_state(r)?;
-        self.ras.restore_state(r)?;
-        self.stats.cond_branches = r.u64()?;
-        self.stats.cond_mispredicts = r.u64()?;
-        self.stats.target_mispredicts = r.u64()?;
-        Ok(())
-    }
 }
+
+snap!(BranchStats {
+    cond_branches: u64,
+    cond_mispredicts: u64,
+    target_mispredicts: u64,
+});
+snap!(BranchPredictorUnit {
+    tage: Tage,
+    btb: Btb,
+    ras: ReturnAddressStack,
+    stats: BranchStats,
+});
 
 #[cfg(test)]
 mod tests {

@@ -2,7 +2,7 @@
 //! Table I of the paper: a bimodal base predictor plus 12 partially tagged
 //! components indexed with geometrically increasing global-history lengths.
 
-use bebop_isa::{StateError, StateReader, StateResult, StateWriter};
+use bebop_isa::{ensure, snap, StateResult};
 
 /// Configuration of the TAGE predictor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,6 +119,14 @@ impl HistoryRegister {
     fn raw(&self) -> u64 {
         self.recent
     }
+
+    /// Rejects a restored write position outside the register.
+    fn check_restored(&mut self) -> StateResult<()> {
+        ensure(
+            self.pos < self.bits.len(),
+            "TAGE history position out of range",
+        )
+    }
 }
 
 /// An incrementally maintained circular fold of the most recent `orig_len`
@@ -152,6 +160,12 @@ impl FoldedHistory {
         self.folded ^= leaving_bit << self.outpoint;
         self.folded ^= self.folded >> self.clen;
         self.folded &= self.mask;
+    }
+
+    /// Masks a restored fold to its configured width.
+    fn check_restored(&mut self) -> StateResult<()> {
+        self.folded &= self.mask;
+        Ok(())
     }
 }
 
@@ -396,87 +410,6 @@ impl Tage {
         self.path = (self.path << 1) ^ ((pc >> 2) & 0x3f);
     }
 
-    /// Serialises the predictor's mutable state (tables, folded histories,
-    /// global/path history, RNG) for checkpointing.
-    pub fn save_state(&self, w: &mut StateWriter) {
-        w.len_of(self.bimodal.len());
-        w.bytes(&self.bimodal);
-        w.len_of(self.tagged.len());
-        for comp in &self.tagged {
-            w.len_of(comp.len());
-            for e in comp {
-                w.bool(e.valid);
-                w.u16(e.tag);
-                w.u8(e.ctr);
-                w.u8(e.useful);
-            }
-        }
-        for folds in [&self.idx_fold, &self.tag_fold1, &self.tag_fold2] {
-            w.len_of(folds.len());
-            for f in folds.iter() {
-                w.u64(f.folded);
-            }
-        }
-        w.len_of(self.ghist.bits.len());
-        for &b in &self.ghist.bits {
-            w.bool(b);
-        }
-        w.u64(self.ghist.pos as u64);
-        w.u64(self.ghist.recent);
-        w.u64(self.path);
-        w.u64(self.updates);
-        w.u64(self.rand_state);
-    }
-
-    /// Restores state saved by [`Tage::save_state`] onto a freshly constructed
-    /// predictor of the identical configuration.
-    pub fn restore_state(&mut self, r: &mut StateReader) -> StateResult<()> {
-        if r.len_of(1)? != self.bimodal.len() {
-            return Err(StateError("TAGE bimodal table size mismatch"));
-        }
-        for c in self.bimodal.iter_mut() {
-            *c = r.u8()?;
-        }
-        if r.len_of(1)? != self.tagged.len() {
-            return Err(StateError("TAGE tagged component count mismatch"));
-        }
-        for comp in self.tagged.iter_mut() {
-            if r.len_of(5)? != comp.len() {
-                return Err(StateError("TAGE tagged component size mismatch"));
-            }
-            for e in comp.iter_mut() {
-                e.valid = r.bool()?;
-                e.tag = r.u16()?;
-                e.ctr = r.u8()?;
-                e.useful = r.u8()?;
-            }
-        }
-        for folds in [&mut self.idx_fold, &mut self.tag_fold1, &mut self.tag_fold2] {
-            if r.len_of(8)? != folds.len() {
-                return Err(StateError("TAGE folded-history count mismatch"));
-            }
-            for f in folds.iter_mut() {
-                f.folded = r.u64()? & f.mask;
-            }
-        }
-        if r.len_of(1)? != self.ghist.bits.len() {
-            return Err(StateError("TAGE global history length mismatch"));
-        }
-        for b in self.ghist.bits.iter_mut() {
-            *b = r.bool()?;
-        }
-        let pos = r.u64()? as usize;
-        if pos >= self.ghist.bits.len() {
-            return Err(StateError("TAGE history position out of range"));
-        }
-        self.ghist.pos = pos;
-        self.ghist.recent = r.u64()?;
-        self.path = r.u64()?;
-        self.updates = r.u64()?;
-        self.rand_state = r.u64()?;
-        Ok(())
-    }
-
     /// The most recent 64 committed branch outcomes (bit 0 = most recent).
     pub fn global_history(&self) -> u64 {
         self.ghist.raw()
@@ -487,6 +420,26 @@ impl Tage {
         self.path
     }
 }
+
+snap!(TaggedEntry {
+    valid: bool,
+    tag: u16,
+    ctr: u8,
+    useful: u8,
+});
+snap!(HistoryRegister { bits: Vec<bool>, pos: usize, recent: u64 } validate check_restored);
+snap!(FoldedHistory { folded: u64 } validate check_restored);
+snap!(Tage {
+    bimodal: Vec<u8>,
+    tagged: Vec<Vec<TaggedEntry>>,
+    idx_fold: Vec<FoldedHistory>,
+    tag_fold1: Vec<FoldedHistory>,
+    tag_fold2: Vec<FoldedHistory>,
+    ghist: HistoryRegister,
+    path: u64,
+    updates: u64,
+    rand_state: u64,
+});
 
 #[cfg(test)]
 mod tests {

@@ -2,13 +2,13 @@
 
 use crate::config::MemConfig;
 use crate::prefetch::StridePrefetcher;
-use bebop_isa::{StateError, StateReader, StateResult, StateWriter};
+use bebop_isa::{ensure, snap, StateResult, VarVec};
 
 /// A set-associative cache with true-LRU replacement, tracking only tags (the
 /// simulator needs hit/miss decisions, not data).
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    sets: Vec<Vec<u64>>, // per set: line tags ordered most-recently-used first
+    sets: Vec<VarVec<u64>>, // per set: line tags ordered most-recently-used first
     ways: usize,
     line_bytes: u64,
     set_mask: u64,
@@ -33,7 +33,7 @@ impl SetAssocCache {
             "number of sets ({num_sets}) must be a power of two"
         );
         SetAssocCache {
-            sets: vec![Vec::with_capacity(ways); num_sets],
+            sets: vec![VarVec(Vec::with_capacity(ways)); num_sets],
             ways,
             line_bytes,
             set_mask: num_sets as u64 - 1,
@@ -110,41 +110,16 @@ impl SetAssocCache {
         }
     }
 
-    /// Serialises the cache contents (tags in MRU order) and access counters
-    /// for checkpointing.
-    pub fn save_state(&self, w: &mut StateWriter) {
-        w.len_of(self.sets.len());
-        for set in &self.sets {
-            w.len_of(set.len());
-            for &tag in set {
-                w.u64(tag);
-            }
-        }
-        w.u64(self.accesses);
-        w.u64(self.misses);
-    }
-
-    /// Restores state saved by [`SetAssocCache::save_state`] onto a freshly
-    /// constructed cache of the identical geometry.
-    pub fn restore_state(&mut self, r: &mut StateReader) -> StateResult<()> {
-        if r.len_of(8)? != self.sets.len() {
-            return Err(StateError("cache set count mismatch"));
-        }
-        for set in self.sets.iter_mut() {
-            let n = r.len_of(8)?;
-            if n > self.ways {
-                return Err(StateError("cache set overfilled"));
-            }
-            set.clear();
-            for _ in 0..n {
-                set.push(r.u64()?);
-            }
-        }
-        self.accesses = r.u64()?;
-        self.misses = r.u64()?;
-        Ok(())
+    /// Rejects restored sets holding more lines than the associativity.
+    fn check_restored(&mut self) -> StateResult<()> {
+        ensure(
+            self.sets.iter().all(|set| set.len() <= self.ways),
+            "cache set overfilled",
+        )
     }
 }
+
+snap!(SetAssocCache { sets: Vec<VarVec<u64>>, accesses: u64, misses: u64 } validate check_restored);
 
 /// Statistics of the memory hierarchy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -222,34 +197,21 @@ impl MemoryHierarchy {
     pub fn stats(&self) -> MemStats {
         self.stats
     }
-
-    /// Serialises both cache levels, the prefetcher and the hierarchy
-    /// statistics for checkpointing.
-    pub fn save_state(&self, w: &mut StateWriter) {
-        self.l1d.save_state(w);
-        self.l2.save_state(w);
-        self.prefetcher.save_state(w);
-        w.u64(self.stats.l1d_accesses);
-        w.u64(self.stats.l1d_misses);
-        w.u64(self.stats.l2_accesses);
-        w.u64(self.stats.l2_misses);
-        w.u64(self.stats.prefetches);
-    }
-
-    /// Restores state saved by [`MemoryHierarchy::save_state`] onto a freshly
-    /// constructed hierarchy of the identical configuration.
-    pub fn restore_state(&mut self, r: &mut StateReader) -> StateResult<()> {
-        self.l1d.restore_state(r)?;
-        self.l2.restore_state(r)?;
-        self.prefetcher.restore_state(r)?;
-        self.stats.l1d_accesses = r.u64()?;
-        self.stats.l1d_misses = r.u64()?;
-        self.stats.l2_accesses = r.u64()?;
-        self.stats.l2_misses = r.u64()?;
-        self.stats.prefetches = r.u64()?;
-        Ok(())
-    }
 }
+
+snap!(MemStats {
+    l1d_accesses: u64,
+    l1d_misses: u64,
+    l2_accesses: u64,
+    l2_misses: u64,
+    prefetches: u64,
+});
+snap!(MemoryHierarchy {
+    l1d: SetAssocCache,
+    l2: SetAssocCache,
+    prefetcher: StridePrefetcher,
+    stats: MemStats,
+});
 
 #[cfg(test)]
 mod tests {

@@ -55,5 +55,6 @@ pub use stats::{
     gmean, ContextStats, EoleStats, SimStats, VpStats, WrongPathStats, MAX_SIM_CONTEXTS,
 };
 pub use vp_iface::{
-    NoValuePredictor, PerfectValuePredictor, PredictCtx, SquashCause, SquashInfo, ValuePredictor,
+    restore_predictor, NoValuePredictor, PerfectValuePredictor, PredictCtx, SquashCause,
+    SquashInfo, ValuePredictor,
 };

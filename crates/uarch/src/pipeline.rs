@@ -40,8 +40,8 @@ use crate::resources::{Lane, LanePool, OccupancyRing, NUM_POOL_LANES};
 use crate::stats::{SimStats, MAX_SIM_CONTEXTS};
 use crate::vp_iface::{PredictCtx, SquashCause, SquashInfo, ValuePredictor};
 use bebop_isa::{
-    fetch_block_pc, DynUop, ExecClass, StateError, StateReader, StateResult, StateWriter, UopKind,
-    NUM_ARCH_REGS,
+    ensure, fetch_block_pc, restore_snapshot, snap, snapshot, DynUop, ExecClass, StateResult,
+    UopKind, NUM_ARCH_REGS,
 };
 use std::collections::VecDeque;
 
@@ -59,7 +59,7 @@ enum ExecMode {
 
 /// A deferred predictor update, applied once the retiring µ-op becomes
 /// architecturally visible to younger fetches.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct PendingTrain {
     commit_cycle: u64,
     uop: DynUop,
@@ -94,7 +94,7 @@ const POLLUTION_WINDOW: u32 = 64;
 /// at the first correct-path µ-op after the burst (the resolve point), which
 /// is when the deferred squash is delivered to the predictor — after it has
 /// observed the wrong-path fetches, as in hardware.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct WrongPathEpisode {
     /// Cycle the mispredicted branch resolves (its execute-complete cycle);
     /// wrong-path µ-ops are only fetched up to and including this cycle.
@@ -138,6 +138,14 @@ impl FetchGroup {
             self.blocks[self.num_blocks as usize] = block;
             self.num_blocks += 1;
         }
+    }
+
+    /// Rejects a restored block count beyond the group's capacity.
+    fn check_restored(&mut self) -> StateResult<()> {
+        ensure(
+            self.num_blocks as usize <= MAX_FETCH_BLOCKS,
+            "fetch group block count out of range",
+        )
     }
 }
 
@@ -1338,149 +1346,21 @@ impl Pipeline {
             self.batch.is_empty(),
             "pipeline state saved with a fetch group in flight"
         );
-        let mut w = StateWriter::new();
-        self.bpu.save_state(&mut w);
-        self.mem.save_state(&mut w);
-        self.pool.save_state(&mut w);
-        for ring in [&self.rob, &self.iq, &self.lq, &self.sq] {
-            ring.save_state(&mut w);
-        }
-        w.len_of(self.reg_avail.len());
-        for &c in &self.reg_avail {
-            w.u64(c);
-        }
-        for &f in &self.reg_frontend {
-            w.bool(f);
-        }
-        w.u64(self.group.cycle);
-        w.u8(self.group.uops);
-        w.u8(self.group.num_blocks);
-        for &b in &self.group.blocks {
-            w.u64(b);
-        }
-        w.u64(self.fetch_resume);
-        w.opt_u64(self.last_block_pc);
-        w.u64(self.last_commit);
-        w.len_of(self.pending_train.len());
-        for p in &self.pending_train {
-            w.u64(p.commit_cycle);
-            w.dyn_uop(&p.uop);
-            w.opt_u64(p.predicted);
-        }
-        match self.wrong_path {
-            Some(wp) => {
-                w.bool(true);
-                w.u64(wp.resolve);
-                match wp.squash {
-                    Some(s) => {
-                        w.bool(true);
-                        w.u64(s.flush_seq);
-                        w.u64(s.flush_pc);
-                        w.u64(s.next_pc);
-                        w.u8(match s.cause {
-                            SquashCause::BranchMispredict => 0,
-                            SquashCause::ValueMispredict => 1,
-                        });
-                        w.u8(s.asid);
-                    }
-                    None => w.bool(false),
-                }
-                w.bool(wp.counted);
-            }
-            None => w.bool(false),
-        }
-        for &p in &self.pollution_window {
-            w.u32(p);
-        }
-        w.u8(self.cur_asid);
-        self.stats.save_state(&mut w);
-        w.finish()
+        snapshot(self)
     }
 
     /// Restores state saved by [`Pipeline::save_state`] onto a freshly built
     /// pipeline of the identical configuration. Rejects truncated, corrupt or
-    /// shape-mismatched payloads without touching `self` beyond the fields
-    /// already consumed (callers discard the pipeline on error).
+    /// shape-mismatched payloads without panicking (callers discard the
+    /// pipeline on error).
     pub fn restore_state(&mut self, bytes: &[u8]) -> StateResult<()> {
-        let mut r = StateReader::new(bytes);
-        self.bpu.restore_state(&mut r)?;
-        self.mem.restore_state(&mut r)?;
-        self.pool.restore_state(&mut r)?;
+        restore_snapshot(self, bytes)
+    }
+
+    /// Drops any fetch group left over from before a restore.
+    fn check_restored(&mut self) -> StateResult<()> {
         self.batch.clear();
-        for ring in [&mut self.rob, &mut self.iq, &mut self.lq, &mut self.sq] {
-            ring.restore_state(&mut r)?;
-        }
-        if r.len_of(8)? != self.reg_avail.len() {
-            return Err(StateError("register file size mismatch"));
-        }
-        for c in self.reg_avail.iter_mut() {
-            *c = r.u64()?;
-        }
-        for f in self.reg_frontend.iter_mut() {
-            *f = r.bool()?;
-        }
-        self.group.cycle = r.u64()?;
-        self.group.uops = r.u8()?;
-        let num_blocks = r.u8()?;
-        if num_blocks as usize > MAX_FETCH_BLOCKS {
-            return Err(StateError("fetch group block count out of range"));
-        }
-        self.group.num_blocks = num_blocks;
-        for b in self.group.blocks.iter_mut() {
-            *b = r.u64()?;
-        }
-        self.fetch_resume = r.u64()?;
-        self.last_block_pc = r.opt_u64()?;
-        self.last_commit = r.u64()?;
-        let n = r.len_of(17)?;
-        self.pending_train.clear();
-        for _ in 0..n {
-            let commit_cycle = r.u64()?;
-            let uop = r.dyn_uop()?;
-            let predicted = r.opt_u64()?;
-            self.pending_train.push_back(PendingTrain {
-                commit_cycle,
-                uop,
-                predicted,
-            });
-        }
-        self.wrong_path = if r.bool()? {
-            let resolve = r.u64()?;
-            let squash = if r.bool()? {
-                let flush_seq = r.u64()?;
-                let flush_pc = r.u64()?;
-                let next_pc = r.u64()?;
-                let cause = match r.u8()? {
-                    0 => SquashCause::BranchMispredict,
-                    1 => SquashCause::ValueMispredict,
-                    _ => return Err(StateError("invalid squash cause byte")),
-                };
-                let asid = r.u8()?;
-                Some(SquashInfo {
-                    flush_seq,
-                    flush_pc,
-                    next_pc,
-                    cause,
-                    asid,
-                })
-            } else {
-                None
-            };
-            let counted = r.bool()?;
-            Some(WrongPathEpisode {
-                resolve,
-                squash,
-                counted,
-            })
-        } else {
-            None
-        };
-        for p in self.pollution_window.iter_mut() {
-            *p = r.u32()?;
-        }
-        self.cur_asid = r.u8()?;
-        self.stats.restore_state(&mut r)?;
-        r.expect_done()
+        Ok(())
     }
 
     /// Validates per-cycle pipeline invariants: bandwidth-pool conservation,
@@ -1527,6 +1407,43 @@ impl Pipeline {
         }
     }
 }
+
+snap!(PendingTrain {
+    commit_cycle: u64,
+    uop: DynUop,
+    predicted: Option<u64>,
+});
+snap!(FetchGroup {
+    cycle: u64,
+    uops: u8,
+    num_blocks: u8,
+    blocks: [u64; MAX_FETCH_BLOCKS],
+} validate check_restored);
+snap!(WrongPathEpisode {
+    resolve: u64,
+    squash: Option<SquashInfo>,
+    counted: bool,
+});
+snap!(Pipeline {
+    bpu: BranchPredictorUnit,
+    mem: MemoryHierarchy,
+    pool: LanePool,
+    rob: OccupancyRing,
+    iq: OccupancyRing,
+    lq: OccupancyRing,
+    sq: OccupancyRing,
+    reg_avail: Vec<u64>,
+    reg_frontend: [bool],
+    group: FetchGroup,
+    fetch_resume: u64,
+    last_block_pc: Option<u64>,
+    last_commit: u64,
+    pending_train: VecDeque<PendingTrain>,
+    wrong_path: Option<WrongPathEpisode>,
+    pollution_window: [u32; MAX_SIM_CONTEXTS],
+    cur_asid: u8,
+    stats: SimStats,
+} validate check_restored);
 
 #[cfg(test)]
 mod tests {

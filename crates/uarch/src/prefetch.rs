@@ -1,6 +1,6 @@
 //! PC-indexed stride prefetcher (Table I: L2 stride prefetcher, degree 8).
 
-use bebop_isa::{StateError, StateReader, StateResult, StateWriter};
+use bebop_isa::snap;
 
 /// One entry of the prefetcher's reference prediction table.
 #[derive(Debug, Clone, Copy, Default)]
@@ -70,35 +70,16 @@ impl StridePrefetcher {
         }
         out
     }
-
-    /// Serialises the reference prediction table for checkpointing.
-    pub fn save_state(&self, w: &mut StateWriter) {
-        w.len_of(self.table.len());
-        for e in &self.table {
-            w.u64(e.pc_tag);
-            w.u64(e.last_addr);
-            w.i64(e.stride);
-            w.u8(e.confidence);
-            w.bool(e.valid);
-        }
-    }
-
-    /// Restores state saved by [`StridePrefetcher::save_state`] onto a freshly
-    /// constructed prefetcher of the identical geometry.
-    pub fn restore_state(&mut self, r: &mut StateReader) -> StateResult<()> {
-        if r.len_of(26)? != self.table.len() {
-            return Err(StateError("prefetcher table size mismatch"));
-        }
-        for e in self.table.iter_mut() {
-            e.pc_tag = r.u64()?;
-            e.last_addr = r.u64()?;
-            e.stride = r.i64()?;
-            e.confidence = r.u8()?;
-            e.valid = r.bool()?;
-        }
-        Ok(())
-    }
 }
+
+snap!(PrefetchEntry {
+    pc_tag: u64,
+    last_addr: u64,
+    stride: i64,
+    confidence: u8,
+    valid: bool,
+});
+snap!(StridePrefetcher { table: Vec<PrefetchEntry> });
 
 #[cfg(test)]
 mod tests {

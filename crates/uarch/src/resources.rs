@@ -18,7 +18,7 @@
 //! exact sparse overflow, and restore rejects payloads claiming absurd
 //! horizons.
 
-use bebop_isa::{StateError, StateReader, StateResult, StateWriter};
+use bebop_isa::{ensure, snap, Snap, StateReader, StateResult, StateWriter};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Upper bound on the cycle span of a pool's *dense* window. Allocations
@@ -189,64 +189,6 @@ impl SlotPool {
         self.used.len() + self.far.len()
     }
 
-    /// Serialises the pool's moving horizon and per-cycle usage counts for
-    /// checkpointing.
-    pub fn save_state(&self, w: &mut StateWriter) {
-        w.u64(self.base);
-        w.len_of(self.used.len());
-        for &u in &self.used {
-            w.u16(u);
-        }
-        w.len_of(self.far.len());
-        for (&c, &u) in &self.far {
-            w.u64(c);
-            w.u16(u);
-        }
-    }
-
-    /// Restores state saved by [`SlotPool::save_state`] onto a freshly
-    /// constructed pool of the identical width. Rejects payloads claiming
-    /// absurd horizons (dense windows beyond [`MAX_DENSE_SPAN`], overflow
-    /// beyond [`MAX_OVERFLOW_TRACKED`]) — a corrupt checkpoint must not
-    /// balloon the pool it restores into.
-    pub fn restore_state(&mut self, r: &mut StateReader) -> StateResult<()> {
-        self.base = r.u64()?;
-        let n = r.len_of(2)?;
-        if n as u64 > MAX_DENSE_SPAN {
-            return Err(StateError("slot pool dense span exceeds bound"));
-        }
-        self.used.clear();
-        for _ in 0..n {
-            let u = r.u16()?;
-            if u > self.width {
-                return Err(StateError("slot pool usage exceeds width"));
-            }
-            self.used.push_back(u);
-        }
-        let far_n = r.len_of(10)?;
-        if far_n > MAX_OVERFLOW_TRACKED {
-            return Err(StateError("slot pool overflow count exceeds bound"));
-        }
-        self.far.clear();
-        let mut prev: Option<u64> = None;
-        for _ in 0..far_n {
-            let c = r.u64()?;
-            let u = r.u16()?;
-            if prev.is_some_and(|p| c <= p) {
-                return Err(StateError("slot pool overflow cycles not ascending"));
-            }
-            if c < self.base.saturating_add(MAX_DENSE_SPAN) {
-                return Err(StateError("slot pool overflow cycle inside dense span"));
-            }
-            if u == 0 || u > self.width {
-                return Err(StateError("slot pool overflow usage out of range"));
-            }
-            self.far.insert(c, u);
-            prev = Some(c);
-        }
-        Ok(())
-    }
-
     /// Validates the pool's conservation invariant: no cycle may have more
     /// slots consumed than the pool's width, and the tracked window must stay
     /// within its growth bounds.
@@ -372,13 +314,10 @@ const COMPACT_SLACK: usize = 4096;
 pub struct LanePool {
     /// Per-lane slots available per cycle.
     widths: [u16; NUM_POOL_LANES],
-    /// First live cycle: `used` row `head` holds this cycle's counts.
+    /// First live cycle: dense row `dense.head` holds this cycle's counts.
     base: u64,
-    /// Dead rows at the front of `used` awaiting compaction.
-    head: usize,
-    /// Cycle-major dense counts: row `head + (c - base)`, lane-indexed within
-    /// the row. Length is always a multiple of [`NUM_POOL_LANES`].
-    used: Vec<u16>,
+    /// Per-lane counts of the cycles within [`MAX_DENSE_SPAN`] of `base`.
+    dense: DenseWindow,
     /// Per-lane exact overflow for cycles at least [`MAX_DENSE_SPAN`] past
     /// `base`. Empty in every healthy steady state.
     far: [BTreeMap<u64, u16>; NUM_POOL_LANES],
@@ -404,8 +343,7 @@ impl LanePool {
         LanePool {
             widths,
             base: 0,
-            head: 0,
-            used: Vec::new(),
+            dense: DenseWindow::default(),
             far: Default::default(),
             lane_horizon: [0; NUM_POOL_LANES],
             generation: 0,
@@ -424,7 +362,7 @@ impl LanePool {
 
     /// Live dense rows (cycles) currently stored.
     fn live_rows(&self) -> usize {
-        self.used.len() / NUM_POOL_LANES - self.head
+        self.dense.live_rows()
     }
 
     /// Number of cycles currently tracked across dense and overflow storage
@@ -446,9 +384,9 @@ impl LanePool {
         let width = self.widths[li];
         let floor = cycle.max(self.base).max(self.lane_horizon[li]);
         let span = floor - self.base;
-        let end = self.used.len();
-        if span < (end / NUM_POOL_LANES - self.head) as u64 {
-            let mut idx = (self.head + span as usize) * NUM_POOL_LANES + li;
+        let end = self.dense.used.len();
+        if span < (end / NUM_POOL_LANES - self.dense.head) as u64 {
+            let mut idx = (self.dense.head + span as usize) * NUM_POOL_LANES + li;
             // Hot path: additive scan over the materialized dense rows. The
             // stride keeps the index congruent to the lane, so no
             // per-iteration multiply, and far coverage starts at
@@ -456,7 +394,7 @@ impl LanePool {
             // overflow map never needs consulting here.
             let mut c = floor;
             while idx < end {
-                let slot = &mut self.used[idx];
+                let slot = &mut self.dense.used[idx];
                 if *slot < width {
                     *slot += 1;
                     return c;
@@ -503,7 +441,7 @@ impl LanePool {
         if let Some(n) = n {
             if span < MAX_DENSE_SPAN {
                 let row = self.dense_row(span);
-                let slot = &mut self.used[row * NUM_POOL_LANES + li];
+                let slot = &mut self.dense.used[row * NUM_POOL_LANES + li];
                 if *slot + n <= self.widths[li] {
                     *slot += n;
                     out.fill(floor);
@@ -519,10 +457,10 @@ impl LanePool {
     /// Dense row index for `span`, growing the matrix as needed. Callers
     /// guarantee `span < MAX_DENSE_SPAN`.
     fn dense_row(&mut self, span: u64) -> usize {
-        let row = self.head + span as usize;
+        let row = self.dense.head + span as usize;
         let need = (row + 1) * NUM_POOL_LANES;
-        if need > self.used.len() {
-            self.used.resize(need, 0);
+        if need > self.dense.used.len() {
+            self.dense.used.resize(need, 0);
         }
         row
     }
@@ -533,7 +471,7 @@ impl LanePool {
         let span = c - self.base;
         if span < MAX_DENSE_SPAN {
             let row = self.dense_row(span);
-            self.used[row * NUM_POOL_LANES + li] += n;
+            self.dense.used[row * NUM_POOL_LANES + li] += n;
         } else {
             *self.far[li].entry(c).or_insert(0) += n;
             assert!(
@@ -556,7 +494,7 @@ impl LanePool {
         }
         let live = self.live_rows() as u64;
         let advance = (cycle - self.base).min(live) as usize;
-        self.head += advance;
+        self.dense.head += advance;
         self.base = cycle;
         // Migrate far entries that the advanced horizon pulled inside the
         // dense window, so dense and far coverage stay disjoint and exact.
@@ -574,14 +512,14 @@ impl LanePool {
                     continue;
                 }
                 let row = self.dense_row(c - self.base);
-                self.used[row * NUM_POOL_LANES + li] = u;
+                self.dense.used[row * NUM_POOL_LANES + li] = u;
             }
         }
         // Compact once the dead prefix dominates: amortised O(1) per pruned
         // cycle, bounded dead space.
-        if self.head >= self.live_rows().max(COMPACT_SLACK) {
-            self.used.drain(..self.head * NUM_POOL_LANES);
-            self.head = 0;
+        if self.dense.head >= self.live_rows().max(COMPACT_SLACK) {
+            self.dense.used.drain(..self.dense.head * NUM_POOL_LANES);
+            self.dense.head = 0;
         }
     }
 
@@ -606,79 +544,36 @@ impl LanePool {
         }
     }
 
-    /// Serialises the pool's window, horizons, generation and usage counts
-    /// for checkpointing.
-    pub fn save_state(&self, w: &mut StateWriter) {
-        w.u64(self.base);
-        w.u64(self.generation);
-        for &h in &self.lane_horizon {
-            w.u64(h);
-        }
-        let live = self.live_rows();
-        w.len_of(live);
-        let start = self.head * NUM_POOL_LANES;
-        for &u in &self.used[start..] {
-            w.u16(u);
-        }
-        for far in &self.far {
-            w.len_of(far.len());
-            for (&c, &u) in far {
-                w.u64(c);
-                w.u16(u);
-            }
-        }
-    }
-
-    /// Restores state saved by [`LanePool::save_state`] onto a freshly built
-    /// pool of identical widths. Rejects corrupt payloads: usage beyond a
+    /// Rejects restored state the pool could never reach: usage beyond a
     /// lane's width, dense windows beyond [`MAX_DENSE_SPAN`], overflow counts
-    /// beyond [`MAX_OVERFLOW_TRACKED`], or overflow cycles that belong in the
-    /// dense window.
-    pub fn restore_state(&mut self, r: &mut StateReader) -> StateResult<()> {
-        self.base = r.u64()?;
-        self.generation = r.u64()?;
-        for h in self.lane_horizon.iter_mut() {
-            *h = r.u64()?;
-        }
-        let rows = r.len_of(2 * NUM_POOL_LANES)?;
-        if rows as u64 > MAX_DENSE_SPAN {
-            return Err(StateError("lane pool dense span exceeds bound"));
-        }
-        self.head = 0;
-        self.used.clear();
-        self.used.reserve(rows * NUM_POOL_LANES);
-        for _ in 0..rows {
-            for li in 0..NUM_POOL_LANES {
-                let u = r.u16()?;
-                if u > self.widths[li] {
-                    return Err(StateError("lane pool usage exceeds lane width"));
-                }
-                self.used.push(u);
-            }
-        }
+    /// beyond [`MAX_OVERFLOW_TRACKED`], or overflow cycles that belong in
+    /// the dense window.
+    fn check_restored(&mut self) -> StateResult<()> {
+        ensure(
+            self.live_rows() as u64 <= MAX_DENSE_SPAN,
+            "lane pool dense span exceeds bound",
+        )?;
+        ensure(
+            self.dense
+                .live()
+                .chunks_exact(NUM_POOL_LANES)
+                .all(|row| row.iter().zip(&self.widths).all(|(u, w)| u <= w)),
+            "lane pool usage exceeds lane width",
+        )?;
         let dense_end = self.base.saturating_add(MAX_DENSE_SPAN);
-        for li in 0..NUM_POOL_LANES {
-            let n = r.len_of(10)?;
-            if n > MAX_OVERFLOW_TRACKED {
-                return Err(StateError("lane pool overflow count exceeds bound"));
-            }
-            self.far[li].clear();
-            let mut prev: Option<u64> = None;
-            for _ in 0..n {
-                let c = r.u64()?;
-                let u = r.u16()?;
-                if prev.is_some_and(|p| c <= p) {
-                    return Err(StateError("lane pool overflow cycles not ascending"));
-                }
-                if c < dense_end {
-                    return Err(StateError("lane pool overflow cycle inside dense span"));
-                }
-                if u == 0 || u > self.widths[li] {
-                    return Err(StateError("lane pool overflow usage out of range"));
-                }
-                self.far[li].insert(c, u);
-                prev = Some(c);
-            }
+        for (far, &width) in self.far.iter().zip(&self.widths) {
+            ensure(
+                far.len() <= MAX_OVERFLOW_TRACKED,
+                "lane pool overflow count exceeds bound",
+            )?;
+            ensure(
+                far.keys().all(|&c| c >= dense_end),
+                "lane pool overflow cycle inside dense span",
+            )?;
+            ensure(
+                far.values().all(|&u| u > 0 && u <= width),
+                "lane pool overflow usage out of range",
+            )?;
         }
         Ok(())
     }
@@ -695,8 +590,7 @@ impl LanePool {
     /// under the `simcheck` feature.
     #[cfg(feature = "simcheck")]
     pub fn check_conservation(&self) {
-        let start = self.head * NUM_POOL_LANES;
-        for (i, &u) in self.used[start..].iter().enumerate() {
+        for (i, &u) in self.dense.live().iter().enumerate() {
             let li = i % NUM_POOL_LANES;
             assert!(
                 u <= self.widths[li],
@@ -727,6 +621,54 @@ impl LanePool {
             "simcheck: lane pool: {} dense rows exceed the growth bound",
             self.live_rows()
         );
+    }
+}
+
+snap!(LanePool {
+    base: u64,
+    generation: u64,
+    lane_horizon: [u64; NUM_POOL_LANES],
+    dense: DenseWindow,
+    far: [BTreeMap<u64, u16>; NUM_POOL_LANES],
+} validate check_restored);
+
+/// The dense window of a [`LanePool`]: cycle-major per-lane counts, row
+/// `head + (c - base)` holding cycle `c`, lane-indexed within the row.
+#[derive(Debug, Clone, Default)]
+struct DenseWindow {
+    /// Dead rows at the front of `used` awaiting compaction.
+    head: usize,
+    /// Length is always a multiple of [`NUM_POOL_LANES`].
+    used: Vec<u16>,
+}
+
+impl DenseWindow {
+    fn live_rows(&self) -> usize {
+        self.used.len() / NUM_POOL_LANES - self.head
+    }
+
+    /// The counts of the live rows.
+    fn live(&self) -> &[u16] {
+        &self.used[self.head * NUM_POOL_LANES..]
+    }
+}
+
+/// Only the live rows travel: a row count, then their counts. Restoring
+/// compacts the window (no dead rows).
+impl Snap for DenseWindow {
+    const MIN_BYTES: usize = 8;
+
+    fn save(&self, w: &mut StateWriter) {
+        w.len_of(self.live_rows());
+        self.live().save(w);
+    }
+
+    fn restore(&mut self, r: &mut StateReader<'_>) -> StateResult<()> {
+        let rows = r.len_for::<[u16; NUM_POOL_LANES]>()?;
+        self.head = 0;
+        self.used.clear();
+        self.used.resize(rows * NUM_POOL_LANES, 0);
+        self.used[..].restore(r)
     }
 }
 
@@ -815,26 +757,12 @@ impl OccupancyRing {
         self.releases.clear();
     }
 
-    /// Serialises the outstanding release cycles for checkpointing.
-    pub fn save_state(&self, w: &mut StateWriter) {
-        w.len_of(self.releases.len());
-        for &c in &self.releases {
-            w.u64(c);
-        }
-    }
-
-    /// Restores state saved by [`OccupancyRing::save_state`] onto a freshly
-    /// constructed ring of the identical capacity.
-    pub fn restore_state(&mut self, r: &mut StateReader) -> StateResult<()> {
-        let n = r.len_of(8)?;
-        if n > self.capacity {
-            return Err(StateError("occupancy ring overfilled"));
-        }
-        self.releases.clear();
-        for _ in 0..n {
-            self.releases.push_back(r.u64()?);
-        }
-        Ok(())
+    /// Rejects a restored ring holding more entries than its capacity.
+    fn check_restored(&mut self) -> StateResult<()> {
+        ensure(
+            self.releases.len() <= self.capacity,
+            "occupancy ring overfilled",
+        )
     }
 
     /// Validates that the recorded release cycles are age-ordered
@@ -865,9 +793,12 @@ impl OccupancyRing {
     }
 }
 
+snap!(OccupancyRing { releases: VecDeque<u64> } validate check_restored);
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bebop_isa::{restore_snapshot, snapshot};
 
     #[test]
     fn slot_pool_respects_width() {
@@ -932,28 +863,6 @@ mod tests {
         // survive the migration so the next allocation spills past it.
         p.prune_below(far - 5);
         assert_eq!(p.allocate(far), far + 1);
-    }
-
-    #[test]
-    fn slot_pool_restore_rejects_absurd_horizons() {
-        use bebop_isa::StateWriter;
-        // Dense span beyond the bound.
-        let mut w = StateWriter::new();
-        w.u64(0);
-        w.len_of(MAX_DENSE_SPAN as usize + 1);
-        let bytes = w.finish();
-        let mut p = SlotPool::new(2);
-        assert!(p.restore_state(&mut StateReader::new(&bytes)).is_err());
-        // Overflow cycle claimed inside the dense span.
-        let mut w = StateWriter::new();
-        w.u64(100);
-        w.len_of(0);
-        w.len_of(1);
-        w.u64(150); // < base + MAX_DENSE_SPAN
-        w.u16(1);
-        let bytes = w.finish();
-        let mut p = SlotPool::new(2);
-        assert!(p.restore_state(&mut StateReader::new(&bytes)).is_err());
     }
 
     #[test]
@@ -1029,11 +938,9 @@ mod tests {
         p.allocate(Lane::Commit, 5 * MAX_DENSE_SPAN);
         p.prune_below(40);
         p.prune_lane_below(Lane::Commit, 60);
-        let mut w = StateWriter::new();
-        p.save_state(&mut w);
-        let bytes = w.finish();
+        let bytes = snapshot(&p);
         let mut q = LanePool::new(widths());
-        q.restore_state(&mut StateReader::new(&bytes)).unwrap();
+        restore_snapshot(&mut q, &bytes).unwrap();
         assert_eq!(q.generation(), p.generation());
         assert_eq!(q.tracked_cycles(), p.tracked_cycles());
         // Identical future behaviour.
@@ -1054,7 +961,11 @@ mod tests {
         w.len_of(MAX_DENSE_SPAN as usize + 1);
         let bytes = w.finish();
         let mut p = LanePool::new(widths());
-        assert!(p.restore_state(&mut StateReader::new(&bytes)).is_err());
+        assert!(restore_snapshot(&mut p, &bytes).is_err());
+        // An overflow cycle claimed inside the dense span.
+        let mut q = LanePool::new(widths());
+        q.far[Lane::Commit as usize] = [(150, 1)].into_iter().collect();
+        assert!(restore_snapshot(&mut p, &snapshot(&q)).is_err());
     }
 
     #[test]

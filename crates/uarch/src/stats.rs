@@ -2,7 +2,7 @@
 
 use crate::branch::BranchStats;
 use crate::cache::MemStats;
-use bebop_isa::{StateReader, StateResult, StateWriter};
+use bebop_isa::snap;
 
 /// Value-prediction statistics collected at commit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -310,95 +310,49 @@ impl SimStats {
             contexts,
         }
     }
-
-    /// Serialises every counter for checkpointing.
-    pub fn save_state(&self, w: &mut StateWriter) {
-        w.u64(self.uops);
-        w.u64(self.insts);
-        w.u64(self.cycles);
-        w.u64(self.branch_flushes);
-        w.u64(self.vp_flushes);
-        w.u64(self.branch.cond_branches);
-        w.u64(self.branch.cond_mispredicts);
-        w.u64(self.branch.target_mispredicts);
-        w.u64(self.mem.l1d_accesses);
-        w.u64(self.mem.l1d_misses);
-        w.u64(self.mem.l2_accesses);
-        w.u64(self.mem.l2_misses);
-        w.u64(self.mem.prefetches);
-        save_vp(w, &self.vp);
-        w.u64(self.eole.early_executed);
-        w.u64(self.eole.late_executed);
-        w.u64(self.eole.ooo_executed);
-        w.u64(self.wrong_path.bursts);
-        w.u64(self.wrong_path.fetched);
-        w.u64(self.wrong_path.executed);
-        w.u64(self.wrong_path.vp_predictions);
-        w.u64(self.wrong_path.vp_trains);
-        w.u64(self.wrong_path.pollution_mispredicts);
-        w.u64(self.context_switches);
-        for c in &self.contexts {
-            w.u64(c.uops);
-            w.u64(c.insts);
-            w.u64(c.branch_flushes);
-            w.u64(c.vp_flushes);
-            save_vp(w, &c.vp);
-        }
-    }
-
-    /// Restores counters saved by [`SimStats::save_state`].
-    pub fn restore_state(&mut self, r: &mut StateReader) -> StateResult<()> {
-        self.uops = r.u64()?;
-        self.insts = r.u64()?;
-        self.cycles = r.u64()?;
-        self.branch_flushes = r.u64()?;
-        self.vp_flushes = r.u64()?;
-        self.branch.cond_branches = r.u64()?;
-        self.branch.cond_mispredicts = r.u64()?;
-        self.branch.target_mispredicts = r.u64()?;
-        self.mem.l1d_accesses = r.u64()?;
-        self.mem.l1d_misses = r.u64()?;
-        self.mem.l2_accesses = r.u64()?;
-        self.mem.l2_misses = r.u64()?;
-        self.mem.prefetches = r.u64()?;
-        restore_vp(r, &mut self.vp)?;
-        self.eole.early_executed = r.u64()?;
-        self.eole.late_executed = r.u64()?;
-        self.eole.ooo_executed = r.u64()?;
-        self.wrong_path.bursts = r.u64()?;
-        self.wrong_path.fetched = r.u64()?;
-        self.wrong_path.executed = r.u64()?;
-        self.wrong_path.vp_predictions = r.u64()?;
-        self.wrong_path.vp_trains = r.u64()?;
-        self.wrong_path.pollution_mispredicts = r.u64()?;
-        self.context_switches = r.u64()?;
-        for c in self.contexts.iter_mut() {
-            c.uops = r.u64()?;
-            c.insts = r.u64()?;
-            c.branch_flushes = r.u64()?;
-            c.vp_flushes = r.u64()?;
-            restore_vp(r, &mut c.vp)?;
-        }
-        Ok(())
-    }
 }
 
-fn save_vp(w: &mut StateWriter, v: &VpStats) {
-    w.u64(v.eligible);
-    w.u64(v.predicted);
-    w.u64(v.correct);
-    w.u64(v.incorrect);
-    w.u64(v.free_load_immediates);
-}
-
-fn restore_vp(r: &mut StateReader, v: &mut VpStats) -> StateResult<()> {
-    v.eligible = r.u64()?;
-    v.predicted = r.u64()?;
-    v.correct = r.u64()?;
-    v.incorrect = r.u64()?;
-    v.free_load_immediates = r.u64()?;
-    Ok(())
-}
+snap!(VpStats {
+    eligible: u64,
+    predicted: u64,
+    correct: u64,
+    incorrect: u64,
+    free_load_immediates: u64,
+});
+snap!(WrongPathStats {
+    bursts: u64,
+    fetched: u64,
+    executed: u64,
+    vp_predictions: u64,
+    vp_trains: u64,
+    pollution_mispredicts: u64,
+});
+snap!(ContextStats {
+    uops: u64,
+    insts: u64,
+    branch_flushes: u64,
+    vp_flushes: u64,
+    vp: VpStats,
+});
+snap!(EoleStats {
+    early_executed: u64,
+    late_executed: u64,
+    ooo_executed: u64,
+});
+snap!(SimStats {
+    uops: u64,
+    insts: u64,
+    cycles: u64,
+    branch_flushes: u64,
+    vp_flushes: u64,
+    branch: BranchStats,
+    mem: MemStats,
+    vp: VpStats,
+    eole: EoleStats,
+    wrong_path: WrongPathStats,
+    context_switches: u64,
+    contexts: [ContextStats; MAX_SIM_CONTEXTS],
+});
 
 /// The geometric mean of a slice of speedups (the aggregate the paper reports).
 ///

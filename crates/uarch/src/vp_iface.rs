@@ -13,7 +13,7 @@
 //! 3. [`ValuePredictor::squash`] when the pipeline flushes (branch misprediction or
 //!    value misprediction at commit), so speculative predictor state can roll back.
 
-use bebop_isa::{DynUop, SeqNum};
+use bebop_isa::{restore_snapshot, snap, snap_enum, DynUop, SeqNum, Snap};
 use std::fmt::Debug;
 
 /// Front-end context available when a prediction is made.
@@ -36,16 +36,17 @@ pub struct PredictCtx {
 }
 
 /// Why the pipeline flushed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SquashCause {
     /// A branch misprediction detected at execute.
+    #[default]
     BranchMispredict,
     /// A value misprediction detected at commit-time validation.
     ValueMispredict,
 }
 
 /// Description of a pipeline flush, passed to [`ValuePredictor::squash`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SquashInfo {
     /// Sequence number of the µ-op that triggered the flush (`Iflush` in the
     /// paper); all strictly younger µ-ops are squashed.
@@ -61,6 +62,18 @@ pub struct SquashInfo {
     /// re-derive the context-folded block keys of `flush_pc`/`next_pc`.
     pub asid: u8,
 }
+
+snap_enum!(SquashCause {
+    BranchMispredict = 0,
+    ValueMispredict = 1,
+} else "invalid squash cause byte");
+snap!(SquashInfo {
+    flush_seq: u64,
+    flush_pc: u64,
+    next_pc: u64,
+    cause: SquashCause,
+    asid: u8,
+});
 
 /// A value predictor as seen by the pipeline.
 pub trait ValuePredictor: Debug {
@@ -108,8 +121,11 @@ pub trait ValuePredictor: Debug {
     ///
     /// The payload is restored onto a freshly constructed predictor of the
     /// identical configuration via [`ValuePredictor::restore_state`], after
-    /// which the pair must behave bit-identically to the original. Stateless
-    /// predictors (the default) return an empty payload.
+    /// which the pair must behave bit-identically to the original. Stateful
+    /// predictors state their layout once as a [`Snap`] field list
+    /// (`bebop_isa::snap!`) and implement this as
+    /// [`bebop_isa::snapshot`]`(self)`; stateless predictors (the default)
+    /// return an empty payload.
     fn save_state(&self) -> Vec<u8> {
         Vec::new()
     }
@@ -119,8 +135,10 @@ pub trait ValuePredictor: Debug {
     ///
     /// Implementations must reject (return `Err`) rather than panic on a
     /// truncated, corrupt or mismatched payload, leaving the caller free to
-    /// discard the checkpoint and fall back to a from-zero run. The default
-    /// accepts only the empty payload the default `save_state` produces.
+    /// discard the checkpoint and fall back to a from-zero run; the [`Snap`]
+    /// codec guarantees that, so stateful predictors delegate to
+    /// [`restore_predictor`]. The default accepts only the empty payload the
+    /// default `save_state` produces.
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), String> {
         if bytes.is_empty() {
             Ok(())
@@ -132,6 +150,13 @@ pub trait ValuePredictor: Debug {
             ))
         }
     }
+}
+
+/// [`ValuePredictor::restore_state`] for a predictor whose state is one
+/// [`Snap`] layout: decodes the whole payload onto `p`, naming the predictor
+/// in the error.
+pub fn restore_predictor<P: ValuePredictor + Snap>(p: &mut P, bytes: &[u8]) -> Result<(), String> {
+    restore_snapshot(p, bytes).map_err(|e| format!("{}: {e}", p.name()))
 }
 
 /// A predictor that never predicts: plugging it in yields the baseline pipeline.

@@ -11,8 +11,8 @@
 
 use crate::fpc::{ForwardProbabilisticCounter, FpcParams};
 use crate::{fold_history, inst_key, CompParams, Lfsr, MAX_TAGGED};
-use bebop_isa::{DynUop, SeqNum, StateError, StateReader, StateResult, StateWriter};
-use bebop_uarch::{PredictCtx, SquashInfo, ValuePredictor};
+use bebop_isa::{ensure, in_program_order, snap, snapshot, DynUop, SeqNum, StateResult};
+use bebop_uarch::{restore_predictor, PredictCtx, SquashInfo, ValuePredictor};
 use std::collections::VecDeque;
 
 /// Configuration of an instruction-based D-VTAGE predictor.
@@ -112,7 +112,7 @@ struct TaggedEntry {
 }
 
 /// Prediction-time information carried to retirement.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Inflight {
     base_index: usize,
     lvt_hit: bool,
@@ -400,145 +400,78 @@ impl DVtage {
         }
     }
 
-    fn save_state_impl(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.len_of(self.lvt.len());
-        for e in &self.lvt {
-            w.bool(e.valid);
-            w.u16(e.tag);
-            w.u64(e.last);
-            w.u64(e.spec_last);
-            w.u32(e.spec_inflight);
+    /// Clamps restored confidence levels to the configured saturation and
+    /// rejects in-flight records out of program order or indexing outside
+    /// the tables.
+    fn check_restored(&mut self) -> StateResult<()> {
+        let fpc = &self.cfg.fpc;
+        for e in &mut self.vt0 {
+            e.conf.set_level(e.conf.level(), fpc);
         }
-        w.len_of(self.vt0.len());
-        for e in &self.vt0 {
-            w.i64(e.stride);
-            w.u8(e.conf.level());
+        for e in self.tagged.iter_mut().flatten() {
+            e.conf.set_level(e.conf.level(), fpc);
         }
-        w.len_of(self.tagged.len());
-        for comp in &self.tagged {
-            w.len_of(comp.len());
-            for e in comp {
-                w.bool(e.valid);
-                w.u16(e.tag);
-                w.i64(e.stride);
-                w.u8(e.conf.level());
-                w.bool(e.useful);
-            }
+        ensure(
+            in_program_order(self.inflight.iter().map(|&(seq, _)| seq), false),
+            "D-VTAGE in-flight records out of order",
+        )?;
+        for (_, info) in &self.inflight {
+            ensure(
+                info.base_index < self.lvt.len(),
+                "D-VTAGE in-flight base index out of range",
+            )?;
+            ensure(
+                info.provider.map_or(true, |(c, i)| {
+                    c < self.tagged.len() && i < self.tagged[c].len()
+                }),
+                "D-VTAGE in-flight provider out of range",
+            )?;
+            ensure(
+                info.slots
+                    .iter()
+                    .zip(&self.tagged)
+                    .all(|(&(idx, _), comp)| idx < comp.len()),
+                "D-VTAGE in-flight slot index out of range",
+            )?;
         }
-        w.len_of(self.inflight.len());
-        for &(seq, ref info) in &self.inflight {
-            w.u64(seq);
-            w.u64(info.base_index as u64);
-            w.bool(info.lvt_hit);
-            match info.provider {
-                Some((c, i)) => {
-                    w.bool(true);
-                    w.u64(c as u64);
-                    w.u64(i as u64);
-                }
-                None => w.bool(false),
-            }
-            for &(idx, tag) in &info.slots {
-                w.u64(idx as u64);
-                w.u16(tag);
-            }
-            w.opt_u64(info.prediction);
-            w.i64(info.alt_stride);
-        }
-        w.u64(self.rng.state());
-        w.u64(self.updates);
-        w.finish()
-    }
-
-    fn restore_state_impl(&mut self, r: &mut StateReader) -> StateResult<()> {
-        if r.len_of(23)? != self.lvt.len() {
-            return Err(StateError("D-VTAGE LVT size mismatch"));
-        }
-        for e in self.lvt.iter_mut() {
-            e.valid = r.bool()?;
-            e.tag = r.u16()?;
-            e.last = r.u64()?;
-            e.spec_last = r.u64()?;
-            e.spec_inflight = r.u32()?;
-        }
-        if r.len_of(9)? != self.vt0.len() {
-            return Err(StateError("D-VTAGE VT0 size mismatch"));
-        }
-        let fpc = self.cfg.fpc.clone();
-        for e in self.vt0.iter_mut() {
-            e.stride = r.i64()?;
-            let level = r.u8()?;
-            e.conf.set_level(level, &fpc);
-        }
-        if r.len_of(13)? != self.tagged.len() {
-            return Err(StateError("D-VTAGE tagged component count mismatch"));
-        }
-        for comp in self.tagged.iter_mut() {
-            if r.len_of(13)? != comp.len() {
-                return Err(StateError("D-VTAGE tagged component size mismatch"));
-            }
-            for e in comp.iter_mut() {
-                e.valid = r.bool()?;
-                e.tag = r.u16()?;
-                e.stride = r.i64()?;
-                let level = r.u8()?;
-                e.conf.set_level(level, &fpc);
-                e.useful = r.bool()?;
-            }
-        }
-        let n = r.len_of(40)?;
-        self.inflight.clear();
-        let mut last_seq = None;
-        for _ in 0..n {
-            let seq = r.u64()?;
-            if last_seq.is_some_and(|p| seq < p) {
-                return Err(StateError("D-VTAGE in-flight records out of order"));
-            }
-            last_seq = Some(seq);
-            let base_index = r.u64()? as usize;
-            if base_index >= self.lvt.len() {
-                return Err(StateError("D-VTAGE in-flight base index out of range"));
-            }
-            let lvt_hit = r.bool()?;
-            let provider = if r.bool()? {
-                let c = r.u64()? as usize;
-                let i = r.u64()? as usize;
-                if c >= self.tagged.len() || i >= self.tagged[c].len() {
-                    return Err(StateError("D-VTAGE in-flight provider out of range"));
-                }
-                Some((c, i))
-            } else {
-                None
-            };
-            let mut slots = [(0usize, 0u16); MAX_TAGGED];
-            for slot in slots.iter_mut() {
-                *slot = (r.u64()? as usize, r.u16()?);
-            }
-            for (c, &(idx, _)) in slots.iter().enumerate().take(self.cfg.num_tagged) {
-                if idx >= self.tagged[c].len() {
-                    return Err(StateError("D-VTAGE in-flight slot index out of range"));
-                }
-            }
-            let prediction = r.opt_u64()?;
-            let alt_stride = r.i64()?;
-            self.inflight.push_back((
-                seq,
-                Inflight {
-                    base_index,
-                    lvt_hit,
-                    provider,
-                    slots,
-                    prediction,
-                    alt_stride,
-                },
-            ));
-        }
-        self.rng.set_state(r.u64()?);
-        self.updates = r.u64()?;
-        r.expect_done()
+        Ok(())
     }
 }
+
+snap!(LvtEntry {
+    valid: bool,
+    tag: u16,
+    last: u64,
+    spec_last: u64,
+    spec_inflight: u32,
+});
+snap!(Vt0Entry {
+    stride: i64,
+    conf: ForwardProbabilisticCounter
+});
+snap!(TaggedEntry {
+    valid: bool,
+    tag: u16,
+    stride: i64,
+    conf: ForwardProbabilisticCounter,
+    useful: bool,
+});
+snap!(Inflight {
+    base_index: usize,
+    lvt_hit: bool,
+    provider: Option<(usize, usize)>,
+    slots: [(usize, u16); MAX_TAGGED],
+    prediction: Option<u64>,
+    alt_stride: i64,
+});
+snap!(DVtage {
+    lvt: Vec<LvtEntry>,
+    vt0: Vec<Vt0Entry>,
+    tagged: Vec<Vec<TaggedEntry>>,
+    inflight: VecDeque<(SeqNum, Inflight)>,
+    rng: Lfsr,
+    updates: u64,
+} validate check_restored);
 
 impl ValuePredictor for DVtage {
     fn name(&self) -> &str {
@@ -620,12 +553,11 @@ impl ValuePredictor for DVtage {
     }
 
     fn save_state(&self) -> Vec<u8> {
-        self.save_state_impl()
+        snapshot(self)
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        self.restore_state_impl(&mut StateReader::new(bytes))
-            .map_err(|e| format!("D-VTAGE: {e}"))
+        restore_predictor(self, bytes)
     }
 }
 

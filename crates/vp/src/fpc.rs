@@ -7,6 +7,7 @@
 //! per entry. A prediction is used only when the counter is saturated.
 
 use crate::Lfsr;
+use bebop_isa::snap;
 
 /// The forward probabilities of an FPC: `probs[i]` is the denominator `d` of the
 /// probability `1/d` of moving from confidence `i` to `i + 1` on a correct
@@ -107,6 +108,10 @@ impl ForwardProbabilisticCounter {
         self.level = level.min(params.max_level());
     }
 }
+
+// The raw level: restoring components clamp it to their configured
+// saturation level.
+snap!(ForwardProbabilisticCounter { level: u8 });
 
 #[cfg(test)]
 mod tests {

@@ -8,29 +8,32 @@
 use crate::stride::TwoDeltaStridePredictor;
 use crate::vtage::Vtage;
 use crate::FpcParams;
-use bebop_isa::{DynUop, StateReader, StateWriter};
-use bebop_uarch::{PredictCtx, SquashInfo, ValuePredictor};
+use bebop_isa::{snap, snapshot, DynUop, Nested};
+use bebop_uarch::{restore_predictor, PredictCtx, SquashInfo, ValuePredictor};
 
 /// A side-by-side hybrid of [`Vtage`] and [`TwoDeltaStridePredictor`].
 #[derive(Debug, Clone)]
 pub struct VtageStrideHybrid {
-    vtage: Vtage,
-    stride: TwoDeltaStridePredictor,
+    vtage: Nested<Vtage>,
+    stride: Nested<TwoDeltaStridePredictor>,
 }
 
 impl VtageStrideHybrid {
     /// Builds the hybrid from explicit components.
     pub fn new(vtage: Vtage, stride: TwoDeltaStridePredictor) -> Self {
-        VtageStrideHybrid { vtage, stride }
+        VtageStrideHybrid {
+            vtage: Nested(vtage),
+            stride: Nested(stride),
+        }
     }
 
     /// The Figure 5a configuration: a default VTAGE next to an 8K-entry 2-delta
     /// stride predictor.
     pub fn default_config() -> Self {
-        VtageStrideHybrid {
-            vtage: Vtage::default_config(),
-            stride: TwoDeltaStridePredictor::new(13, 8, FpcParams::paper_default()),
-        }
+        VtageStrideHybrid::new(
+            Vtage::default_config(),
+            TwoDeltaStridePredictor::new(13, 8, FpcParams::paper_default()),
+        )
     }
 }
 
@@ -72,28 +75,18 @@ impl ValuePredictor for VtageStrideHybrid {
     }
 
     fn save_state(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.nested(&self.vtage.save_state());
-        w.nested(&self.stride.save_state());
-        w.finish()
+        snapshot(self)
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = StateReader::new(bytes);
-        let vtage_bytes = r
-            .nested()
-            .map_err(|e| format!("VTAGE-2d-Stride: {e}"))?
-            .to_vec();
-        let stride_bytes = r
-            .nested()
-            .map_err(|e| format!("VTAGE-2d-Stride: {e}"))?
-            .to_vec();
-        r.expect_done()
-            .map_err(|e| format!("VTAGE-2d-Stride: {e}"))?;
-        self.vtage.restore_state(&vtage_bytes)?;
-        self.stride.restore_state(&stride_bytes)
+        restore_predictor(self, bytes)
     }
 }
+
+snap!(VtageStrideHybrid {
+    vtage: Nested<Vtage>,
+    stride: Nested<TwoDeltaStridePredictor>,
+});
 
 #[cfg(test)]
 mod tests {

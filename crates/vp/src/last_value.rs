@@ -3,8 +3,8 @@
 
 use crate::fpc::{ForwardProbabilisticCounter, FpcParams};
 use crate::{inst_key, Lfsr};
-use bebop_isa::{DynUop, StateError, StateReader, StateResult, StateWriter};
-use bebop_uarch::{PredictCtx, ValuePredictor};
+use bebop_isa::{snap, snapshot, DynUop, StateResult};
+use bebop_uarch::{restore_predictor, PredictCtx, ValuePredictor};
 
 #[derive(Debug, Clone, Copy, Default)]
 struct LvpEntry {
@@ -49,22 +49,22 @@ impl LastValuePredictor {
         (((key >> 1) >> self.index_mask.count_ones()) & ((1 << self.tag_bits) - 1)) as u16
     }
 
-    fn restore_impl(&mut self, r: &mut StateReader) -> StateResult<()> {
-        if r.len_of(12)? != self.entries.len() {
-            return Err(StateError("LVP table size mismatch"));
+    /// Clamps restored confidence levels to the configured saturation.
+    fn check_restored(&mut self) -> StateResult<()> {
+        for e in &mut self.entries {
+            e.conf.set_level(e.conf.level(), &self.params);
         }
-        let params = self.params.clone();
-        for e in self.entries.iter_mut() {
-            e.valid = r.bool()?;
-            e.tag = r.u16()?;
-            e.value = r.u64()?;
-            let level = r.u8()?;
-            e.conf.set_level(level, &params);
-        }
-        self.rng.set_state(r.u64()?);
-        r.expect_done()
+        Ok(())
     }
 }
+
+snap!(LvpEntry {
+    valid: bool,
+    tag: u16,
+    value: u64,
+    conf: ForwardProbabilisticCounter,
+});
+snap!(LastValuePredictor { entries: Vec<LvpEntry>, rng: Lfsr } validate check_restored);
 
 impl ValuePredictor for LastValuePredictor {
     fn name(&self) -> &str {
@@ -116,21 +116,11 @@ impl ValuePredictor for LastValuePredictor {
     }
 
     fn save_state(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.len_of(self.entries.len());
-        for e in &self.entries {
-            w.bool(e.valid);
-            w.u16(e.tag);
-            w.u64(e.value);
-            w.u8(e.conf.level());
-        }
-        w.u64(self.rng.state());
-        w.finish()
+        snapshot(self)
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        self.restore_impl(&mut StateReader::new(bytes))
-            .map_err(|e| format!("LVP: {e}"))
+        restore_predictor(self, bytes)
     }
 }
 

@@ -55,7 +55,7 @@ pub use sharded::{ShardCounters, ShardedTable};
 pub use stride::{StridePredictor, TwoDeltaStridePredictor};
 pub use vtage::{Vtage, VtageConfig};
 
-use bebop_isa::DynUop;
+use bebop_isa::{snap, DynUop, StateResult};
 
 /// The maximum number of tagged components supported by the precomputed lookup
 /// pass of the TAGE-like predictors (the paper uses 6).
@@ -131,17 +131,13 @@ impl Lfsr {
         Lfsr { state: seed | 1 }
     }
 
-    /// The raw generator state, for checkpointing.
-    pub(crate) fn state(&self) -> u64 {
-        self.state
-    }
-
-    /// Overwrites the generator state with a checkpointed value. A running
-    /// xorshift state is never zero but may well be even, so only zero (a
-    /// corrupt or hand-built checkpoint) is coerced — forcing the low bit
-    /// here would silently perturb every second restored generator.
-    pub(crate) fn set_state(&mut self, state: u64) {
-        self.state = if state == 0 { 1 } else { state };
+    /// Normalises a restored state. A running xorshift state is never zero
+    /// but may well be even, so only zero (a corrupt or hand-built
+    /// checkpoint) is coerced — forcing the low bit here would silently
+    /// perturb every second restored generator.
+    fn check_restored(&mut self) -> StateResult<()> {
+        self.state = self.state.max(1);
+        Ok(())
     }
 
     pub(crate) fn next(&mut self) -> u64 {
@@ -162,9 +158,12 @@ impl Lfsr {
     }
 }
 
+snap!(Lfsr { state: u64 } validate check_restored);
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bebop_isa::{restore_snapshot, snapshot};
     use bebop_isa::{ArchReg, Uop, UopKind};
 
     #[test]
@@ -198,19 +197,19 @@ mod tests {
         let mut seen_even = false;
         for _ in 0..64 {
             a.next();
-            let saved = a.state();
+            let saved = a.state;
             seen_even |= saved % 2 == 0;
             let mut b = Lfsr::new(1);
-            b.set_state(saved);
-            assert_eq!(b.state(), saved);
+            restore_snapshot(&mut b, &snapshot(&a)).unwrap();
+            assert_eq!(b.state, saved);
             assert_eq!(a.next(), b.next());
         }
         assert!(seen_even, "the walk never exercised an even state");
         // Zero (never produced by a healthy generator) is still coerced to a
         // usable state rather than wedging the generator.
         let mut z = Lfsr::new(1);
-        z.set_state(0);
-        assert_ne!(z.state(), 0);
+        restore_snapshot(&mut z, &snapshot(&0u64)).unwrap();
+        assert_ne!(z.state, 0);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! shard range, which is exactly a sub-slice of flat indices (see
 //! `BlockDVtage`'s policy-aware index mapping in the `bebop` core crate).
 
-use bebop_isa::{StateError, StateReader, StateResult, StateWriter};
+use bebop_isa::{snap, Snap};
 
 /// Owner marker for a slot nobody has written yet.
 const NO_OWNER: u8 = u8::MAX;
@@ -208,69 +208,17 @@ impl<T: Clone> ShardedTable<T> {
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
         self.data.iter_mut()
     }
-
-    /// Serialises the table's mutable state (entries, ownership map,
-    /// occupancy/steal counters); `save_entry` encodes one `T`. Geometry
-    /// (shard count, slot mapping) is derived from configuration and not
-    /// written: a restore targets a freshly built table of identical shape.
-    pub fn save_state_with(
-        &self,
-        w: &mut StateWriter,
-        mut save_entry: impl FnMut(&mut StateWriter, &T),
-    ) {
-        w.len_of(self.data.len());
-        for e in &self.data {
-            save_entry(w, e);
-        }
-        w.len_of(self.owners.len());
-        for &o in &self.owners {
-            w.u8(o);
-        }
-        w.len_of(self.occupancy.len());
-        for &v in &self.occupancy {
-            w.u64(v);
-        }
-        for &v in &self.steals {
-            w.u64(v);
-        }
-    }
-
-    /// Restores state written by [`ShardedTable::save_state_with`] onto a
-    /// table of identical geometry. `min_entry_bytes` is the smallest
-    /// possible encoding of one `T` (used to bound the length prefix before
-    /// allocating); `restore_entry` decodes one `T` in place. Any structural
-    /// mismatch is reported as an error, never a panic, so callers can
-    /// discard a stale checkpoint and fall back to a fresh run.
-    pub fn restore_state_with(
-        &mut self,
-        r: &mut StateReader,
-        min_entry_bytes: usize,
-        mut restore_entry: impl FnMut(&mut StateReader, &mut T) -> StateResult<()>,
-    ) -> StateResult<()> {
-        if r.len_of(min_entry_bytes)? != self.data.len() {
-            return Err(StateError("sharded table size mismatch"));
-        }
-        for e in self.data.iter_mut() {
-            restore_entry(r, e)?;
-        }
-        if r.len_of(1)? != self.owners.len() {
-            return Err(StateError("sharded table owner map size mismatch"));
-        }
-        for o in self.owners.iter_mut() {
-            *o = r.u8()?;
-        }
-        if r.len_of(16)? != self.occupancy.len() {
-            return Err(StateError("sharded table shard count mismatch"));
-        }
-        for v in self.occupancy.iter_mut() {
-            *v = r.u64()?;
-        }
-        for v in self.steals.iter_mut() {
-            *v = r.u64()?;
-        }
-        Ok(())
-    }
 }
+
+// Entries, ownership map and per-shard counters; the geometry (shard count,
+// slot mapping) is configuration, so a restore targets a freshly built table
+// of identical shape. The steal counters share the occupancy length prefix.
+snap!(impl[T: Snap] ShardedTable<T> {
+    data: Vec<T>,
+    owners: Vec<u8>,
+    occupancy: Vec<u64>,
+    steals: [u64],
+});
 
 #[cfg(test)]
 mod tests {

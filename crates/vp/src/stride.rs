@@ -10,8 +10,8 @@
 
 use crate::fpc::{ForwardProbabilisticCounter, FpcParams};
 use crate::{inst_key, Lfsr};
-use bebop_isa::{DynUop, SeqNum, StateError, StateReader, StateResult, StateWriter};
-use bebop_uarch::{PredictCtx, SquashInfo, ValuePredictor};
+use bebop_isa::{ensure, in_program_order, snap, snapshot, DynUop, SeqNum, StateResult};
+use bebop_uarch::{restore_predictor, PredictCtx, SquashInfo, ValuePredictor};
 use std::collections::VecDeque;
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -196,59 +196,16 @@ impl StrideCore {
         self.entries.len() as u64 * per
     }
 
-    fn save_state_impl(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.len_of(self.entries.len());
-        for e in &self.entries {
-            w.bool(e.valid);
-            w.u16(e.tag);
-            w.u64(e.last);
-            w.i64(e.stride);
-            w.i64(e.last_delta);
-            w.u8(e.conf.level());
-            w.u64(e.spec_last);
-            w.u32(e.spec_inflight);
+    /// Clamps restored confidence levels to the configured saturation and
+    /// rejects in-flight records out of program order.
+    fn check_restored(&mut self) -> StateResult<()> {
+        for e in &mut self.entries {
+            e.conf.set_level(e.conf.level(), &self.params);
         }
-        w.u64(self.rng.state());
-        w.len_of(self.inflight.len());
-        for &(seq, pred) in &self.inflight {
-            w.u64(seq);
-            w.u64(pred);
-        }
-        w.finish()
-    }
-
-    fn restore_state_impl(&mut self, bytes: &[u8]) -> StateResult<()> {
-        let mut r = StateReader::new(bytes);
-        if r.len_of(40)? != self.entries.len() {
-            return Err(StateError("stride table size mismatch"));
-        }
-        let params = self.params.clone();
-        for e in self.entries.iter_mut() {
-            e.valid = r.bool()?;
-            e.tag = r.u16()?;
-            e.last = r.u64()?;
-            e.stride = r.i64()?;
-            e.last_delta = r.i64()?;
-            let level = r.u8()?;
-            e.conf.set_level(level, &params);
-            e.spec_last = r.u64()?;
-            e.spec_inflight = r.u32()?;
-        }
-        self.rng.set_state(r.u64()?);
-        let n = r.len_of(16)?;
-        self.inflight.clear();
-        let mut prev: Option<SeqNum> = None;
-        for _ in 0..n {
-            let seq = r.u64()?;
-            let pred = r.u64()?;
-            if prev.is_some_and(|p| p > seq) {
-                return Err(StateError("stride in-flight records out of order"));
-            }
-            prev = Some(seq);
-            self.inflight.push_back((seq, pred));
-        }
-        r.expect_done()
+        ensure(
+            in_program_order(self.inflight.iter().map(|&(seq, _)| seq), false),
+            "stride in-flight records out of order",
+        )
     }
 
     /// Validates that the in-flight record deque is in program order, the
@@ -267,6 +224,22 @@ impl StrideCore {
         }
     }
 }
+
+snap!(StrideEntry {
+    valid: bool,
+    tag: u16,
+    last: u64,
+    stride: i64,
+    last_delta: i64,
+    conf: ForwardProbabilisticCounter,
+    spec_last: u64,
+    spec_inflight: u32,
+});
+snap!(StrideCore {
+    entries: Vec<StrideEntry>,
+    rng: Lfsr,
+    inflight: VecDeque<(SeqNum, u64)>,
+} validate check_restored);
 
 /// The baseline Stride predictor: predicts `last value + stride` where the stride
 /// is the most recently observed delta.
@@ -315,15 +288,15 @@ impl ValuePredictor for StridePredictor {
     }
 
     fn save_state(&self) -> Vec<u8> {
-        self.core.save_state_impl()
+        snapshot(self)
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        self.core
-            .restore_state_impl(bytes)
-            .map_err(|e| format!("Stride: {e}"))
+        restore_predictor(self, bytes)
     }
 }
+
+snap!(StridePredictor { core: StrideCore });
 
 /// The 2-delta Stride predictor: the prediction stride is only updated once the
 /// same delta has been observed twice in a row, filtering out one-off breaks in a
@@ -373,15 +346,15 @@ impl ValuePredictor for TwoDeltaStridePredictor {
     }
 
     fn save_state(&self) -> Vec<u8> {
-        self.core.save_state_impl()
+        snapshot(self)
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        self.core
-            .restore_state_impl(bytes)
-            .map_err(|e| format!("2d-Stride: {e}"))
+        restore_predictor(self, bytes)
     }
 }
+
+snap!(TwoDeltaStridePredictor { core: StrideCore });
 
 #[cfg(test)]
 mod tests {

@@ -10,8 +10,8 @@
 
 use crate::fpc::{ForwardProbabilisticCounter, FpcParams};
 use crate::{fold_history, inst_key, CompParams, Lfsr, MAX_TAGGED};
-use bebop_isa::{DynUop, SeqNum, StateError, StateReader, StateResult, StateWriter};
-use bebop_uarch::{PredictCtx, SquashInfo, ValuePredictor};
+use bebop_isa::{ensure, in_program_order, snap, snapshot, DynUop, SeqNum, StateResult};
+use bebop_uarch::{restore_predictor, PredictCtx, SquashInfo, ValuePredictor};
 use std::collections::VecDeque;
 
 /// Configuration of a VTAGE predictor.
@@ -86,7 +86,7 @@ struct TaggedEntry {
 
 /// Prediction-time information remembered until retirement (the role the FIFO
 /// update queue plays in hardware).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Inflight {
     /// Provider component (`None` = base) and its index.
     provider: Option<(usize, usize)>,
@@ -275,124 +275,69 @@ impl Vtage {
         }
     }
 
-    fn save_state_impl(&self) -> Vec<u8> {
-        let mut w = StateWriter::new();
-        w.len_of(self.base.len());
-        for e in &self.base {
-            w.u64(e.value);
-            w.u8(e.conf.level());
+    /// Clamps restored confidence levels to the configured saturation and
+    /// rejects in-flight records out of program order or indexing outside
+    /// the tables.
+    fn check_restored(&mut self) -> StateResult<()> {
+        let fpc = &self.cfg.fpc;
+        for e in &mut self.base {
+            e.conf.set_level(e.conf.level(), fpc);
         }
-        w.len_of(self.tagged.len());
-        for comp in &self.tagged {
-            w.len_of(comp.len());
-            for e in comp {
-                w.bool(e.valid);
-                w.u16(e.tag);
-                w.u64(e.value);
-                w.u8(e.conf.level());
-                w.bool(e.useful);
-            }
+        for e in self.tagged.iter_mut().flatten() {
+            e.conf.set_level(e.conf.level(), fpc);
         }
-        w.len_of(self.inflight.len());
-        for &(seq, ref info) in &self.inflight {
-            w.u64(seq);
-            match info.provider {
-                Some((c, i)) => {
-                    w.bool(true);
-                    w.u64(c as u64);
-                    w.u64(i as u64);
-                }
-                None => w.bool(false),
-            }
-            w.u64(info.base_index as u64);
-            for &(idx, tag) in &info.slots {
-                w.u64(idx as u64);
-                w.u16(tag);
-            }
-            w.u64(info.prediction);
-            w.u64(info.alt_prediction);
+        ensure(
+            in_program_order(self.inflight.iter().map(|&(seq, _)| seq), false),
+            "VTAGE in-flight records out of order",
+        )?;
+        for (_, info) in &self.inflight {
+            ensure(
+                info.provider.map_or(true, |(c, i)| {
+                    c < self.tagged.len() && i < self.tagged[c].len()
+                }),
+                "VTAGE in-flight provider out of range",
+            )?;
+            ensure(
+                info.base_index < self.base.len(),
+                "VTAGE in-flight base index out of range",
+            )?;
+            ensure(
+                info.slots
+                    .iter()
+                    .zip(&self.tagged)
+                    .all(|(&(idx, _), comp)| idx < comp.len()),
+                "VTAGE in-flight slot index out of range",
+            )?;
         }
-        w.u64(self.rng.state());
-        w.u64(self.updates);
-        w.finish()
-    }
-
-    fn restore_state_impl(&mut self, r: &mut StateReader) -> StateResult<()> {
-        if r.len_of(9)? != self.base.len() {
-            return Err(StateError("VTAGE base table size mismatch"));
-        }
-        let fpc = self.cfg.fpc.clone();
-        for e in self.base.iter_mut() {
-            e.value = r.u64()?;
-            let level = r.u8()?;
-            e.conf.set_level(level, &fpc);
-        }
-        if r.len_of(13)? != self.tagged.len() {
-            return Err(StateError("VTAGE tagged component count mismatch"));
-        }
-        for comp in self.tagged.iter_mut() {
-            if r.len_of(13)? != comp.len() {
-                return Err(StateError("VTAGE tagged component size mismatch"));
-            }
-            for e in comp.iter_mut() {
-                e.valid = r.bool()?;
-                e.tag = r.u16()?;
-                e.value = r.u64()?;
-                let level = r.u8()?;
-                e.conf.set_level(level, &fpc);
-                e.useful = r.bool()?;
-            }
-        }
-        let n = r.len_of(41)?;
-        self.inflight.clear();
-        let mut last_seq = None;
-        for _ in 0..n {
-            let seq = r.u64()?;
-            if last_seq.is_some_and(|p| seq < p) {
-                return Err(StateError("VTAGE in-flight records out of order"));
-            }
-            last_seq = Some(seq);
-            let provider = if r.bool()? {
-                let c = r.u64()? as usize;
-                let i = r.u64()? as usize;
-                if c >= self.tagged.len() || i >= self.tagged[c].len() {
-                    return Err(StateError("VTAGE in-flight provider out of range"));
-                }
-                Some((c, i))
-            } else {
-                None
-            };
-            let base_index = r.u64()? as usize;
-            if base_index >= self.base.len() {
-                return Err(StateError("VTAGE in-flight base index out of range"));
-            }
-            let mut slots = [(0usize, 0u16); MAX_TAGGED];
-            for slot in slots.iter_mut() {
-                *slot = (r.u64()? as usize, r.u16()?);
-            }
-            for (c, &(idx, _)) in slots.iter().enumerate().take(self.cfg.num_tagged) {
-                if idx >= self.tagged[c].len() {
-                    return Err(StateError("VTAGE in-flight slot index out of range"));
-                }
-            }
-            let prediction = r.u64()?;
-            let alt_prediction = r.u64()?;
-            self.inflight.push_back((
-                seq,
-                Inflight {
-                    provider,
-                    base_index,
-                    slots,
-                    prediction,
-                    alt_prediction,
-                },
-            ));
-        }
-        self.rng.set_state(r.u64()?);
-        self.updates = r.u64()?;
-        r.expect_done()
+        Ok(())
     }
 }
+
+snap!(BaseEntry {
+    value: u64,
+    conf: ForwardProbabilisticCounter
+});
+snap!(TaggedEntry {
+    valid: bool,
+    tag: u16,
+    value: u64,
+    conf: ForwardProbabilisticCounter,
+    useful: bool,
+});
+snap!(Inflight {
+    provider: Option<(usize, usize)>,
+    base_index: usize,
+    slots: [(usize, u16); MAX_TAGGED],
+    prediction: u64,
+    alt_prediction: u64,
+});
+snap!(Vtage {
+    base: Vec<BaseEntry>,
+    tagged: Vec<Vec<TaggedEntry>>,
+    inflight: VecDeque<(SeqNum, Inflight)>,
+    rng: Lfsr,
+    updates: u64,
+} validate check_restored);
 
 impl ValuePredictor for Vtage {
     fn name(&self) -> &str {
@@ -458,12 +403,11 @@ impl ValuePredictor for Vtage {
     }
 
     fn save_state(&self) -> Vec<u8> {
-        self.save_state_impl()
+        snapshot(self)
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        self.restore_state_impl(&mut StateReader::new(bytes))
-            .map_err(|e| format!("VTAGE: {e}"))
+        restore_predictor(self, bytes)
     }
 }
 

@@ -533,3 +533,61 @@ fn component_payload_bytes_are_pinned() {
         .collect();
     assert_eq!(got, want, "payload digests moved; now:\n{rendered}");
 }
+
+/// The hostile-input contract of the component decoders: each payload of
+/// [`pin_cases`], cut short or with one byte flipped at seeded positions, is
+/// restored onto a fresh component and must come back `Ok` or `Err` — never
+/// a panic. Truncated or extended payloads must be rejected. (The codec
+/// bounds every decoded length by the bytes that remain before decoding the
+/// elements, so a flipped length prefix cannot allocate beyond the payload
+/// either.)
+#[test]
+fn mutated_component_payloads_are_rejected_without_panicking() {
+    const MUTATIONS: usize = 16;
+    let cases = pin_cases();
+    par::par_map(&cases, |case| {
+        let (_, pipeline, predictor) = pin_payloads(case).pop().expect("a cut");
+        let restore = |is_pipeline: bool, bytes: &[u8]| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if is_pipeline {
+                    Pipeline::new(case.cfg.clone()).restore_state(bytes).is_ok()
+                } else {
+                    case.kind.build().restore_state(bytes).is_ok()
+                }
+            }))
+            .unwrap_or_else(|_| panic!("{}: restore panicked", case.label))
+        };
+        let mut rng = SmallRng::seed_from_u64(fnv1a(FNV_OFFSET_BASIS, case.label.as_bytes()));
+        for (is_pipeline, bytes) in [(true, &pipeline), (false, &predictor)] {
+            let mut extended = bytes.clone();
+            extended.push(0);
+            assert!(
+                !restore(is_pipeline, &extended),
+                "{}: trailing byte",
+                case.label
+            );
+            if bytes.is_empty() {
+                continue;
+            }
+            for _ in 0..MUTATIONS {
+                let cut = rng.gen_range(0..bytes.len());
+                assert!(
+                    !restore(is_pipeline, &bytes[..cut]),
+                    "{}: truncation to {cut} bytes accepted",
+                    case.label
+                );
+            }
+            // Seeded flips anywhere, plus every byte of the leading length
+            // prefix (random positions mostly land in table contents).
+            let leading = 0..bytes.len().min(8);
+            let seeded: Vec<usize> = (0..MUTATIONS)
+                .map(|_| rng.gen_range(0..bytes.len()))
+                .collect();
+            for at in leading.chain(seeded) {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= rng.gen_range(1..=u8::MAX);
+                restore(is_pipeline, &flipped);
+            }
+        }
+    });
+}

@@ -9,7 +9,9 @@ use bebop::{
     MAX_NPRED,
 };
 use bebop_bench::sampling::{cluster_slices, workload_seed};
-use bebop_isa::{byte_index_in_block, fetch_block_pc, FetchBlockLayout};
+use bebop_isa::{
+    byte_index_in_block, fetch_block_pc, restore_snapshot, snapshot, FetchBlockLayout,
+};
 use bebop_trace::{profile_slices, SliceBbv, TraceBuffer, TraceGenerator, WorkloadSpec};
 use bebop_uarch::{gmean, Lane, LanePool, OccupancyRing, SlotPool, MAX_DENSE_SPAN, NUM_POOL_LANES};
 use rand::rngs::SmallRng;
@@ -213,11 +215,8 @@ fn prop_lane_pool_matches_slot_pool_bank() {
                     // Snapshot mid-sequence; the restored pool must continue
                     // in lockstep (window shape, horizons and generation all
                     // round-trip).
-                    let mut w = bebop_isa::StateWriter::new();
-                    pool.save_state(&mut w);
-                    let bytes = w.finish();
                     let mut copy = LanePool::new(widths);
-                    copy.restore_state(&mut bebop_isa::StateReader::new(&bytes))
+                    restore_snapshot(&mut copy, &snapshot(&pool))
                         .expect("round-trip of a live pool must restore");
                     assert_eq!(copy.generation(), pool.generation(), "case {case}");
                     restored = Some(copy);
