@@ -32,8 +32,11 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"BBPCKPT\0";
 /// Version history: 1 — original per-class slot-pool payloads; 2 — the
 /// in-flight window's unified `LanePool` (shared base, per-lane horizons,
 /// generation counter, sparse far-future overflow) plus the bounded
-/// `SlotPool` encoding.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 2;
+/// `SlotPool` encoding; 3 — the per-lane `LanePool` (shared prune horizon
+/// and generation, then per lane its own horizon, only its live cycle tags in
+/// cycle order, and its overflow) and the flat TAGE tagged table (one entry
+/// list for all components instead of a list per component).
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 3;
 
 /// Why a checkpoint file was rejected (all outcomes mean "fall back to a
 /// from-zero run"; none are fatal).

@@ -1,12 +1,12 @@
 //! Branch target buffer and return-address stack.
 
+use crate::cache::MruSets;
 use bebop_isa::{ensure, snap, StateResult, VarVec};
 
 /// A set-associative branch target buffer (Table I: 2-way, 8K entries).
 #[derive(Debug, Clone)]
 pub struct Btb {
-    sets: Vec<VarVec<(u64, u64)>>, // (pc tag, target), MRU first
-    ways: usize,
+    sets: MruSets<(u64, u64)>, // (pc tag, target), MRU first
     set_mask: u64,
 }
 
@@ -21,47 +21,35 @@ impl Btb {
         let sets = (entries / ways).max(1);
         assert!(sets.is_power_of_two(), "BTB sets must be a power of two");
         Btb {
-            sets: vec![VarVec(Vec::with_capacity(ways)); sets],
-            ways,
+            sets: MruSets::new(sets, ways),
             set_mask: sets as u64 - 1,
         }
     }
 
     fn set_of(&self, pc: u64) -> usize {
+        // CAST: masked by the power-of-two set count.
         ((pc >> 2) & self.set_mask) as usize
     }
 
     /// Looks up the predicted target of the branch at `pc`.
     pub fn lookup(&self, pc: u64) -> Option<u64> {
-        self.sets[self.set_of(pc)]
+        self.sets
+            .set(self.set_of(pc))
             .iter()
             .find(|(tag, _)| *tag == pc)
             .map(|(_, t)| *t)
     }
 
-    /// Records the target of the branch at `pc`.
-    pub fn update(&mut self, pc: u64, target: u64) {
-        let set = self.set_of(pc);
-        let ways = self.ways;
-        let lines = &mut self.sets[set];
-        if let Some(pos) = lines.iter().position(|(tag, _)| *tag == pc) {
-            lines.remove(pos);
-        } else if lines.len() == ways {
-            lines.pop();
-        }
-        lines.insert(0, (pc, target));
-    }
-
-    /// Rejects restored sets holding more lines than the associativity.
-    fn check_restored(&mut self) -> StateResult<()> {
-        ensure(
-            self.sets.iter().all(|set| set.len() <= self.ways),
-            "BTB set overfilled",
-        )
+    /// Records the target of the branch at `pc`, returning the target the
+    /// BTB held for it before (what [`Btb::lookup`] would have predicted).
+    pub fn update(&mut self, pc: u64, target: u64) -> Option<u64> {
+        self.sets
+            .touch(self.set_of(pc), |(tag, _)| *tag == pc, (pc, target))
+            .map(|(_, t)| t)
     }
 }
 
-snap!(Btb { sets: Vec<VarVec<(u64, u64)>> } validate check_restored);
+snap!(Btb { sets: MruSets<(u64, u64)> });
 
 /// A bounded return-address stack. Pushing onto a full stack drops the oldest
 /// entry (wrap-around), as hardware RASes do.

@@ -62,15 +62,13 @@ impl BranchPredictorUnit {
         match actual.kind {
             BranchKind::Conditional => {
                 self.stats.cond_branches += 1;
-                let pred = self.tage.predict(pc);
-                self.tage.update(pc, actual.taken);
+                let pred = self.tage.predict_and_update(pc, actual.taken);
                 let dir_wrong = pred != actual.taken;
                 // A correctly predicted taken branch still needs the target: charge a
                 // target misprediction if the BTB did not know it.
                 let mut target_wrong = false;
                 if actual.taken {
-                    let btb_target = self.btb.lookup(pc);
-                    self.btb.update(pc, actual.target);
+                    let btb_target = self.btb.update(pc, actual.target);
                     if !dir_wrong && btb_target != Some(actual.target) {
                         target_wrong = true;
                         self.stats.target_mispredicts += 1;
@@ -82,8 +80,7 @@ impl BranchPredictorUnit {
                 dir_wrong || target_wrong
             }
             BranchKind::Unconditional | BranchKind::Indirect => {
-                let btb_target = self.btb.lookup(pc);
-                self.btb.update(pc, actual.target);
+                let btb_target = self.btb.update(pc, actual.target);
                 let wrong = btb_target != Some(actual.target);
                 if wrong {
                     self.stats.target_mispredicts += 1;
@@ -92,8 +89,7 @@ impl BranchPredictorUnit {
             }
             BranchKind::Call => {
                 self.ras.push(fallthrough);
-                let btb_target = self.btb.lookup(pc);
-                self.btb.update(pc, actual.target);
+                let btb_target = self.btb.update(pc, actual.target);
                 let wrong = btb_target != Some(actual.target);
                 if wrong {
                     self.stats.target_mispredicts += 1;

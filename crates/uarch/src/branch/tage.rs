@@ -48,6 +48,26 @@ struct TaggedEntry {
     useful: u8,
 }
 
+/// Most tagged components a [`Tage`] supports (Table I uses 12).
+const MAX_TAGE_COMPONENTS: usize = 16;
+
+/// One conditional branch's view of the predictor, computed once and shared
+/// by the branch's prediction and its update: every tagged component's index
+/// and tag, the provider (longest-history hit) and both predictions.
+#[derive(Debug, Clone, Copy)]
+struct Lookup {
+    /// Per component, the entry's position in the flat `Tage::tagged`.
+    idx: [usize; MAX_TAGE_COMPONENTS],
+    tag: [u16; MAX_TAGE_COMPONENTS],
+    bimodal: usize,
+    provider: Option<usize>,
+    /// The provider's prediction, or the bimodal one without a provider.
+    pred: bool,
+    /// What the predictor would say without the provider (used for the
+    /// useful counters); equal to `pred` without a provider.
+    alt_pred: bool,
+}
+
 /// A circular global-history register long enough for the largest history length.
 ///
 /// The hot path never walks this buffer: folded views are maintained
@@ -72,7 +92,11 @@ impl HistoryRegister {
     }
 
     fn push(&mut self, taken: bool) {
-        self.pos = (self.pos + 1) % self.bits.len();
+        self.pos = if self.pos + 1 == self.bits.len() {
+            0
+        } else {
+            self.pos + 1
+        };
         self.bits[self.pos] = taken;
         self.recent = (self.recent << 1) | u64::from(taken);
     }
@@ -85,7 +109,11 @@ impl HistoryRegister {
     /// the register length.
     fn bit(&self, age: usize) -> u64 {
         debug_assert!(age < self.bits.len());
-        let idx = (self.pos + self.bits.len() - age) % self.bits.len();
+        let idx = if age <= self.pos {
+            self.pos - age
+        } else {
+            self.pos + self.bits.len() - age
+        };
         u64::from(self.bits[idx])
     }
 
@@ -174,7 +202,8 @@ impl FoldedHistory {
 pub struct Tage {
     cfg: TageConfig,
     bimodal: Vec<u8>, // 2-bit counters
-    tagged: Vec<Vec<TaggedEntry>>,
+    /// Every tagged component's entries, component after component.
+    tagged: Vec<TaggedEntry>,
     history_lengths: Vec<usize>,
     /// Per-component tag widths, precomputed.
     tag_widths: Vec<u32>,
@@ -186,12 +215,29 @@ pub struct Tage {
     ghist: HistoryRegister,
     path: u64,
     updates: u64,
+    /// The update count at which the useful counters are next aged (derived
+    /// from `updates`, never serialised).
+    next_reset: u64,
     rand_state: u64,
 }
 
 impl Tage {
     /// Creates a TAGE predictor from its configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration has more than 16 tagged components or a
+    /// zero useful-reset period.
     pub fn new(cfg: TageConfig) -> Self {
+        assert!(
+            cfg.num_tagged <= MAX_TAGE_COMPONENTS,
+            "num_tagged {} exceeds MAX_TAGE_COMPONENTS {MAX_TAGE_COMPONENTS}",
+            cfg.num_tagged
+        );
+        assert!(
+            cfg.useful_reset_period > 0,
+            "the useful-reset period must be non-zero"
+        );
         let mut history_lengths = Vec::with_capacity(cfg.num_tagged);
         // Geometric series from min_history to max_history.
         for i in 0..cfg.num_tagged {
@@ -223,7 +269,7 @@ impl Tage {
             .collect();
         Tage {
             bimodal: vec![2; 1 << cfg.log_base],
-            tagged: vec![vec![TaggedEntry::default(); 1 << cfg.log_tagged]; cfg.num_tagged],
+            tagged: vec![TaggedEntry::default(); cfg.num_tagged << cfg.log_tagged],
             history_lengths,
             tag_widths,
             idx_fold,
@@ -232,6 +278,7 @@ impl Tage {
             ghist: HistoryRegister::new(cfg.max_history + 1),
             path: 0,
             updates: 0,
+            next_reset: cfg.useful_reset_period,
             rand_state: 0xdead_beef_1234_5678,
             cfg,
         }
@@ -275,66 +322,61 @@ impl Tage {
         x.wrapping_mul(0x2545F4914F6CDD1D)
     }
 
-    /// Finds the hitting component with the longest history, if any.
-    fn find_provider(&self, pc: u64) -> Option<(usize, usize)> {
-        for comp in (0..self.cfg.num_tagged).rev() {
-            let idx = self.tagged_index(pc, comp);
-            let tag = self.tagged_tag(pc, comp);
-            let e = &self.tagged[comp][idx];
-            if e.valid && e.tag == tag {
-                return Some((comp, idx));
-            }
+    /// Computes `pc`'s index and tag in every tagged component, the provider
+    /// and alternate hits, and both predictions — everything the branch's
+    /// prediction and update read.
+    fn lookup(&self, pc: u64) -> Lookup {
+        let n = self.cfg.num_tagged;
+        let mut l = Lookup {
+            idx: [0; MAX_TAGE_COMPONENTS],
+            tag: [0; MAX_TAGE_COMPONENTS],
+            bimodal: self.bimodal_index(pc),
+            provider: None,
+            pred: false,
+            alt_pred: false,
+        };
+        for c in 0..n {
+            l.idx[c] = c << self.cfg.log_tagged | self.tagged_index(pc, c);
+            l.tag[c] = self.tagged_tag(pc, c);
         }
-        None
+        let mut hits = (0..n).rev().filter(|&c| {
+            let e = &self.tagged[l.idx[c]];
+            e.valid && e.tag == l.tag[c]
+        });
+        l.provider = hits.next();
+        let alt = hits.next();
+        let taken = |c: usize| self.tagged[l.idx[c]].ctr >= 4;
+        let base = self.bimodal[l.bimodal] >= 2;
+        l.pred = l.provider.map_or(base, taken);
+        l.alt_pred = match l.provider {
+            Some(_) => alt.map_or(base, taken),
+            None => l.pred,
+        };
+        l
     }
 
     /// Predicts the direction of the conditional branch at `pc`.
     pub fn predict(&self, pc: u64) -> bool {
-        match self.find_provider(pc) {
-            Some((comp, idx)) => self.tagged[comp][idx].ctr >= 4,
-            None => self.bimodal[self.bimodal_index(pc)] >= 2,
-        }
+        self.lookup(pc).pred
     }
 
-    /// Updates the predictor with the actual outcome of the branch at `pc` and
-    /// shifts the global/path histories.
-    pub fn update(&mut self, pc: u64, taken: bool) {
+    /// Predicts the conditional branch at `pc`, then updates the predictor
+    /// with its actual outcome and shifts the global/path histories; returns
+    /// the prediction. One lookup serves both halves.
+    pub fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
+        let l = self.lookup(pc);
         self.updates += 1;
-        let provider = self.find_provider(pc);
-        let prediction = match provider {
-            Some((comp, idx)) => self.tagged[comp][idx].ctr >= 4,
-            None => self.bimodal[self.bimodal_index(pc)] >= 2,
-        };
-        // Alternate prediction (used for the useful bit): what the predictor would
-        // have said without the provider.
-        let altpred = match provider {
-            Some((comp, _)) => {
-                let mut alt = None;
-                for c in (0..comp).rev() {
-                    let idx = self.tagged_index(pc, c);
-                    let tag = self.tagged_tag(pc, c);
-                    let e = &self.tagged[c][idx];
-                    if e.valid && e.tag == tag {
-                        alt = Some(e.ctr >= 4);
-                        break;
-                    }
-                }
-                alt.unwrap_or(self.bimodal[self.bimodal_index(pc)] >= 2)
-            }
-            None => prediction,
-        };
-
         // Update the provider (or the bimodal table).
-        match provider {
-            Some((comp, idx)) => {
-                let e = &mut self.tagged[comp][idx];
+        match l.provider {
+            Some(comp) => {
+                let e = &mut self.tagged[l.idx[comp]];
                 if taken {
                     e.ctr = (e.ctr + 1).min(7);
                 } else {
                     e.ctr = e.ctr.saturating_sub(1);
                 }
-                if prediction != altpred {
-                    if prediction == taken {
+                if l.pred != l.alt_pred {
+                    if l.pred == taken {
                         e.useful = (e.useful + 1).min(3);
                     } else {
                         e.useful = e.useful.saturating_sub(1);
@@ -342,56 +384,54 @@ impl Tage {
                 }
             }
             None => {
-                let idx = self.bimodal_index(pc);
+                let ctr = &mut self.bimodal[l.bimodal];
                 if taken {
-                    self.bimodal[idx] = (self.bimodal[idx] + 1).min(3);
+                    *ctr = (*ctr + 1).min(3);
                 } else {
-                    self.bimodal[idx] = self.bimodal[idx].saturating_sub(1);
+                    *ctr = ctr.saturating_sub(1);
                 }
             }
         }
 
         // On a misprediction, allocate an entry in a component with a longer history.
-        if prediction != taken {
-            let start = provider.map(|(c, _)| c + 1).unwrap_or(0);
-            if start < self.cfg.num_tagged {
-                // Find candidates with useful == 0.
-                let candidates: Vec<usize> = (start..self.cfg.num_tagged)
-                    .filter(|&c| {
-                        let idx = self.tagged_index(pc, c);
-                        self.tagged[c][idx].useful == 0
-                    })
-                    .collect();
-                if candidates.is_empty() {
-                    // Decay usefulness so allocation can succeed later.
-                    for c in start..self.cfg.num_tagged {
-                        let idx = self.tagged_index(pc, c);
-                        self.tagged[c][idx].useful = self.tagged[c][idx].useful.saturating_sub(1);
-                    }
-                } else {
-                    // Prefer shorter-history candidates with geometrically decreasing
-                    // probability (as in the original TAGE).
-                    // CAST: the modulo bounds pick below candidates.len().
-                    let pick = (self.rand() as usize) % candidates.len().clamp(1, 2);
-                    let comp = candidates[pick.min(candidates.len() - 1)];
-                    let idx = self.tagged_index(pc, comp);
-                    let tag = self.tagged_tag(pc, comp);
-                    self.tagged[comp][idx] = TaggedEntry {
-                        valid: true,
-                        tag,
-                        ctr: if taken { 4 } else { 3 },
-                        useful: 0,
-                    };
+        let n = self.cfg.num_tagged;
+        let start = l.provider.map_or(0, |c| c + 1);
+        if l.pred != taken && start < n {
+            // Find candidates with useful == 0.
+            let mut candidates = [0usize; MAX_TAGE_COMPONENTS];
+            let mut found = 0;
+            for c in start..n {
+                if self.tagged[l.idx[c]].useful == 0 {
+                    candidates[found] = c;
+                    found += 1;
                 }
+            }
+            if found == 0 {
+                // Decay usefulness so allocation can succeed later.
+                for c in start..n {
+                    let e = &mut self.tagged[l.idx[c]];
+                    e.useful = e.useful.saturating_sub(1);
+                }
+            } else {
+                // Prefer shorter-history candidates with geometrically decreasing
+                // probability (as in the original TAGE).
+                // CAST: the modulo bounds pick below found.
+                let pick = (self.rand() as usize) % found.clamp(1, 2);
+                let comp = candidates[pick.min(found - 1)];
+                self.tagged[l.idx[comp]] = TaggedEntry {
+                    valid: true,
+                    tag: l.tag[comp],
+                    ctr: if taken { 4 } else { 3 },
+                    useful: 0,
+                };
             }
         }
 
         // Periodic useful-counter aging.
-        if self.updates % self.cfg.useful_reset_period == 0 {
-            for comp in &mut self.tagged {
-                for e in comp.iter_mut() {
-                    e.useful >>= 1;
-                }
+        if self.updates == self.next_reset {
+            self.next_reset += self.cfg.useful_reset_period;
+            for e in &mut self.tagged {
+                e.useful >>= 1;
             }
         }
 
@@ -408,6 +448,15 @@ impl Tage {
         }
         self.ghist.push(taken);
         self.path = (self.path << 1) ^ ((pc >> 2) & 0x3f);
+        l.pred
+    }
+
+    /// Re-derives the next useful-counter aging point from the restored
+    /// update count.
+    fn check_restored(&mut self) -> StateResult<()> {
+        let period = self.cfg.useful_reset_period;
+        self.next_reset = (self.updates / period + 1).saturating_mul(period);
+        Ok(())
     }
 
     /// The most recent 64 committed branch outcomes (bit 0 = most recent).
@@ -431,7 +480,7 @@ snap!(HistoryRegister { bits: Vec<bool>, pos: usize, recent: u64 } validate chec
 snap!(FoldedHistory { folded: u64 } validate check_restored);
 snap!(Tage {
     bimodal: Vec<u8>,
-    tagged: Vec<Vec<TaggedEntry>>,
+    tagged: Vec<TaggedEntry>,
     idx_fold: Vec<FoldedHistory>,
     tag_fold1: Vec<FoldedHistory>,
     tag_fold2: Vec<FoldedHistory>,
@@ -439,7 +488,7 @@ snap!(Tage {
     path: u64,
     updates: u64,
     rand_state: u64,
-});
+} validate check_restored);
 
 #[cfg(test)]
 mod tests {
@@ -463,11 +512,11 @@ mod tests {
     fn biased_branch_learned_by_bimodal() {
         let mut t = Tage::new(TageConfig::default());
         for _ in 0..64 {
-            t.update(0x4000, true);
+            t.predict_and_update(0x4000, true);
         }
         assert!(t.predict(0x4000));
         for _ in 0..64 {
-            t.update(0x4000, false);
+            t.predict_and_update(0x4000, false);
         }
         assert!(!t.predict(0x4000));
     }
@@ -483,7 +532,7 @@ mod tests {
             if i > 3000 && t.predict(0x7000) != taken {
                 late_misses += 1;
             }
-            t.update(0x7000, taken);
+            t.predict_and_update(0x7000, taken);
         }
         assert!(
             late_misses < 30,
@@ -554,8 +603,8 @@ mod tests {
     fn histories_advance() {
         let mut t = Tage::new(TageConfig::default());
         let h0 = t.global_history();
-        t.update(0x100, true);
-        t.update(0x104, false);
+        t.predict_and_update(0x100, true);
+        t.predict_and_update(0x104, false);
         assert_ne!(t.global_history(), h0);
         // Bit 0 holds the most recent outcome (not taken), bit 1 the one before.
         assert_eq!(t.global_history() & 0b11, 0b10);

@@ -2,15 +2,103 @@
 
 use crate::config::MemConfig;
 use crate::prefetch::StridePrefetcher;
-use bebop_isa::{ensure, snap, StateResult, VarVec};
+use bebop_isa::{ensure, snap, Snap, StateReader, StateResult, StateWriter};
+
+/// Set-associative storage shared by the caches and the BTB: one flat
+/// `sets × ways` array holding each set's entries most-recently-used first,
+/// plus a per-set fill count. Lookups scan one contiguous run of at most
+/// `ways` entries, and replacement shifts within it — nothing allocates.
+#[derive(Debug, Clone)]
+pub(crate) struct MruSets<T> {
+    entries: Vec<T>,
+    /// Valid entries per set: one byte each, so the counts of even the L2's
+    /// 2048 sets stay cache-resident.
+    fill: Vec<u8>,
+    ways: usize,
+}
+
+impl<T: Copy + Default> MruSets<T> {
+    /// Empty storage of `sets` sets of `ways` entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ways` exceeds 255.
+    pub(crate) fn new(sets: usize, ways: usize) -> Self {
+        assert!(
+            u8::try_from(ways).is_ok(),
+            "associativity {ways} exceeds the supported 255 ways"
+        );
+        MruSets {
+            entries: vec![T::default(); sets * ways],
+            fill: vec![0; sets],
+            ways,
+        }
+    }
+
+    /// The valid entries of set `s`, most recently used first.
+    pub(crate) fn set(&self, s: usize) -> &[T] {
+        let b = s * self.ways;
+        &self.entries[b..b + usize::from(self.fill[s])]
+    }
+
+    /// Makes `v` the most recently used entry of set `s`: it replaces the
+    /// first entry `hit` matches, else fills a free way, else evicts the least
+    /// recently used one. Returns the entry `v` replaced, if one matched.
+    pub(crate) fn touch(&mut self, s: usize, hit: impl Fn(&T) -> bool, v: T) -> Option<T> {
+        let found = self.set(s).iter().position(hit);
+        let fill = usize::from(self.fill[s]);
+        let pos = match found {
+            Some(pos) => pos,
+            None if fill < self.ways => {
+                self.fill[s] += 1;
+                fill
+            }
+            None => self.ways - 1,
+        };
+        let b = s * self.ways;
+        let old = found.map(|_| self.entries[b + pos]);
+        self.entries.copy_within(b..b + pos, b + 1);
+        self.entries[b] = v;
+        old
+    }
+}
+
+/// Encoded as a list of variable-length sets: the set count (which must
+/// match the configuration), then per set its fill and entries, MRU first.
+/// Restore rejects a set holding more entries than the associativity.
+impl<T: Snap + Copy + Default> Snap for MruSets<T> {
+    const MIN_BYTES: usize = 8;
+
+    fn save(&self, w: &mut StateWriter) {
+        w.len_of(self.fill.len());
+        for s in 0..self.fill.len() {
+            w.len_of(self.set(s).len());
+            self.set(s).save(w);
+        }
+    }
+
+    fn restore(&mut self, r: &mut StateReader<'_>) -> StateResult<()> {
+        let sets = r.len_for::<u64>()?;
+        ensure(sets == self.fill.len(), "table size mismatch")?;
+        for s in 0..sets {
+            let n = r.len_for::<T>()?;
+            ensure(n <= self.ways, "set-associative set overfilled")?;
+            // CAST: n <= ways, which fits in u8 (checked at construction).
+            self.fill[s] = n as u8;
+            let b = s * self.ways;
+            self.entries[b..b + n].restore(r)?;
+        }
+        Ok(())
+    }
+}
 
 /// A set-associative cache with true-LRU replacement, tracking only tags (the
 /// simulator needs hit/miss decisions, not data).
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    sets: Vec<VarVec<u64>>, // per set: line tags ordered most-recently-used first
-    ways: usize,
-    line_bytes: u64,
+    sets: MruSets<u64>,
+    line_shift: u32,
+    set_bits: u32,
     set_mask: u64,
     accesses: u64,
     misses: u64,
@@ -22,10 +110,14 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero sizes or a non-power-of-two
-    /// number of sets).
+    /// Panics if the geometry is degenerate (zero sizes, a line size or a
+    /// number of sets that is not a power of two).
     pub fn new(size_bytes: u64, ways: usize, line_bytes: u64) -> Self {
         assert!(size_bytes > 0 && ways > 0 && line_bytes > 0);
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size ({line_bytes}) must be a power of two"
+        );
         let num_lines = size_bytes / line_bytes;
         let num_sets = (num_lines as usize / ways).max(1);
         assert!(
@@ -33,9 +125,9 @@ impl SetAssocCache {
             "number of sets ({num_sets}) must be a power of two"
         );
         SetAssocCache {
-            sets: vec![VarVec(Vec::with_capacity(ways)); num_sets],
-            ways,
-            line_bytes,
+            sets: MruSets::new(num_sets, ways),
+            line_shift: line_bytes.trailing_zeros(),
+            set_bits: num_sets.trailing_zeros(),
             set_mask: num_sets as u64 - 1,
             accesses: 0,
             misses: 0,
@@ -43,11 +135,9 @@ impl SetAssocCache {
     }
 
     fn set_and_tag(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.line_bytes;
-        (
-            (line & self.set_mask) as usize,
-            line >> self.set_mask.count_ones(),
-        )
+        let line = addr >> self.line_shift;
+        // CAST: masked by the power-of-two set count.
+        ((line & self.set_mask) as usize, line >> self.set_bits)
     }
 
     /// Accesses `addr`; returns `true` on a hit. Misses allocate the line (LRU
@@ -55,40 +145,23 @@ impl SetAssocCache {
     pub fn access(&mut self, addr: u64) -> bool {
         self.accesses += 1;
         let (set, tag) = self.set_and_tag(addr);
-        let lines = &mut self.sets[set];
-        if let Some(pos) = lines.iter().position(|&t| t == tag) {
-            let t = lines.remove(pos);
-            lines.insert(0, t);
-            true
-        } else {
+        let hit = self.sets.touch(set, |&t| t == tag, tag).is_some();
+        if !hit {
             self.misses += 1;
-            if lines.len() == self.ways {
-                lines.pop();
-            }
-            lines.insert(0, tag);
-            false
         }
+        hit
     }
 
     /// Installs a line without counting an access or a miss (used by prefetches).
     pub fn fill(&mut self, addr: u64) {
         let (set, tag) = self.set_and_tag(addr);
-        let lines = &mut self.sets[set];
-        if let Some(pos) = lines.iter().position(|&t| t == tag) {
-            let t = lines.remove(pos);
-            lines.insert(0, t);
-        } else {
-            if lines.len() == self.ways {
-                lines.pop();
-            }
-            lines.insert(0, tag);
-        }
+        self.sets.touch(set, |&t| t == tag, tag);
     }
 
     /// Returns `true` if the line containing `addr` is present (no LRU update).
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        self.sets[set].contains(&tag)
+        self.sets.set(set).contains(&tag)
     }
 
     /// Number of accesses so far.
@@ -109,17 +182,9 @@ impl SetAssocCache {
             self.misses as f64 / self.accesses as f64
         }
     }
-
-    /// Rejects restored sets holding more lines than the associativity.
-    fn check_restored(&mut self) -> StateResult<()> {
-        ensure(
-            self.sets.iter().all(|set| set.len() <= self.ways),
-            "cache set overfilled",
-        )
-    }
 }
 
-snap!(SetAssocCache { sets: Vec<VarVec<u64>>, accesses: u64, misses: u64 } validate check_restored);
+snap!(SetAssocCache { sets: MruSets<u64>, accesses: u64, misses: u64 });
 
 /// Statistics of the memory hierarchy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -143,6 +208,8 @@ pub struct MemoryHierarchy {
     l2: SetAssocCache,
     prefetcher: StridePrefetcher,
     cfg: MemConfig,
+    /// log2 of the (power-of-two) line size.
+    line_shift: u32,
     stats: MemStats,
 }
 
@@ -153,6 +220,7 @@ impl MemoryHierarchy {
             l1d: SetAssocCache::new(cfg.l1d_bytes, cfg.l1d_ways, cfg.line_bytes),
             l2: SetAssocCache::new(cfg.l2_bytes, cfg.l2_ways, cfg.line_bytes),
             prefetcher: StridePrefetcher::new(64, cfg.prefetch_degree),
+            line_shift: cfg.line_bytes.trailing_zeros(),
             cfg,
             stats: MemStats::default(),
         }
@@ -177,7 +245,7 @@ impl MemoryHierarchy {
                 let jitter = if span == 0 {
                     0
                 } else {
-                    (addr / self.cfg.line_bytes).wrapping_mul(0x9e37_79b9) % (span + 1)
+                    (addr >> self.line_shift).wrapping_mul(0x9e37_79b9) % (span + 1)
                 };
                 self.cfg.l1d_lat + self.cfg.l2_lat + self.cfg.mem_lat_min + jitter
             }

@@ -47,7 +47,7 @@ pub use config::{
     EoleConfig, FuConfig, MemConfig, MixConfig, PipelineConfig, SharingPolicy, WrongPathConfig,
 };
 pub use pipeline::Pipeline;
-pub use prefetch::StridePrefetcher;
+pub use prefetch::{PrefetchTargets, StridePrefetcher};
 pub use resources::{
     Lane, LanePool, OccupancyRing, SlotPool, MAX_DENSE_SPAN, MAX_OVERFLOW_TRACKED, NUM_POOL_LANES,
 };

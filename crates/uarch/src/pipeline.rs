@@ -201,7 +201,7 @@ pub struct Pipeline {
 
     // All per-cycle bandwidth resources (rename, issue, the functional-unit
     // classes, EOLE early/late, commit) as lanes of one generation-counted
-    // structure-of-arrays pool.
+    // pool, each with its own horizon and tagged ring.
     pool: LanePool,
 
     // Finite structures.
@@ -1129,38 +1129,30 @@ impl Pipeline {
 
         // ---- Group-granular pruning ---------------------------------------------------
         // Nothing is ever requested below the group's fetch cycle again, so
-        // the whole window below it is dead. The commit lane additionally
+        // every lane's window below it is dead. The commit lane additionally
         // trails `last_commit` (commit floors are monotone), and — without
         // wrong-path execution, whose burst µ-ops allocate near the *fetch*
         // frontier — the issue/FU/late lanes trail the ROB's oldest
         // outstanding release (every dispatch is floored by it). Those lane
-        // horizons are what keep the far-future overflow bounded when a
-        // perfectly-predicted phase decouples fetch far behind commit.
-        //
-        // Pruning is allocation-invisible, so the cadence is a free choice:
-        // amortise it over ~4096 committed µ-ops (the scalar loop's historical
-        // rhythm) rather than paying the full 11-lane walk per fetch group.
-        // The trigger is a pure function of the committed-µ-op counter, which
-        // is checkpointed state, so an interrupted-and-resumed run prunes at
-        // the same points as an uninterrupted one (state-byte transparency).
-        const PRUNE_EVERY_UOPS: u64 = 4096;
-        if self.stats.uops / PRUNE_EVERY_UOPS != (self.stats.uops - n as u64) / PRUNE_EVERY_UOPS {
-            self.pool.prune_below(fetch_cycle.saturating_sub(4));
-            self.pool.prune_lane_below(Lane::Commit, self.last_commit);
-            if self.cfg.wrong_path.is_none() {
-                let floor = self.rob.release_floor_after(0);
-                for lane in [
-                    Lane::Issue,
-                    Lane::Alu,
-                    Lane::MulDiv,
-                    Lane::Fp,
-                    Lane::FpMulDiv,
-                    Lane::Load,
-                    Lane::Store,
-                    Lane::Late,
-                ] {
-                    self.pool.prune_lane_below(lane, floor);
-                }
+        // horizons are what keep each lane's live window as short as the
+        // in-flight window when a memory-bound phase decouples fetch far
+        // behind commit. Raising a horizon is one store per lane, so it runs
+        // every group.
+        self.pool.prune_below(fetch_cycle.saturating_sub(4));
+        self.pool.prune_lane_below(Lane::Commit, self.last_commit);
+        if self.cfg.wrong_path.is_none() {
+            let floor = self.rob.release_floor_after(0);
+            for lane in [
+                Lane::Issue,
+                Lane::Alu,
+                Lane::MulDiv,
+                Lane::Fp,
+                Lane::FpMulDiv,
+                Lane::Load,
+                Lane::Store,
+                Lane::Late,
+            ] {
+                self.pool.prune_lane_below(lane, floor);
             }
         }
 
@@ -1371,15 +1363,13 @@ impl Pipeline {
     /// `simcheck:` reason captured by the quarantine path.
     #[cfg(feature = "simcheck")]
     fn simcheck_step(&self) {
-        // The cheap O(pending) check runs every µ-op; the O(tracked-window)
-        // scans are amortised to every 256 µ-ops. That costs nothing in
-        // detection strength — a conservation or monotonicity violation is
-        // persistent state (pools are pruned only every 4096 µ-ops, ring
-        // entries only on reuse), so the next gated scan still sees it —
-        // but it is the difference between a usable sanitizer and a
-        // quadratic one: just before a prune each pool tracks thousands of
-        // cycles, and scanning 11 of them per committed µ-op turned the
-        // simcheck suite ~300× slower than plain debug.
+        // The cheap O(pending) check runs every µ-op; the O(ring) scans are
+        // amortised to every 256 µ-ops. A conservation or monotonicity
+        // violation mostly persists (a lane slot lives until its horizon
+        // passes it, a ring entry until reuse), so the next gated scan
+        // usually still sees it, and scanning eleven lane rings plus four
+        // occupancy rings per committed µ-op would make the simcheck suite
+        // orders of magnitude slower than plain debug.
         let mut prev: Option<u64> = None;
         for p in &self.pending_train {
             if let Some(q) = prev {

@@ -33,15 +33,21 @@ impl StridePrefetcher {
     }
 
     /// Observes an access by the instruction at `pc` to `addr` and returns the
-    /// addresses that should be prefetched (line-aligned, possibly empty).
-    pub fn train(&mut self, pc: u64, addr: u64, line_bytes: u64) -> Vec<u64> {
+    /// addresses that should be prefetched (line-aligned, possibly none).
+    /// `line_bytes` must be a power of two.
+    pub fn train(&mut self, pc: u64, addr: u64, line_bytes: u64) -> PrefetchTargets {
+        let mut out = PrefetchTargets {
+            next: addr,
+            stride: 0,
+            line_mask: !(line_bytes - 1),
+            remaining: 0,
+        };
         if self.degree == 0 {
-            return Vec::new();
+            return out;
         }
         // CAST: masked by the power-of-two table length right after.
         let idx = (pc as usize >> 2) & (self.table.len() - 1);
         let e = &mut self.table[idx];
-        let mut out = Vec::new();
         if e.valid && e.pc_tag == pc {
             let stride = addr.wrapping_sub(e.last_addr) as i64;
             if stride == e.stride && stride != 0 {
@@ -53,10 +59,8 @@ impl StridePrefetcher {
                 }
             }
             if e.confidence >= 2 && e.stride != 0 {
-                for d in 1..=self.degree as i64 {
-                    let target = addr.wrapping_add_signed(e.stride * d);
-                    out.push(target & !(line_bytes - 1));
-                }
+                out.stride = e.stride;
+                out.remaining = self.degree;
             }
             e.last_addr = addr;
         } else {
@@ -71,6 +75,36 @@ impl StridePrefetcher {
         out
     }
 }
+
+/// The prefetch addresses one [`StridePrefetcher::train`] call issues: the
+/// line-aligned addresses 1, 2, …, degree strides past the access.
+#[derive(Debug, Clone)]
+pub struct PrefetchTargets {
+    next: u64,
+    stride: i64,
+    line_mask: u64,
+    remaining: u8,
+}
+
+impl Iterator for PrefetchTargets {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        self.next = self.next.wrapping_add_signed(self.stride);
+        Some(self.next & self.line_mask)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = usize::from(self.remaining);
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for PrefetchTargets {}
 
 snap!(PrefetchEntry {
     pc_tag: u64,
@@ -90,7 +124,7 @@ mod tests {
         let mut p = StridePrefetcher::new(16, 4);
         let mut issued = Vec::new();
         for i in 0..8u64 {
-            issued = p.train(0x100, 0x1000 + i * 64, 64);
+            issued = p.train(0x100, 0x1000 + i * 64, 64).collect();
         }
         assert_eq!(issued.len(), 4);
         // Prefetches run ahead of the last address.
@@ -117,8 +151,8 @@ mod tests {
             let a = p.train(0x100, 0x1000 + i * 8, 64);
             let b = p.train(0x104, 0x8000 + i * 128, 64);
             if i >= 3 {
-                assert!(!a.is_empty());
-                assert!(!b.is_empty());
+                assert_ne!(a.len(), 0);
+                assert_ne!(b.len(), 0);
             }
         }
     }
@@ -127,7 +161,7 @@ mod tests {
     fn zero_degree_is_disabled() {
         let mut p = StridePrefetcher::new(16, 0);
         for i in 0..8u64 {
-            assert!(p.train(0x100, 0x1000 + i * 64, 64).is_empty());
+            assert_eq!(p.train(0x100, 0x1000 + i * 64, 64).len(), 0);
         }
     }
 }

@@ -6,11 +6,10 @@
 //! * [`SlotPool`] — the scalar single-resource reference, one deque per
 //!   resource class. Kept as the differential-testing oracle and for
 //!   out-of-tree users.
-//! * [`LanePool`] — the structure-of-arrays pool the pipeline uses: all
-//!   resource classes live as *lanes* of one generation-counted window, so a
-//!   fetch group's worth of allocations walks one contiguous allocation
-//!   instead of eleven heap-separated deques, and pruning advances one shared
-//!   horizon.
+//! * [`LanePool`] — the pool the pipeline uses: every resource class is a
+//!   *lane* with its own horizon and a power-of-two ring of cycle-tagged
+//!   counters, so an allocation costs one masked load however far past the
+//!   horizon it lands, and pruning is a store per lane.
 //!
 //! Both pools bound their bookkeeping: the dense window never grows past
 //! [`MAX_DENSE_SPAN`] cycles, far-future allocations (a pathological latency
@@ -31,7 +30,7 @@ pub const MAX_DENSE_SPAN: u64 = 1 << 18;
 /// Sanity bound on simultaneously tracked sparse far-future cycles per
 /// resource class. Legitimate simulations keep at most an in-flight window's
 /// worth of far-future allocations alive (the pipeline prunes each lane to
-/// its monotone floor every 4096 committed µ-ops); crossing this bound means runaway
+/// its monotone floor every fetch group); crossing this bound means runaway
 /// state and dies with a structured panic instead of creeping towards OOM.
 pub const MAX_OVERFLOW_TRACKED: usize = 1 << 20;
 
@@ -289,43 +288,264 @@ impl Lane {
     }
 }
 
-/// How many dead (pruned) rows the dense storage tolerates before compacting.
-/// Compaction copies the live window to the front, so amortised prune cost
-/// stays O(1) per pruned cycle while the storage never holds more than
-/// `max(live, COMPACT_SLACK)` dead rows.
-const COMPACT_SLACK: usize = 4096;
+/// Bits of a ring tag holding the slot count; the cycle sits above them.
+const COUNT_BITS: u32 = 16;
 
-/// All of the pipeline's per-cycle bandwidth resources merged into one
-/// structure-of-arrays pool: one shared moving horizon, one dense cycle-major
-/// `used` matrix of [`NUM_POOL_LANES`] lanes per cycle row, per-lane sparse
-/// overflow for far-future allocations, and per-lane pruning horizons for the
-/// lanes whose request streams have monotone floors (commit trails
-/// `last_commit`, the execution lanes trail the ROB's oldest release).
+/// Mask of the slot-count bits of a ring tag.
+const COUNT_MASK: u64 = (1 << COUNT_BITS) - 1;
+
+/// First cycle a ring tag cannot hold. No simulation gets near it (2^48
+/// cycles is days of simulated time); an allocation there means runaway state
+/// and dies with a structured panic, and restore rejects horizons within a
+/// dense span of it.
+const TAG_LIMIT: u64 = 1 << (64 - COUNT_BITS);
+
+/// Ring slots a lane starts with; rings grow by powers of two up to
+/// [`MAX_DENSE_SPAN`] and never shrink, so the steady state never allocates.
+const INITIAL_RING: usize = 64;
+
+/// One resource class of a [`LanePool`]: its own horizon and a power-of-two
+/// ring of cycle-tagged counters.
 ///
-/// The *generation* counts prune operations: it stamps every checkpoint
-/// payload, and a restored pool resumes with the same window and generation a
-/// continuous run would carry, so window-shape divergence after resume is
-/// detectable rather than silent.
+/// Slot `c & (cap - 1)` holds the tag `c << COUNT_BITS | used` of cycle `c`.
+/// Every live tag lies in `[base, base + cap)`, so at most one live cycle maps
+/// to a slot: a slot whose tag names another cycle — necessarily one below
+/// `base` — counts as free. Idle cycles are therefore never zero-filled, and
+/// raising the horizon is a single store.
+#[derive(Debug, Clone)]
+struct LaneRing {
+    /// Slots available per cycle.
+    width: u16,
+    /// The lane's horizon: allocations below it are clamped up to it.
+    base: u64,
+    /// Tagged counters; the length is a power of two at most
+    /// [`MAX_DENSE_SPAN`].
+    ring: Vec<u64>,
+    /// Exact overflow for cycles at least [`MAX_DENSE_SPAN`] past `base`:
+    /// cycle → used count. Empty in every healthy steady state.
+    far: BTreeMap<u64, u16>,
+}
+
+impl LaneRing {
+    fn new(width: u16) -> Self {
+        LaneRing {
+            width,
+            base: 0,
+            ring: vec![0; INITIAL_RING],
+            far: BTreeMap::new(),
+        }
+    }
+
+    /// The ring slot of cycle `c`.
+    fn slot(&self, c: u64) -> usize {
+        // CAST: masked by the power-of-two ring length.
+        c as usize & (self.ring.len() - 1)
+    }
+
+    /// Slots of cycle `c` already used, for `base <= c < base + MAX_DENSE_SPAN`.
+    fn used(&self, c: u64) -> u16 {
+        let tag = self.ring[self.slot(c)];
+        if tag >> COUNT_BITS == c {
+            // CAST: the low COUNT_BITS bits are the count.
+            (tag & COUNT_MASK) as u16
+        } else {
+            0
+        }
+    }
+
+    /// Sets the count of cycle `c`, `base <= c < base + MAX_DENSE_SPAN`,
+    /// growing the ring when `c` lies past it.
+    fn set(&mut self, c: u64, used: u16) {
+        assert!(
+            c < TAG_LIMIT,
+            "resource: lane pool: allocation at cycle {c} beyond the tag range — runaway latency sum or corrupt state"
+        );
+        let span = c - self.base;
+        if span >= self.ring.len() as u64 {
+            self.grow(span);
+        }
+        let i = self.slot(c);
+        self.ring[i] = c << COUNT_BITS | u64::from(used);
+    }
+
+    /// Whether `tag` records usage of a cycle at or above the horizon. A
+    /// zero count is never live: fresh slots hold the all-zero tag.
+    fn is_live(&self, tag: u64) -> bool {
+        tag >> COUNT_BITS >= self.base && tag & COUNT_MASK != 0
+    }
+
+    /// Re-homes the live tags in a ring long enough to hold `span`.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, span: u64) {
+        // CAST: span < MAX_DENSE_SPAN, far below usize::MAX.
+        let cap = (span as usize + 1).next_power_of_two();
+        let mut ring = vec![0; cap];
+        for &tag in &self.ring {
+            if self.is_live(tag) {
+                // CAST: masked by the power-of-two ring length.
+                ring[(tag >> COUNT_BITS) as usize & (cap - 1)] = tag;
+            }
+        }
+        self.ring = ring;
+    }
+
+    /// The live tags in cycle order.
+    fn live(&self) -> impl Iterator<Item = u64> + '_ {
+        let (tail, head) = self.ring.split_at(self.slot(self.base));
+        head.iter()
+            .chain(tail)
+            .copied()
+            .filter(|&tag| self.is_live(tag))
+    }
+
+    /// Allocates one slot at the earliest cycle `>= floor` past a full run
+    /// of the ring, in the sparse overflow.
+    #[cold]
+    #[inline(never)]
+    fn allocate_far(&mut self, lane: Lane, floor: u64) -> u64 {
+        let mut c = floor;
+        while self.far.get(&c).is_some_and(|&u| u >= self.width) {
+            c += 1;
+        }
+        *self.far.entry(c).or_insert(0) += 1;
+        assert!(
+            self.far.len() <= MAX_OVERFLOW_TRACKED,
+            "resource: lane pool '{}': {} far-future cycles tracked (allocation at cycle {c}, horizon {}) — runaway latency sum or corrupt state",
+            lane.name(),
+            self.far.len(),
+            self.base
+        );
+        c
+    }
+
+    /// Raises the horizon to `cycle` (never lowers it). Overflow entries the
+    /// new horizon pulls inside the dense span move into the ring, entries
+    /// below it are dropped, so ring and overflow keep disjoint, exact
+    /// coverage.
+    fn raise_base(&mut self, cycle: u64) {
+        if cycle <= self.base {
+            return;
+        }
+        self.base = cycle;
+        if !self.far.is_empty() {
+            self.migrate_far();
+        }
+    }
+
+    /// Moves the overflow entries the raised horizon pulled inside the dense
+    /// span into the ring and drops those below it.
+    #[cold]
+    #[inline(never)]
+    fn migrate_far(&mut self) {
+        let dense_end = self.base.saturating_add(MAX_DENSE_SPAN);
+        while let Some((&c, &u)) = self.far.first_key_value() {
+            if c >= dense_end {
+                break;
+            }
+            self.far.pop_first();
+            if c >= self.base {
+                self.set(c, u);
+            }
+        }
+    }
+
+    /// Rejects a restored lane the pool could never reach.
+    fn check_restored(&self, tags: &[u64]) -> StateResult<()> {
+        ensure(
+            self.base <= TAG_LIMIT - MAX_DENSE_SPAN,
+            "lane pool horizon beyond the tag range",
+        )?;
+        let dense_end = self.base + MAX_DENSE_SPAN;
+        ensure(
+            tags.iter()
+                .all(|&t| (self.base..dense_end).contains(&(t >> COUNT_BITS))),
+            "lane pool tag outside the lane's window",
+        )?;
+        ensure(
+            tags.windows(2)
+                .all(|w| w[0] >> COUNT_BITS < w[1] >> COUNT_BITS),
+            "lane pool tags not in cycle order",
+        )?;
+        ensure(
+            tags.iter()
+                .all(|&t| (1..=u64::from(self.width)).contains(&(t & COUNT_MASK))),
+            "lane pool usage exceeds lane width",
+        )?;
+        ensure(
+            self.far.len() <= MAX_OVERFLOW_TRACKED,
+            "lane pool overflow count exceeds bound",
+        )?;
+        ensure(
+            self.far.keys().all(|&c| c >= dense_end),
+            "lane pool overflow cycle inside dense span",
+        )?;
+        ensure(
+            self.far.values().all(|&u| u > 0 && u <= self.width),
+            "lane pool overflow usage out of range",
+        )
+    }
+}
+
+/// Only the live tags travel, in cycle order: the horizon, the tag count and
+/// tags, then the overflow. Restore rebuilds a ring just long enough for them.
+impl Snap for LaneRing {
+    const MIN_BYTES: usize = 8 + 8 + 8;
+
+    fn save(&self, w: &mut StateWriter) {
+        w.u64(self.base);
+        w.len_of(self.live().count());
+        for tag in self.live() {
+            w.u64(tag);
+        }
+        self.far.save(w);
+    }
+
+    fn restore(&mut self, r: &mut StateReader<'_>) -> StateResult<()> {
+        self.base = r.u64()?;
+        let n = r.len_for::<u64>()?;
+        let tags = (0..n).map(|_| r.u64()).collect::<StateResult<Vec<u64>>>()?;
+        self.far.restore(r)?;
+        self.check_restored(&tags)?;
+        self.ring.clear();
+        self.ring.resize(INITIAL_RING, 0);
+        for &tag in &tags {
+            // CAST: check_restored bounded the count by the u16 lane width.
+            self.set(tag >> COUNT_BITS, (tag & COUNT_MASK) as u16);
+        }
+        Ok(())
+    }
+}
+
+/// All of the pipeline's per-cycle bandwidth resources as *lanes* of one
+/// pool. Each lane owns its horizon, a power-of-two ring of cycle-tagged
+/// counters covering the cycles just past it (see `LaneRing`), and an exact
+/// sparse overflow for allocations at least [`MAX_DENSE_SPAN`] past it.
+///
+/// A µ-op costs the same whether its allocations land 1 or 10 000 cycles
+/// past the horizon: the slot is found by masking the cycle, idle cycles are
+/// never materialised, and pruning only raises horizons — so the pipeline
+/// prunes every fetch group, which keeps every lane's live window (and with
+/// it the ring and the checkpoint payload) as short as the in-flight window.
+///
+/// The *generation* counts the shared prunes that advanced the shared
+/// horizon: it stamps every checkpoint payload, and a restored pool resumes
+/// with the same horizons and generation a continuous run would carry, so
+/// divergence after resume is detectable rather than silent. Repeating a
+/// prune is free and leaves the generation alone, so a fetch group the
+/// pipeline processes in two parts (a run stopped mid-group for a
+/// checkpoint) ends in the same state as one processed whole.
 ///
 /// Allocation semantics are identical to one [`SlotPool`] per lane — the
 /// differential property tests in `tests/integration_properties.rs` assert
 /// exactly that, allocation for allocation.
 #[derive(Debug, Clone)]
 pub struct LanePool {
-    /// Per-lane slots available per cycle.
-    widths: [u16; NUM_POOL_LANES],
-    /// First live cycle: dense row `dense.head` holds this cycle's counts.
-    base: u64,
-    /// Per-lane counts of the cycles within [`MAX_DENSE_SPAN`] of `base`.
-    dense: DenseWindow,
-    /// Per-lane exact overflow for cycles at least [`MAX_DENSE_SPAN`] past
-    /// `base`. Empty in every healthy steady state.
-    far: [BTreeMap<u64, u16>; NUM_POOL_LANES],
-    /// Per-lane pruning horizon: allocations below it are clamped up, exactly
-    /// like a per-lane `prune_below`. Always `>= base` is *not* required —
-    /// the effective floor of a lane is `max(base, lane_horizon)`.
-    lane_horizon: [u64; NUM_POOL_LANES],
-    /// Number of prune operations performed (the pool's *generation*).
+    lanes: [LaneRing; NUM_POOL_LANES],
+    /// The highest cycle passed to [`LanePool::prune_below`].
+    horizon: u64,
+    /// Number of shared prunes that advanced `horizon` (the pool's
+    /// *generation*).
     generation: u64,
 }
 
@@ -341,34 +561,29 @@ impl LanePool {
             "every lane of a lane pool needs at least one slot per cycle"
         );
         LanePool {
-            widths,
-            base: 0,
-            dense: DenseWindow::default(),
-            far: Default::default(),
-            lane_horizon: [0; NUM_POOL_LANES],
+            lanes: widths.map(LaneRing::new),
+            horizon: 0,
             generation: 0,
         }
     }
 
     /// The per-cycle width of `lane`.
     pub fn width(&self, lane: Lane) -> u16 {
-        self.widths[lane as usize]
+        self.lanes[lane as usize].width
     }
 
-    /// Number of prune operations performed so far.
+    /// Number of shared prunes that advanced the shared horizon so far.
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// Live dense rows (cycles) currently stored.
-    fn live_rows(&self) -> usize {
-        self.dense.live_rows()
-    }
-
-    /// Number of cycles currently tracked across dense and overflow storage
+    /// Number of cycles currently tracked across rings and overflow
     /// (test/diagnostic aid).
     pub fn tracked_cycles(&self) -> usize {
-        self.live_rows() + self.far.iter().map(BTreeMap::len).sum::<usize>()
+        self.lanes
+            .iter()
+            .map(|l| l.live().count() + l.far.len())
+            .sum()
     }
 
     /// Allocates one `lane` slot at the earliest cycle `>= cycle`, returning
@@ -379,71 +594,43 @@ impl LanePool {
     ///
     /// Panics with a structured `resource:` reason when the lane would track
     /// more than [`MAX_OVERFLOW_TRACKED`] far-future cycles.
+    #[inline]
     pub fn allocate(&mut self, lane: Lane, cycle: u64) -> u64 {
-        let li = lane as usize;
-        let width = self.widths[li];
-        let floor = cycle.max(self.base).max(self.lane_horizon[li]);
-        let span = floor - self.base;
-        let end = self.dense.used.len();
-        if span < (end / NUM_POOL_LANES - self.dense.head) as u64 {
-            let mut idx = (self.dense.head + span as usize) * NUM_POOL_LANES + li;
-            // Hot path: additive scan over the materialized dense rows. The
-            // stride keeps the index congruent to the lane, so no
-            // per-iteration multiply, and far coverage starts at
-            // `MAX_DENSE_SPAN` — beyond every materialized row — so the
-            // overflow map never needs consulting here.
-            let mut c = floor;
-            while idx < end {
-                let slot = &mut self.dense.used[idx];
-                if *slot < width {
-                    *slot += 1;
-                    return c;
-                }
-                idx += NUM_POOL_LANES;
-                c += 1;
+        let l = &mut self.lanes[lane as usize];
+        let dense_end = l.base.saturating_add(MAX_DENSE_SPAN);
+        let mask = l.ring.len() - 1;
+        let mut c = cycle.max(l.base);
+        while c < dense_end {
+            // CAST: masked by the power-of-two ring length.
+            let i = c as usize & mask;
+            let tag = l.ring[i];
+            if tag >> COUNT_BITS != c {
+                l.set(c, 1);
+                return c;
             }
-            return self.allocate_unmaterialized(lane, c);
-        }
-        self.allocate_unmaterialized(lane, floor)
-    }
-
-    /// Allocation continuation for cycles past the materialized dense rows:
-    /// still inside the dense span they are untracked and therefore free;
-    /// past it the sparse overflow map is probed. Produces exactly the cycle
-    /// the generic [`probe`] walk would.
-    fn allocate_unmaterialized(&mut self, lane: Lane, floor: u64) -> u64 {
-        let li = lane as usize;
-        if floor - self.base < MAX_DENSE_SPAN {
-            self.bump(lane, floor, 1);
-            return floor;
-        }
-        let width = self.widths[li];
-        let mut c = floor;
-        while self.far[li].get(&c).copied().unwrap_or(0) >= width {
+            if tag & COUNT_MASK < u64::from(l.width) {
+                l.ring[i] = tag + 1;
+                return c;
+            }
             c += 1;
         }
-        self.bump(lane, c, 1);
-        c
+        l.allocate_far(lane, c)
     }
 
     /// Allocates one `lane` slot per element of `out`, all requesting `cycle`,
     /// exactly as that many successive [`LanePool::allocate`] calls would, and
     /// writes each allocation's cycle to `out`. The common case — a fetch
     /// group's rename slots, whose width equals the front width — fills one
-    /// fresh row with a single counter update.
+    /// fresh cycle with a single counter update.
     pub fn allocate_group(&mut self, lane: Lane, cycle: u64, out: &mut [u64]) {
-        let li = lane as usize;
-        let floor = cycle.max(self.base).max(self.lane_horizon[li]);
-        let span = floor.saturating_sub(self.base);
-        let n = u16::try_from(out.len())
-            .ok()
-            .filter(|&n| n <= self.widths[li]);
+        let l = &mut self.lanes[lane as usize];
+        let floor = cycle.max(l.base);
+        let n = u16::try_from(out.len()).ok().filter(|&n| n <= l.width);
         if let Some(n) = n {
-            if span < MAX_DENSE_SPAN {
-                let row = self.dense_row(span);
-                let slot = &mut self.dense.used[row * NUM_POOL_LANES + li];
-                if *slot + n <= self.widths[li] {
-                    *slot += n;
+            if floor - l.base < MAX_DENSE_SPAN {
+                let used = l.used(floor);
+                if used + n <= l.width {
+                    l.set(floor, used + n);
                     out.fill(floor);
                     return;
                 }
@@ -454,135 +641,37 @@ impl LanePool {
         }
     }
 
-    /// Dense row index for `span`, growing the matrix as needed. Callers
-    /// guarantee `span < MAX_DENSE_SPAN`.
-    fn dense_row(&mut self, span: u64) -> usize {
-        let row = self.dense.head + span as usize;
-        let need = (row + 1) * NUM_POOL_LANES;
-        if need > self.dense.used.len() {
-            self.dense.used.resize(need, 0);
-        }
-        row
-    }
-
-    /// Records `n` allocations of `lane` at cycle `c` (dense or far).
-    fn bump(&mut self, lane: Lane, c: u64, n: u16) {
-        let li = lane as usize;
-        let span = c - self.base;
-        if span < MAX_DENSE_SPAN {
-            let row = self.dense_row(span);
-            self.dense.used[row * NUM_POOL_LANES + li] += n;
-        } else {
-            *self.far[li].entry(c).or_insert(0) += n;
-            assert!(
-                self.far[li].len() <= MAX_OVERFLOW_TRACKED,
-                "resource: lane pool '{}': {} far-future cycles tracked (allocation at cycle {c}, horizon {}) — runaway latency sum or corrupt state",
-                lane.name(),
-                self.far[li].len(),
-                self.base
-            );
-        }
-    }
-
     /// Drops bookkeeping for all cycles strictly below `cycle` in every lane.
     /// Future allocations below `cycle` are clamped up to it. Bumps the
-    /// generation.
+    /// generation when `cycle` passes every earlier shared prune (and the
+    /// initial horizon 0); otherwise does nothing.
     pub fn prune_below(&mut self, cycle: u64) {
-        self.generation += 1;
-        if cycle <= self.base {
+        if cycle <= self.horizon {
             return;
         }
-        let live = self.live_rows() as u64;
-        let advance = (cycle - self.base).min(live) as usize;
-        self.dense.head += advance;
-        self.base = cycle;
-        // Migrate far entries that the advanced horizon pulled inside the
-        // dense window, so dense and far coverage stay disjoint and exact.
-        let dense_end = self.base.saturating_add(MAX_DENSE_SPAN);
-        for li in 0..NUM_POOL_LANES {
-            if self.far[li].is_empty() {
-                continue;
-            }
-            while let Some((&c, &u)) = self.far[li].first_key_value() {
-                if c >= dense_end {
-                    break;
-                }
-                self.far[li].pop_first();
-                if c < self.base {
-                    continue;
-                }
-                let row = self.dense_row(c - self.base);
-                self.dense.used[row * NUM_POOL_LANES + li] = u;
-            }
-        }
-        // Compact once the dead prefix dominates: amortised O(1) per pruned
-        // cycle, bounded dead space.
-        if self.dense.head >= self.live_rows().max(COMPACT_SLACK) {
-            self.dense.used.drain(..self.dense.head * NUM_POOL_LANES);
-            self.dense.head = 0;
+        self.horizon = cycle;
+        self.generation += 1;
+        for l in &mut self.lanes {
+            l.raise_base(cycle);
         }
     }
 
-    /// Raises one lane's pruning horizon: bookkeeping for that lane below
-    /// `cycle` is dead (dropped from the overflow, clamped in the dense
-    /// window), exactly like `SlotPool::prune_below` on the lane's reference
+    /// Raises one lane's horizon: bookkeeping for that lane below `cycle` is
+    /// dead, exactly like `SlotPool::prune_below` on the lane's reference
     /// pool. Used for lanes whose request stream has a monotone floor — the
     /// commit lane never requests below `last_commit`, the execution lanes
-    /// never below the ROB's oldest outstanding release — so their far-future
-    /// clusters stay bounded even when fetch decouples far behind commit.
+    /// never below the ROB's oldest outstanding release — so their live
+    /// windows stay as short as the in-flight window even when fetch
+    /// decouples far behind commit.
     pub fn prune_lane_below(&mut self, lane: Lane, cycle: u64) {
-        let li = lane as usize;
-        if cycle <= self.lane_horizon[li] {
-            return;
-        }
-        self.lane_horizon[li] = cycle;
-        while let Some((&c, _)) = self.far[li].first_key_value() {
-            if c >= cycle {
-                break;
-            }
-            self.far[li].pop_first();
-        }
-    }
-
-    /// Rejects restored state the pool could never reach: usage beyond a
-    /// lane's width, dense windows beyond [`MAX_DENSE_SPAN`], overflow counts
-    /// beyond [`MAX_OVERFLOW_TRACKED`], or overflow cycles that belong in
-    /// the dense window.
-    fn check_restored(&mut self) -> StateResult<()> {
-        ensure(
-            self.live_rows() as u64 <= MAX_DENSE_SPAN,
-            "lane pool dense span exceeds bound",
-        )?;
-        ensure(
-            self.dense
-                .live()
-                .chunks_exact(NUM_POOL_LANES)
-                .all(|row| row.iter().zip(&self.widths).all(|(u, w)| u <= w)),
-            "lane pool usage exceeds lane width",
-        )?;
-        let dense_end = self.base.saturating_add(MAX_DENSE_SPAN);
-        for (far, &width) in self.far.iter().zip(&self.widths) {
-            ensure(
-                far.len() <= MAX_OVERFLOW_TRACKED,
-                "lane pool overflow count exceeds bound",
-            )?;
-            ensure(
-                far.keys().all(|&c| c >= dense_end),
-                "lane pool overflow cycle inside dense span",
-            )?;
-            ensure(
-                far.values().all(|&u| u > 0 && u <= width),
-                "lane pool overflow usage out of range",
-            )?;
-        }
-        Ok(())
+        self.lanes[lane as usize].raise_base(cycle);
     }
 
     /// Validates the pool's conservation invariant lane by lane — no cycle may
-    /// consume more slots than its lane's width — and that the tracked window
-    /// respects the growth bounds ([`MAX_DENSE_SPAN`] dense rows,
-    /// [`MAX_OVERFLOW_TRACKED`] overflow entries per lane, dead prefix within
-    /// compaction slack).
+    /// consume more slots than its lane's width — and its layout: every live
+    /// tag inside `[base, base + ring length)`, ring length a power of two
+    /// within [`MAX_DENSE_SPAN`], overflow cycles past the dense span and at
+    /// most [`MAX_OVERFLOW_TRACKED`] of them.
     ///
     /// # Panics
     ///
@@ -590,87 +679,52 @@ impl LanePool {
     /// under the `simcheck` feature.
     #[cfg(feature = "simcheck")]
     pub fn check_conservation(&self) {
-        for (i, &u) in self.dense.live().iter().enumerate() {
-            let li = i % NUM_POOL_LANES;
+        for (l, lane) in self.lanes.iter().zip(Lane::ALL) {
+            let name = lane.name();
+            let cap = l.ring.len() as u64;
             assert!(
-                u <= self.widths[li],
-                "simcheck: lane pool '{}': cycle {} uses {u} of {} slots",
-                Lane::ALL[li].name(),
-                self.base + (i / NUM_POOL_LANES) as u64,
-                self.widths[li]
+                cap.is_power_of_two() && cap <= MAX_DENSE_SPAN,
+                "simcheck: lane pool '{name}': ring length {cap} is not a power of two within the dense span"
             );
-        }
-        for (li, far) in self.far.iter().enumerate() {
-            for (&c, &u) in far {
+            for (i, &tag) in l.ring.iter().enumerate() {
+                if !l.is_live(tag) {
+                    continue;
+                }
+                let c = tag >> COUNT_BITS;
                 assert!(
-                    u > 0 && u <= self.widths[li],
-                    "simcheck: lane pool '{}': far cycle {c} uses {u} of {} slots",
-                    Lane::ALL[li].name(),
-                    self.widths[li]
+                    c - l.base < cap && l.slot(c) == i,
+                    "simcheck: lane pool '{name}': tag for cycle {c} in slot {i} outside the window at {}",
+                    l.base
+                );
+                assert!(
+                    tag & COUNT_MASK <= u64::from(l.width),
+                    "simcheck: lane pool '{name}': cycle {c} uses {} of {} slots",
+                    tag & COUNT_MASK,
+                    l.width
+                );
+            }
+            for (&c, &u) in &l.far {
+                assert!(
+                    u > 0 && u <= l.width && c - l.base >= MAX_DENSE_SPAN,
+                    "simcheck: lane pool '{name}': far cycle {c} (horizon {}) uses {u} of {} slots",
+                    l.base,
+                    l.width
                 );
             }
             assert!(
-                far.len() <= MAX_OVERFLOW_TRACKED,
-                "simcheck: lane pool '{}': {} far-future cycles exceed the growth bound",
-                Lane::ALL[li].name(),
-                far.len()
+                l.far.len() <= MAX_OVERFLOW_TRACKED,
+                "simcheck: lane pool '{name}': {} far-future cycles exceed the growth bound",
+                l.far.len()
             );
         }
-        assert!(
-            self.live_rows() as u64 <= MAX_DENSE_SPAN,
-            "simcheck: lane pool: {} dense rows exceed the growth bound",
-            self.live_rows()
-        );
     }
 }
 
 snap!(LanePool {
-    base: u64,
+    horizon: u64,
     generation: u64,
-    lane_horizon: [u64; NUM_POOL_LANES],
-    dense: DenseWindow,
-    far: [BTreeMap<u64, u16>; NUM_POOL_LANES],
-} validate check_restored);
-
-/// The dense window of a [`LanePool`]: cycle-major per-lane counts, row
-/// `head + (c - base)` holding cycle `c`, lane-indexed within the row.
-#[derive(Debug, Clone, Default)]
-struct DenseWindow {
-    /// Dead rows at the front of `used` awaiting compaction.
-    head: usize,
-    /// Length is always a multiple of [`NUM_POOL_LANES`].
-    used: Vec<u16>,
-}
-
-impl DenseWindow {
-    fn live_rows(&self) -> usize {
-        self.used.len() / NUM_POOL_LANES - self.head
-    }
-
-    /// The counts of the live rows.
-    fn live(&self) -> &[u16] {
-        &self.used[self.head * NUM_POOL_LANES..]
-    }
-}
-
-/// Only the live rows travel: a row count, then their counts. Restoring
-/// compacts the window (no dead rows).
-impl Snap for DenseWindow {
-    const MIN_BYTES: usize = 8;
-
-    fn save(&self, w: &mut StateWriter) {
-        w.len_of(self.live_rows());
-        self.live().save(w);
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> StateResult<()> {
-        let rows = r.len_for::<[u16; NUM_POOL_LANES]>()?;
-        self.head = 0;
-        self.used.clear();
-        self.used.resize(rows * NUM_POOL_LANES, 0);
-        self.used[..].restore(r)
-    }
-}
+    lanes: [LaneRing; NUM_POOL_LANES],
+});
 
 /// An age-ordered occupancy ring modelling a finite buffer (ROB, IQ, LQ, SQ)
 /// allocated at one pipeline stage and released at another.
@@ -681,10 +735,15 @@ impl Snap for DenseWindow {
 /// processing, [`OccupancyRing::release_floor_after`] answers the same
 /// question for the *k*-th allocation of a group against the pre-group state,
 /// so a whole group's floors can be gathered before any entry is pushed.
+///
+/// Storage is a fixed `capacity`-long buffer with a head and a length, so
+/// pushing never allocates.
 #[derive(Debug, Clone)]
 pub struct OccupancyRing {
-    capacity: usize,
-    releases: VecDeque<u64>,
+    /// Release cycles, oldest at `head`; the length is the capacity.
+    releases: Vec<u64>,
+    head: usize,
+    len: usize,
 }
 
 impl OccupancyRing {
@@ -696,14 +755,30 @@ impl OccupancyRing {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "structure capacity must be non-zero");
         OccupancyRing {
-            capacity,
-            releases: VecDeque::with_capacity(capacity),
+            releases: vec![0; capacity],
+            head: 0,
+            len: 0,
         }
     }
 
     /// The structure capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.releases.len()
+    }
+
+    /// Buffer index of the entry `pos` places from the oldest, `pos < 2 * capacity`.
+    fn index(&self, pos: usize) -> usize {
+        let i = self.head + pos;
+        if i >= self.capacity() {
+            i - self.capacity()
+        } else {
+            i
+        }
+    }
+
+    /// The outstanding release cycles, oldest first.
+    fn outstanding(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..self.len).map(|k| self.releases[self.index(k)])
     }
 
     /// Returns the earliest cycle at which a new entry may be allocated, given that
@@ -724,21 +799,25 @@ impl OccupancyRing {
     /// which this state cannot know. The pipeline batches at most one fetch
     /// group (≤ front width ≤ any structure capacity) per gather.
     pub fn release_floor_after(&self, pushes_since: usize) -> u64 {
-        debug_assert!(pushes_since < self.capacity);
-        let virt = self.releases.len() + pushes_since;
-        if virt < self.capacity {
+        debug_assert!(pushes_since < self.capacity());
+        let virt = self.len + pushes_since;
+        if virt < self.capacity() {
             0
         } else {
-            self.releases[virt - self.capacity]
+            self.releases[self.index(virt - self.capacity())]
         }
     }
 
     /// Records that the entry just allocated will be released at `release_cycle`.
     pub fn push(&mut self, release_cycle: u64) {
-        if self.releases.len() == self.capacity {
-            self.releases.pop_front();
+        if self.len == self.capacity() {
+            self.releases[self.head] = release_cycle;
+            self.head = self.index(1);
+        } else {
+            let i = self.index(self.len);
+            self.releases[i] = release_cycle;
+            self.len += 1;
         }
-        self.releases.push_back(release_cycle);
     }
 
     /// Records a whole fetch group's release cycles in allocation order —
@@ -746,29 +825,39 @@ impl OccupancyRing {
     /// floors gathered via [`OccupancyRing::release_floor_after`] before the
     /// group was processed.
     pub fn push_group(&mut self, release_cycles: &[u64]) {
+        let cap = self.capacity();
+        if release_cycles.len() > cap {
+            release_cycles.iter().for_each(|&c| self.push(c));
+            return;
+        }
+        // Write behind the newest entry, then drop whatever the group pushed
+        // past the capacity from the front.
+        let mut tail = self.index(self.len);
         for &c in release_cycles {
-            self.push(c);
+            self.releases[tail] = c;
+            tail = if tail + 1 == cap { 0 } else { tail + 1 };
+        }
+        let total = self.len + release_cycles.len();
+        if total > cap {
+            self.head = self.index(total - cap);
+            self.len = cap;
+        } else {
+            self.len = total;
         }
     }
 
     /// Clears all occupancy (used on pipeline flushes: squashed entries release
     /// their slots immediately).
     pub fn clear(&mut self) {
-        self.releases.clear();
-    }
-
-    /// Rejects a restored ring holding more entries than its capacity.
-    fn check_restored(&mut self) -> StateResult<()> {
-        ensure(
-            self.releases.len() <= self.capacity,
-            "occupancy ring overfilled",
-        )
+        self.head = 0;
+        self.len = 0;
     }
 
     /// Validates that the recorded release cycles are age-ordered
-    /// (non-decreasing): entries of an in-order-released structure (ROB, LQ,
-    /// SQ) free their slots in allocation order, so a younger entry releasing
-    /// before an older one means the ring's bookkeeping leaked.
+    /// (non-decreasing) and within capacity: entries of an in-order-released
+    /// structure (ROB, LQ, SQ) free their slots in allocation order, so a
+    /// younger entry releasing before an older one means the ring's
+    /// bookkeeping leaked.
     ///
     /// # Panics
     ///
@@ -776,24 +865,44 @@ impl OccupancyRing {
     /// under the `simcheck` feature.
     #[cfg(feature = "simcheck")]
     pub fn check_monotone(&self, name: &str) {
+        assert!(
+            self.len <= self.capacity() && self.head < self.capacity(),
+            "simcheck: occupancy ring '{name}': {} entries from slot {} exceed capacity {}",
+            self.len,
+            self.head,
+            self.capacity()
+        );
         let mut prev = 0u64;
-        for (i, &c) in self.releases.iter().enumerate() {
+        for (i, c) in self.outstanding().enumerate() {
             assert!(
                 c >= prev,
                 "simcheck: occupancy ring '{name}': release {i} at cycle {c} precedes {prev}"
             );
             prev = c;
         }
-        assert!(
-            self.releases.len() <= self.capacity,
-            "simcheck: occupancy ring '{name}': {} entries exceed capacity {}",
-            self.releases.len(),
-            self.capacity
-        );
     }
 }
 
-snap!(OccupancyRing { releases: VecDeque<u64> } validate check_restored);
+/// The outstanding releases travel oldest first behind a length, the way a
+/// `VecDeque<u64>` encodes; restore rejects more than the capacity.
+impl Snap for OccupancyRing {
+    const MIN_BYTES: usize = 8;
+
+    fn save(&self, w: &mut StateWriter) {
+        w.len_of(self.len);
+        for c in self.outstanding() {
+            w.u64(c);
+        }
+    }
+
+    fn restore(&mut self, r: &mut StateReader<'_>) -> StateResult<()> {
+        let n = r.len_for::<u64>()?;
+        ensure(n <= self.capacity(), "occupancy ring overfilled")?;
+        self.head = 0;
+        self.len = n;
+        self.releases[..n].restore(r)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -950,22 +1059,99 @@ mod tests {
         }
     }
 
+    /// A pool payload whose lanes are all empty at horizon 0 except `lane`,
+    /// which carries `base`, `tags` and the overflow `far`.
+    fn pool_payload(lane: Lane, base: u64, tags: &[u64], far: &[(u64, u16)]) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        w.u64(0); // horizon
+        w.u64(0); // generation
+        for l in Lane::ALL {
+            if l == lane {
+                w.u64(base);
+                w.len_of(tags.len());
+                for &t in tags {
+                    w.u64(t);
+                }
+                w.len_of(far.len());
+                for &(c, u) in far {
+                    w.u64(c);
+                    w.u16(u);
+                }
+            } else {
+                w.u64(0);
+                w.len_of(0);
+                w.len_of(0);
+            }
+        }
+        w.finish()
+    }
+
+    fn tag(cycle: u64, used: u64) -> u64 {
+        cycle << COUNT_BITS | used
+    }
+
     #[test]
     fn lane_pool_restore_rejects_absurd_horizons() {
-        let mut w = StateWriter::new();
-        w.u64(0); // base
-        w.u64(0); // generation
-        for _ in 0..NUM_POOL_LANES {
-            w.u64(0); // lane horizons
-        }
-        w.len_of(MAX_DENSE_SPAN as usize + 1);
-        let bytes = w.finish();
+        let restore = |bytes: &[u8]| restore_snapshot(&mut LanePool::new(widths()), bytes);
+        let alu = widths()[Lane::Alu as usize];
+        // A well-formed payload restores and re-encodes to the same bytes.
+        let good = pool_payload(
+            Lane::Alu,
+            100,
+            &[tag(100, 1), tag(107, u64::from(alu))],
+            &[(100 + MAX_DENSE_SPAN, 1)],
+        );
         let mut p = LanePool::new(widths());
-        assert!(restore_snapshot(&mut p, &bytes).is_err());
-        // An overflow cycle claimed inside the dense span.
-        let mut q = LanePool::new(widths());
-        q.far[Lane::Commit as usize] = [(150, 1)].into_iter().collect();
-        assert!(restore_snapshot(&mut p, &snapshot(&q)).is_err());
+        restore_snapshot(&mut p, &good).unwrap();
+        assert_eq!(snapshot(&p), good);
+        assert_eq!(p.allocate(Lane::Alu, 107), 108);
+        // A horizon whose dense span runs past the tag range.
+        assert!(restore(&pool_payload(Lane::Alu, TAG_LIMIT, &[], &[])).is_err());
+        // Tags outside [base, base + MAX_DENSE_SPAN).
+        assert!(restore(&pool_payload(Lane::Alu, 100, &[tag(99, 1)], &[])).is_err());
+        let past = tag(100 + MAX_DENSE_SPAN, 1);
+        assert!(restore(&pool_payload(Lane::Alu, 100, &[past], &[])).is_err());
+        // Counts above the lane width, or empty live slots.
+        let over = tag(100, u64::from(alu) + 1);
+        assert!(restore(&pool_payload(Lane::Alu, 100, &[over], &[])).is_err());
+        assert!(restore(&pool_payload(Lane::Alu, 100, &[tag(100, 0)], &[])).is_err());
+        // Tags out of cycle order, or one cycle twice.
+        let unordered = [tag(105, 1), tag(101, 1)];
+        assert!(restore(&pool_payload(Lane::Alu, 100, &unordered, &[])).is_err());
+        assert!(restore(&pool_payload(Lane::Alu, 100, &[tag(101, 1); 2], &[])).is_err());
+        // An overflow cycle claimed inside the dense span, or over width.
+        assert!(restore(&pool_payload(Lane::Commit, 0, &[], &[(150, 1)])).is_err());
+        let far_over = [(MAX_DENSE_SPAN, 9)];
+        assert!(restore(&pool_payload(Lane::Commit, 0, &[], &far_over)).is_err());
+        // A tag count larger than the payload could hold.
+        let mut w = StateWriter::new();
+        w.u64(0); // horizon
+        w.u64(0); // generation
+        w.u64(0); // rename lane base
+        w.len_of(MAX_DENSE_SPAN as usize + 1);
+        assert!(restore(&w.finish()).is_err());
+    }
+
+    #[test]
+    fn lane_pool_ring_tracks_only_the_live_window() {
+        // A lane whose horizon trails its requests keeps a short ring however
+        // far the cycles have advanced: slots are found by masking the cycle,
+        // never by materialising the cycles in between.
+        let mut p = LanePool::new(widths());
+        let commit = widths()[Lane::Commit as usize];
+        for round in 1..=100u64 {
+            let at = round * 10_000;
+            p.prune_lane_below(Lane::Commit, at - 10);
+            for _ in 0..commit {
+                assert_eq!(p.allocate(Lane::Commit, at), at);
+            }
+            assert_eq!(p.allocate(Lane::Commit, at), at + 1);
+            assert_eq!(p.allocate(Lane::Commit, 0), at - 10);
+        }
+        assert_eq!(p.lanes[Lane::Commit as usize].ring.len(), INITIAL_RING);
+        assert_eq!(p.tracked_cycles(), 3);
+        p.prune_below(2_000_000);
+        assert_eq!(p.tracked_cycles(), 0);
     }
 
     #[test]
@@ -992,6 +1178,30 @@ mod tests {
         r.push(300);
         // Fourth must wait for the second release.
         assert_eq!(r.constrain(13), 200);
+    }
+
+    /// The `VecDeque` occupancy model the fixed ring replaced.
+    struct RingRef {
+        capacity: usize,
+        releases: VecDeque<u64>,
+    }
+
+    impl RingRef {
+        fn floor_after(&self, k: usize) -> u64 {
+            let virt = self.releases.len() + k;
+            if virt < self.capacity {
+                0
+            } else {
+                self.releases[virt - self.capacity]
+            }
+        }
+
+        fn push(&mut self, c: u64) {
+            if self.releases.len() == self.capacity {
+                self.releases.pop_front();
+            }
+            self.releases.push_back(c);
+        }
     }
 
     #[test]
@@ -1022,6 +1232,80 @@ mod tests {
             batched.push_group(&group[..floors.len()]);
             assert_eq!(live.constrain(0), batched.constrain(0));
         }
+
+        // Seeded differential run against the `VecDeque` model: single and
+        // group pushes, every floor, clears, and a snapshot round-trip that
+        // must restore to a ring in lockstep (and to the same bytes).
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        for case in 0..64 {
+            let cap = 1 + next(12) as usize;
+            let mut ring = OccupancyRing::new(cap);
+            let mut model = RingRef {
+                capacity: cap,
+                releases: VecDeque::new(),
+            };
+            let mut release = 0u64;
+            for step in 0..200 {
+                for k in 0..cap {
+                    assert_eq!(
+                        ring.release_floor_after(k),
+                        model.floor_after(k),
+                        "case {case} step {step} floor {k}"
+                    );
+                }
+                match next(16) {
+                    0 => {
+                        ring.clear();
+                        model.releases.clear();
+                    }
+                    1 => {
+                        let copy = ring.clone();
+                        let bytes = snapshot(&ring);
+                        ring = OccupancyRing::new(cap);
+                        restore_snapshot(&mut ring, &bytes).unwrap();
+                        assert_eq!(snapshot(&ring), bytes, "case {case} step {step}");
+                        assert_eq!(snapshot(&copy), bytes);
+                    }
+                    2..=7 => {
+                        let group: Vec<u64> = (0..1 + next(cap as u64))
+                            .map(|_| {
+                                release += next(9);
+                                release
+                            })
+                            .collect();
+                        ring.push_group(&group);
+                        group.iter().for_each(|&c| model.push(c));
+                    }
+                    _ => {
+                        release += next(9);
+                        ring.push(release);
+                        model.push(release);
+                    }
+                }
+                let expect: Vec<u64> = model.releases.iter().copied().collect();
+                assert_eq!(ring.outstanding().collect::<Vec<_>>(), expect);
+            }
+        }
+    }
+
+    #[test]
+    fn occupancy_ring_restore_rejects_overfill() {
+        let mut w = StateWriter::new();
+        w.len_of(3);
+        for c in [1u64, 2, 3] {
+            w.u64(c);
+        }
+        let bytes = w.finish();
+        assert!(restore_snapshot(&mut OccupancyRing::new(2), &bytes).is_err());
+        let mut r = OccupancyRing::new(3);
+        restore_snapshot(&mut r, &bytes).unwrap();
+        assert_eq!(r.constrain(0), 1);
     }
 
     #[test]
@@ -1031,6 +1315,68 @@ mod tests {
         assert_eq!(r.constrain(0), 1000);
         r.clear();
         assert_eq!(r.constrain(0), 0);
+    }
+
+    #[cfg(feature = "simcheck")]
+    #[test]
+    fn simcheck_accepts_live_pools_and_rings() {
+        let mut p = LanePool::new(widths());
+        let mut ring = OccupancyRing::new(4);
+        for i in 0..5000u64 {
+            let lane = Lane::ALL[(i % 11) as usize];
+            p.allocate(lane, i / 2 + (i * 7) % 300);
+            if i % 50 == 0 {
+                p.prune_below(i / 3);
+                p.prune_lane_below(Lane::Commit, i / 2);
+            }
+            ring.push(i);
+            p.check_conservation();
+            ring.check_monotone("rob");
+        }
+        p.allocate(Lane::Alu, 3 * MAX_DENSE_SPAN);
+        p.check_conservation();
+    }
+
+    #[cfg(feature = "simcheck")]
+    #[test]
+    #[should_panic(expected = "simcheck: lane pool 'alu'")]
+    fn simcheck_catches_an_overfull_cycle() {
+        let mut p = LanePool::new(widths());
+        p.allocate(Lane::Alu, 10);
+        let l = &mut p.lanes[Lane::Alu as usize];
+        let i = l.slot(10);
+        l.ring[i] = tag(10, 5);
+        p.check_conservation();
+    }
+
+    #[cfg(feature = "simcheck")]
+    #[test]
+    #[should_panic(expected = "simcheck: lane pool 'commit'")]
+    fn simcheck_catches_a_misplaced_tag() {
+        let mut p = LanePool::new(widths());
+        p.allocate(Lane::Commit, 10);
+        let l = &mut p.lanes[Lane::Commit as usize];
+        let i = l.slot(11);
+        l.ring[i] = tag(10, 1);
+        p.check_conservation();
+    }
+
+    #[cfg(feature = "simcheck")]
+    #[test]
+    #[should_panic(expected = "simcheck: lane pool 'load'")]
+    fn simcheck_catches_an_overflow_entry_inside_the_dense_span() {
+        let mut p = LanePool::new(widths());
+        p.lanes[Lane::Load as usize].far.insert(100, 1);
+        p.check_conservation();
+    }
+
+    #[cfg(feature = "simcheck")]
+    #[test]
+    #[should_panic(expected = "simcheck: occupancy ring 'rob'")]
+    fn simcheck_catches_an_out_of_order_release() {
+        let mut ring = OccupancyRing::new(4);
+        ring.push_group(&[10, 30, 20]);
+        ring.check_monotone("rob");
     }
 
     #[test]

@@ -10,9 +10,10 @@
 
 use bebop::{
     configs, par, run_fingerprint, run_source, run_source_resumable, set_shutdown_requested,
-    MixSpec, PipelineConfig, PredictorKind, ResumeOptions, RunControl, RunOutcome, SharingPolicy,
-    SimCheckpoint, UopSource, WorkloadSpec, CHECKPOINT_FORMAT_VERSION,
+    CheckpointError, MixSpec, PipelineConfig, PredictorKind, ResumeOptions, RunControl, RunOutcome,
+    SharingPolicy, SimCheckpoint, UopSource, WorkloadSpec, CHECKPOINT_FORMAT_VERSION,
 };
+use bebop_trace::spec_benchmark;
 use bebop_trace::{fnv1a, TraceBuffer, FNV_OFFSET_BASIS};
 use bebop_uarch::{Pipeline, ValuePredictor};
 use rand::rngs::SmallRng;
@@ -243,6 +244,43 @@ fn corrupt_truncated_and_mismatched_checkpoints_fall_back_to_zero() {
         assert!(!path.exists(), "{what}: the bad file must be discarded");
     }
 
+    // A checkpoint written by the previous format version (here: a current
+    // checkpoint restamped as version 2, checksum intact) is rejected as a
+    // version mismatch, never decoded.
+    snapshot_at(&spec, &cfg, &kind, TOTAL / 2, &path);
+    let mut old = fs::read(&path).expect("checkpoint bytes");
+    old[8..12].copy_from_slice(&(CHECKPOINT_FORMAT_VERSION - 1).to_le_bytes());
+    let body = old.len() - 8;
+    let checksum = fnv1a(FNV_OFFSET_BASIS, &old[..body]);
+    old[body..].copy_from_slice(&checksum.to_le_bytes());
+    fs::write(&path, &old).expect("write old-version checkpoint");
+    assert_eq!(
+        SimCheckpoint::load(
+            &path,
+            run_fingerprint(&UopSource::Live(&spec), &cfg, &kind, TOTAL)
+        ),
+        Err(CheckpointError::VersionMismatch {
+            found: CHECKPOINT_FORMAT_VERSION - 1
+        })
+    );
+    let run = run_source_resumable(
+        UopSource::Live(&spec),
+        &cfg,
+        &kind,
+        TOTAL,
+        ResumeOptions {
+            checkpoint_path: Some(&path),
+            ..Default::default()
+        },
+    );
+    assert_eq!(run.resumed_from, None);
+    assert!(run
+        .rejected_checkpoint
+        .as_deref()
+        .is_some_and(|r| r.contains("format version")));
+    assert_eq!(run.outcome, RunOutcome::Complete(reference));
+    assert!(!path.exists());
+
     // A checkpoint from a *different* configuration (here: another µ-op
     // budget, which changes the fingerprint) is rejected the same way.
     let mut other = snapshot_at(&spec, &cfg, &kind, TOTAL / 2, &path);
@@ -449,61 +487,63 @@ fn pin_payloads(case: &PinCase) -> Vec<(u64, Vec<u8>, Vec<u8>)> {
         .collect()
 }
 
-/// FNV-1a digests of the component payloads, pinned when
-/// `CHECKPOINT_FORMAT_VERSION` was 2: `(case, cut, pipeline, predictor)`.
+/// FNV-1a digests of the component payloads: `(case, cut, pipeline,
+/// predictor)`. The predictor column was pinned when
+/// `CHECKPOINT_FORMAT_VERSION` was 2 and has not moved since; the pipeline
+/// column was re-pinned at version 3 (per-lane `LanePool`, flat TAGE table).
 const PINNED_PAYLOAD_DIGESTS: &[(&str, u64, u64, u64)] = &[
-    ("plain-0", 2500, 0xfa45bebeb7e3b26a, 0xcbf29ce484222325),
-    ("plain-0", 9000, 0x9fd25bff9a9d29b8, 0xcbf29ce484222325),
-    ("plain-1", 2500, 0x48d215e0695b4576, 0xcbf29ce484222325),
-    ("plain-1", 9000, 0xb1b3cc9358aa4261, 0xcbf29ce484222325),
-    ("plain-2", 2500, 0xfa45bebeb7e3b26a, 0x84c26d0fbb83757d),
-    ("plain-2", 9000, 0x9fd25bff9a9d29b8, 0x9f898a399b42308d),
-    ("plain-3", 2500, 0xfa45bebeb7e3b26a, 0x9476d82303e5918d),
-    ("plain-3", 9000, 0x8aea47c25780955f, 0x50dbebacd0f0b038),
-    ("plain-4", 2500, 0xfa45bebeb7e3b26a, 0x5682522da7318fe5),
-    ("plain-4", 9000, 0x8aea47c25780955f, 0xa23159204afca6e7),
-    ("plain-5", 2500, 0xfa45bebeb7e3b26a, 0x6dfa66aef0a6898d),
-    ("plain-5", 9000, 0x81662c6ed335c0ca, 0x967bd0f994788bd7),
-    ("plain-6", 2500, 0xfa45bebeb7e3b26a, 0xb4827aefdc1ca05e),
-    ("plain-6", 9000, 0x81662c6ed335c0ca, 0xb208d33367b4bc78),
-    ("plain-7", 2500, 0xfa45bebeb7e3b26a, 0x3d4275b181a8f0e7),
-    ("plain-7", 9000, 0x01f882ab36ef1e0e, 0xcc90deac20e89536),
-    ("plain-8", 2500, 0xfa45bebeb7e3b26a, 0x9438b797a699984d),
-    ("plain-8", 9000, 0x78886f00bee61708, 0x46d9f0a859610109),
-    ("mix-shared", 2500, 0x63de558384f9a9da, 0x7421812c2cfed42a),
-    ("mix-shared", 9000, 0x9c139715c4512fdd, 0xb2c7fb0e14750498),
+    ("plain-0", 2500, 0x3cd85c8aafad3bbd, 0xcbf29ce484222325),
+    ("plain-0", 9000, 0xda4cdd1b5e9362ef, 0xcbf29ce484222325),
+    ("plain-1", 2500, 0xe86048baa35874e3, 0xcbf29ce484222325),
+    ("plain-1", 9000, 0xd4ce1a4ce56e8725, 0xcbf29ce484222325),
+    ("plain-2", 2500, 0x3cd85c8aafad3bbd, 0x84c26d0fbb83757d),
+    ("plain-2", 9000, 0xda4cdd1b5e9362ef, 0x9f898a399b42308d),
+    ("plain-3", 2500, 0x3cd85c8aafad3bbd, 0x9476d82303e5918d),
+    ("plain-3", 9000, 0xfde26e6eedf17f19, 0x50dbebacd0f0b038),
+    ("plain-4", 2500, 0x3cd85c8aafad3bbd, 0x5682522da7318fe5),
+    ("plain-4", 9000, 0xfde26e6eedf17f19, 0xa23159204afca6e7),
+    ("plain-5", 2500, 0x3cd85c8aafad3bbd, 0x6dfa66aef0a6898d),
+    ("plain-5", 9000, 0x356d0c78aacd5410, 0x967bd0f994788bd7),
+    ("plain-6", 2500, 0x3cd85c8aafad3bbd, 0xb4827aefdc1ca05e),
+    ("plain-6", 9000, 0x356d0c78aacd5410, 0xb208d33367b4bc78),
+    ("plain-7", 2500, 0x3cd85c8aafad3bbd, 0x3d4275b181a8f0e7),
+    ("plain-7", 9000, 0xeb257f5d5216fec7, 0xcc90deac20e89536),
+    ("plain-8", 2500, 0x3cd85c8aafad3bbd, 0x9438b797a699984d),
+    ("plain-8", 9000, 0xde6790fd1f341906, 0x46d9f0a859610109),
+    ("mix-shared", 2500, 0xdddc7e1ca87affbf, 0x7421812c2cfed42a),
+    ("mix-shared", 9000, 0x7cd00eb10a0f4364, 0xb2c7fb0e14750498),
     (
         "mix-partitioned",
         2500,
-        0x63de558384f9a9da,
+        0xdddc7e1ca87affbf,
         0xd10c1f4ee45fcee6,
     ),
     (
         "mix-partitioned",
         9000,
-        0x1dfdc569394b561f,
+        0xf21653db28760621,
         0x722f206ceb403406,
     ),
-    ("mix-tagged", 2500, 0x63de558384f9a9da, 0x344b304d63944ecf),
-    ("mix-tagged", 9000, 0x1dfdc569394b561f, 0x9409ac430234c913),
-    ("wrong-path-0", 2500, 0xa5308775a6a0c55d, 0xcbf29ce484222325),
-    ("wrong-path-0", 9000, 0xf6755dfe647587c6, 0xcbf29ce484222325),
-    ("wrong-path-1", 2500, 0x2dad4dccca898f07, 0xcbf29ce484222325),
-    ("wrong-path-1", 9000, 0x8e5d9c763697eddc, 0xcbf29ce484222325),
-    ("wrong-path-2", 2500, 0xa5308775a6a0c55d, 0xd1d562457950830d),
-    ("wrong-path-2", 9000, 0xf6755dfe647587c6, 0x501d3375712ccda7),
-    ("wrong-path-3", 2500, 0xa5308775a6a0c55d, 0xcc1b95f25085b056),
-    ("wrong-path-3", 9000, 0xf6755dfe647587c6, 0x2e0267e629fe678d),
-    ("wrong-path-4", 2500, 0xa5308775a6a0c55d, 0x5372e12f5ed1b630),
-    ("wrong-path-4", 9000, 0x34400a91a0e4bde7, 0xaa2d2cbd0ee2c657),
-    ("wrong-path-5", 2500, 0xa5308775a6a0c55d, 0x9742165a17d92f54),
-    ("wrong-path-5", 9000, 0xf6755dfe647587c6, 0x90c95e55ddbe20aa),
-    ("wrong-path-6", 2500, 0xa5308775a6a0c55d, 0x3df1bf8a2eb994e9),
-    ("wrong-path-6", 9000, 0x34400a91a0e4bde7, 0x408d84f694529ee0),
-    ("wrong-path-7", 2500, 0xa5308775a6a0c55d, 0xff3109deaae02508),
-    ("wrong-path-7", 9000, 0x240c26312ef706af, 0xe6312c99006b273b),
-    ("wrong-path-8", 2500, 0xa5308775a6a0c55d, 0xb83c1d5394e2e035),
-    ("wrong-path-8", 9000, 0x5de59b56bdca1f24, 0x624e4a003fd0853d),
+    ("mix-tagged", 2500, 0xdddc7e1ca87affbf, 0x344b304d63944ecf),
+    ("mix-tagged", 9000, 0xf21653db28760621, 0x9409ac430234c913),
+    ("wrong-path-0", 2500, 0x5eb55f2a27c43b9b, 0xcbf29ce484222325),
+    ("wrong-path-0", 9000, 0xef4e09424b450ed1, 0xcbf29ce484222325),
+    ("wrong-path-1", 2500, 0xb961632b92297688, 0xcbf29ce484222325),
+    ("wrong-path-1", 9000, 0x4f86dc684e9794ce, 0xcbf29ce484222325),
+    ("wrong-path-2", 2500, 0x5eb55f2a27c43b9b, 0xd1d562457950830d),
+    ("wrong-path-2", 9000, 0xef4e09424b450ed1, 0x501d3375712ccda7),
+    ("wrong-path-3", 2500, 0x5eb55f2a27c43b9b, 0xcc1b95f25085b056),
+    ("wrong-path-3", 9000, 0xef4e09424b450ed1, 0x2e0267e629fe678d),
+    ("wrong-path-4", 2500, 0x5eb55f2a27c43b9b, 0x5372e12f5ed1b630),
+    ("wrong-path-4", 9000, 0x0fca2c02d4e40758, 0xaa2d2cbd0ee2c657),
+    ("wrong-path-5", 2500, 0x5eb55f2a27c43b9b, 0x9742165a17d92f54),
+    ("wrong-path-5", 9000, 0xef4e09424b450ed1, 0x90c95e55ddbe20aa),
+    ("wrong-path-6", 2500, 0x5eb55f2a27c43b9b, 0x3df1bf8a2eb994e9),
+    ("wrong-path-6", 9000, 0x0fca2c02d4e40758, 0x408d84f694529ee0),
+    ("wrong-path-7", 2500, 0x5eb55f2a27c43b9b, 0xff3109deaae02508),
+    ("wrong-path-7", 9000, 0xd4ae4c0675546612, 0xe6312c99006b273b),
+    ("wrong-path-8", 2500, 0x5eb55f2a27c43b9b, 0xb83c1d5394e2e035),
+    ("wrong-path-8", 9000, 0x4a514594d2a44665, 0x624e4a003fd0853d),
 ];
 
 /// The checkpoint format guard: the bytes every component writes are pinned.
@@ -511,7 +551,7 @@ const PINNED_PAYLOAD_DIGESTS: &[(&str, u64, u64, u64)] = &[
 /// digests; a refactor of the codec must leave them untouched.
 #[test]
 fn component_payload_bytes_are_pinned() {
-    assert_eq!(CHECKPOINT_FORMAT_VERSION, 2, "re-pin the digests below");
+    assert_eq!(CHECKPOINT_FORMAT_VERSION, 3, "re-pin the digests below");
     let digest = |b: &[u8]| fnv1a(FNV_OFFSET_BASIS, b);
     let cases = pin_cases();
     let got: Vec<(String, u64, u64, u64)> = par::par_map(&cases, |case| {
@@ -532,6 +572,51 @@ fn component_payload_bytes_are_pinned() {
         .map(|&(l, c, p, q)| (l.to_string(), c, p, q))
         .collect();
     assert_eq!(got, want, "payload digests moved; now:\n{rendered}");
+}
+
+/// The pipeline payload carries only live bandwidth-pool state, so its size
+/// follows the in-flight window, not how far commit has run ahead of fetch.
+/// The memory-bound specifications below are the ones whose payloads grew
+/// with the run when the pool kept one shared dense window pruned to the
+/// fetch cycle (1.8–6.0 MB at the 100K and 150K cuts); each payload must
+/// stay within 1 MiB.
+///
+/// 173.applu on `EOLE_4_60` is checked at 50K and 100K only. By 150K its
+/// deferred value-predictor trainings — held until the group fetched after
+/// their commit, and fetch runs far behind commit in this phase — reach
+/// ~51 500 records (2.7 MB of a 2.9 MB payload, against 2.5 KB of pool
+/// state). That queue is simulated state, not pool bookkeeping.
+#[test]
+fn pipeline_payload_stays_bounded_on_memory_bound_runs() {
+    const BOUND: usize = 1 << 20;
+    let all_cuts: &[u64] = &[50_000, 100_000, 150_000];
+    let cases = [
+        ("462.libquantum", PipelineConfig::baseline_6_60(), all_cuts),
+        ("183.equake", PipelineConfig::baseline_6_60(), all_cuts),
+        ("450.soplex", PipelineConfig::baseline_6_60(), all_cuts),
+        ("173.applu", PipelineConfig::eole_4_60(), &all_cuts[..2]),
+    ];
+    let sizes = par::par_map(&cases, |(name, cfg, cuts)| {
+        let spec = spec_benchmark(name);
+        let mut pipeline = Pipeline::new(cfg.clone());
+        let mut predictor = PredictorKind::None.build();
+        let mut stream = UopSource::Live(&spec).stream();
+        let mut stream_pos = 0u64;
+        cuts.iter()
+            .map(|&cut| {
+                pipeline.run_segment(&mut stream, &mut predictor, cut, &mut stream_pos);
+                pipeline.save_state().len()
+            })
+            .collect::<Vec<_>>()
+    });
+    for ((name, _, cuts), sizes) in cases.iter().zip(sizes) {
+        for (cut, len) in cuts.iter().zip(sizes) {
+            assert!(
+                len <= BOUND,
+                "{name} at {cut} µ-ops: pipeline payload of {len} bytes exceeds {BOUND}"
+            );
+        }
+    }
 }
 
 /// The hostile-input contract of the component decoders: each payload of

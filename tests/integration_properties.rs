@@ -13,7 +13,10 @@ use bebop_isa::{
     byte_index_in_block, fetch_block_pc, restore_snapshot, snapshot, FetchBlockLayout,
 };
 use bebop_trace::{profile_slices, SliceBbv, TraceBuffer, TraceGenerator, WorkloadSpec};
-use bebop_uarch::{gmean, Lane, LanePool, OccupancyRing, SlotPool, MAX_DENSE_SPAN, NUM_POOL_LANES};
+use bebop_uarch::{
+    gmean, Btb, Lane, LanePool, OccupancyRing, SetAssocCache, SlotPool, MAX_DENSE_SPAN,
+    NUM_POOL_LANES,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -323,6 +326,158 @@ fn prop_occupancy_ring() {
             let release = constrained + rel;
             ring.push(release);
             history.push(release);
+        }
+    }
+}
+
+/// Per-set most-recently-used-first lists: the set-associative reference the
+/// flat `SetAssocCache` and `Btb` storage is held to.
+struct MruReference<T> {
+    sets: Vec<Vec<T>>,
+    ways: usize,
+}
+
+impl<T: Copy> MruReference<T> {
+    fn new(sets: usize, ways: usize) -> Self {
+        MruReference {
+            sets: (0..sets).map(|_| Vec::new()).collect(),
+            ways,
+        }
+    }
+
+    fn find(&self, set: usize, hit: impl Fn(&T) -> bool) -> Option<T> {
+        self.sets[set].iter().copied().find(hit)
+    }
+
+    /// Moves (or inserts, evicting the LRU entry of a full set) `v` to the
+    /// front of `set`; returns whether an entry matched.
+    fn touch(&mut self, set: usize, hit: impl Fn(&T) -> bool, v: T) -> bool {
+        let lines = &mut self.sets[set];
+        let found = lines.iter().position(hit);
+        match found {
+            Some(pos) => {
+                lines.remove(pos);
+            }
+            None if lines.len() == self.ways => {
+                lines.pop();
+            }
+            None => {}
+        }
+        lines.insert(0, v);
+        found.is_some()
+    }
+}
+
+/// The flat set-associative cache behaves exactly like per-set MRU lists:
+/// same hits, same probes, same counters, across seeded streams that
+/// overfill and conflict in a few hot sets, with a snapshot round-trip
+/// mid-stream that must continue in lockstep.
+#[test]
+fn prop_flat_cache_matches_mru_list_reference() {
+    for case in 0..CASES {
+        let mut r = rng(case);
+        let line_bytes = 1u64 << r.gen_range(4u32..8);
+        let ways = r.gen_range(1usize..9);
+        let sets = 1usize << r.gen_range(0u32..5);
+        let mut cache = SetAssocCache::new(line_bytes * (sets * ways) as u64, ways, line_bytes);
+        let mut reference = MruReference::new(sets, ways);
+        let (mut accesses, mut misses) = (0u64, 0u64);
+        // Lines drawn from a pool a few times the capacity, half the draws
+        // from three hot sets, so sets fill, conflict and evict.
+        let pool = (sets * ways * 3) as u64;
+        let steps = r.gen_range(1usize..400);
+        let round_trip_at = r.gen_range(0..steps);
+        for step in 0..steps {
+            let line = if r.gen_bool(0.5) {
+                r.gen_range(0u64..3) + sets as u64 * r.gen_range(0u64..pool / sets as u64 + 1)
+            } else {
+                r.gen_range(0..pool)
+            };
+            let addr = line * line_bytes + r.gen_range(0..line_bytes);
+            // CAST: reduced modulo the set count.
+            let set = (line % sets as u64) as usize;
+            let same = |&l: &u64| l == line;
+            match r.gen_range(0u32..4) {
+                0 => {
+                    cache.fill(addr);
+                    reference.touch(set, same, line);
+                }
+                1 => assert_eq!(
+                    cache.probe(addr),
+                    reference.find(set, same).is_some(),
+                    "case {case} step {step}: probe"
+                ),
+                _ => {
+                    let hit = reference.touch(set, same, line);
+                    accesses += 1;
+                    misses += u64::from(!hit);
+                    assert_eq!(cache.access(addr), hit, "case {case} step {step}: access");
+                }
+            }
+            assert_eq!(
+                (cache.accesses(), cache.misses()),
+                (accesses, misses),
+                "case {case} step {step}: counters"
+            );
+            if step == round_trip_at {
+                let bytes = snapshot(&cache);
+                let mut copy =
+                    SetAssocCache::new(line_bytes * (sets * ways) as u64, ways, line_bytes);
+                restore_snapshot(&mut copy, &bytes).expect("a live cache must restore");
+                assert_eq!(snapshot(&copy), bytes, "case {case}: lossy round-trip");
+                cache = copy;
+            }
+        }
+        // Every line the reference holds is resident, and nothing else.
+        for line in 0..pool {
+            let set = (line % sets as u64) as usize;
+            assert_eq!(
+                cache.probe(line * line_bytes),
+                reference.find(set, |&l| l == line).is_some(),
+                "case {case}: final contents of line {line}"
+            );
+        }
+    }
+}
+
+/// The flat BTB behaves exactly like per-set MRU lists of (pc, target):
+/// same lookups (and previous targets returned by updates) across seeded
+/// lookup/update streams with retargeted branches, full sets and conflicts,
+/// and a mid-stream snapshot round-trip.
+#[test]
+fn prop_flat_btb_matches_mru_list_reference() {
+    for case in 0..CASES {
+        let mut r = rng(case);
+        let ways = r.gen_range(1usize..5);
+        let sets = 1usize << r.gen_range(0u32..4);
+        let mut btb = Btb::new(sets * ways, ways);
+        let mut reference = MruReference::new(sets, ways);
+        let pcs = (sets * ways * 3) as u64;
+        let steps = r.gen_range(1usize..300);
+        let round_trip_at = r.gen_range(0..steps);
+        for step in 0..steps {
+            let pc = 4 * r.gen_range(0..pcs) + 0x40_0000;
+            // CAST: reduced modulo the set count.
+            let set = ((pc >> 2) % sets as u64) as usize;
+            let same = |&(p, _): &(u64, u64)| p == pc;
+            let want = reference.find(set, same).map(|(_, t)| t);
+            assert_eq!(btb.lookup(pc), want, "case {case} step {step}: lookup");
+            if r.gen_bool(0.6) {
+                let target = r.gen_range(0u64..4) * 0x100;
+                assert_eq!(
+                    btb.update(pc, target),
+                    want,
+                    "case {case} step {step}: update"
+                );
+                reference.touch(set, same, (pc, target));
+            }
+            if step == round_trip_at {
+                let bytes = snapshot(&btb);
+                let mut copy = Btb::new(sets * ways, ways);
+                restore_snapshot(&mut copy, &bytes).expect("a live BTB must restore");
+                assert_eq!(snapshot(&copy), bytes, "case {case}: lossy round-trip");
+                btb = copy;
+            }
         }
     }
 }
