@@ -4,7 +4,6 @@
 //! cargo run -p bebop-bench --release --bin figures -- --all
 //! cargo run -p bebop-bench --release --bin figures -- --fig8 --uops 1000000
 //! cargo run -p bebop-bench --release --bin figures -- --all --json BENCH_figures.json
-//! cargo run -p bebop-bench --release --bin figures -- --all --trace-cache-mb 64
 //! cargo run -p bebop-bench --release --bin figures -- --all --trace-dir .trace-store
 //! cargo run -p bebop-bench --release --bin figures -- --wrong-path --subset
 //! cargo run -p bebop-bench --release --bin figures -- --mix --subset
@@ -17,10 +16,10 @@
 //! the `[min, max]` box plus geometric mean.
 //!
 //! Every workload's µ-op stream is recorded into a shared trace buffer once up
-//! front (~6–7 MiB per 200K-µop trace; `--trace-cache-mb` caps the total,
-//! `--no-trace-cache` streams everything), and every (config, workload)
-//! simulation replays the shared recording — so a config sweep pays trace
-//! generation once, not once per configuration. With `--trace-dir <path>` the
+//! front (~6–7 MiB per 200K-µop trace; `--no-trace-cache` streams
+//! everything), and every (config, workload) simulation replays the shared
+//! recording — so a config sweep pays trace generation once, not once per
+//! configuration. With `--trace-dir <path>` the
 //! recordings are additionally persisted to a versioned, checksummed on-disk
 //! store, so a *second* invocation (or a CI job restoring the directory from a
 //! cache) loads every trace from disk and generates zero µ-ops;
@@ -153,10 +152,6 @@ fn parse_args() -> Options {
             "--trace-dir" => opts.trace_dir = Some(arg_value(&mut args, "--trace-dir", "a path")),
             "--trace-dir-mb" => {
                 opts.trace_dir_mb = Some(arg_value(&mut args, "--trace-dir-mb", "a number of MiB"));
-            }
-            "--trace-cache-mb" => {
-                let mb = arg_value(&mut args, "--trace-cache-mb", "a number of MiB");
-                opts.trace_cache = TraceCachePolicy::capped_mb(mb);
             }
             "--sweep" => opts.sweep_dir = Some(arg_value(&mut args, "--sweep", "a directory")),
             "--resume" => opts.resume = true,
@@ -484,15 +479,13 @@ fn main() {
 
     if wants(&opts, "fig5b") {
         timed(&mut report, "fig5b", || {
-            let results = run_fig5b(&set, uops);
-            let summary = SpeedupSummary::from_results(&results);
-            println!("\n=== Figure 5b: EOLE_4_60 (D-VTAGE) over Baseline_VP_6_60 ===");
-            println!("{}", format_summary("EOLE_4_60 w/ D-VTAGE", &summary));
-            print!("{}", format_per_bench(&results));
-            results
-                .iter()
-                .map(|r| r.baseline.uops + r.variant.uops)
-                .sum()
+            let out = run_fig5b(&set, uops);
+            print_grouped(
+                "Figure 5b: EOLE_4_60 (D-VTAGE) over Baseline_VP_6_60",
+                &out.groups,
+                true,
+            );
+            out.simulated_uops
         });
     }
 
@@ -719,7 +712,15 @@ fn main() {
             if let Some(w) = opts.sample_warmup {
                 cfg.warmup_uops = w;
             }
-            let out = sampling::run_sampled(&specs, uops, &cfg, &opts.trace_cache, store.as_ref());
+            let out = sampling::run_sampled_with(
+                &specs,
+                uops,
+                &cfg,
+                &bebop::PipelineConfig::baseline_vp_6_60(),
+                &bebop::PredictorKind::DVtage,
+                &opts.trace_cache,
+                store.as_ref(),
+            );
             println!(
                 "\n=== Phase sampling: {}-µ-op slices, ≤{} phases, {}-µ-op warm-up, \
                  D-VTAGE on Baseline_VP_6_60 ===",
@@ -769,13 +770,16 @@ fn main() {
                 sampling::IPC_RELATIVE_BOUND_FLOOR * 100.0
             );
             println!(
-                "    sampled {} of {} full-run µ-ops ({:.1}% of the full budget)",
+                "    sampled {} of {} full-run µ-ops ({:.1}% of the full budget), \
+                 after {} functionally warmed µ-ops",
                 out.simulated_uops,
                 out.full_uops,
-                out.simulated_uops as f64 / out.full_uops as f64 * 100.0
+                out.simulated_uops as f64 / out.full_uops as f64 * 100.0,
+                out.warm_uops
             );
             // The simulated/full split is the cost ledger: sampled runs must
-            // stay a small fraction of the full-run budget.
+            // stay a small fraction of the full-run budget. The warmed count
+            // is the functional-warming cost the detailed split leaves out.
             counters.extend([
                 (
                     "sampled_slices",
@@ -786,6 +790,7 @@ fn main() {
                     out.rows.iter().map(|r| r.phases as u64).sum(),
                 ),
                 ("sampled_simulated_uops", out.simulated_uops),
+                ("sampled_warm_uops", out.warm_uops),
                 ("sampled_full_uops", out.full_uops),
             ]);
             out.simulated_uops + out.generated_uops

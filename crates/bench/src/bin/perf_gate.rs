@@ -23,15 +23,28 @@
 
 use bebop_bench::perf_json;
 
+/// Exits with a usage error (unusable input is the caller's mistake, not a
+/// regression).
+fn fail(msg: &str) -> ! {
+    eprintln!("[perf_gate] {msg}");
+    std::process::exit(2);
+}
+
+/// The next argument of `flag` as a finite, non-negative fraction.
+fn fraction(args: &mut impl Iterator<Item = String>, flag: &str, example: &str) -> f64 {
+    match args.next().map(|v| v.parse::<f64>()) {
+        Some(Ok(v)) if v.is_finite() && v >= 0.0 => v,
+        _ => fail(&format!(
+            "{flag} needs a non-negative fraction (e.g. {example})"
+        )),
+    }
+}
+
 fn load(path: &str) -> perf_json::PerfReport {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("[perf_gate] cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    perf_json::parse(&text).unwrap_or_else(|| {
-        eprintln!("[perf_gate] {path} is not a bebop-bench-figures/v1 report");
-        std::process::exit(2);
-    })
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
+    perf_json::parse(&text)
+        .unwrap_or_else(|| fail(&format!("{path} is not a bebop-bench-figures/v1 report")))
 }
 
 fn main() {
@@ -41,32 +54,18 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--max-regression" => {
-                tolerance = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    // INVARIANT: CLI usage error — a gate that cannot parse
-                    // its threshold must die loudly, not run with a default.
-                    .expect("--max-regression needs a fraction (e.g. 0.20)");
-            }
+            "--max-regression" => tolerance = fraction(&mut args, "--max-regression", "0.20"),
             "--per-experiment" => {
-                per_experiment = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        // INVARIANT: CLI usage error — same contract as
-                        // --max-regression, die loudly on a bad threshold.
-                        .expect("--per-experiment needs a fraction (e.g. 0.35)"),
-                );
+                per_experiment = Some(fraction(&mut args, "--per-experiment", "0.35"));
             }
             other => paths.push(other.to_string()),
         }
     }
     if paths.len() != 2 {
-        eprintln!(
+        fail(
             "usage: perf_gate <baseline.json> <current.json> \
-             [--max-regression 0.20] [--per-experiment 0.35]"
+             [--max-regression 0.20] [--per-experiment 0.35]",
         );
-        std::process::exit(2);
     }
 
     let baseline = load(&paths[0]);

@@ -1,10 +1,10 @@
 //! Shared harness code for regenerating the tables and figures of the BeBoP paper.
 //!
 //! The `figures` binary (`cargo run -p bebop-bench --release --bin figures -- --all`)
-//! and the `cargo bench` targets all call into this crate. Every experiment of the
-//! paper's evaluation (Section VI) has a `run_*` function here that produces the
-//! same rows/series the paper reports: per-benchmark speedups plus the
-//! `[min, max]` box and geometric mean used in the figures.
+//! calls into this crate. Every experiment of the paper's evaluation (Section VI)
+//! has a `run_*` function here that produces the same rows/series the paper
+//! reports: per-benchmark speedups plus the `[min, max]` box and geometric mean
+//! used in the figures.
 //!
 //! # Execution model
 //!
@@ -24,11 +24,10 @@
 #![warn(missing_docs)]
 
 use bebop::{
-    configs, par, run_source, run_source_with, BenchResult, PredictorKind, SimStats,
-    SpeedupSummary, UopSource,
+    configs, par, run_source, BenchResult, PredictorKind, SimStats, SpeedupSummary, UopSource,
 };
 use bebop_trace::{all_spec_benchmarks, MixSpec, TraceBuffer, WorkloadSpec};
-use bebop_uarch::{PipelineConfig, SharingPolicy};
+use bebop_uarch::{Pipeline, PipelineConfig, SharingPolicy};
 
 mod trace_set;
 
@@ -46,12 +45,8 @@ pub use trace_set::{TraceCachePolicy, TraceSet};
 /// takes the budget as a parameter; nothing is hard-coded to this constant.
 pub const DEFAULT_UOPS: u64 = 200_000;
 
-/// A reduced µ-op budget used by the `cargo bench` targets so the whole suite stays
-/// fast.
-pub const BENCH_UOPS: u64 = 30_000;
-
 /// Returns the benchmark population: all 36 Table II workloads, or a reduced subset
-/// when `subset` is true (used by `cargo bench` to bound runtime).
+/// when `subset` is true (the `--subset` flag, used to bound runtime).
 pub fn workloads(subset: bool) -> Vec<WorkloadSpec> {
     let all = all_spec_benchmarks();
     if subset {
@@ -95,32 +90,6 @@ pub fn format_per_bench(results: &[BenchResult]) -> String {
     out
 }
 
-/// Runs every workload of the set under both configurations and returns the
-/// per-benchmark comparison, fanned out across cores. The trace-sharing
-/// counterpart of [`bebop::compare`]: each simulation replays the set's shared
-/// recording instead of regenerating the workload.
-pub fn compare_traced(
-    set: &TraceSet,
-    baseline_pipeline: &PipelineConfig,
-    baseline_predictor: &PredictorKind,
-    variant_pipeline: &PipelineConfig,
-    variant_predictor: &PredictorKind,
-    max_uops: u64,
-) -> Vec<BenchResult> {
-    set.assert_covers(max_uops);
-    let idx: Vec<usize> = (0..set.len()).collect();
-    par::par_map(&idx, |&i| BenchResult {
-        name: set.name(i).to_string(),
-        baseline: run_source(
-            set.source(i),
-            baseline_pipeline,
-            baseline_predictor,
-            max_uops,
-        ),
-        variant: run_source(set.source(i), variant_pipeline, variant_predictor, max_uops),
-    })
-}
-
 /// One variant group of a sweep: display label, pipeline and predictor.
 pub type SweepVariant = (String, PipelineConfig, PredictorKind);
 
@@ -142,7 +111,7 @@ pub struct SweepOutcome {
 ///
 /// Results are ordering-stable and bit-identical to a serial run (the fan-out
 /// is [`par::par_map`]), and — because replay is bit-identical to live
-/// generation — to the legacy per-config [`bebop::compare`] path as well.
+/// generation — to simulating every (configuration, workload) pair live.
 pub fn run_sweep(
     set: &TraceSet,
     baseline_pipeline: &PipelineConfig,
@@ -206,32 +175,19 @@ pub fn run_fig5a(set: &TraceSet, uops: u64) -> SweepOutcome {
     )
 }
 
-/// Figure 5b: EOLE_4_60 with instruction-based D-VTAGE over Baseline_VP_6_60.
-pub fn run_fig5b(set: &TraceSet, uops: u64) -> Vec<BenchResult> {
-    compare_traced(
+/// Figure 5b: EOLE_4_60 with instruction-based D-VTAGE over Baseline_VP_6_60,
+/// as a one-group sweep labelled `EOLE_4_60 w/ D-VTAGE`.
+pub fn run_fig5b(set: &TraceSet, uops: u64) -> SweepOutcome {
+    let variants: Vec<SweepVariant> = vec![(
+        "EOLE_4_60 w/ D-VTAGE".to_string(),
+        PipelineConfig::eole_4_60(),
+        PredictorKind::DVtage,
+    )];
+    run_sweep(
         set,
         &PipelineConfig::baseline_vp_6_60(),
         &PredictorKind::DVtage,
-        &PipelineConfig::eole_4_60(),
-        &PredictorKind::DVtage,
-        uops,
-    )
-}
-
-/// Runs one BeBoP block D-VTAGE configuration on EOLE_4_60 against the EOLE_4_60 +
-/// instruction-based D-VTAGE reference (the baseline of Figures 6 and 7).
-pub fn run_bebop_config(
-    set: &TraceSet,
-    cfg: bebop::BlockDVtageConfig,
-    uops: u64,
-) -> Vec<BenchResult> {
-    let eole = PipelineConfig::eole_4_60();
-    compare_traced(
-        set,
-        &eole,
-        &PredictorKind::DVtage,
-        &eole,
-        &PredictorKind::BlockDVtage(cfg),
+        &variants,
         uops,
     )
 }
@@ -522,7 +478,11 @@ pub fn run_mix(specs: &[WorkloadSpec], uops: u64, store: Option<&TraceStore>) ->
         let policy = SharingPolicy::ALL[p];
         let pipe = PipelineConfig::baseline_vp_6_60().with_mix(policy);
         let mut predictor = PredictorKind::BlockDVtage(configs::medium_mix(policy, 2)).build();
-        let stats = run_source_with(UopSource::Replay(&buffers[i]), &pipe, &mut predictor, uops);
+        let stats = Pipeline::new(pipe).run(
+            UopSource::Replay(&buffers[i]).stream(),
+            &mut predictor,
+            uops,
+        );
         assert!(
             stats.context_totals_consistent(),
             "per-context stats of {} under {} do not sum to the aggregate",
@@ -616,10 +576,11 @@ mod tests {
     #[test]
     fn formatting_helpers_produce_text() {
         let set = demo_set(&["fmt"], 2_000);
-        let results = run_fig5b(&set, 2_000);
-        let summary = SpeedupSummary::from_results(&results);
+        let out = run_fig5b(&set, 2_000);
+        let results = &out.groups[0].1;
+        let summary = SpeedupSummary::from_results(results);
         assert!(format_summary("x", &summary).contains("gmean"));
-        assert!(format_per_bench(&results).contains("fmt"));
+        assert!(format_per_bench(results).contains("fmt"));
     }
 
     #[test]
@@ -634,7 +595,9 @@ mod tests {
                 assert_eq!(r.variant.uops, uops);
             }
         }
-        for r in run_fig5b(&set, uops) {
+        let fig5b = run_fig5b(&set, uops);
+        assert_eq!(fig5b.simulated_uops, 2 * 2 * uops);
+        for r in &fig5b.groups[0].1 {
             assert_eq!(r.baseline.uops, uops);
             assert_eq!(r.variant.uops, uops);
         }
@@ -711,6 +674,24 @@ mod tests {
         assert_eq!(out.rows.len(), 1, "only complete pairs run");
     }
 
+    /// Every workload under both configurations, each simulation generating
+    /// its trace live: the reference the shared-trace sweep must reproduce.
+    fn compare_live(
+        specs: &[WorkloadSpec],
+        baseline: (&PipelineConfig, &PredictorKind),
+        variant: (&PipelineConfig, &PredictorKind),
+        uops: u64,
+    ) -> Vec<BenchResult> {
+        specs
+            .iter()
+            .map(|spec| BenchResult {
+                name: spec.name.clone(),
+                baseline: run_source(UopSource::Live(spec), baseline.0, baseline.1, uops),
+                variant: run_source(UopSource::Live(spec), variant.0, variant.1, uops),
+            })
+            .collect()
+    }
+
     #[test]
     fn sweep_matches_the_legacy_per_config_compare_path() {
         // The shared-trace, shared-baseline sweep must reproduce exactly what
@@ -734,12 +715,10 @@ mod tests {
                 label.starts_with(&legacy_label) && label.ends_with("KB]"),
                 "unexpected stride label {label:?}"
             );
-            let legacy = bebop::compare(
+            let legacy = compare_live(
                 &specs,
-                &eole,
-                &PredictorKind::DVtage,
-                &eole,
-                &PredictorKind::BlockDVtage(cfg),
+                (&eole, &PredictorKind::DVtage),
+                (&eole, &PredictorKind::BlockDVtage(cfg)),
                 uops,
             );
             assert_eq!(*results, legacy, "sweep diverged for {label}");
@@ -781,7 +760,10 @@ mod tests {
         let parallel_t2 = run_table2(&set, uops);
         bebop::par::set_threads(0);
 
-        assert_eq!(serial, parallel, "SimStats must match bit-for-bit");
+        assert_eq!(
+            serial.groups, parallel.groups,
+            "SimStats must match bit-for-bit"
+        );
         assert_eq!(serial_t2, parallel_t2);
     }
 }

@@ -434,7 +434,7 @@ pub struct SampledRow {
     pub sampled_uops: u64,
 }
 
-/// The outcome of [`run_sampled`].
+/// The outcome of [`run_sampled_with`].
 #[derive(Debug, Clone)]
 pub struct SampledOutcome {
     /// Per-benchmark rows, in input order.
@@ -442,6 +442,10 @@ pub struct SampledOutcome {
     /// Committed µ-ops simulated across every representative (warm-up
     /// included) — the cost the sampler actually paid.
     pub simulated_uops: u64,
+    /// Committed µ-ops functionally warmed before each representative's
+    /// detailed warm-up, summed over every representative — the cost
+    /// `simulated_uops` leaves out.
+    pub warm_uops: u64,
     /// Committed µ-ops the equivalent full runs would have simulated.
     pub full_uops: u64,
     /// Trace-population accounting: recordings loaded from the persistent
@@ -524,6 +528,7 @@ pub fn run_sampled_with(
     let mut rows = Vec::with_capacity(specs.len());
     let mut task_i = 0usize;
     let mut simulated_uops = 0u64;
+    let mut warm_uops = 0u64;
     for (i, spec) in specs.iter().enumerate() {
         let (slices, clustering) = &clusterings[i];
         let per_phase: Vec<SimStats> =
@@ -535,16 +540,13 @@ pub fn run_sampled_with(
             .zip(clustering.phases.iter().map(|p| p.weight))
             .collect();
         let sampled = combine_weighted(&weighted);
-        let sampled_uops: u64 = clustering
-            .phases
-            .iter()
-            .zip(&per_phase)
-            .map(|(phase, stats)| {
-                let rep = &slices[phase.representative];
-                let (_, warm) = buffers[i].warmup_start(rep.start, cfg.warmup_uops);
-                stats.uops + warm
-            })
-            .sum();
+        let mut sampled_uops = 0u64;
+        for (phase, stats) in clustering.phases.iter().zip(&per_phase) {
+            let rep = &slices[phase.representative];
+            let (warm_start, warm) = buffers[i].warmup_start(rep.start, cfg.warmup_uops);
+            sampled_uops += stats.uops + warm;
+            warm_uops += buffers[i].warmup_start(warm_start, u64::MAX).1;
+        }
         simulated_uops += sampled_uops;
         rows.push(SampledRow {
             name: spec.name.clone(),
@@ -559,31 +561,12 @@ pub fn run_sampled_with(
     SampledOutcome {
         rows,
         simulated_uops,
+        warm_uops,
         full_uops: specs.len() as u64 * uops,
         loaded_traces,
         recorded_traces,
         generated_uops,
     }
-}
-
-/// [`run_sampled_with`] on the default measurement configuration of the
-/// evaluation's headline numbers: D-VTAGE on `Baseline_VP_6_60`.
-pub fn run_sampled(
-    specs: &[WorkloadSpec],
-    uops: u64,
-    cfg: &SamplingConfig,
-    policy: &TraceCachePolicy,
-    store: Option<&TraceStore>,
-) -> SampledOutcome {
-    run_sampled_with(
-        specs,
-        uops,
-        cfg,
-        &PipelineConfig::baseline_vp_6_60(),
-        &PredictorKind::DVtage,
-        policy,
-        store,
-    )
 }
 
 #[cfg(test)]
@@ -655,10 +638,12 @@ mod tests {
     fn run_sampled_simulates_a_fraction_of_the_full_budget() {
         let specs = vec![WorkloadSpec::named_demo("sampling-run")];
         let uops = 25_000;
-        let out = run_sampled(
+        let out = run_sampled_with(
             &specs,
             uops,
             &SamplingConfig::for_budget(uops),
+            &PipelineConfig::baseline_vp_6_60(),
+            &PredictorKind::DVtage,
             &TraceCachePolicy::default(),
             None,
         );

@@ -7,13 +7,12 @@
 //! configurations pays trace generation once instead of `k` times, and all
 //! worker threads replay the same shared, read-only buffers.
 //!
-//! Memory is bounded by a [`TraceCachePolicy`]: each 200K-µop trace costs
-//! roughly 6–7 MiB (the structure-of-arrays lanes of
-//! [`TraceBuffer::footprint_bytes`]; the full 36-benchmark population is about
-//! a quarter of a GiB). Runs on memory-constrained machines can cap the cache
-//! (`--trace-cache-mb`) or disable it (`--no-trace-cache`), in which case the
-//! uncached workloads fall back to streaming live generation — results are
-//! bit-identical either way, only the cost moves.
+//! Each 200K-µop trace costs roughly 6–7 MiB (the structure-of-arrays lanes
+//! of [`TraceBuffer::footprint_bytes`]; the full 36-benchmark population is
+//! about a quarter of a GiB). Runs on memory-constrained machines can disable
+//! the cache with a [`TraceCachePolicy`] (`--no-trace-cache`), in which case
+//! every workload streams live generation — results are bit-identical either
+//! way, only the cost moves.
 
 //! With a persistent [`TraceStore`] attached ([`TraceSet::build_with_store`],
 //! the `--trace-dir` flag), recordings are additionally keyed and cached *on
@@ -24,40 +23,23 @@
 use bebop::{par, UopSource, WorkloadSpec};
 use bebop_trace::{TraceBuffer, TraceStore};
 
-/// How much memory a [`TraceSet`] may spend on recorded traces.
+/// Whether a [`TraceSet`] records traces at all.
 #[derive(Debug, Clone)]
 pub struct TraceCachePolicy {
     /// When false, nothing is recorded and every source streams live.
     pub enabled: bool,
-    /// Optional cap on the total recorded footprint, in bytes. Workloads that
-    /// do not fit under the cap stream live instead.
-    pub cap_bytes: Option<u64>,
 }
 
 impl Default for TraceCachePolicy {
     fn default() -> Self {
-        TraceCachePolicy {
-            enabled: true,
-            cap_bytes: None,
-        }
+        TraceCachePolicy { enabled: true }
     }
 }
 
 impl TraceCachePolicy {
     /// The policy selected by `--no-trace-cache`: stream everything.
     pub fn disabled() -> Self {
-        TraceCachePolicy {
-            enabled: false,
-            cap_bytes: None,
-        }
-    }
-
-    /// A cache capped at `mb` mebibytes (the `--trace-cache-mb` flag).
-    pub fn capped_mb(mb: u64) -> Self {
-        TraceCachePolicy {
-            enabled: true,
-            cap_bytes: Some(mb * 1024 * 1024),
-        }
+        TraceCachePolicy { enabled: false }
     }
 }
 
@@ -99,98 +81,35 @@ impl TraceSet {
     /// recording is first looked up on disk and only generated (then
     /// persisted, best-effort) on a miss, so a warm store turns the whole
     /// build into deserialisation — [`TraceSet::generated_uops`] reports zero.
-    ///
-    /// When a footprint cap is set, the dense-lane lower bound is checked
-    /// first — a cap no recording could fit under streams everything without
-    /// paying for a probe — then one workload is materialised to measure the
-    /// real per-trace cost (all workloads share the µ-op budget, so one
-    /// recording is representative). The probe is kept whenever it fits under
-    /// the cap; only as many traces as fit are cached and the rest stream.
     pub fn build_with_store(
         specs: &[WorkloadSpec],
         uops: u64,
         policy: &TraceCachePolicy,
         store: Option<&TraceStore>,
     ) -> Self {
-        if !policy.enabled || specs.is_empty() {
+        if !policy.enabled {
             return Self::streaming(specs);
         }
-        let materialise = |spec: &WorkloadSpec| match store {
+        let recorded = par::par_map(specs, |spec| match store {
             Some(st) => st.load_or_record(spec, uops),
             None => (TraceBuffer::record(spec, uops), false),
-        };
-
-        let (probe, cached) = match policy.cap_bytes {
-            None => (None, specs.len()),
-            Some(cap) => {
-                // The dense lanes alone are a lower bound on any recording's
-                // footprint: a cap under that bound cannot hold a single
-                // trace, so stream without recording a probe at all.
-                if cap < TraceBuffer::dense_estimate_bytes(uops) {
-                    return Self::streaming(specs);
-                }
-                let (probe, probe_loaded) = materialise(&specs[0]);
-                let per_trace = (probe.footprint_bytes() as u64).max(1);
-                // CAST: min() with specs.len() bounds the result to a
-                // real collection size even if the u64 quotient is huge.
-                let fit = ((cap / per_trace) as usize).min(specs.len());
-                if fit == 0 {
-                    // The sparse lanes pushed the probe past the dense lower
-                    // bound and over the cap: nothing fits. With a store
-                    // attached the recording was persisted, so even this
-                    // probe is not wasted across runs. `loaded` stays 0 — it
-                    // counts recordings *in the set*, and the probe was
-                    // dropped — but the generation cost is real and reported.
-                    let mut set = Self::streaming(specs);
-                    if !probe_loaded {
-                        set.generated = uops;
-                    }
-                    return set;
-                }
-                (Some((probe, probe_loaded)), fit)
-            }
-        };
-
-        let mut generated: u64 = 0;
-        let mut loaded: usize = 0;
-        let mut entries: Vec<TraceSetEntry> = Vec::with_capacity(specs.len());
-        if let Some((buf, was_loaded)) = probe {
-            if was_loaded {
-                loaded += 1;
-            } else {
-                generated += uops;
-            }
-            entries.push(TraceSetEntry {
-                spec: specs[0].clone(),
+        });
+        let loaded = recorded
+            .iter()
+            .filter(|(_, was_loaded)| *was_loaded)
+            .count();
+        let entries = specs
+            .iter()
+            .zip(recorded)
+            .map(|(spec, (buf, _))| TraceSetEntry {
+                spec: spec.clone(),
                 buf: Some(buf),
-            });
-        }
-        let first = entries.len();
-        for (entry, was_loaded) in par::par_map(&specs[first..cached], |spec| {
-            let (buf, was_loaded) = materialise(spec);
-            (
-                TraceSetEntry {
-                    spec: spec.clone(),
-                    buf: Some(buf),
-                },
-                was_loaded,
-            )
-        }) {
-            if was_loaded {
-                loaded += 1;
-            } else {
-                generated += uops;
-            }
-            entries.push(entry);
-        }
-        entries.extend(specs[cached..].iter().map(|spec| TraceSetEntry {
-            spec: spec.clone(),
-            buf: None,
-        }));
+            })
+            .collect();
         TraceSet {
             uops,
             entries,
-            generated,
+            generated: (specs.len() - loaded) as u64 * uops,
             loaded,
         }
     }
@@ -319,74 +238,6 @@ mod tests {
         assert!(matches!(set.source(0), UopSource::Live(_)));
     }
 
-    #[test]
-    fn cap_limits_the_number_of_recordings() {
-        let specs = tiny_specs();
-        let full = TraceSet::build(&specs, 2_000, &TraceCachePolicy::default());
-        let per_trace = full.footprint_bytes() / 3;
-        // Room for roughly two traces: the third must fall back to streaming.
-        let set = TraceSet::build(
-            &specs,
-            2_000,
-            &TraceCachePolicy {
-                enabled: true,
-                cap_bytes: Some(per_trace * 2 + per_trace / 2),
-            },
-        );
-        assert_eq!(set.cached_count(), 2);
-        assert!(matches!(set.source(0), UopSource::Replay(_)));
-        assert!(matches!(set.source(2), UopSource::Live(_)));
-        // A cap below one trace streams everything.
-        let none = TraceSet::build(
-            &specs,
-            2_000,
-            &TraceCachePolicy {
-                enabled: true,
-                cap_bytes: Some(16),
-            },
-        );
-        assert_eq!(none.cached_count(), 0);
-    }
-
-    #[test]
-    fn tiny_cap_streams_without_recording_a_probe() {
-        // A cap below the dense-lane lower bound cannot hold any trace: the
-        // build must not waste seconds and MiB recording a probe it will
-        // silently discard. Zero generated µ-ops proves no probe was paid.
-        let specs = tiny_specs();
-        let set = TraceSet::build(
-            &specs,
-            2_000,
-            &TraceCachePolicy {
-                enabled: true,
-                cap_bytes: Some(16),
-            },
-        );
-        assert_eq!(set.cached_count(), 0);
-        assert_eq!(set.generated_uops(), 0, "no probe may be recorded");
-        assert_eq!(set.materialised_uops(), 0);
-    }
-
-    #[test]
-    fn cap_that_fits_only_the_probe_keeps_it() {
-        let specs = tiny_specs();
-        let full = TraceSet::build(&specs, 2_000, &TraceCachePolicy::default());
-        let per_trace = full.footprint_bytes() / 3;
-        // Room for exactly one trace: the probe must be kept, not discarded.
-        let set = TraceSet::build(
-            &specs,
-            2_000,
-            &TraceCachePolicy {
-                enabled: true,
-                cap_bytes: Some(per_trace + per_trace / 2),
-            },
-        );
-        assert_eq!(set.cached_count(), 1);
-        assert!(matches!(set.source(0), UopSource::Replay(_)));
-        assert!(matches!(set.source(1), UopSource::Live(_)));
-        assert_eq!(set.generated_uops(), 2_000);
-    }
-
     fn store_dir(tag: &str) -> std::path::PathBuf {
         let dir =
             std::env::temp_dir().join(format!("bebop-trace-set-test-{tag}-{}", std::process::id()));
@@ -431,27 +282,6 @@ mod tests {
             );
             assert_eq!(a, b, "store-loaded trace diverged for {}", warm.name(i));
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn capped_store_build_counts_the_probe_hit() {
-        let dir = store_dir("capped");
-        let store = TraceStore::open(&dir).expect("open store");
-        let specs = tiny_specs();
-        let full = TraceSet::build(&specs, 2_000, &TraceCachePolicy::default());
-        let per_trace = full.footprint_bytes() / 3;
-        let cap = TraceCachePolicy {
-            enabled: true,
-            cap_bytes: Some(per_trace + per_trace / 2),
-        };
-
-        let cold = TraceSet::build_with_store(&specs, 2_000, &cap, Some(&store));
-        assert_eq!(cold.cached_count(), 1, "cap holds one of the tiny traces");
-        let warm = TraceSet::build_with_store(&specs, 2_000, &cap, Some(&store));
-        assert_eq!(warm.cached_count(), 1);
-        assert_eq!(warm.loaded_count(), 1, "the probe must come from the store");
-        assert_eq!(warm.generated_uops(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -3,7 +3,6 @@
 //! benchmark harness that regenerates the paper's figures.
 
 use crate::block_dvtage::{BlockDVtage, BlockDVtageConfig};
-use crate::par;
 use bebop_isa::DynUop;
 use bebop_trace::{RangeError, TraceBuffer, TraceCursor, TraceGenerator, WorkloadSpec};
 use bebop_uarch::{
@@ -60,12 +59,6 @@ impl PredictorKind {
                 AnyPredictor::BlockDVtage(BlockDVtage::new(cfg.clone()))
             }
         }
-    }
-
-    /// Instantiates the predictor behind a trait object, for callers that mix
-    /// built-in predictors with out-of-tree [`ValuePredictor`] implementations.
-    pub fn build_dyn(&self) -> Box<dyn ValuePredictor> {
-        Box::new(self.build())
     }
 
     /// The display label used in reports and figures.
@@ -210,48 +203,14 @@ pub enum UopSource<'a> {
     Live(&'a WorkloadSpec),
     /// Replay a shared pre-recorded trace.
     Replay(&'a TraceBuffer),
-    /// Replay only the `start..end` lane-index sub-range of a shared
-    /// recording — the stream behind a phase-sampling slice run. Construct
-    /// with [`UopSource::replay_slice`], which validates the bounds up front
-    /// (rejecting out-of-bounds ranges and wrong-path-straddling starts with
-    /// a structured [`RangeError`]).
-    ReplaySlice {
-        /// The shared recording.
-        buf: &'a TraceBuffer,
-        /// First lane index of the slice (a committed µ-op).
-        start: usize,
-        /// One-past-last lane index of the slice.
-        end: usize,
-    },
 }
 
 impl<'a> UopSource<'a> {
-    /// A validated slice-bounded replay source over `buf[start..end]`.
-    ///
-    /// The errors of [`TraceBuffer::replay_range`] apply: inverted or
-    /// out-of-bounds ranges, empty ranges, and slices starting inside a
-    /// wrong-path burst are rejected here, once, so [`UopSource::stream`]
-    /// can never fail later (e.g. mid-sweep on a worker thread).
-    pub fn replay_slice(
-        buf: &'a TraceBuffer,
-        start: usize,
-        end: usize,
-    ) -> Result<Self, RangeError> {
-        buf.replay_range(start, end)?;
-        Ok(UopSource::ReplaySlice { buf, start, end })
-    }
-
     /// Opens the µ-op stream at its start.
     pub fn stream(&self) -> UopStream<'a> {
         match self {
             UopSource::Live(spec) => UopStream::Live(TraceGenerator::new(spec)),
             UopSource::Replay(buf) => UopStream::Replay(buf.replay()),
-            UopSource::ReplaySlice { buf, start, end } => UopStream::Replay(
-                buf.replay_range(*start, *end)
-                    // INVARIANT: the bounds were validated by
-                    // `UopSource::replay_slice` at construction.
-                    .expect("slice bounds validated at construction"),
-            ),
         }
     }
 }
@@ -286,27 +245,31 @@ impl Iterator for UopStream<'_> {
 
 /// Runs one µ-op source on one pipeline configuration with one predictor for
 /// `max_uops` µ-ops and returns the statistics.
+///
+/// # Example
+///
+/// ```
+/// use bebop::{run_source, PredictorKind, UopSource};
+/// use bebop_trace::WorkloadSpec;
+/// use bebop_uarch::PipelineConfig;
+///
+/// let spec = WorkloadSpec::named_demo("run-source-demo");
+/// let stats = run_source(
+///     UopSource::Live(&spec),
+///     &PipelineConfig::baseline_vp_6_60(),
+///     &PredictorKind::DVtage,
+///     5_000,
+/// );
+/// assert_eq!(stats.uops, 5_000);
+/// assert!(stats.uop_ipc() > 0.0);
+/// ```
 pub fn run_source(
     source: UopSource<'_>,
     pipeline: &PipelineConfig,
     predictor: &PredictorKind,
     max_uops: u64,
 ) -> SimStats {
-    let mut p = predictor.build();
-    run_source_with(source, pipeline, &mut p, max_uops)
-}
-
-/// [`run_source`] with a caller-owned predictor instance, for harnesses that
-/// inspect predictor-internal state (sharding counters, window hit rates)
-/// after the run. Behaviour is identical to [`run_source`] for a freshly
-/// built predictor.
-pub fn run_source_with(
-    source: UopSource<'_>,
-    pipeline: &PipelineConfig,
-    predictor: &mut AnyPredictor,
-    max_uops: u64,
-) -> SimStats {
-    Pipeline::new(pipeline.clone()).run(source.stream(), predictor, max_uops)
+    Pipeline::new(pipeline.clone()).run(source.stream(), &mut predictor.build(), max_uops)
 }
 
 /// Simulates one phase-sampling slice of a recording and returns the
@@ -374,35 +337,6 @@ pub fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Runs one workload (generated live) on one pipeline configuration with one
-/// predictor for `max_uops` µ-ops and returns the statistics.
-///
-/// # Example
-///
-/// ```
-/// use bebop::{run_one, PredictorKind};
-/// use bebop_trace::WorkloadSpec;
-/// use bebop_uarch::PipelineConfig;
-///
-/// let spec = WorkloadSpec::named_demo("run-one-demo");
-/// let stats = run_one(
-///     &spec,
-///     &PipelineConfig::baseline_vp_6_60(),
-///     &PredictorKind::DVtage,
-///     5_000,
-/// );
-/// assert_eq!(stats.uops, 5_000);
-/// assert!(stats.uop_ipc() > 0.0);
-/// ```
-pub fn run_one(
-    spec: &WorkloadSpec,
-    pipeline: &PipelineConfig,
-    predictor: &PredictorKind,
-    max_uops: u64,
-) -> SimStats {
-    run_source(UopSource::Live(spec), pipeline, predictor, max_uops)
 }
 
 /// The speedup of one benchmark under a variant configuration relative to a
@@ -487,29 +421,6 @@ impl SpeedupSummary {
     }
 }
 
-/// Runs every workload in `specs` under both configurations and returns the
-/// per-benchmark comparison. This is the primitive every figure of the evaluation
-/// is built from.
-///
-/// The per-workload simulations are independent (each owns its predictor and
-/// pipeline instance), so they are fanned out across cores with
-/// [`par::par_map`]; results are ordering-stable and bit-identical to a serial
-/// run (`par::set_threads(1)` forces one).
-pub fn compare(
-    specs: &[WorkloadSpec],
-    baseline_pipeline: &PipelineConfig,
-    baseline_predictor: &PredictorKind,
-    variant_pipeline: &PipelineConfig,
-    variant_predictor: &PredictorKind,
-    max_uops: u64,
-) -> Vec<BenchResult> {
-    par::par_map(specs, |spec| BenchResult {
-        name: spec.name.clone(),
-        baseline: run_one(spec, baseline_pipeline, baseline_predictor, max_uops),
-        variant: run_one(spec, variant_pipeline, variant_predictor, max_uops),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,9 +431,9 @@ mod tests {
     }
 
     #[test]
-    fn run_one_produces_stats() {
-        let stats = run_one(
-            &demo(),
+    fn run_source_produces_stats() {
+        let stats = run_source(
+            UopSource::Live(&demo()),
             &PipelineConfig::baseline_6_60(),
             &PredictorKind::None,
             5_000,
@@ -545,7 +456,12 @@ mod tests {
             PredictorKind::BlockDVtage(configs::medium()),
         ];
         for kind in kinds {
-            let stats = run_one(&demo(), &PipelineConfig::baseline_vp_6_60(), &kind, 2_000);
+            let stats = run_source(
+                UopSource::Live(&demo()),
+                &PipelineConfig::baseline_vp_6_60(),
+                &kind,
+                2_000,
+            );
             assert_eq!(stats.uops, 2_000, "{} failed to run", kind.label());
         }
     }
@@ -573,21 +489,6 @@ mod tests {
             );
             assert_eq!(live, replayed, "{} diverged under replay", kind.label());
         }
-    }
-
-    #[test]
-    fn slice_source_replays_exactly_its_window() {
-        let spec = demo();
-        let buf = bebop_trace::TraceBuffer::record(&spec, 8_000);
-        let src = UopSource::replay_slice(&buf, 2_000, 5_000).expect("valid slice");
-        let got: Vec<_> = src.stream().collect();
-        let full: Vec<_> = UopSource::Replay(&buf).stream().collect();
-        assert_eq!(got, full[2_000..5_000]);
-        // Invalid bounds surface the structured error at construction.
-        assert!(matches!(
-            UopSource::replay_slice(&buf, 0, 9_000),
-            Err(bebop_trace::RangeError::OutOfBounds { .. })
-        ));
     }
 
     #[test]
@@ -654,16 +555,22 @@ mod tests {
 
     #[test]
     fn perfect_vp_beats_no_vp_on_the_demo_workload() {
-        let specs = vec![demo()];
-        let results = compare(
-            &specs,
-            &PipelineConfig::baseline_6_60(),
-            &PredictorKind::None,
-            &PipelineConfig::baseline_vp_6_60(),
-            &PredictorKind::Perfect,
-            20_000,
-        );
-        assert_eq!(results.len(), 1);
-        assert!(results[0].speedup() > 1.0);
+        let spec = demo();
+        let result = BenchResult {
+            name: spec.name.clone(),
+            baseline: run_source(
+                UopSource::Live(&spec),
+                &PipelineConfig::baseline_6_60(),
+                &PredictorKind::None,
+                20_000,
+            ),
+            variant: run_source(
+                UopSource::Live(&spec),
+                &PipelineConfig::baseline_vp_6_60(),
+                &PredictorKind::Perfect,
+                20_000,
+            ),
+        };
+        assert!(result.speedup() > 1.0);
     }
 }

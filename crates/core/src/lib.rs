@@ -23,22 +23,25 @@
 //! variable-length ISA), `bebop-trace` (36 SPEC-like synthetic workloads),
 //! `bebop-uarch` (a cycle-level superscalar pipeline with TAGE and EOLE) and
 //! `bebop-vp` (the instruction-based predictors of Figure 5a). The driver
-//! layer ([`run_one`], [`compare`], [`PredictorKind`]) glues them together,
-//! and `bebop-bench` regenerates every table and figure of the paper's
+//! layer glues them together: a [`PredictorKind`] and a [`UopSource`] run
+//! through [`run_source`] (a whole run), [`run_slice`] (one phase-sampling
+//! window) or [`run_source_resumable`] (a checkpointed, cancellable run), and
+//! `bebop-bench` regenerates every table and figure of the paper's
 //! evaluation.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use bebop::{configs, run_one, PredictorKind};
+//! use bebop::{configs, run_source, PredictorKind, UopSource};
 //! use bebop_trace::spec_benchmark;
 //! use bebop_uarch::PipelineConfig;
 //!
 //! // Simulate 171.swim-like workload on the baseline and on EOLE + BeBoP D-VTAGE.
 //! let spec = spec_benchmark("171.swim");
-//! let baseline = run_one(&spec, &PipelineConfig::baseline_6_60(), &PredictorKind::None, 20_000);
-//! let bebop = run_one(
-//!     &spec,
+//! let swim = UopSource::Live(&spec);
+//! let baseline = run_source(swim, &PipelineConfig::baseline_6_60(), &PredictorKind::None, 20_000);
+//! let bebop = run_source(
+//!     swim,
 //!     &PipelineConfig::eole_4_60(),
 //!     &PredictorKind::BlockDVtage(configs::medium()),
 //!     20_000,
@@ -66,8 +69,8 @@ pub use bebop_vp::MAX_TAGGED;
 pub use block_dvtage::{BlockDVtage, BlockDVtageConfig};
 pub use checkpoint::{CheckpointError, SimCheckpoint, CHECKPOINT_FORMAT_VERSION, CHECKPOINT_MAGIC};
 pub use driver::{
-    compare, panic_reason, run_one, run_slice, run_source, run_source_with, AnyPredictor,
-    BenchResult, PredictorKind, SpeedupSummary, UopSource, UopStream,
+    panic_reason, run_slice, run_source, AnyPredictor, BenchResult, PredictorKind, SpeedupSummary,
+    UopSource, UopStream,
 };
 pub use recovery::RecoveryPolicy;
 pub use resume::{

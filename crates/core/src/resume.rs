@@ -136,13 +136,6 @@ pub fn run_fingerprint(
             h = fnv1a(h, &(buf.len() as u64).to_le_bytes());
             h = fnv1a(h, &(buf.committed_len() as u64).to_le_bytes());
         }
-        UopSource::ReplaySlice { buf, start, end } => {
-            h = fnv1a(h, b"slice");
-            h = fnv1a(h, &(buf.len() as u64).to_le_bytes());
-            h = fnv1a(h, &(buf.committed_len() as u64).to_le_bytes());
-            h = fnv1a(h, &(*start as u64).to_le_bytes());
-            h = fnv1a(h, &(*end as u64).to_le_bytes());
-        }
     }
     h = fnv1a(h, format!("{pipeline:?}").as_bytes());
     h = fnv1a(h, format!("{predictor:?}").as_bytes());

@@ -1,38 +1,20 @@
-//! Vectorised per-slot lane operations for the block predictor.
+//! Per-slot lane operations for the block predictor.
 //!
 //! The BlockDVtage hot path runs the same arithmetic over all `MAX_NPRED`
 //! prediction slots of an entry: sign-extending stride truncation, the
 //! last-value + stride add, the prediction-vs-actual compare and the
-//! confidence-threshold test. `std::simd` is not stable on the pinned
-//! toolchain, so these are written as manually unrolled u64×4 lanes (two
-//! chunks cover `MAX_NPRED = 8`) plus one SWAR byte-compare — shapes LLVM
-//! reliably turns into vector instructions because each chunk is a fixed-width,
-//! branch-free dataflow with no loop-carried state.
-//!
-//! Every operation keeps a `*_scalar` reference implementation. The reference
-//! is the specification: the `vector_matches_scalar_reference` tests drive both
-//! through seeded inputs and assert identical outputs, and the predictor-level
-//! guarantee (identical predictions and confidence decisions) is covered by
-//! `block_dvtage`'s own tests running on top of these helpers.
+//! confidence-threshold test. Each is a plain fixed-length loop over the slot
+//! arrays with no loop-carried state, left to the compiler to unroll and
+//! vectorise (hand-unrolled and SWAR versions measured no faster on the
+//! `geometry-sweep` benchmark). The predictor-level guarantee (identical
+//! predictions and confidence decisions) is covered by `block_dvtage`'s own
+//! tests running on top of these helpers.
 
 use crate::spec_window::{SlotPredictions, MAX_NPRED};
 
-/// One unrolled 4-wide chunk of a lane operation; applied to `[0..4]` and
-/// `[4..8]` to cover the full slot array.
-macro_rules! lanes4 {
-    ($out:ident, $base:expr, $f:expr) => {{
-        $out[$base] = $f($base);
-        $out[$base + 1] = $f($base + 1);
-        $out[$base + 2] = $f($base + 2);
-        $out[$base + 3] = $f($base + 3);
-    }};
-}
-
-const _: () = assert!(MAX_NPRED == 8, "lane helpers are unrolled for 8 slots");
-
-/// Sign-extending truncation of every stride lane to `stride_bits` bits
-/// (scalar reference).
-pub fn clamp_strides_scalar(strides: &[i64; MAX_NPRED], stride_bits: u32) -> [i64; MAX_NPRED] {
+/// Sign-extending truncation of every stride lane to `stride_bits` bits.
+#[inline]
+pub fn clamp_strides(strides: &[i64; MAX_NPRED], stride_bits: u32) -> [i64; MAX_NPRED] {
     let mut out = [0i64; MAX_NPRED];
     for (o, &s) in out.iter_mut().zip(strides) {
         *o = if stride_bits >= 64 {
@@ -45,48 +27,12 @@ pub fn clamp_strides_scalar(strides: &[i64; MAX_NPRED], stride_bits: u32) -> [i6
     out
 }
 
-/// Sign-extending truncation of every stride lane to `stride_bits` bits.
-#[inline]
-pub fn clamp_strides(strides: &[i64; MAX_NPRED], stride_bits: u32) -> [i64; MAX_NPRED] {
-    if stride_bits >= 64 {
-        return *strides;
-    }
-    let shift = 64 - stride_bits;
-    let mut out = [0i64; MAX_NPRED];
-    let f = |i: usize| (strides[i] << shift) >> shift;
-    lanes4!(out, 0, f);
-    lanes4!(out, 4, f);
-    out
-}
-
-/// `lasts[i] + strides[i]` (wrapping) per lane (scalar reference).
-pub fn add_strides_scalar(
-    lasts: &[u64; MAX_NPRED],
-    strides: &[i64; MAX_NPRED],
-) -> [u64; MAX_NPRED] {
-    let mut out = [0u64; MAX_NPRED];
-    for i in 0..MAX_NPRED {
-        out[i] = lasts[i].wrapping_add_signed(strides[i]);
-    }
-    out
-}
-
 /// `lasts[i] + strides[i]` (wrapping) per lane.
 #[inline]
 pub fn add_strides(lasts: &[u64; MAX_NPRED], strides: &[i64; MAX_NPRED]) -> [u64; MAX_NPRED] {
     let mut out = [0u64; MAX_NPRED];
-    let f = |i: usize| lasts[i].wrapping_add_signed(strides[i]);
-    lanes4!(out, 0, f);
-    lanes4!(out, 4, f);
-    out
-}
-
-/// `a[i] - b[i]` (wrapping, reinterpreted as a signed stride) per lane
-/// (scalar reference).
-pub fn sub_lanes_scalar(a: &[u64; MAX_NPRED], b: &[u64; MAX_NPRED]) -> [i64; MAX_NPRED] {
-    let mut out = [0i64; MAX_NPRED];
     for i in 0..MAX_NPRED {
-        out[i] = a[i].wrapping_sub(b[i]) as i64;
+        out[i] = lasts[i].wrapping_add_signed(strides[i]);
     }
     out
 }
@@ -95,14 +41,15 @@ pub fn sub_lanes_scalar(a: &[u64; MAX_NPRED], b: &[u64; MAX_NPRED]) -> [i64; MAX
 #[inline]
 pub fn sub_lanes(a: &[u64; MAX_NPRED], b: &[u64; MAX_NPRED]) -> [i64; MAX_NPRED] {
     let mut out = [0i64; MAX_NPRED];
-    let f = |i: usize| a[i].wrapping_sub(b[i]) as i64;
-    lanes4!(out, 0, f);
-    lanes4!(out, 4, f);
+    for i in 0..MAX_NPRED {
+        out[i] = a[i].wrapping_sub(b[i]) as i64;
+    }
     out
 }
 
-/// Bitmask of lanes where `a[i] == b[i]` (scalar reference).
-pub fn eq_mask_scalar(a: &[u64; MAX_NPRED], b: &[u64; MAX_NPRED]) -> u8 {
+/// Bitmask of lanes where `a[i] == b[i]`.
+#[inline]
+pub fn eq_mask(a: &[u64; MAX_NPRED], b: &[u64; MAX_NPRED]) -> u8 {
     let mut m = 0u8;
     for i in 0..MAX_NPRED {
         if a[i] == b[i] {
@@ -112,19 +59,9 @@ pub fn eq_mask_scalar(a: &[u64; MAX_NPRED], b: &[u64; MAX_NPRED]) -> u8 {
     m
 }
 
-/// Bitmask of lanes where `a[i] == b[i]`.
+/// Bitmask of lanes whose confidence level reaches `threshold`.
 #[inline]
-pub fn eq_mask(a: &[u64; MAX_NPRED], b: &[u64; MAX_NPRED]) -> u8 {
-    let mut bits = [0u8; MAX_NPRED];
-    let f = |i: usize| (u8::from(a[i] == b[i])) << i;
-    lanes4!(bits, 0, f);
-    lanes4!(bits, 4, f);
-    (bits[0] | bits[1] | bits[2] | bits[3]) | (bits[4] | bits[5] | bits[6] | bits[7])
-}
-
-/// Bitmask of lanes whose confidence level reaches `threshold`
-/// (scalar reference).
-pub fn confident_mask_scalar(levels: &[u8; MAX_NPRED], threshold: u8) -> u8 {
+pub fn confident_mask(levels: &[u8; MAX_NPRED], threshold: u8) -> u8 {
     let mut m = 0u8;
     for (i, &l) in levels.iter().enumerate() {
         if l >= threshold {
@@ -132,54 +69,6 @@ pub fn confident_mask_scalar(levels: &[u8; MAX_NPRED], threshold: u8) -> u8 {
         }
     }
     m
-}
-
-/// Bitmask of lanes whose confidence level reaches `threshold`.
-///
-/// All eight u8 lanes are compared at once with the SWAR trick: for bytes
-/// `x, t < 128`, the high bit of `(x | 0x80) - t` is set exactly when
-/// `x >= t`, and the per-byte subtrahends cannot borrow across lanes.
-#[inline]
-pub fn confident_mask(levels: &[u8; MAX_NPRED], threshold: u8) -> u8 {
-    if threshold >= 0x80 || levels.iter().any(|&l| l >= 0x80) {
-        // Out-of-range confidence levels never occur with the paper's FPC
-        // parameter vectors; fall back rather than mis-compare.
-        return confident_mask_scalar(levels, threshold);
-    }
-    const HI: u64 = 0x8080_8080_8080_8080;
-    let x = u64::from_ne_bytes(*levels);
-    let t = u64::from(threshold) * 0x0101_0101_0101_0101;
-    let d = (x | HI).wrapping_sub(t) & HI;
-    // Collapse each lane's high bit into one bit per byte index.
-    let mut m = 0u8;
-    let d = d >> 7;
-    for i in 0..MAX_NPRED {
-        m |= (((d >> (8 * i)) & 1) as u8) << i;
-    }
-    m
-}
-
-/// Lane-wise `max(a[i], b[i])` (scalar reference).
-pub fn max_lanes_scalar(a: &[u64; MAX_NPRED], b: &[u64; MAX_NPRED]) -> [u64; MAX_NPRED] {
-    let mut out = [0u64; MAX_NPRED];
-    for i in 0..MAX_NPRED {
-        out[i] = a[i].max(b[i]);
-    }
-    out
-}
-
-/// Lane-wise `max(a[i], b[i])`.
-///
-/// The same unrolled shape the pipeline's fetch-group dispatch pass uses to
-/// fold per-µ-op ROB floors into dispatch cycles (mirrored there rather than
-/// imported: `bebop-uarch` sits below this crate in the dependency graph).
-#[inline]
-pub fn max_lanes(a: &[u64; MAX_NPRED], b: &[u64; MAX_NPRED]) -> [u64; MAX_NPRED] {
-    let mut out = [0u64; MAX_NPRED];
-    let f = |i: usize| a[i].max(b[i]);
-    lanes4!(out, 0, f);
-    lanes4!(out, 4, f);
-    out
 }
 
 /// Splits an `[Option<u64>; MAX_NPRED]` slot-prediction array into dense value
@@ -201,62 +90,6 @@ pub fn split_predictions(preds: &SlotPredictions) -> ([u64; MAX_NPRED], u8) {
 mod tests {
     use super::*;
 
-    /// Deterministic xorshift for seeded lane inputs.
-    struct Rng(u64);
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            self.0 = x;
-            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        }
-        fn lanes_u64(&mut self) -> [u64; MAX_NPRED] {
-            std::array::from_fn(|_| self.next())
-        }
-        fn lanes_i64(&mut self) -> [i64; MAX_NPRED] {
-            std::array::from_fn(|_| self.next() as i64)
-        }
-    }
-
-    #[test]
-    fn vector_matches_scalar_reference() {
-        let mut rng = Rng(0xdead_beef_cafe_f00d);
-        for round in 0..500 {
-            let strides = rng.lanes_i64();
-            let lasts = rng.lanes_u64();
-            let mut other = rng.lanes_u64();
-            // Force some equal lanes so eq_mask has hits.
-            if round % 3 == 0 {
-                other[round % MAX_NPRED] = lasts[round % MAX_NPRED];
-            }
-            for bits in [8u32, 16, 32, 57, 64] {
-                assert_eq!(
-                    clamp_strides(&strides, bits),
-                    clamp_strides_scalar(&strides, bits),
-                    "clamp {bits} bits"
-                );
-            }
-            assert_eq!(
-                add_strides(&lasts, &strides),
-                add_strides_scalar(&lasts, &strides)
-            );
-            assert_eq!(sub_lanes(&lasts, &other), sub_lanes_scalar(&lasts, &other));
-            assert_eq!(eq_mask(&lasts, &other), eq_mask_scalar(&lasts, &other));
-            assert_eq!(max_lanes(&lasts, &other), max_lanes_scalar(&lasts, &other));
-
-            let levels: [u8; MAX_NPRED] = std::array::from_fn(|_| (rng.next() % 9) as u8);
-            for threshold in 0..=8u8 {
-                assert_eq!(
-                    confident_mask(&levels, threshold),
-                    confident_mask_scalar(&levels, threshold),
-                    "levels {levels:?} threshold {threshold}"
-                );
-            }
-        }
-    }
-
     #[test]
     fn clamp_matches_known_truncations() {
         let strides = [127i64, 128, -128, -129, 255, -1, i64::MAX, i64::MIN];
@@ -270,10 +103,6 @@ mod tests {
         let mut levels = [0u8; MAX_NPRED];
         levels[2] = 200;
         levels[5] = 7;
-        assert_eq!(
-            confident_mask(&levels, 7),
-            confident_mask_scalar(&levels, 7)
-        );
         assert_eq!(confident_mask(&levels, 7), (1 << 2) | (1 << 5));
     }
 

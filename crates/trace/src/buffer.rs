@@ -183,8 +183,8 @@ impl TraceBuffer {
     ///
     /// The sparse `mem_addr`/`mem_size`/`br_target` lanes grow by doubling
     /// during recording, so their capacity can exceed their length by up to
-    /// 2×; callers that size caches from [`TraceBuffer::footprint_bytes`]
-    /// (e.g. the `--trace-cache-mb` cap math) need the exact number.
+    /// 2×; [`TraceBuffer::footprint_bytes`] reports the exact number only
+    /// after this.
     pub fn shrink_to_fit(&mut self) {
         self.pc.shrink_to_fit();
         self.uop.shrink_to_fit();
@@ -194,17 +194,6 @@ impl TraceBuffer {
         self.mem_size.shrink_to_fit();
         self.br_target.shrink_to_fit();
         self.asid.shrink_to_fit();
-    }
-
-    /// A lower bound on the heap footprint of an `n`-µop recording: the dense
-    /// lanes alone, before any sparse memory/branch entries. Useful as a cheap
-    /// "can this possibly fit?" estimate before paying for a recording.
-    pub fn dense_estimate_bytes(n: u64) -> u64 {
-        n * (std::mem::size_of::<u64>()      // pc
-            + std::mem::size_of::<Uop>()     // uop
-            + std::mem::size_of::<u64>()     // value
-            + std::mem::size_of::<u32>())    // meta
-            as u64
     }
 
     /// Appends one µ-op to the recording.
@@ -622,8 +611,7 @@ mod tests {
     #[test]
     fn recorded_footprint_is_the_exact_lane_length_sum() {
         // The sparse lanes grow by doubling; `record` must shrink them so the
-        // `--trace-cache-mb` cap math does not over-estimate per-trace cost by
-        // up to 2x and cache fewer workloads than fit.
+        // reported footprint is the recording's real cost, not up to 2x more.
         for spec in specs() {
             let buf = TraceBuffer::record(&spec, 10_000);
             let exact = buf.pc.len() * std::mem::size_of::<u64>()
@@ -640,7 +628,6 @@ mod tests {
                 "footprint not exact after recording {}",
                 spec.name
             );
-            assert!(buf.footprint_bytes() as u64 >= TraceBuffer::dense_estimate_bytes(10_000));
         }
     }
 

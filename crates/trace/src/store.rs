@@ -588,7 +588,7 @@ pub fn decode_trace(bytes: &[u8]) -> Result<DecodedTrace, StoreError> {
         TraceBuffer::from_lanes(pc, uop, value, meta, mem_addr, mem_size, br_target, asid)
             .map_err(StoreError::Malformed)?;
     // Collecting through fallible adapters can over-allocate; keep loaded
-    // footprints exact so the `--trace-cache-mb` cap math stays honest.
+    // footprints exact, as `TraceBuffer::record` does.
     buffer.shrink_to_fit();
     Ok(DecodedTrace {
         fingerprint,

@@ -884,10 +884,8 @@ impl Pipeline {
         // `release_floor_after(i)` reads the pre-group ring state the way the
         // scalar loop's interleaved constrain/push sequence would: the i-th
         // µ-op's floor is the release of the entry `i` pushes will evict.
-        // The dispatch base is the lane-wise max with the rename cycles
-        // (mirroring the `bebop::slot_simd` u64×4 idiom; that crate sits
-        // above this one in the dependency graph, so the shape is shared,
-        // not the code).
+        // The dispatch base is the lane-wise max with the rename cycles, in
+        // unrolled u64×4 chunks.
         self.batch.dispatch.clear();
         for i in 0..n {
             self.batch.dispatch.push(self.rob.release_floor_after(i));

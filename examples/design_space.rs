@@ -7,21 +7,26 @@
 //! cargo run --release --example design_space
 //! ```
 
-use bebop::{configs, run_one, BlockDVtageConfig, PredictorKind, SpecWindowSize};
+use bebop::{configs, run_source, BlockDVtageConfig, PredictorKind, SpecWindowSize, UopSource};
 use bebop_trace::spec_benchmark;
 use bebop_uarch::PipelineConfig;
 
 fn speedup(cfg: BlockDVtageConfig, uops: u64) -> (f64, f64) {
     let spec = spec_benchmark("173.applu");
     let pipe = PipelineConfig::eole_4_60();
-    let base = run_one(
-        &spec,
+    let base = run_source(
+        UopSource::Live(&spec),
         &PipelineConfig::baseline_6_60(),
         &PredictorKind::None,
         uops,
     );
     let kb = cfg.storage_kb();
-    let stats = run_one(&spec, &pipe, &PredictorKind::BlockDVtage(cfg), uops);
+    let stats = run_source(
+        UopSource::Live(&spec),
+        &pipe,
+        &PredictorKind::BlockDVtage(cfg),
+        uops,
+    );
     (stats.speedup_over(&base), kb)
 }
 

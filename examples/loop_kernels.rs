@@ -6,7 +6,7 @@
 //! cargo run --release --example loop_kernels
 //! ```
 
-use bebop::{run_one, PredictorKind};
+use bebop::{run_source, PredictorKind, UopSource};
 use bebop_trace::{BranchProfile, InstMix, MemoryProfile, ValueProfile, WorkloadSpec};
 use bebop_uarch::PipelineConfig;
 
@@ -47,10 +47,15 @@ fn main() {
     ];
 
     for spec in kernels() {
-        let base = run_one(&spec, &baseline_pipe, &PredictorKind::None, uops);
+        let base = run_source(
+            UopSource::Live(&spec),
+            &baseline_pipe,
+            &PredictorKind::None,
+            uops,
+        );
         println!("\n{}  (baseline IPC {:.3})", spec.name, base.inst_ipc());
         for kind in &predictors {
-            let stats = run_one(&spec, &vp_pipe, kind, uops);
+            let stats = run_source(UopSource::Live(&spec), &vp_pipe, kind, uops);
             println!(
                 "  {:<16} speedup {:.3}  coverage {:>5.1}%  accuracy {:>6.2}%",
                 kind.label(),

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use bebop::{configs, run_one, PredictorKind};
+use bebop::{configs, run_source, PredictorKind, UopSource};
 use bebop_trace::spec_benchmark;
 use bebop_uarch::PipelineConfig;
 
@@ -15,8 +15,8 @@ fn main() {
 
     println!("workload: {} ({uops} µ-ops)", spec.name);
 
-    let baseline = run_one(
-        &spec,
+    let baseline = run_source(
+        UopSource::Live(&spec),
         &PipelineConfig::baseline_6_60(),
         &PredictorKind::None,
         uops,
@@ -32,8 +32,8 @@ fn main() {
         "BeBoP D-VTAGE (Medium) : {:.2} KB of predictor storage",
         medium.storage_kb()
     );
-    let bebop = run_one(
-        &spec,
+    let bebop = run_source(
+        UopSource::Live(&spec),
         &PipelineConfig::eole_4_60(),
         &PredictorKind::BlockDVtage(medium),
         uops,

@@ -9,9 +9,10 @@
 //! snapshot behind.
 
 use bebop::{
-    configs, par, run_fingerprint, run_source, run_source_resumable, set_shutdown_requested,
-    CheckpointError, MixSpec, PipelineConfig, PredictorKind, ResumeOptions, RunControl, RunOutcome,
-    SharingPolicy, SimCheckpoint, UopSource, WorkloadSpec, CHECKPOINT_FORMAT_VERSION,
+    configs, par, run_fingerprint, run_slice, run_source, run_source_resumable,
+    set_shutdown_requested, CheckpointError, MixSpec, PipelineConfig, PredictorKind, ResumeOptions,
+    RunControl, RunOutcome, SharingPolicy, SimCheckpoint, UopSource, WorkloadSpec,
+    CHECKPOINT_FORMAT_VERSION,
 };
 use bebop_trace::spec_benchmark;
 use bebop_trace::{fnv1a, TraceBuffer, FNV_OFFSET_BASIS};
@@ -124,63 +125,71 @@ fn every_predictor_kind_resumes_bit_identically_parallel() {
     });
 }
 
-/// Phase-sampling interaction: a *slice-bounded* run (the stream behind a
-/// sampled measurement window, [`UopSource::ReplaySlice`]) snapshotted in
-/// the middle of its slice and resumed through the production path must
-/// finish bit-identical to the uninterrupted slice run — checkpointing and
-/// sampling compose without either subsystem special-casing the other.
+/// Phase-sampling interaction: a slice run ([`bebop::run_slice`]: a
+/// functionally warmed prefix, a detailed warm-up, then the measurement
+/// window) snapshotted in the middle of its window and restored into fresh
+/// components must finish bit-identical to the uninterrupted slice run —
+/// checkpointing and sampling compose without either subsystem
+/// special-casing the other.
 #[test]
 fn slice_bounded_resumable_run_restores_mid_slice_bit_identically() {
     let spec = WorkloadSpec::named_demo("ckpt-slice");
     let cfg = PipelineConfig::baseline_vp_6_60();
     let kind = PredictorKind::DVtage;
     let buf = TraceBuffer::record(&spec, 12_000);
-    let (start, end) = (4_000usize, 9_000usize);
-    let src = || UopSource::replay_slice(&buf, start, end).expect("valid slice");
-    let budget: u64 = src().stream().filter(|u| !u.wrong_path).count() as u64;
-    assert!(budget > 16, "slice must hold a meaningful run");
-    let reference = run_source(src(), &cfg, &kind, budget);
+    let (start, end, warmup) = (6_000usize, 9_000usize, 1_000u64);
+    let reference = run_slice(&buf, &cfg, &kind, start, end, warmup).expect("valid slice");
+    assert!(reference.uops > 16, "slice must hold a meaningful run");
 
-    // Snapshot mid-slice exactly as the resume driver would.
-    let cut = budget / 2;
-    let path = tmp_path("slice");
+    // Run the slice exactly as `run_slice` composes it, up to mid-window.
+    let (warm_start, warm_committed) = buf.warmup_start(start, warmup);
     let mut pipeline = Pipeline::new(cfg.clone());
     let mut predictor = kind.build();
-    let mut stream = src().stream();
+    let mut prefix = buf.replay_range(0, warm_start).expect("valid prefix");
     let mut stream_pos = 0u64;
+    pipeline.warm_functional(&mut prefix, &mut predictor, u64::MAX, &mut stream_pos);
+    let prefix_pos = stream_pos;
+    let mut stream = buf.replay_range(warm_start, end).expect("valid window");
+    pipeline.run_segment(&mut stream, &mut predictor, warm_committed, &mut stream_pos);
+    let warm_snapshot = pipeline.stats_snapshot();
+    let cut = warm_committed + reference.uops / 2;
     pipeline.run_segment(&mut stream, &mut predictor, cut, &mut stream_pos);
-    let ckpt = SimCheckpoint {
-        fingerprint: run_fingerprint(&src(), &cfg, &kind, budget),
+    // No resume driver binds this run: any fingerprint pairs write with load.
+    let fingerprint = 0x511ce;
+    let path = tmp_path("slice");
+    SimCheckpoint {
+        fingerprint,
         committed: pipeline.committed_uops(),
         stream_pos,
         pipeline: pipeline.save_state(),
         predictor: predictor.save_state(),
-    };
-    ckpt.write_atomic(&path).expect("write checkpoint");
-    assert_eq!(ckpt.committed, cut, "snapshot lands exactly mid-slice");
+    }
+    .write_atomic(&path)
+    .expect("write checkpoint");
 
-    let resumed = run_source_resumable(
-        src(),
-        &cfg,
-        &kind,
-        budget,
-        ResumeOptions {
-            checkpoint_path: Some(&path),
-            ..Default::default()
-        },
-    );
+    // Restore into fresh components and finish the window.
+    let ckpt = SimCheckpoint::load(&path, fingerprint).expect("load checkpoint");
+    SimCheckpoint::discard(&path);
+    assert_eq!(ckpt.committed, cut, "snapshot lands exactly mid-window");
+    let mut pipeline = Pipeline::new(cfg.clone());
+    let mut predictor = kind.build();
+    pipeline
+        .restore_state(&ckpt.pipeline)
+        .expect("restore pipeline");
+    predictor
+        .restore_state(&ckpt.predictor)
+        .expect("restore predictor");
+    let mut stream = buf.replay_range(warm_start, end).expect("valid window");
+    for _ in prefix_pos..ckpt.stream_pos {
+        stream.next();
+    }
+    let mut stream_pos = ckpt.stream_pos;
+    pipeline.run_segment(&mut stream, &mut predictor, u64::MAX, &mut stream_pos);
     assert_eq!(
-        resumed.resumed_from,
-        Some(cut),
-        "must resume from the mid-slice snapshot, not restart"
+        pipeline.finish(&mut predictor).delta_since(&warm_snapshot),
+        reference,
+        "restored slice-window SimStats must be bit-identical"
     );
-    assert_eq!(resumed.rejected_checkpoint, None);
-    assert_eq!(
-        resumed.outcome,
-        RunOutcome::Complete(reference),
-        "resumed slice-bounded SimStats must be bit-identical"
-    );
-    assert!(!path.exists(), "completed runs discard the snapshot");
 }
 
 #[test]

@@ -1,7 +1,9 @@
 //! Integration tests asserting the *shape* of the paper's headline results on a
 //! reduced scale: who wins, roughly by how much, and where the crossovers are.
 
-use bebop::{compare, configs, PredictorKind, SpeedupSummary};
+use bebop::{
+    configs, par, run_source, BenchResult, PredictorKind, SpeedupSummary, UopSource, WorkloadSpec,
+};
 use bebop_trace::{benchmark_class, spec_benchmark, BenchClass};
 use bebop_uarch::PipelineConfig;
 
@@ -10,7 +12,7 @@ use bebop_uarch::PipelineConfig;
 const UOPS: u64 = 120_000;
 
 /// A representative slice of Table II: two of each gain class.
-fn slice() -> Vec<bebop_trace::WorkloadSpec> {
+fn slice() -> Vec<WorkloadSpec> {
     [
         "171.swim",
         "173.applu",
@@ -22,6 +24,33 @@ fn slice() -> Vec<bebop_trace::WorkloadSpec> {
     .iter()
     .map(|n| spec_benchmark(n))
     .collect()
+}
+
+/// Every workload under both configurations, generated live and fanned out
+/// across cores.
+fn compare(
+    specs: &[WorkloadSpec],
+    baseline_pipeline: &PipelineConfig,
+    baseline_predictor: &PredictorKind,
+    variant_pipeline: &PipelineConfig,
+    variant_predictor: &PredictorKind,
+    max_uops: u64,
+) -> Vec<BenchResult> {
+    par::par_map(specs, |spec| BenchResult {
+        name: spec.name.clone(),
+        baseline: run_source(
+            UopSource::Live(spec),
+            baseline_pipeline,
+            baseline_predictor,
+            max_uops,
+        ),
+        variant: run_source(
+            UopSource::Live(spec),
+            variant_pipeline,
+            variant_predictor,
+            max_uops,
+        ),
+    })
 }
 
 #[test]

@@ -18,10 +18,11 @@
 //!    do; and every run's per-context statistics sum to its aggregate.
 
 use bebop::{
-    configs, run_one, run_source, run_source_with, MixSpec, PipelineConfig, PredictorKind,
-    SharingPolicy, UopSource, WorkloadSpec,
+    configs, run_source, MixSpec, PipelineConfig, PredictorKind, SharingPolicy, UopSource,
+    WorkloadSpec,
 };
 use bebop_trace::{fnv1a, FNV_OFFSET_BASIS};
+use bebop_uarch::Pipeline;
 
 const UOPS: u64 = 20_000;
 const QUANTUM: u64 = 1_000;
@@ -139,8 +140,8 @@ fn mcf_golden_values_survive_the_mix_machinery() {
         "value-prediction statistics changed vs the golden run"
     );
     // And the plain (non-mix) entry point still agrees with itself.
-    let plain = run_one(
-        &spec,
+    let plain = run_source(
+        UopSource::Live(&spec),
         &PipelineConfig::baseline_vp_6_60(),
         &PredictorKind::DVtage,
         30_000,
@@ -189,7 +190,7 @@ fn sharing_policies_divide_the_predictor_as_advertised() {
     for sharing in SharingPolicy::ALL {
         let pipe = PipelineConfig::baseline_vp_6_60().with_mix(sharing);
         let mut predictor = PredictorKind::BlockDVtage(configs::medium_mix(sharing, 2)).build();
-        let stats = run_source_with(UopSource::Replay(&buf), &pipe, &mut predictor, UOPS);
+        let stats = Pipeline::new(pipe).run(UopSource::Replay(&buf).stream(), &mut predictor, UOPS);
         assert!(stats.context_totals_consistent(), "{}", sharing.label());
         assert!(stats.context_switches > 0);
         assert!(stats.contexts[0].uops > 0 && stats.contexts[1].uops > 0);

@@ -14,9 +14,12 @@
 
 use std::sync::Mutex;
 
-use bebop::{configs, par, run_one, PipelineConfig, PredictorKind};
-use bebop_bench::sampling::{run_sampled, run_sampled_with, SamplingConfig};
+use bebop::{configs, par, run_source, PipelineConfig, PredictorKind, TraceBuffer, UopSource};
+use bebop_bench::sampling::{
+    cluster_slices, run_sampled_with, workload_seed, SampledOutcome, SamplingConfig,
+};
 use bebop_bench::{workloads, TraceCachePolicy, TraceStore};
+use bebop_trace::{profile_slices, spec_benchmark, WorkloadSpec};
 
 /// `par::set_threads` is process-global; tests that change it must not
 /// interleave with each other (the harness runs tests on multiple threads).
@@ -24,6 +27,24 @@ static THREADS_LOCK: Mutex<()> = Mutex::new(());
 
 fn pipe() -> PipelineConfig {
     PipelineConfig::baseline_vp_6_60()
+}
+
+/// D-VTAGE on `Baseline_VP_6_60`, the configuration `figures --sample` reports.
+fn sampled_dvtage(
+    specs: &[WorkloadSpec],
+    uops: u64,
+    cfg: &SamplingConfig,
+    store: Option<&TraceStore>,
+) -> SampledOutcome {
+    run_sampled_with(
+        specs,
+        uops,
+        cfg,
+        &pipe(),
+        &PredictorKind::DVtage,
+        &TraceCachePolicy::default(),
+        store,
+    )
 }
 
 /// The ISSUE acceptance check, verbatim: sampled D-VTAGE accuracy/coverage
@@ -37,13 +58,13 @@ fn dvtage_within_declared_bounds_on_every_benchmark_serial_and_par() {
     let uops = 200_000;
     let cfg = SamplingConfig::for_budget(uops);
     let goldens = par::par_map(&specs, |s| {
-        run_one(s, &pipe(), &PredictorKind::DVtage, uops)
+        run_source(UopSource::Live(s), &pipe(), &PredictorKind::DVtage, uops)
     });
 
     par::set_threads(1);
-    let serial = run_sampled(&specs, uops, &cfg, &TraceCachePolicy::default(), None);
+    let serial = sampled_dvtage(&specs, uops, &cfg, None);
     par::set_threads(0);
-    let parallel = run_sampled(&specs, uops, &cfg, &TraceCachePolicy::default(), None);
+    let parallel = sampled_dvtage(&specs, uops, &cfg, None);
 
     assert_eq!(
         serial.rows, parallel.rows,
@@ -88,7 +109,9 @@ fn every_predictor_kind_within_declared_bounds_on_the_subset() {
         PredictorKind::BlockDVtage(configs::medium()),
     ];
     for kind in &kinds {
-        let goldens = par::par_map(&specs, |s| run_one(s, &pipe(), kind, uops));
+        let goldens = par::par_map(&specs, |s| {
+            run_source(UopSource::Live(s), &pipe(), kind, uops)
+        });
         let out = run_sampled_with(
             &specs,
             uops,
@@ -123,10 +146,7 @@ fn phase_tables_weights_and_stats_bit_identical_across_thread_counts() {
     let mut outcomes = Vec::new();
     for threads in [1usize, 2, 8, 0] {
         par::set_threads(threads);
-        outcomes.push((
-            threads,
-            run_sampled(&specs, uops, &cfg, &TraceCachePolicy::default(), None),
-        ));
+        outcomes.push((threads, sampled_dvtage(&specs, uops, &cfg, None)));
     }
     par::set_threads(0);
     let (_, reference) = &outcomes[0];
@@ -159,23 +179,11 @@ fn rerun_from_the_trace_store_is_bit_identical() {
     let uops = 30_000;
     let cfg = SamplingConfig::for_budget(uops);
 
-    let cold = run_sampled(
-        &specs,
-        uops,
-        &cfg,
-        &TraceCachePolicy::default(),
-        Some(&store),
-    );
+    let cold = sampled_dvtage(&specs, uops, &cfg, Some(&store));
     assert_eq!(cold.recorded_traces, specs.len());
     assert_eq!(cold.loaded_traces, 0);
 
-    let warm = run_sampled(
-        &specs,
-        uops,
-        &cfg,
-        &TraceCachePolicy::default(),
-        Some(&store),
-    );
+    let warm = sampled_dvtage(&specs, uops, &cfg, Some(&store));
     assert_eq!(warm.loaded_traces, specs.len());
     assert_eq!(warm.recorded_traces, 0);
     assert_eq!(warm.generated_uops, 0);
@@ -183,6 +191,40 @@ fn rerun_from_the_trace_store_is_bit_identical() {
     assert_eq!(cold.rows, warm.rows);
     assert_eq!(cold.simulated_uops, warm.simulated_uops);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `warm_uops` charges each representative the committed µ-ops of the prefix
+/// it warms functionally before its detailed warm-up: the sum must equal a
+/// recount over the recording, representative by representative, and be
+/// non-zero once a benchmark has phases past its first slice.
+#[test]
+fn warm_uops_sum_the_functionally_warmed_prefix_of_every_representative() {
+    let specs = vec![spec_benchmark("403.gcc"), spec_benchmark("171.swim")];
+    let uops = 20_000;
+    let cfg = SamplingConfig::for_budget(uops);
+    let out = sampled_dvtage(&specs, uops, &cfg, None);
+
+    let mut recount = 0u64;
+    for spec in &specs {
+        let buf = TraceBuffer::record(spec, uops);
+        let slices = profile_slices(&buf, cfg.slice_uops);
+        let clustering = cluster_slices(&slices, cfg.max_phases, workload_seed(spec));
+        for phase in &clustering.phases {
+            let rep = &slices[phase.representative];
+            let (warm_start, _) = buf.warmup_start(rep.start, cfg.warmup_uops);
+            recount += buf
+                .replay()
+                .take(warm_start)
+                .filter(|u| !u.wrong_path)
+                .count() as u64;
+        }
+    }
+    assert!(
+        out.rows.iter().any(|r| r.phases > 1),
+        "the population must include a multi-phase benchmark"
+    );
+    assert!(out.warm_uops > 0, "multi-phase benchmarks warm a prefix");
+    assert_eq!(out.warm_uops, recount);
 }
 
 /// Two invocations of the `figures` binary in `--sample` mode must agree on
@@ -236,6 +278,7 @@ fn figures_sample_output_is_byte_identical_across_runs() {
     assert_eq!(json_a, json_b, "sample JSON must be byte-identical");
     assert!(json_a.contains("\"sampled_slices\""));
     assert!(json_a.contains("\"sampled_phases\""));
+    assert!(json_a.contains("\"sampled_warm_uops\""));
     assert!(
         body_a.contains("declared error bound"),
         "sample output must declare its error bound:\n{body_a}"

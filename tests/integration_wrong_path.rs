@@ -202,8 +202,8 @@ fn default_simulation_matches_the_pre_wrong_path_baseline() {
     // Golden SimStats recorded on `main` immediately before the wrong-path
     // mode was introduced: 429.mcf, Baseline_VP_6_60, D-VTAGE, 30K µ-ops.
     let spec = bebop::spec_benchmark("429.mcf");
-    let stats = bebop::run_one(
-        &spec,
+    let stats = bebop::run_source(
+        UopSource::Live(&spec),
         &PipelineConfig::baseline_vp_6_60(),
         &PredictorKind::DVtage,
         30_000,
