@@ -15,9 +15,10 @@
 //!
 //! * prediction slots live in fixed `[_; MAX_NPRED]` arrays (`Npred <= 8` covers
 //!   every configuration in the paper), making blocks plain `Copy` data;
-//! * per-component history lengths, tag widths and index masks are precomputed at
-//!   construction ([`BlockDVtage::new`]), so the tagged-component probe is a
-//!   straight indexed pass with no `powf`/divisions;
+//! * the tagged components are the shared [`TaggedComponents`] core of
+//!   VTAGE and D-VTAGE: history lengths and tag widths are precomputed at
+//!   construction and the history folds are memoised, so the probe is a
+//!   straight masked pass with no `powf`/divisions;
 //! * retired [`FifoUpdateQueue`] records are recycled through a scratch pool
 //!   instead of being reallocated per block instance.
 
@@ -31,8 +32,12 @@ use bebop_isa::{
 };
 use bebop_uarch::{restore_predictor, PredictCtx, SharingPolicy, SquashInfo, ValuePredictor};
 use bebop_vp::{
-    CompParams, ForwardProbabilisticCounter, FpcParams, ShardCounters, ShardedTable, MAX_TAGGED,
+    clamp_stride, tag_width, tagged_entry, ForwardProbabilisticCounter, FpcParams, Lfsr,
+    ShardCounters, ShardedTable, Slots, TaggedComponents, TaggedGeometry, MAX_TAGGED,
 };
+
+/// The second block-number shift of BeBoP's tag hash.
+const TAG_SHIFT: u32 = 7;
 
 /// Configuration of a block-based D-VTAGE predictor.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,30 +119,6 @@ impl Default for BlockDVtageConfig {
 }
 
 impl BlockDVtageConfig {
-    /// The geometric history length of tagged component `i`.
-    pub fn history_length(&self, i: usize) -> usize {
-        if self.num_tagged <= 1 {
-            return self.min_history;
-        }
-        let ratio = (self.max_history as f64 / self.min_history as f64)
-            .powf(i as f64 / (self.num_tagged - 1) as f64);
-        (self.min_history as f64 * ratio).round() as usize
-    }
-
-    /// The tag width of tagged component `i`.
-    pub fn tag_bits(&self, i: usize) -> u32 {
-        (self.first_tag_bits + i as u32).min(16)
-    }
-
-    /// Sign-extended truncation of a stride to the configured partial width.
-    pub fn clamp_stride(&self, stride: i64) -> i64 {
-        if self.stride_bits >= 64 {
-            return stride;
-        }
-        let shift = 64 - self.stride_bits;
-        (stride << shift) >> shift
-    }
-
     /// Storage of the predictor in bits, using the same per-field accounting as
     /// Table III (LVT values + byte tags + block tag, VT0/tagged strides +
     /// 3-bit confidence + tags + useful bit, speculative window values + tags).
@@ -149,7 +130,8 @@ impl BlockDVtageConfig {
         let base = self.base_entries as u64 * (lvt_entry + vt0_entry);
         let mut tagged = 0u64;
         for c in 0..self.num_tagged {
-            let entry = u64::from(self.tag_bits(c)) + 1 + np * (u64::from(self.stride_bits) + 3);
+            let tag_bits = tag_width(self.first_tag_bits, c);
+            let entry = u64::from(tag_bits) + 1 + np * (u64::from(self.stride_bits) + 3);
             tagged += self.tagged_entries as u64 * entry;
         }
         let window = self.spec_window.entries_for_storage() as u64
@@ -248,7 +230,7 @@ struct BlockRecord {
     asid: u8,
     provider: Option<(usize, usize)>,
     /// Per tagged component, the (index, tag) computed at prediction time.
-    alloc_slots: [(usize, u16); MAX_TAGGED],
+    alloc_slots: Slots,
     slot_tags: [Option<u8>; MAX_NPRED],
     slot_pred: SlotPredictions,
     provider_conf_levels: [u8; MAX_NPRED],
@@ -280,13 +262,7 @@ pub struct BlockDVtage {
     cfg: BlockDVtageConfig,
     lvt: ShardedTable<LvtEntry>,
     vt0: ShardedTable<Vt0Entry>,
-    tagged: Vec<ShardedTable<TaggedEntry>>,
-    comp: [CompParams; MAX_TAGGED],
-    /// `base_entries - 1` when the base is a power of two, else 0 (modulo path).
-    base_mask: u64,
-    /// `tagged_entries - 1` when tagged components are a power of two, else 0.
-    tagged_mask: u64,
-    tagged_index_bits: u32,
+    tagged: TaggedComponents<ShardedTable<TaggedEntry>>,
     window: SpeculativeWindow,
     fifo: FifoUpdateQueue<BlockRecord>,
     /// Retired/squashed records recycled to keep the hot loop allocation-free.
@@ -296,7 +272,7 @@ pub struct BlockDVtage {
     /// Highest µ-op sequence number seen at retirement (drives eager application of
     /// completed block records).
     last_retired: Option<SeqNum>,
-    rng: u64,
+    rng: Lfsr,
     updates: u64,
     window_hits: u64,
     window_lookups: u64,
@@ -307,24 +283,28 @@ impl BlockDVtage {
     ///
     /// # Panics
     ///
-    /// Panics if `npred`, `base_entries`, `num_tagged` or `tagged_entries` is zero,
-    /// if `npred > MAX_NPRED`, or if `num_tagged > MAX_TAGGED`; if `shards` is not
-    /// a power of two dividing both `base_entries` and `tagged_entries`; or if a
+    /// Panics if `npred` or `num_tagged` is zero, if `npred > MAX_NPRED`, or if
+    /// `num_tagged > MAX_TAGGED`; if `base_entries` or `tagged_entries` is not a
+    /// power of two; if `useful_reset_period` is zero; if `shards` is not a
+    /// power of two dividing both `base_entries` and `tagged_entries`; or if a
     /// partitioned configuration's `contexts` is not a power of two of at most
     /// `shards` (each context must own whole shards).
     pub fn new(cfg: BlockDVtageConfig) -> Self {
+        assert!(cfg.npred > 0 && cfg.num_tagged > 0);
         assert!(
-            cfg.npred > 0 && cfg.base_entries > 0 && cfg.num_tagged > 0 && cfg.tagged_entries > 0
+            cfg.base_entries.is_power_of_two() && cfg.tagged_entries.is_power_of_two(),
+            "base ({}) and tagged ({}) entry counts must be powers of two",
+            cfg.base_entries,
+            cfg.tagged_entries
+        );
+        assert!(
+            cfg.useful_reset_period > 0,
+            "useful_reset_period must be > 0"
         );
         assert!(
             cfg.npred <= MAX_NPRED,
             "npred {} exceeds MAX_NPRED {MAX_NPRED}",
             cfg.npred
-        );
-        assert!(
-            cfg.num_tagged <= MAX_TAGGED,
-            "num_tagged {} exceeds MAX_TAGGED {MAX_TAGGED}",
-            cfg.num_tagged
         );
         if cfg.sharing == SharingPolicy::Partitioned {
             assert!(
@@ -353,36 +333,25 @@ impl BlockDVtage {
             useful: false,
             slots: SlotStrides::cleared(),
         };
-        let mut comp = [CompParams::default(); MAX_TAGGED];
-        for (c, params) in comp.iter_mut().enumerate().take(cfg.num_tagged) {
-            *params = CompParams::new(cfg.history_length(c), cfg.tag_bits(c));
-        }
+        let geometry = TaggedGeometry::new(
+            cfg.num_tagged,
+            cfg.tagged_entries.trailing_zeros(),
+            cfg.min_history,
+            cfg.max_history,
+            cfg.first_tag_bits,
+        );
+        let table = ShardedTable::new(tagged_entry, cfg.tagged_entries, cfg.shards);
         BlockDVtage {
             lvt: ShardedTable::new(lvt_entry, cfg.base_entries, cfg.shards),
             vt0: ShardedTable::new(vt0_entry, cfg.base_entries, cfg.shards),
-            tagged: vec![
-                ShardedTable::new(tagged_entry, cfg.tagged_entries, cfg.shards);
-                cfg.num_tagged
-            ],
-            comp,
-            base_mask: if cfg.base_entries.is_power_of_two() {
-                cfg.base_entries as u64 - 1
-            } else {
-                0
-            },
-            tagged_mask: if cfg.tagged_entries.is_power_of_two() {
-                cfg.tagged_entries as u64 - 1
-            } else {
-                0
-            },
-            tagged_index_bits: (cfg.tagged_entries as u64).trailing_zeros().max(1),
+            tagged: TaggedComponents::new(geometry, table),
             window: SpeculativeWindow::with_size(cfg.spec_window, cfg.spec_window_tag_bits),
             fifo: FifoUpdateQueue::new(),
             record_pool: Vec::new(),
             current: None,
             force_new_block: false,
             last_retired: None,
-            rng: 0xb10c_b10c_b10c_b10c,
+            rng: Lfsr::from_state(0xb10c_b10c_b10c_b10c),
             updates: 0,
             window_hits: 0,
             window_lookups: 0,
@@ -478,78 +447,34 @@ impl BlockDVtage {
         self.window.prune_retired(horizon);
     }
 
-    fn rand(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
     fn block_number(&self, block_pc: u64) -> u64 {
         block_pc >> self.cfg.fetch_block_bytes.trailing_zeros()
     }
 
     fn lvt_index(&self, block_pc: u64, asid: u8) -> usize {
-        let bn = self.block_number(block_pc);
-        let raw = if self.base_mask != 0 {
-            bn & self.base_mask
-        } else {
-            bn % self.cfg.base_entries as u64
-        };
+        let raw = self.block_number(block_pc) & (self.cfg.base_entries as u64 - 1);
         self.confine(raw, self.cfg.base_entries, asid)
     }
 
     fn lvt_tag(&self, block_pc: u64, asid: u8) -> u16 {
         let mask = (1u64 << self.cfg.lvt_tag_bits) - 1;
-        ((self.block_number(block_pc) / self.cfg.base_entries as u64) & mask) as u16
-            ^ self.asid_fold(asid, mask)
+        let above_index = self.block_number(block_pc) >> self.cfg.base_entries.trailing_zeros();
+        // CAST: masked to the LVT tag width (≤ 16 bits).
+        (above_index & mask) as u16 ^ self.asid_fold(asid, mask)
     }
 
-    fn fold(history: u64, len: usize, bits: u32) -> u64 {
-        if bits == 0 || len == 0 {
-            return 0;
-        }
-        let len = len.min(64);
-        let mut h = if len >= 64 {
-            history
-        } else {
-            history & ((1u64 << len) - 1)
-        };
-        let mask = if bits >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << bits) - 1
-        };
-        let mut acc = 0u64;
-        while h != 0 {
-            acc ^= h & mask;
-            h >>= bits.min(63);
-        }
-        acc & mask
-    }
-
-    fn tagged_index(&self, block_pc: u64, ghist: u64, path: u64, comp: usize, asid: u8) -> usize {
-        let hl = self.comp[comp].hist_len;
+    /// The `(index, tag)` of every tagged component for a block, confined to
+    /// the context's partition and folded with its ASID.
+    fn tagged_slots(&mut self, block_pc: u64, ctx: &PredictCtx) -> Slots {
         let bn = self.block_number(block_pc);
-        let bits = self.tagged_index_bits;
-        let folded = Self::fold(ghist, hl, bits);
-        let idx = bn ^ (bn >> bits) ^ folded ^ (path & 0x3f);
-        let raw = if self.tagged_mask != 0 {
-            idx & self.tagged_mask
-        } else {
-            idx % self.cfg.tagged_entries as u64
-        };
-        self.confine(raw, self.cfg.tagged_entries, asid)
-    }
-
-    fn tagged_tag(&self, block_pc: u64, ghist: u64, comp: usize, asid: u8) -> u16 {
-        let p = self.comp[comp];
-        let bn = self.block_number(block_pc);
-        let f1 = Self::fold(ghist, p.hist_len, p.tag_bits);
-        let f2 = Self::fold(ghist, p.hist_len, p.tag_bits.saturating_sub(3).max(2));
-        ((bn ^ (bn >> 7) ^ f1 ^ (f2 << 2)) & p.tag_mask) as u16 ^ self.asid_fold(asid, p.tag_mask)
+        let (ghist, path) = (ctx.global_history, ctx.path_history);
+        let mut slots = self.tagged.slots(bn, ghist, path, TAG_SHIFT);
+        let geometry = self.tagged.geometry();
+        for (c, (idx, tag)) in slots.iter_mut().enumerate().take(self.cfg.num_tagged) {
+            *idx = self.confine(*idx as u64, self.cfg.tagged_entries, ctx.asid);
+            *tag ^= self.asid_fold(ctx.asid, geometry.tag_mask(c));
+        }
+        slots
     }
 
     /// Begins a new prediction-block instance for the fetch block at `block_pc`.
@@ -558,27 +483,14 @@ impl BlockDVtage {
         let asid = ctx.asid;
         let lvt_index = self.lvt_index(block_pc, asid);
         let lvt_tag = self.lvt_tag(block_pc, asid);
+
+        // Tagged component lookup: one index/tag pass over the components,
+        // then a highest-component-wins probe.
+        let alloc_slots = self.tagged_slots(block_pc, ctx);
+        let (provider, _) = self.tagged.providers(&alloc_slots);
+
         let lvt = self.lvt.get(lvt_index);
         let lvt_hit = lvt.valid && lvt.tag == lvt_tag;
-
-        // Tagged component lookup: one precomputed index/tag pass over the
-        // components, then a single highest-component-wins probe.
-        let mut alloc_slots = [(0usize, 0u16); MAX_TAGGED];
-        for (comp, slot) in alloc_slots.iter_mut().enumerate().take(self.cfg.num_tagged) {
-            *slot = (
-                self.tagged_index(block_pc, ctx.global_history, ctx.path_history, comp, asid),
-                self.tagged_tag(block_pc, ctx.global_history, comp, asid),
-            );
-        }
-        let mut provider = None;
-        for comp in (0..self.cfg.num_tagged).rev() {
-            let (idx, tag) = alloc_slots[comp];
-            let e = self.tagged[comp].get(idx);
-            if e.valid && e.tag == tag {
-                provider = Some((comp, idx));
-                break;
-            }
-        }
 
         // Last values: the speculative window takes precedence over the retired LVT.
         self.window_lookups += 1;
@@ -610,7 +522,7 @@ impl BlockDVtage {
                 }
             }
         }
-        let clamped = slot_simd::clamp_strides(&provider_strides, self.cfg.stride_bits);
+        let clamped = provider_strides.map(|s| clamp_stride(s, self.cfg.stride_bits));
         let preds = slot_simd::add_strides(&lasts, &clamped);
 
         let mut slot_tags = [None; MAX_NPRED];
@@ -725,7 +637,7 @@ impl BlockDVtage {
         // Vectorised stride observation: actual minus previous last value,
         // truncated to the configured partial width, over all lanes at once.
         let diffs = slot_simd::sub_lanes(&actuals, &prev_lasts);
-        let clamped_diffs = slot_simd::clamp_strides(&diffs, self.cfg.stride_bits);
+        let clamped_diffs = diffs.map(|s| clamp_stride(s, self.cfg.stride_bits));
 
         // Scalar tail: learn byte tags and write back last values per slot.
         // Per assigned slot: (slot index, observed stride, correctness).
@@ -754,7 +666,7 @@ impl BlockDVtage {
         // ---- Update the providing component -----------------------------------------
         let mut entropy = [0u64; MAX_NPRED];
         for e in entropy.iter_mut().take(num_assigned) {
-            *e = self.rand();
+            *e = self.rng.next_u64();
         }
         match rec.provider {
             Some((c, idx)) => {
@@ -794,54 +706,34 @@ impl BlockDVtage {
         // ---- Allocation: on any wrong prediction, allocate a longer-history entry,
         //      propagating the confidence of correct slots (the paper's block policy).
         if any_wrong {
-            let start = rec.provider.map(|(c, _)| c + 1).unwrap_or(0);
-            if start < self.cfg.num_tagged {
-                let mut candidates = [0usize; MAX_TAGGED];
-                let mut num_candidates = 0usize;
-                for c in start..self.cfg.num_tagged {
-                    if !self.tagged[c].get(rec.alloc_slots[c].0).useful {
-                        candidates[num_candidates] = c;
-                        num_candidates += 1;
+            if let Some(comp) = self
+                .tagged
+                .victim(&rec.alloc_slots, rec.provider, &mut self.rng)
+            {
+                let (idx, tag) = rec.alloc_slots[comp];
+                let mut slots = SlotStrides::cleared();
+                for i in 0..np {
+                    // Default: inherit the provider's stride and confidence.
+                    slots.strides[i] = rec.provider_strides[i];
+                    slots.conf[i].set_level(rec.provider_conf_levels[i], &fpc);
+                }
+                for &(i, stride, correct) in observed {
+                    if !correct {
+                        slots.strides[i] = stride.unwrap_or(0);
+                        slots.conf[i] = ForwardProbabilisticCounter::new();
                     }
                 }
-                if num_candidates == 0 {
-                    for c in start..self.cfg.num_tagged {
-                        self.tagged[c].get_mut(rec.alloc_slots[c].0).useful = false;
-                    }
-                } else {
-                    let pick = (self.rand() as usize) % num_candidates.min(2);
-                    let comp = candidates[pick];
-                    let (idx, tag) = rec.alloc_slots[comp];
-                    let mut slots = SlotStrides::cleared();
-                    for i in 0..np {
-                        // Default: inherit the provider's stride and confidence.
-                        slots.strides[i] = rec.provider_strides[i];
-                        slots.conf[i].set_level(rec.provider_conf_levels[i], &fpc);
-                    }
-                    for &(i, stride, correct) in observed {
-                        if !correct {
-                            slots.strides[i] = stride.unwrap_or(0);
-                            slots.conf[i] = ForwardProbabilisticCounter::new();
-                        }
-                    }
-                    *self.tagged[comp].get_mut(idx) = TaggedEntry {
-                        valid: true,
-                        tag,
-                        useful: false,
-                        slots,
-                    };
-                    self.tagged[comp].note_write(idx, rec.asid);
-                }
+                *self.tagged[comp].get_mut(idx) = TaggedEntry {
+                    valid: true,
+                    tag,
+                    useful: false,
+                    slots,
+                };
+                self.tagged[comp].note_write(idx, rec.asid);
             }
         }
-
-        if self.updates % self.cfg.useful_reset_period == 0 {
-            for comp in &mut self.tagged {
-                for e in comp.iter_mut() {
-                    e.useful = false;
-                }
-            }
-        }
+        self.tagged
+            .reset_useful_if_due(self.updates, self.cfg.useful_reset_period);
 
         rec.results.clear();
         self.record_pool.push(rec);
@@ -860,22 +752,11 @@ impl BlockDVtage {
         for c in vt0.chain(tagged).flat_map(|s| s.conf.iter_mut()) {
             c.set_level(c.level(), fpc);
         }
-        let (num_tagged, entries) = (self.cfg.num_tagged, self.cfg.tagged_entries);
         for rec in self.fifo.records() {
             ensure(
-                rec.lvt_index < self.cfg.base_entries,
-                "block record LVT index out of range",
-            )?;
-            ensure(
-                rec.provider
-                    .map_or(true, |(c, i)| c < num_tagged && i < entries),
-                "block record provider out of range",
-            )?;
-            ensure(
-                rec.alloc_slots[..num_tagged]
-                    .iter()
-                    .all(|&(i, _)| i < entries),
-                "block record allocation slot out of range",
+                rec.lvt_index < self.cfg.base_entries
+                    && self.tagged.holds(rec.provider, &rec.alloc_slots),
+                "block record indexes outside the tables",
             )?;
         }
         self.record_pool.clear();
@@ -901,12 +782,13 @@ snap!(TaggedEntry {
     useful: bool,
     slots: SlotStrides,
 });
+tagged_entry!(TaggedEntry);
 snap!(BlockRecord {
     lvt_index: usize,
     lvt_tag: u16,
     asid: u8,
     provider: Option<(usize, usize)>,
-    alloc_slots: [(usize, u16); MAX_TAGGED],
+    alloc_slots: Slots,
     slot_tags: [Option<u8>; MAX_NPRED],
     slot_pred: SlotPredictions,
     provider_conf_levels: [u8; MAX_NPRED],
@@ -926,13 +808,13 @@ snap!(CurrentBlock {
 snap!(BlockDVtage {
     lvt: ShardedTable<LvtEntry>,
     vt0: ShardedTable<Vt0Entry>,
-    tagged: Vec<ShardedTable<TaggedEntry>>,
+    tagged: TaggedComponents<ShardedTable<TaggedEntry>>,
     window: SpeculativeWindow,
     fifo: FifoUpdateQueue<BlockRecord>,
     current: Option<CurrentBlock>,
     force_new_block: bool,
     last_retired: Option<u64>,
-    rng: u64,
+    rng: Lfsr,
     updates: u64,
     window_hits: u64,
     window_lookups: u64,
@@ -1458,6 +1340,40 @@ mod tests {
             contexts: 4,
             ..BlockDVtageConfig::default()
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "useful_reset_period must be > 0")]
+    fn zero_useful_reset_period_is_rejected() {
+        let _ = BlockDVtage::new(BlockDVtageConfig {
+            useful_reset_period: 0,
+            ..BlockDVtageConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "powers of two")]
+    fn table_sizes_must_be_powers_of_two() {
+        let _ = BlockDVtage::new(BlockDVtageConfig {
+            base_entries: 768,
+            ..BlockDVtageConfig::default()
+        });
+    }
+
+    #[test]
+    fn restored_zero_generator_state_is_coerced_to_one() {
+        // The generator state is followed by three u64 counters (updates,
+        // window hits, window lookups) at the end of the snapshot. From a
+        // zero state xorshift would return zero forever.
+        let mut d = BlockDVtage::new(fast_cfg());
+        let _ = run_loop(&mut d, 20, (8, 16));
+        let mut bytes = snapshot(&d);
+        let at = bytes.len() - 32;
+        bytes[at..at + 8].fill(0);
+        let mut back = BlockDVtage::new(fast_cfg());
+        restore_predictor(&mut back, &bytes).unwrap();
+        let again = snapshot(&back);
+        assert_eq!(again[at..at + 8], 1u64.to_le_bytes());
     }
 
     #[test]

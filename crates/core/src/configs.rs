@@ -210,6 +210,11 @@ pub fn fig7b_sweep() -> Vec<(String, BlockDVtageConfig)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bebop_uarch::ValuePredictor;
+    use bebop_vp::{
+        DVtage, LastValuePredictor, StridePredictor, TwoDeltaStridePredictor, Vtage,
+        VtageStrideHybrid,
+    };
 
     #[test]
     fn table3_storage_budgets_match_the_paper() {
@@ -265,5 +270,54 @@ mod tests {
         assert!(small_4p().storage_kb() < 20.0);
         assert!(small_6p().storage_kb() < 20.0);
         assert!(large().storage_kb() > medium().storage_kb());
+    }
+
+    #[test]
+    fn predictor_storage_is_pinned_exactly() {
+        // Exact bit counts, so a change to tag widths, history geometry or the
+        // per-field accounting shows up here rather than inside a tolerance.
+        let table3 = [
+            ("Small_4p", 136_928), // paper: 17.26 KB
+            ("Small_6p", 137_056), // paper: 17.18 KB
+            ("Medium", 261_344),   // paper: 32.76 KB
+            ("Large", 491_848),    // paper: 61.65 KB
+        ];
+        let sweeps = [
+            (
+                fig6a_sweep(),
+                vec![
+                    776_192, 1_155_584, 1_534_976, 1_552_384, 2_311_168, 3_069_952,
+                ],
+            ),
+            (
+                fig6b_sweep(),
+                vec![
+                    738_304, 1_155_584, 1_990_144, 1_059_328, 1_476_608, 2_311_168,
+                ],
+            ),
+            (
+                stride_sweep(),
+                vec![2_311_168, 1_623_040, 1_278_976, 1_106_944],
+            ),
+        ];
+        for ((name, cfg), (ename, bits)) in table3_configs().iter().zip(table3) {
+            assert_eq!((*name, cfg.storage_bits()), (ename, bits));
+        }
+        for (sweep, bits) in sweeps {
+            let got: Vec<u64> = sweep.iter().map(|(_, c)| c.storage_bits()).collect();
+            assert_eq!(got, bits);
+        }
+        // The six instruction-based predictors of Figure 5a.
+        let fig5a: [(&dyn ValuePredictor, u64); 6] = [
+            (&LastValuePredictor::default_config(), 622_592),
+            (&StridePredictor::default_config(), 1_146_880),
+            (&TwoDeltaStridePredictor::default_config(), 1_671_168),
+            (&Vtage::default_config(), 1_064_960),
+            (&VtageStrideHybrid::default_config(), 2_736_128),
+            (&DVtage::default_config(), 1_638_400),
+        ];
+        for (p, bits) in fig5a {
+            assert_eq!(p.storage_bits(), bits, "{}", p.name());
+        }
     }
 }

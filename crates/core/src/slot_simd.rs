@@ -1,31 +1,15 @@
 //! Per-slot lane operations for the block predictor.
 //!
 //! The BlockDVtage hot path runs the same arithmetic over all `MAX_NPRED`
-//! prediction slots of an entry: sign-extending stride truncation, the
-//! last-value + stride add, the prediction-vs-actual compare and the
-//! confidence-threshold test. Each is a plain fixed-length loop over the slot
-//! arrays with no loop-carried state, left to the compiler to unroll and
-//! vectorise (hand-unrolled and SWAR versions measured no faster on the
-//! `geometry-sweep` benchmark). The predictor-level guarantee (identical
-//! predictions and confidence decisions) is covered by `block_dvtage`'s own
-//! tests running on top of these helpers.
+//! prediction slots of an entry: the last-value + stride add, the
+//! prediction-vs-actual compare and the confidence-threshold test. Each is a
+//! plain fixed-length loop over the slot arrays with no loop-carried state,
+//! left to the compiler to unroll and vectorise (hand-unrolled and SWAR
+//! versions measured no faster on the `geometry-sweep` benchmark). The
+//! predictor-level guarantee (identical predictions and confidence decisions)
+//! is covered by `block_dvtage`'s own tests running on top of these helpers.
 
 use crate::spec_window::{SlotPredictions, MAX_NPRED};
-
-/// Sign-extending truncation of every stride lane to `stride_bits` bits.
-#[inline]
-pub fn clamp_strides(strides: &[i64; MAX_NPRED], stride_bits: u32) -> [i64; MAX_NPRED] {
-    let mut out = [0i64; MAX_NPRED];
-    for (o, &s) in out.iter_mut().zip(strides) {
-        *o = if stride_bits >= 64 {
-            s
-        } else {
-            let shift = 64 - stride_bits;
-            (s << shift) >> shift
-        };
-    }
-    out
-}
 
 /// `lasts[i] + strides[i]` (wrapping) per lane.
 #[inline]
@@ -89,13 +73,19 @@ pub fn split_predictions(preds: &SlotPredictions) -> ([u64; MAX_NPRED], u8) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bebop_vp::clamp_stride;
 
     #[test]
     fn clamp_matches_known_truncations() {
+        // The lane add sees strides clamped the way BlockDVtage clamps them.
         let strides = [127i64, 128, -128, -129, 255, -1, i64::MAX, i64::MIN];
-        let c8 = clamp_strides(&strides, 8);
-        assert_eq!(c8, [127, -128, -128, 127, -1, -1, -1, 0]);
-        assert_eq!(clamp_strides(&strides, 64), strides);
+        let c8 = add_strides(&[0; MAX_NPRED], &strides.map(|s| clamp_stride(s, 8)));
+        assert_eq!(
+            c8,
+            [127i64, -128, -128, 127, -1, -1, -1, 0].map(|s| s as u64)
+        );
+        let c64 = add_strides(&[0; MAX_NPRED], &strides.map(|s| clamp_stride(s, 64)));
+        assert_eq!(c64, strides.map(|s| s as u64));
     }
 
     #[test]

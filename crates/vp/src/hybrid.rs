@@ -122,7 +122,6 @@ mod tests {
         VtageStrideHybrid::new(
             Vtage::new(VtageConfig {
                 fpc: FpcParams::deterministic(2),
-                ..VtageConfig::default()
             }),
             TwoDeltaStridePredictor::new(13, 8, FpcParams::deterministic(2)),
         )

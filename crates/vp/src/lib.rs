@@ -17,6 +17,11 @@
 //! [`ForwardProbabilisticCounter`] confidence estimation, so they only return a
 //! prediction when confidence is saturated (the paper's >99.5% accuracy regime).
 //!
+//! VTAGE, D-VTAGE and the block-based predictor of the `bebop` core crate share
+//! one tagged-component core ([`TaggedComponents`], [`TaggedGeometry`]) and
+//! differ only in what their entries hold; the instruction-based predictors
+//! also share one in-flight record queue.
+//!
 //! The block-based BeBoP infrastructure (which makes D-VTAGE implementable) lives
 //! in the `bebop` core crate; this crate is about the underlying prediction
 //! algorithms.
@@ -45,6 +50,7 @@ mod hybrid;
 mod last_value;
 mod sharded;
 mod stride;
+mod tagged;
 mod vtage;
 
 pub use dvtage::{DVtage, DVtageConfig};
@@ -53,39 +59,14 @@ pub use hybrid::VtageStrideHybrid;
 pub use last_value::LastValuePredictor;
 pub use sharded::{ShardCounters, ShardedTable};
 pub use stride::{StridePredictor, TwoDeltaStridePredictor};
+pub(crate) use tagged::InflightQueue;
+pub use tagged::{
+    clamp_stride, tag_width, Component, Hit, Slots, Tagged, TaggedComponents, TaggedGeometry,
+    MAX_TAGGED,
+};
 pub use vtage::{Vtage, VtageConfig};
 
 use bebop_isa::{snap, DynUop, StateResult};
-
-/// The maximum number of tagged components supported by the precomputed lookup
-/// pass of the TAGE-like predictors (the paper uses 6).
-pub const MAX_TAGGED: usize = 8;
-
-/// Precomputed per-tagged-component lookup parameters. The geometric history
-/// length involves a `powf`; computing it once at construction keeps the per-µop
-/// probe loop integer-only. Shared with the block-based predictor in the `bebop`
-/// core crate.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CompParams {
-    /// Global-history length of the component.
-    pub hist_len: usize,
-    /// Tag width of the component, in bits.
-    pub tag_bits: u32,
-    /// `(1 << tag_bits) - 1`.
-    pub tag_mask: u64,
-}
-
-impl CompParams {
-    /// Precomputes the parameters for a component with the given history length
-    /// and tag width.
-    pub fn new(hist_len: usize, tag_bits: u32) -> Self {
-        CompParams {
-            hist_len,
-            tag_bits,
-            tag_mask: (1u64 << tag_bits) - 1,
-        }
-    }
-}
 
 /// The key identifying a static µ-op in instruction-based predictors: the paper
 /// XORs the instruction PC with the µ-op index inside the instruction so that the
@@ -94,41 +75,25 @@ pub(crate) fn inst_key(uop: &DynUop) -> u64 {
     uop.pc ^ u64::from(uop.uop_idx)
 }
 
-/// Folds the `len` most recent bits of a global branch history (bit 0 = most
-/// recent) into `bits` bits by XOR-ing successive chunks, for TAGE-style indexing.
-pub(crate) fn fold_history(history: u64, len: usize, bits: u32) -> u64 {
-    if bits == 0 || len == 0 {
-        return 0;
-    }
-    let len = len.min(64);
-    let mut h = if len >= 64 {
-        history
-    } else {
-        history & ((1u64 << len) - 1)
-    };
-    let mask = if bits >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << bits) - 1
-    };
-    let mut acc = 0u64;
-    while h != 0 {
-        acc ^= h & mask;
-        h >>= bits.min(63);
-    }
-    acc & mask
-}
-
 /// A small deterministic xorshift64* generator used for probabilistic confidence
 /// updates and random allocation choices (hardware would use an LFSR).
 #[derive(Debug, Clone)]
-pub(crate) struct Lfsr {
+pub struct Lfsr {
     state: u64,
 }
 
 impl Lfsr {
+    /// A generator seeded with `seed`, low bit forced so the state is never zero.
     pub(crate) fn new(seed: u64) -> Self {
         Lfsr { state: seed | 1 }
+    }
+
+    /// A generator whose state is exactly `state` (zero, from which xorshift
+    /// never leaves, becomes 1).
+    pub fn from_state(state: u64) -> Self {
+        Lfsr {
+            state: state.max(1),
+        }
     }
 
     /// Normalises a restored state. A running xorshift state is never zero
@@ -140,7 +105,8 @@ impl Lfsr {
         Ok(())
     }
 
-    pub(crate) fn next(&mut self) -> u64 {
+    /// The next pseudo-random number.
+    pub fn next_u64(&mut self) -> u64 {
         let mut x = self.state;
         x ^= x >> 12;
         x ^= x << 25;
@@ -154,7 +120,7 @@ impl Lfsr {
         if denom <= 1 {
             return true;
         }
-        (self.next() % u64::from(denom)) == 0
+        (self.next_u64() % u64::from(denom)) == 0
     }
 }
 
@@ -196,13 +162,13 @@ mod tests {
         let mut a = Lfsr::new(42);
         let mut seen_even = false;
         for _ in 0..64 {
-            a.next();
+            a.next_u64();
             let saved = a.state;
             seen_even |= saved % 2 == 0;
             let mut b = Lfsr::new(1);
             restore_snapshot(&mut b, &snapshot(&a)).unwrap();
             assert_eq!(b.state, saved);
-            assert_eq!(a.next(), b.next());
+            assert_eq!(a.next_u64(), b.next_u64());
         }
         assert!(seen_even, "the walk never exercised an even state");
         // Zero (never produced by a healthy generator) is still coerced to a
@@ -217,7 +183,7 @@ mod tests {
         let mut a = Lfsr::new(42);
         let mut b = Lfsr::new(42);
         for _ in 0..100 {
-            assert_eq!(a.next(), b.next());
+            assert_eq!(a.next_u64(), b.next_u64());
         }
         let mut c = Lfsr::new(7);
         let hits = (0..16_000).filter(|_| c.one_in(16)).count();

@@ -69,7 +69,7 @@ pub struct ShardCounters {
 #[derive(Debug, Clone)]
 pub struct ShardedTable<T> {
     /// Flat shard-major storage: shard `s` is `data[s * slots_per_shard ..]`.
-    data: Vec<T>,
+    pub(crate) data: Vec<T>,
     /// Per-slot owning ASID (`NO_OWNER` = free), parallel to `data`.
     owners: Vec<u8>,
     num_shards: usize,

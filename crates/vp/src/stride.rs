@@ -9,10 +9,9 @@
 //! window; the realistic block-based window is in the `bebop` core crate).
 
 use crate::fpc::{ForwardProbabilisticCounter, FpcParams};
-use crate::{inst_key, Lfsr};
-use bebop_isa::{ensure, in_program_order, snap, snapshot, DynUop, SeqNum, StateResult};
+use crate::{inst_key, InflightQueue, Lfsr};
+use bebop_isa::{snap, snapshot, DynUop, StateResult};
 use bebop_uarch::{restore_predictor, PredictCtx, SquashInfo, ValuePredictor};
-use std::collections::VecDeque;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct StrideEntry {
@@ -40,10 +39,9 @@ pub struct StrideCore {
     params: FpcParams,
     rng: Lfsr,
     two_delta: bool,
-    /// Internal predictions in flight in program order, so training can know what
-    /// this predictor speculated at prediction time (predict and train both follow
-    /// sequence order, so a deque front-pop replaces a hash lookup).
-    inflight: VecDeque<(SeqNum, u64)>,
+    /// Internal predictions in flight, so training can know what this
+    /// predictor speculated at prediction time.
+    inflight: InflightQueue<u64>,
 }
 
 impl StrideCore {
@@ -55,7 +53,7 @@ impl StrideCore {
             params,
             rng: Lfsr::new(0x5712de),
             two_delta,
-            inflight: VecDeque::new(),
+            inflight: InflightQueue::default(),
         }
     }
 
@@ -85,8 +83,7 @@ impl StrideCore {
         // inserts every prediction block in the speculative window.
         e.spec_last = prediction;
         e.spec_inflight += 1;
-        debug_assert!(self.inflight.back().map_or(true, |&(s, _)| s <= uop.seq));
-        self.inflight.push_back((uop.seq, prediction));
+        self.inflight.push(uop.seq, prediction);
         if e.conf.is_confident(&self.params) {
             Some(prediction)
         } else {
@@ -95,33 +92,15 @@ impl StrideCore {
     }
 
     fn train_impl(&mut self, uop: &DynUop, actual: u64) {
-        // Retirement follows program order; a missing front entry means the
-        // prediction was squashed.
-        while self.inflight.front().is_some_and(|&(s, _)| s < uop.seq) {
-            self.inflight.pop_front();
-        }
-        let internal = if self.inflight.front().is_some_and(|&(s, _)| s == uop.seq) {
-            self.inflight.pop_front().map(|(_, p)| p)
-        } else {
-            None
-        };
+        let internal = self.inflight.retire(uop.seq);
         self.update_entry(uop, actual, internal);
-        #[cfg(feature = "simcheck")]
-        self.simcheck_inflight();
     }
 
     /// The guarded wrong-path update: applies `actual` to the µ-op's table
     /// entry *without* the program-order retirement bookkeeping of
-    /// [`StrideCore::train_impl`]. The µ-op's own in-flight record — pushed by
-    /// the predict probe immediately before this call — is consumed from the
-    /// *back* of the deque, leaving older correct-path records in place for
-    /// their own retirements.
+    /// [`StrideCore::train_impl`], consuming only the µ-op's own record.
     fn train_wrong_path_impl(&mut self, uop: &DynUop, actual: u64) {
-        let internal = if self.inflight.back().is_some_and(|&(s, _)| s == uop.seq) {
-            self.inflight.pop_back().map(|(_, p)| p)
-        } else {
-            None
-        };
+        let internal = self.inflight.take_wrong_path(uop.seq);
         self.update_entry(uop, actual, internal);
     }
 
@@ -175,13 +154,7 @@ impl StrideCore {
     }
 
     fn squash_impl(&mut self, info: &SquashInfo) {
-        while self
-            .inflight
-            .back()
-            .is_some_and(|&(s, _)| s > info.flush_seq)
-        {
-            self.inflight.pop_back();
-        }
+        self.inflight.squash(info.flush_seq);
         // Speculative last values computed past the flush point are gone; an
         // idealistic recovery resynchronises every entry with retired state.
         for e in &mut self.entries {
@@ -196,32 +169,12 @@ impl StrideCore {
         self.entries.len() as u64 * per
     }
 
-    /// Clamps restored confidence levels to the configured saturation and
-    /// rejects in-flight records out of program order.
+    /// Clamps restored confidence levels to the configured saturation.
     fn check_restored(&mut self) -> StateResult<()> {
         for e in &mut self.entries {
             e.conf.set_level(e.conf.level(), &self.params);
         }
-        ensure(
-            in_program_order(self.inflight.iter().map(|&(seq, _)| seq), false),
-            "stride in-flight records out of order",
-        )
-    }
-
-    /// Validates that the in-flight record deque is in program order, the
-    /// invariant retirement-time front-pops rely on.
-    #[cfg(feature = "simcheck")]
-    fn simcheck_inflight(&self) {
-        let mut prev: Option<SeqNum> = None;
-        for &(seq, _) in &self.inflight {
-            if let Some(p) = prev {
-                assert!(
-                    seq >= p,
-                    "simcheck: stride: in-flight record seq {seq} precedes {p}"
-                );
-            }
-            prev = Some(seq);
-        }
+        Ok(())
     }
 }
 
@@ -238,7 +191,7 @@ snap!(StrideEntry {
 snap!(StrideCore {
     entries: Vec<StrideEntry>,
     rng: Lfsr,
-    inflight: VecDeque<(SeqNum, u64)>,
+    inflight: InflightQueue<u64>,
 } validate check_restored);
 
 /// The baseline Stride predictor: predicts `last value + stride` where the stride
@@ -359,7 +312,7 @@ snap!(TwoDeltaStridePredictor { core: StrideCore });
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bebop_isa::{ArchReg, Uop, UopKind};
+    use bebop_isa::{ArchReg, SeqNum, Uop, UopKind};
 
     fn uop(seq: SeqNum, pc: u64, value: u64) -> DynUop {
         DynUop::new(

@@ -9,64 +9,21 @@
 //! D-VTAGE.
 
 use crate::fpc::{ForwardProbabilisticCounter, FpcParams};
-use crate::{fold_history, inst_key, CompParams, Lfsr, MAX_TAGGED};
-use bebop_isa::{ensure, in_program_order, snap, snapshot, DynUop, SeqNum, StateResult};
+use crate::tagged::{FIG5A_LOG_BASE, FIG5A_USEFUL_RESET_PERIOD};
+use crate::{inst_key, InflightQueue, Lfsr, Slots, TaggedComponents, TaggedGeometry};
+use bebop_isa::{ensure, snap, snapshot, DynUop, StateResult};
 use bebop_uarch::{restore_predictor, PredictCtx, SquashInfo, ValuePredictor};
-use std::collections::VecDeque;
 
-/// Configuration of a VTAGE predictor.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The second key shift of VTAGE's tag hash.
+const TAG_SHIFT: u32 = 8;
+
+/// Configuration of a VTAGE predictor. The tables have the Figure 5a shape:
+/// an 8K-entry base plus six 1K-entry tagged components, 13-bit first tag,
+/// histories from 2 to 64, useful bits reset every 512K updates.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VtageConfig {
-    /// log2 entries of the tagless base (last-value) component.
-    pub log_base: u32,
-    /// Number of partially tagged components.
-    pub num_tagged: usize,
-    /// log2 entries of each tagged component.
-    pub log_tagged: u32,
-    /// Tag width of the first tagged component; grows by one bit per component.
-    pub first_tag_bits: u32,
-    /// Shortest global-history length.
-    pub min_history: usize,
-    /// Longest global-history length.
-    pub max_history: usize,
     /// Confidence parameters.
     pub fpc: FpcParams,
-    /// Period (in updates) of the useful-bit reset.
-    pub useful_reset_period: u64,
-}
-
-impl Default for VtageConfig {
-    fn default() -> Self {
-        // The configuration transposed from the paper: 8K-entry base plus six
-        // 1K-entry tagged components, 13-bit first tag, histories from 2 to 64.
-        VtageConfig {
-            log_base: 13,
-            num_tagged: 6,
-            log_tagged: 10,
-            first_tag_bits: 13,
-            min_history: 2,
-            max_history: 64,
-            fpc: FpcParams::paper_default(),
-            useful_reset_period: 512 * 1024,
-        }
-    }
-}
-
-impl VtageConfig {
-    /// The geometric history length of tagged component `i`.
-    pub fn history_length(&self, i: usize) -> usize {
-        if self.num_tagged <= 1 {
-            return self.min_history;
-        }
-        let ratio = (self.max_history as f64 / self.min_history as f64)
-            .powf(i as f64 / (self.num_tagged - 1) as f64);
-        (self.min_history as f64 * ratio).round() as usize
-    }
-
-    /// The tag width of tagged component `i`.
-    pub fn tag_bits(&self, i: usize) -> u32 {
-        (self.first_tag_bits + i as u32).min(16)
-    }
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -92,7 +49,7 @@ struct Inflight {
     provider: Option<(usize, usize)>,
     base_index: usize,
     /// Index and tag of every tagged component at prediction time.
-    slots: [(usize, u16); MAX_TAGGED],
+    slots: Slots,
     /// The value the predictor would predict (regardless of confidence).
     prediction: u64,
     /// The alternate prediction (next hitting component / base).
@@ -104,36 +61,21 @@ struct Inflight {
 pub struct Vtage {
     cfg: VtageConfig,
     base: Vec<BaseEntry>,
-    tagged: Vec<Vec<TaggedEntry>>,
-    /// Precomputed per-component history/tag parameters (no `powf` per lookup).
-    comp: [CompParams; MAX_TAGGED],
-    /// In-flight prediction records in program order (see `DVtage::inflight`).
-    inflight: VecDeque<(SeqNum, Inflight)>,
+    tagged: TaggedComponents<Vec<TaggedEntry>>,
+    inflight: InflightQueue<Inflight>,
     rng: Lfsr,
     updates: u64,
 }
 
 impl Vtage {
     /// Creates a VTAGE predictor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_tagged > MAX_TAGGED`.
     pub fn new(cfg: VtageConfig) -> Self {
-        assert!(
-            cfg.num_tagged <= MAX_TAGGED,
-            "num_tagged {} exceeds MAX_TAGGED {MAX_TAGGED}",
-            cfg.num_tagged
-        );
-        let mut comp = [CompParams::default(); MAX_TAGGED];
-        for (c, params) in comp.iter_mut().enumerate().take(cfg.num_tagged) {
-            *params = CompParams::new(cfg.history_length(c), cfg.tag_bits(c));
-        }
+        let geometry = TaggedGeometry::figure_5a();
+        let table = vec![TaggedEntry::default(); 1 << geometry.index_bits()];
         Vtage {
-            base: vec![BaseEntry::default(); 1 << cfg.log_base],
-            tagged: vec![vec![TaggedEntry::default(); 1 << cfg.log_tagged]; cfg.num_tagged],
-            comp,
-            inflight: VecDeque::new(),
+            base: vec![BaseEntry::default(); 1 << FIG5A_LOG_BASE],
+            tagged: TaggedComponents::new(geometry, table),
+            inflight: InflightQueue::default(),
             rng: Lfsr::new(0x7a6e),
             updates: 0,
             cfg,
@@ -145,58 +87,21 @@ impl Vtage {
         Vtage::new(VtageConfig::default())
     }
 
-    fn base_index(&self, key: u64) -> usize {
-        ((key >> 1) & ((1 << self.cfg.log_base) - 1)) as usize
-    }
-
-    fn tagged_index(&self, key: u64, ghist: u64, path: u64, comp: usize) -> usize {
-        let hl = self.comp[comp].hist_len;
-        let folded = fold_history(ghist, hl, self.cfg.log_tagged);
-        let idx = (key >> 1) ^ (key >> (1 + self.cfg.log_tagged)) ^ folded ^ (path & 0x3f);
-        (idx & ((1 << self.cfg.log_tagged) - 1)) as usize
-    }
-
-    fn tagged_tag(&self, key: u64, ghist: u64, comp: usize) -> u16 {
-        let p = self.comp[comp];
-        let f1 = fold_history(ghist, p.hist_len, p.tag_bits);
-        let f2 = fold_history(ghist, p.hist_len, p.tag_bits.saturating_sub(3).max(2));
-        (((key >> 1) ^ (key >> 9) ^ f1 ^ (f2 << 2)) & p.tag_mask) as u16
-    }
-
-    /// Computes the prediction context for a µ-op: provider, alternates and slots.
-    fn lookup(&self, key: u64, ghist: u64, path: u64) -> Inflight {
-        let base_index = self.base_index(key);
-        let mut slots = [(0usize, 0u16); MAX_TAGGED];
-        for (comp, slot) in slots.iter_mut().enumerate().take(self.cfg.num_tagged) {
-            *slot = (
-                self.tagged_index(key, ghist, path, comp),
-                self.tagged_tag(key, ghist, comp),
-            );
-        }
-        let mut provider = None;
-        let mut alt = None;
-        for comp in (0..self.cfg.num_tagged).rev() {
-            let (idx, tag) = slots[comp];
-            let e = &self.tagged[comp][idx];
-            if e.valid && e.tag == tag {
-                if provider.is_none() {
-                    provider = Some((comp, idx));
-                } else if alt.is_none() {
-                    alt = Some(e.value);
-                }
-            }
-        }
+    /// Computes the prediction context for a µ-op: provider, alternate and slots.
+    fn lookup(&mut self, key: u64, ghist: u64, path: u64) -> Inflight {
+        let k = key >> 1;
+        // CAST: masked to the base table size.
+        let base_index = (k & (self.base.len() as u64 - 1)) as usize;
+        let slots = self.tagged.slots(k, ghist, path, TAG_SHIFT);
+        let (provider, alt) = self.tagged.providers(&slots);
         let base_value = self.base[base_index].value;
-        let prediction = match provider {
-            Some((c, i)) => self.tagged[c][i].value,
-            None => base_value,
-        };
+        let value = |(c, i): (usize, usize)| self.tagged[c][i].value;
         Inflight {
             provider,
             base_index,
             slots,
-            prediction,
-            alt_prediction: alt.unwrap_or(base_value),
+            prediction: provider.map_or(base_value, value),
+            alt_prediction: alt.map_or(base_value, value),
         }
     }
 
@@ -209,7 +114,7 @@ impl Vtage {
 
     fn train_with(&mut self, info: Inflight, actual: u64) {
         self.updates += 1;
-        let fpc = self.cfg.fpc.clone();
+        let fpc = &self.cfg.fpc;
         let correct = info.prediction == actual;
 
         match info.provider {
@@ -217,7 +122,7 @@ impl Vtage {
                 let alt_matches = info.alt_prediction == actual;
                 let e = &mut self.tagged[c][i];
                 if correct {
-                    e.conf.on_correct(&fpc, &mut self.rng);
+                    e.conf.on_correct(fpc, &mut self.rng);
                     if !alt_matches {
                         e.useful = true;
                     }
@@ -230,7 +135,7 @@ impl Vtage {
             None => {
                 let e = &mut self.base[info.base_index];
                 if correct {
-                    e.conf.on_correct(&fpc, &mut self.rng);
+                    e.conf.on_correct(fpc, &mut self.rng);
                 } else {
                     e.conf.on_wrong();
                 }
@@ -240,44 +145,26 @@ impl Vtage {
 
         // On a misprediction, allocate in a component using a longer history.
         if !correct {
-            let start = info.provider.map(|(c, _)| c + 1).unwrap_or(0);
-            if start < self.cfg.num_tagged {
-                let candidates: Vec<usize> = (start..self.cfg.num_tagged)
-                    .filter(|&c| !self.tagged[c][info.slots[c].0].useful)
-                    .collect();
-                if candidates.is_empty() {
-                    for c in start..self.cfg.num_tagged {
-                        self.tagged[c][info.slots[c].0].useful = false;
-                    }
-                } else {
-                    // CAST: the modulo bounds pick below candidates.len().
-                    let pick = (self.rng.next() as usize) % candidates.len().min(2);
-                    let comp = candidates[pick];
-                    let (idx, tag) = info.slots[comp];
-                    self.tagged[comp][idx] = TaggedEntry {
-                        valid: true,
-                        tag,
-                        value: actual,
-                        conf: ForwardProbabilisticCounter::new(),
-                        useful: false,
-                    };
-                }
+            if let Some(c) = self
+                .tagged
+                .victim(&info.slots, info.provider, &mut self.rng)
+            {
+                let (idx, tag) = info.slots[c];
+                self.tagged[c][idx] = TaggedEntry {
+                    valid: true,
+                    tag,
+                    value: actual,
+                    conf: ForwardProbabilisticCounter::new(),
+                    useful: false,
+                };
             }
         }
-
-        // Periodic useful-bit reset, as in TAGE/VTAGE.
-        if self.updates % self.cfg.useful_reset_period == 0 {
-            for comp in &mut self.tagged {
-                for e in comp.iter_mut() {
-                    e.useful = false;
-                }
-            }
-        }
+        self.tagged
+            .reset_useful_if_due(self.updates, FIG5A_USEFUL_RESET_PERIOD);
     }
 
     /// Clamps restored confidence levels to the configured saturation and
-    /// rejects in-flight records out of program order or indexing outside
-    /// the tables.
+    /// rejects in-flight records indexing outside the tables.
     fn check_restored(&mut self) -> StateResult<()> {
         let fpc = &self.cfg.fpc;
         for e in &mut self.base {
@@ -286,27 +173,10 @@ impl Vtage {
         for e in self.tagged.iter_mut().flatten() {
             e.conf.set_level(e.conf.level(), fpc);
         }
-        ensure(
-            in_program_order(self.inflight.iter().map(|&(seq, _)| seq), false),
-            "VTAGE in-flight records out of order",
-        )?;
-        for (_, info) in &self.inflight {
+        for info in self.inflight.records() {
             ensure(
-                info.provider.map_or(true, |(c, i)| {
-                    c < self.tagged.len() && i < self.tagged[c].len()
-                }),
-                "VTAGE in-flight provider out of range",
-            )?;
-            ensure(
-                info.base_index < self.base.len(),
-                "VTAGE in-flight base index out of range",
-            )?;
-            ensure(
-                info.slots
-                    .iter()
-                    .zip(&self.tagged)
-                    .all(|(&(idx, _), comp)| idx < comp.len()),
-                "VTAGE in-flight slot index out of range",
+                info.base_index < self.base.len() && self.tagged.holds(info.provider, &info.slots),
+                "VTAGE in-flight record indexes outside the tables",
             )?;
         }
         Ok(())
@@ -324,17 +194,18 @@ snap!(TaggedEntry {
     conf: ForwardProbabilisticCounter,
     useful: bool,
 });
+crate::tagged_entry!(TaggedEntry);
 snap!(Inflight {
     provider: Option<(usize, usize)>,
     base_index: usize,
-    slots: [(usize, u16); MAX_TAGGED],
+    slots: Slots,
     prediction: u64,
     alt_prediction: u64,
 });
 snap!(Vtage {
     base: Vec<BaseEntry>,
-    tagged: Vec<Vec<TaggedEntry>>,
-    inflight: VecDeque<(SeqNum, Inflight)>,
+    tagged: TaggedComponents<Vec<TaggedEntry>>,
+    inflight: InflightQueue<Inflight>,
     rng: Lfsr,
     updates: u64,
 } validate check_restored);
@@ -349,57 +220,31 @@ impl ValuePredictor for Vtage {
         let info = self.lookup(key, ctx.global_history, ctx.path_history);
         let confident = self.provider_confident(&info);
         let prediction = info.prediction;
-        debug_assert!(self.inflight.back().map_or(true, |&(s, _)| s <= uop.seq));
-        self.inflight.push_back((uop.seq, info));
-        if confident {
-            Some(prediction)
-        } else {
-            None
-        }
+        self.inflight.push(uop.seq, info);
+        confident.then_some(prediction)
     }
 
     fn train(&mut self, uop: &DynUop, actual: u64, _predicted: Option<u64>) {
-        // Retirement follows program order (see `DVtage::train`).
-        while self.inflight.front().is_some_and(|&(s, _)| s < uop.seq) {
-            self.inflight.pop_front();
-        }
-        if self.inflight.front().is_some_and(|&(s, _)| s == uop.seq) {
-            // INVARIANT: is_some_and on front() just returned true.
-            let (_, info) = self.inflight.pop_front().expect("front exists");
+        if let Some(info) = self.inflight.retire(uop.seq) {
             self.train_with(info, actual);
         }
     }
 
     fn train_wrong_path(&mut self, uop: &DynUop, actual: u64, _predicted: Option<u64>) {
-        // Guarded wrong-path update: consume the µ-op's own in-flight record
-        // — pushed by the predict probe immediately before this call — from
-        // the *back* of the deque (older correct-path records stay for their
-        // own retirements) and apply the polluting table update with it.
-        if self.inflight.back().is_some_and(|&(s, _)| s == uop.seq) {
-            // INVARIANT: is_some_and on back() just returned true.
-            let (_, info) = self.inflight.pop_back().expect("back exists");
+        // Guarded wrong-path update: the polluting table update applies the
+        // µ-op's own record, pushed by the predict probe just before.
+        if let Some(info) = self.inflight.take_wrong_path(uop.seq) {
             self.train_with(info, actual);
         }
     }
 
     fn squash(&mut self, info: &SquashInfo) {
-        while self
-            .inflight
-            .back()
-            .is_some_and(|&(s, _)| s > info.flush_seq)
-        {
-            self.inflight.pop_back();
-        }
+        self.inflight.squash(info.flush_seq);
     }
 
     fn storage_bits(&self) -> u64 {
-        let base_bits = (1u64 << self.cfg.log_base) * (64 + 3);
-        let mut tagged_bits = 0u64;
-        for c in 0..self.cfg.num_tagged {
-            tagged_bits +=
-                (1u64 << self.cfg.log_tagged) * (1 + u64::from(self.cfg.tag_bits(c)) + 64 + 3 + 1);
-        }
-        base_bits + tagged_bits
+        // Base: value + confidence. Tagged: valid + value + confidence + useful.
+        self.base.len() as u64 * (64 + 3) + self.tagged.storage_bits(1 + 64 + 3 + 1)
     }
 
     fn save_state(&self) -> Vec<u8> {
@@ -414,7 +259,7 @@ impl ValuePredictor for Vtage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bebop_isa::{ArchReg, Uop, UopKind};
+    use bebop_isa::{ArchReg, SeqNum, Uop, UopKind};
 
     fn uop(seq: SeqNum, pc: u64, value: u64) -> DynUop {
         DynUop::new(
@@ -442,7 +287,6 @@ mod tests {
     fn fast_cfg() -> VtageConfig {
         VtageConfig {
             fpc: FpcParams::deterministic(2),
-            ..VtageConfig::default()
         }
     }
 
@@ -515,17 +359,7 @@ mod tests {
         });
         // Training after the squash silently ignores the dropped entry.
         v.train(&u, 1, None);
-        assert_eq!(v.inflight.len(), 0);
-    }
-
-    #[test]
-    fn geometric_history_lengths() {
-        let cfg = VtageConfig::default();
-        assert_eq!(cfg.history_length(0), 2);
-        assert_eq!(cfg.history_length(cfg.num_tagged - 1), 64);
-        for i in 1..cfg.num_tagged {
-            assert!(cfg.history_length(i) > cfg.history_length(i - 1));
-        }
+        assert_eq!(v.inflight.records().count(), 0);
     }
 
     #[test]
