@@ -547,11 +547,6 @@ impl SweepLedger {
         Ok(path)
     }
 
-    /// Path of the append-only journal.
-    pub fn journal_path(&self) -> PathBuf {
-        self.dir.join(JOURNAL_FILE)
-    }
-
     /// Path the compacted ledger is (or will be) written to.
     pub fn ledger_path(&self) -> PathBuf {
         self.dir.join(LEDGER_FILE)

@@ -5,7 +5,8 @@
 //! per-slot byte-index tags used to attribute predictions to µ-ops after decode;
 //! the base component VT0 and the six partially tagged components hold (partial)
 //! strides with forward-probabilistic confidence. In-flight last values come from
-//! the block-based [`SpeculativeWindow`], and the [`FifoUpdateQueue`] carries every
+//! the block-based [`SpeculativeWindow`], and the FIFO update queue (a
+//! [`SeqQueue`] of block records keyed by each block's first µ-op) carries every
 //! in-flight prediction block until retirement so the tables can be trained.
 //!
 //! # Hot-path layout
@@ -19,16 +20,15 @@
 //!   VTAGE and D-VTAGE: history lengths and tag widths are precomputed at
 //!   construction and the history folds are memoised, so the probe is a
 //!   straight masked pass with no `powf`/divisions;
-//! * retired [`FifoUpdateQueue`] records are recycled through a scratch pool
+//! * retired FIFO update-queue records are recycled through a scratch pool
 //!   instead of being reallocated per block instance.
 
 use crate::recovery::RecoveryPolicy;
 use crate::slot_simd;
 use crate::spec_window::{SlotPredictions, SpecWindowSize, SpeculativeWindow, MAX_NPRED};
-use crate::update_queue::FifoUpdateQueue;
 use bebop_isa::{
-    byte_index_in_block, ensure, fetch_block_pc, snap, snapshot, DynUop, SeqNum, StateResult,
-    VarVec,
+    byte_index_in_block, ensure, fetch_block_pc, snap, snapshot, DynUop, SeqNum, SeqQueue,
+    StateResult, VarVec,
 };
 use bebop_uarch::{restore_predictor, PredictCtx, SharingPolicy, SquashInfo, ValuePredictor};
 use bebop_vp::{
@@ -264,7 +264,7 @@ pub struct BlockDVtage {
     vt0: ShardedTable<Vt0Entry>,
     tagged: TaggedComponents<ShardedTable<TaggedEntry>>,
     window: SpeculativeWindow,
-    fifo: FifoUpdateQueue<BlockRecord>,
+    fifo: SeqQueue<(SeqNum, BlockRecord)>,
     /// Retired/squashed records recycled to keep the hot loop allocation-free.
     record_pool: Vec<BlockRecord>,
     current: Option<CurrentBlock>,
@@ -345,8 +345,8 @@ impl BlockDVtage {
             lvt: ShardedTable::new(lvt_entry, cfg.base_entries, cfg.shards),
             vt0: ShardedTable::new(vt0_entry, cfg.base_entries, cfg.shards),
             tagged: TaggedComponents::new(geometry, table),
-            window: SpeculativeWindow::with_size(cfg.spec_window, cfg.spec_window_tag_bits),
-            fifo: FifoUpdateQueue::new(),
+            window: SpeculativeWindow::new(cfg.spec_window, cfg.spec_window_tag_bits),
+            fifo: SeqQueue::default(),
             record_pool: Vec::new(),
             current: None,
             force_new_block: false,
@@ -434,16 +434,16 @@ impl BlockDVtage {
         let Some(retired) = self.last_retired else {
             return;
         };
-        while let Some(next) = self.fifo.next_block_seq() {
-            if next <= retired + 1 {
-                if let Some((_, rec)) = self.fifo.pop_front() {
-                    self.apply_update(rec);
-                }
-            } else {
-                break;
+        while self
+            .fifo
+            .second_seq()
+            .is_some_and(|next| next <= retired + 1)
+        {
+            if let Some((_, rec)) = self.fifo.pop_front() {
+                self.apply_update(rec);
             }
         }
-        let horizon = self.fifo.front().map(|(s, _)| *s).unwrap_or(retired + 1);
+        let horizon = self.fifo.front().map_or(retired + 1, |&(s, _)| s);
         self.window.prune_retired(horizon);
     }
 
@@ -550,10 +550,7 @@ impl BlockDVtage {
         rec.provider_conf_levels = provider_conf_levels;
         rec.provider_strides = provider_strides;
         debug_assert!(rec.results.is_empty());
-        self.fifo.push(first_seq, rec);
-        // Amortised invariant check: once per block start, not per µ-op.
-        #[cfg(feature = "simcheck")]
-        self.window.check_unique_keys();
+        self.fifo.push((first_seq, rec));
         self.current = Some(CurrentBlock {
             block_pc,
             asid,
@@ -752,7 +749,7 @@ impl BlockDVtage {
         for c in vt0.chain(tagged).flat_map(|s| s.conf.iter_mut()) {
             c.set_level(c.level(), fpc);
         }
-        for rec in self.fifo.records() {
+        for (_, rec) in self.fifo.iter() {
             ensure(
                 rec.lvt_index < self.cfg.base_entries
                     && self.tagged.holds(rec.provider, &rec.alloc_slots),
@@ -810,7 +807,7 @@ snap!(BlockDVtage {
     vt0: ShardedTable<Vt0Entry>,
     tagged: TaggedComponents<ShardedTable<TaggedEntry>>,
     window: SpeculativeWindow,
-    fifo: FifoUpdateQueue<BlockRecord>,
+    fifo: SeqQueue<(SeqNum, BlockRecord)>,
     current: Option<CurrentBlock>,
     force_new_block: bool,
     last_retired: Option<u64>,
@@ -881,13 +878,9 @@ impl ValuePredictor for BlockDVtage {
         let seq = uop.seq;
         self.last_retired = Some(self.last_retired.map_or(seq, |s| s.max(seq)));
         // Retire every block that `seq` has moved past.
-        while let Some(next) = self.fifo.next_block_seq() {
-            if seq >= next {
-                if let Some((_, rec)) = self.fifo.pop_front() {
-                    self.apply_update(rec);
-                }
-            } else {
-                break;
+        while self.fifo.second_seq().is_some_and(|next| seq >= next) {
+            if let Some((_, rec)) = self.fifo.pop_front() {
+                self.apply_update(rec);
             }
         }
         // Accumulate this retirement into the (now) oldest in-flight block.
@@ -936,7 +929,7 @@ impl ValuePredictor for BlockDVtage {
                 ref mut record_pool,
                 ..
             } = *self;
-            fifo.squash_with(info.flush_seq, |mut rec| {
+            fifo.squash(info.flush_seq, |(_, mut rec)| {
                 rec.results.clear();
                 record_pool.push(rec);
             });

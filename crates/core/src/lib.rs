@@ -16,8 +16,9 @@
 //! 3. **A block-based speculative window** — a small, chronologically ordered,
 //!    associatively read buffer providing the in-flight last values that a
 //!    computational predictor needs ([`SpeculativeWindow`]), with checkpoint-style
-//!    recovery policies ([`RecoveryPolicy`]) and a FIFO update queue
-//!    ([`FifoUpdateQueue`]).
+//!    recovery policies ([`RecoveryPolicy`]) and a FIFO update queue that
+//!    carries every prediction block to retirement. Both are program-order
+//!    queues of one kind, [`bebop_isa::SeqQueue`].
 //!
 //! The supporting substrates live in sibling crates: `bebop-isa` (a synthetic
 //! variable-length ISA), `bebop-trace` (36 SPEC-like synthetic workloads),
@@ -63,7 +64,6 @@ mod resume;
 mod shutdown;
 pub mod slot_simd;
 mod spec_window;
-mod update_queue;
 
 pub use bebop_vp::MAX_TAGGED;
 pub use block_dvtage::{BlockDVtage, BlockDVtageConfig};
@@ -81,7 +81,6 @@ pub use shutdown::{install_shutdown_handler, set_shutdown_requested, shutdown_re
 pub use spec_window::{
     SlotPredictions, SpecWindowEntry, SpecWindowSize, SpeculativeWindow, MAX_NPRED,
 };
-pub use update_queue::FifoUpdateQueue;
 
 // Re-export the pieces downstream users almost always need alongside this crate.
 pub use bebop_trace::{

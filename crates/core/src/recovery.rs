@@ -36,27 +36,6 @@ impl RecoveryPolicy {
         RecoveryPolicy::DnRDnR,
         RecoveryPolicy::DnRR,
     ];
-
-    /// Returns `true` if the policy squashes the head prediction block on a
-    /// same-block flush (and therefore re-predicts it).
-    pub fn repredicts(self) -> bool {
-        matches!(self, RecoveryPolicy::Repred)
-    }
-
-    /// Returns `true` if refetched instructions of the flushed block may consume
-    /// their predictions.
-    pub fn allows_use_after_flush(self) -> bool {
-        match self {
-            RecoveryPolicy::Ideal | RecoveryPolicy::Repred | RecoveryPolicy::DnRR => true,
-            RecoveryPolicy::DnRDnR => false,
-        }
-    }
-
-    /// Returns `true` if the policy is implementable with block-level bookkeeping
-    /// (everything except `Ideal`).
-    pub fn is_realistic(self) -> bool {
-        !matches!(self, RecoveryPolicy::Ideal)
-    }
 }
 
 impl fmt::Display for RecoveryPolicy {
@@ -74,17 +53,6 @@ impl fmt::Display for RecoveryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn classification() {
-        assert!(RecoveryPolicy::Repred.repredicts());
-        assert!(!RecoveryPolicy::DnRDnR.repredicts());
-        assert!(!RecoveryPolicy::DnRDnR.allows_use_after_flush());
-        assert!(RecoveryPolicy::DnRR.allows_use_after_flush());
-        assert!(RecoveryPolicy::Ideal.allows_use_after_flush());
-        assert!(!RecoveryPolicy::Ideal.is_realistic());
-        assert!(RecoveryPolicy::DnRR.is_realistic());
-    }
 
     #[test]
     fn all_contains_each_policy_once() {

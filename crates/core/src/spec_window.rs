@@ -7,8 +7,7 @@
 //! needed) and read associatively by partial tag, with an internal sequence number
 //! selecting the most recent matching entry.
 
-use bebop_isa::{ensure, in_program_order, snap, SeqNum, StateResult};
-use std::collections::VecDeque;
+use bebop_isa::{ensure, fold_bits, snap, SeqNum, SeqQueue, Sequenced, StateResult};
 
 /// The maximum number of prediction slots per entry (`Npred`) supported by the
 /// allocation-free hot path. The paper sweeps 4/6/8 (Figure 6a); fixing the upper
@@ -57,72 +56,39 @@ pub struct SpecWindowEntry {
 /// The block-based speculative window.
 #[derive(Debug, Clone)]
 pub struct SpeculativeWindow {
-    entries: VecDeque<SpecWindowEntry>,
-    /// Maximum number of entries; `None` models the infinite window of Figure 7b.
-    capacity: Option<usize>,
+    entries: SeqQueue<SpecWindowEntry>,
+    /// Maximum number of entries: `usize::MAX` models the infinite window of
+    /// Figure 7b, 0 the disabled one.
+    capacity: usize,
     tag_bits: u32,
 }
 
 impl SpeculativeWindow {
-    /// Creates a window with the given capacity (`None` = unbounded) and partial
-    /// tag width.
+    /// Creates a window of the given size and partial tag width.
     ///
     /// # Panics
     ///
-    /// Panics if a capacity of zero is given; use [`SpeculativeWindow::disabled`]
-    /// to model the "no speculative window" configuration.
-    pub fn new(capacity: Option<usize>, tag_bits: u32) -> Self {
-        if let Some(c) = capacity {
-            assert!(
-                c > 0,
-                "use SpeculativeWindow::disabled() for a zero-size window"
-            );
-        }
+    /// Panics on `SpecWindowSize::Entries(0)`: the "no speculative window"
+    /// configuration is [`SpecWindowSize::Disabled`].
+    pub fn new(size: SpecWindowSize, tag_bits: u32) -> Self {
+        let capacity = match size {
+            SpecWindowSize::Unbounded => usize::MAX,
+            SpecWindowSize::Entries(n) => {
+                assert!(n > 0, "use SpecWindowSize::Disabled for a zero-size window");
+                n
+            }
+            SpecWindowSize::Disabled => 0,
+        };
         SpeculativeWindow {
-            entries: VecDeque::new(),
+            entries: SeqQueue::default(),
             capacity,
             tag_bits,
         }
     }
 
-    /// Creates a window from a [`SpecWindowSize`].
-    pub fn with_size(size: SpecWindowSize, tag_bits: u32) -> Self {
-        match size {
-            SpecWindowSize::Unbounded => SpeculativeWindow::new(None, tag_bits),
-            SpecWindowSize::Entries(n) => SpeculativeWindow::new(Some(n), tag_bits),
-            SpecWindowSize::Disabled => SpeculativeWindow::disabled(tag_bits),
-        }
-    }
-
-    /// A disabled window: lookups never hit and pushes are dropped ("None" in
-    /// Figure 7b).
-    pub fn disabled(tag_bits: u32) -> Self {
-        SpeculativeWindow {
-            entries: VecDeque::new(),
-            capacity: Some(usize::MAX),
-            tag_bits: u32::MAX - tag_bits.min(1), // marker, see `is_disabled`
-        }
-    }
-
-    fn is_disabled(&self) -> bool {
-        self.tag_bits > 64
-    }
-
     /// The partial tag of a fetch-block PC.
     pub fn partial_tag(&self, block_pc: u64) -> u64 {
-        if self.is_disabled() {
-            return 0;
-        }
-        let bits = self.tag_bits.min(63);
-        let block_number = block_pc >> 4;
-        let mut v = block_number;
-        let mask = (1u64 << bits) - 1;
-        let mut acc = 0u64;
-        while v != 0 {
-            acc ^= v & mask;
-            v >>= bits;
-        }
-        acc
+        fold_bits(block_pc >> 4, self.tag_bits.min(63))
     }
 
     /// Number of entries currently held.
@@ -137,29 +103,27 @@ impl SpeculativeWindow {
 
     /// Pushes the prediction block of a newly predicted fetch-block instance at the
     /// head. If the window is full, the oldest entry is overwritten (head overlaps
-    /// tail, as described in the paper).
+    /// tail, as described in the paper); a disabled window drops the block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seq` does not exceed the newest entry's sequence number.
     pub fn push(&mut self, block_pc: u64, seq: SeqNum, values: SlotPredictions) {
-        if self.is_disabled() {
+        if self.capacity == 0 {
             return;
         }
-        let entry = SpecWindowEntry {
+        if self.entries.len() == self.capacity {
+            self.entries.pop_front();
+        }
+        self.entries.push(SpecWindowEntry {
             partial_tag: self.partial_tag(block_pc),
             seq,
             values,
-        };
-        if let Some(cap) = self.capacity {
-            if self.entries.len() == cap {
-                self.entries.pop_front();
-            }
-        }
-        self.entries.push_back(entry);
+        });
     }
 
     /// Associatively looks up the most recent entry matching `block_pc`.
     pub fn lookup(&self, block_pc: u64) -> Option<&SpecWindowEntry> {
-        if self.is_disabled() {
-            return None;
-        }
         let tag = self.partial_tag(block_pc);
         // Entries are chronologically ordered, so the most recent match is the last.
         self.entries.iter().rev().find(|e| e.partial_tag == tag)
@@ -170,88 +134,36 @@ impl SpeculativeWindow {
     /// overwrite them first anyway. Keeps lookups proportional to the number of
     /// blocks actually in flight.
     pub fn prune_retired(&mut self, oldest_inflight_seq: SeqNum) {
-        while let Some(front) = self.entries.front() {
-            if front.seq < oldest_inflight_seq {
-                self.entries.pop_front();
-            } else {
-                break;
-            }
-        }
+        self.entries.drop_older(oldest_inflight_seq);
     }
 
     /// Rolls back the window on a pipeline flush: drops every entry whose sequence
     /// number is strictly greater than `flush_seq`.
     pub fn squash(&mut self, flush_seq: SeqNum) {
-        while let Some(back) = self.entries.back() {
-            if back.seq > flush_seq {
-                self.entries.pop_back();
-            } else {
-                break;
-            }
-        }
+        self.entries.squash(flush_seq, drop);
     }
 
     /// Removes the most recent entry if it matches `block_pc` (used by the `Repred`
     /// recovery policy, which discards the head block and re-predicts it).
     pub fn drop_newest_if_block(&mut self, block_pc: u64) -> bool {
-        if self.is_disabled() {
-            return false;
-        }
         let tag = self.partial_tag(block_pc);
-        if self
-            .entries
-            .back()
-            .map(|e| e.partial_tag == tag)
-            .unwrap_or(false)
-        {
-            self.entries.pop_back();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Clears the window entirely.
-    pub fn clear(&mut self) {
-        self.entries.clear();
+        self.entries.pop_back_if(|e| e.partial_tag == tag).is_some()
     }
 
     /// Rejects restored contents the window could never hold: more entries
-    /// than its capacity, any entry in a disabled window, or entry keys not
-    /// strictly increasing.
+    /// than its capacity (any entry, for a disabled window). The queue itself
+    /// rejects entries out of program order.
     fn check_restored(&mut self) -> StateResult<()> {
         ensure(
-            self.capacity.map_or(true, |cap| self.entries.len() <= cap),
+            self.entries.len() <= self.capacity,
             "speculative window overfilled",
-        )?;
-        ensure(
-            !self.is_disabled() || self.entries.is_empty(),
-            "disabled speculative window has entries",
-        )?;
-        ensure(
-            in_program_order(self.entries.iter().map(|e| e.seq), true),
-            "speculative window entries out of order",
         )
     }
+}
 
-    /// Invariant check (`simcheck` feature): entry keys — the sequence number
-    /// of the first µ-op of each block instance — must be strictly increasing
-    /// (and therefore unique), or the associative most-recent-match lookup is
-    /// ambiguous.
-    #[cfg(feature = "simcheck")]
-    pub fn check_unique_keys(&self) {
-        let mut prev: Option<SeqNum> = None;
-        for e in &self.entries {
-            if let Some(p) = prev {
-                assert!(
-                    e.seq > p,
-                    "simcheck: speculative window: duplicate or out-of-order entry key \
-                     (seq {} after {p})",
-                    e.seq
-                );
-            }
-            prev = Some(e.seq);
-        }
+impl Sequenced for SpecWindowEntry {
+    fn seq(&self) -> SeqNum {
+        self.seq
     }
 }
 
@@ -260,11 +172,13 @@ snap!(SpecWindowEntry {
     seq: u64,
     values: SlotPredictions,
 });
-snap!(SpeculativeWindow { entries: VecDeque<SpecWindowEntry> } validate check_restored);
+snap!(SpeculativeWindow { entries: SeqQueue<SpecWindowEntry> } validate check_restored);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bebop_isa::{restore_snapshot, snapshot};
+    use std::collections::VecDeque;
 
     fn vals(v: u64) -> SlotPredictions {
         let mut values = [None; MAX_NPRED];
@@ -274,7 +188,7 @@ mod tests {
 
     #[test]
     fn lookup_returns_most_recent_matching_entry() {
-        let mut w = SpeculativeWindow::new(Some(8), 15);
+        let mut w = SpeculativeWindow::new(SpecWindowSize::Entries(8), 15);
         w.push(0x1000, 1, vals(10));
         w.push(0x2000, 2, vals(20));
         w.push(0x1000, 3, vals(30));
@@ -287,7 +201,7 @@ mod tests {
 
     #[test]
     fn capacity_overwrites_oldest() {
-        let mut w = SpeculativeWindow::new(Some(2), 15);
+        let mut w = SpeculativeWindow::new(SpecWindowSize::Entries(2), 15);
         w.push(0x1000, 1, vals(1));
         w.push(0x2000, 2, vals(2));
         w.push(0x3000, 3, vals(3));
@@ -298,7 +212,7 @@ mod tests {
 
     #[test]
     fn infinite_window_never_evicts() {
-        let mut w = SpeculativeWindow::new(None, 15);
+        let mut w = SpeculativeWindow::new(SpecWindowSize::Unbounded, 15);
         for i in 0..10_000u64 {
             w.push(0x1000 + i * 16, i, vals(i));
         }
@@ -308,7 +222,7 @@ mod tests {
 
     #[test]
     fn squash_drops_younger_entries() {
-        let mut w = SpeculativeWindow::new(Some(8), 15);
+        let mut w = SpeculativeWindow::new(SpecWindowSize::Entries(8), 15);
         w.push(0x1000, 1, vals(1));
         w.push(0x2000, 5, vals(2));
         w.push(0x3000, 9, vals(3));
@@ -320,7 +234,7 @@ mod tests {
 
     #[test]
     fn drop_newest_if_block_only_matches_head() {
-        let mut w = SpeculativeWindow::new(Some(8), 15);
+        let mut w = SpeculativeWindow::new(SpecWindowSize::Entries(8), 15);
         w.push(0x1000, 1, vals(1));
         w.push(0x2000, 2, vals(2));
         assert!(!w.drop_newest_if_block(0x1000));
@@ -330,7 +244,7 @@ mod tests {
 
     #[test]
     fn disabled_window_never_hits() {
-        let mut w = SpeculativeWindow::disabled(15);
+        let mut w = SpeculativeWindow::new(SpecWindowSize::Disabled, 15);
         w.push(0x1000, 1, vals(1));
         assert!(w.lookup(0x1000).is_none());
         assert!(w.is_empty());
@@ -338,7 +252,7 @@ mod tests {
 
     #[test]
     fn partial_tags_are_bounded() {
-        let w = SpeculativeWindow::new(Some(4), 15);
+        let w = SpeculativeWindow::new(SpecWindowSize::Entries(4), 15);
         for pc in [0x0u64, 0xffff_ffff_ffff_fff0, 0x1234_5678_9abc_def0] {
             assert!(w.partial_tag(pc) < (1 << 15));
         }
@@ -347,12 +261,12 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_capacity_panics() {
-        let _ = SpeculativeWindow::new(Some(0), 15);
+        let _ = SpeculativeWindow::new(SpecWindowSize::Entries(0), 15);
     }
 
     #[test]
     fn squash_on_empty_window_is_a_noop() {
-        let mut w = SpeculativeWindow::new(Some(4), 15);
+        let mut w = SpeculativeWindow::new(SpecWindowSize::Entries(4), 15);
         w.squash(0);
         w.prune_retired(100);
         assert!(w.is_empty());
@@ -360,7 +274,7 @@ mod tests {
 
     #[test]
     fn squash_everything_then_refill() {
-        let mut w = SpeculativeWindow::new(Some(4), 15);
+        let mut w = SpeculativeWindow::new(SpecWindowSize::Entries(4), 15);
         w.push(0x1000, 10, vals(1));
         w.push(0x2000, 20, vals(2));
         w.squash(5); // flush point older than every entry
@@ -373,7 +287,7 @@ mod tests {
     fn squash_at_exact_seq_keeps_the_flushing_block() {
         // The flushing µ-op's own block entry (seq == flush_seq) must survive:
         // only strictly younger state rolls back.
-        let mut w = SpeculativeWindow::new(Some(8), 15);
+        let mut w = SpeculativeWindow::new(SpecWindowSize::Entries(8), 15);
         w.push(0x1000, 1, vals(1));
         w.push(0x1000, 5, vals(2));
         w.push(0x1000, 9, vals(3));
@@ -385,7 +299,7 @@ mod tests {
 
     #[test]
     fn full_window_rollback_then_push_reuses_capacity() {
-        let mut w = SpeculativeWindow::new(Some(2), 15);
+        let mut w = SpeculativeWindow::new(SpecWindowSize::Entries(2), 15);
         w.push(0x1000, 1, vals(1));
         w.push(0x2000, 2, vals(2)); // full
         w.squash(1); // back to one entry
@@ -399,7 +313,7 @@ mod tests {
 
     #[test]
     fn prune_retired_keeps_inflight_entries() {
-        let mut w = SpeculativeWindow::new(None, 15);
+        let mut w = SpeculativeWindow::new(SpecWindowSize::Unbounded, 15);
         w.push(0x1000, 1, vals(1));
         w.push(0x2000, 5, vals(2));
         w.push(0x3000, 9, vals(3));
@@ -407,5 +321,29 @@ mod tests {
         assert_eq!(w.len(), 2);
         assert!(w.lookup(0x1000).is_none());
         assert_eq!(w.lookup(0x2000).unwrap().seq, 5);
+    }
+
+    #[test]
+    fn restore_rejects_out_of_order_records() {
+        let mut w = SpeculativeWindow::new(SpecWindowSize::Entries(4), 15);
+        w.push(0x1000, 1, vals(1));
+        w.push(0x2000, 5, vals(2));
+        let mut back = SpeculativeWindow::new(SpecWindowSize::Entries(4), 15);
+        restore_snapshot(&mut back, &snapshot(&w)).unwrap();
+        assert_eq!(back.lookup(0x2000).unwrap().seq, 5);
+        let entry = |seq| SpecWindowEntry {
+            partial_tag: 0,
+            seq,
+            values: vals(0),
+        };
+        // Swapped and duplicated entry keys; then more entries than fit.
+        for seqs in [&[5, 1][..], &[5, 5], &[1, 2, 3, 4, 5]] {
+            let entries: VecDeque<SpecWindowEntry> = seqs.iter().map(|&s| entry(s)).collect();
+            assert!(restore_snapshot(&mut back, &snapshot(&entries)).is_err());
+        }
+        // A disabled window holds nothing.
+        let mut off = SpeculativeWindow::new(SpecWindowSize::Disabled, 15);
+        let one: VecDeque<SpecWindowEntry> = [entry(1)].into_iter().collect();
+        assert!(restore_snapshot(&mut off, &snapshot(&one)).is_err());
     }
 }

@@ -5,8 +5,7 @@
 //! instruction cache. The predictor is indexed with the fetch-block PC (the
 //! instruction PC right-shifted by `log2(block size)`), and each prediction slot is
 //! tagged with the byte index, inside the block, of the instruction it belongs to.
-
-use std::fmt;
+//! Partial tags and folded histories shrink wide values with [`fold_bits`].
 
 /// Default fetch-block size in bytes (the paper uses 16-byte fetch blocks).
 pub const DEFAULT_FETCH_BLOCK_BYTES: u64 = 16;
@@ -53,86 +52,11 @@ pub fn byte_index_in_block(pc: u64, block_bytes: u64) -> u8 {
     (pc & (block_bytes - 1)) as u8
 }
 
-/// A fetch-block address newtype: the block-aligned PC of a fetch block.
-///
-/// # Example
-///
-/// ```
-/// use bebop_isa::BlockPc;
-/// let b = BlockPc::containing(0x40_1234, 16);
-/// assert_eq!(b.addr(), 0x40_1230);
-/// assert_eq!(b.index_bits(10), (0x40_1230 >> 4) & 0x3ff);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct BlockPc {
-    addr: u64,
-    block_bytes: u64,
-}
-
-impl BlockPc {
-    /// The fetch block containing `pc` for the given block size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_bytes` is not a power of two.
-    pub fn containing(pc: u64, block_bytes: u64) -> Self {
-        BlockPc {
-            addr: fetch_block_pc(pc, block_bytes),
-            block_bytes,
-        }
-    }
-
-    /// The block-aligned address of this fetch block.
-    pub fn addr(self) -> u64 {
-        self.addr
-    }
-
-    /// The block size in bytes.
-    pub fn block_bytes(self) -> u64 {
-        self.block_bytes
-    }
-
-    /// The block number: the address right-shifted by `log2(block size)`.
-    pub fn block_number(self) -> u64 {
-        self.addr >> self.block_bytes.trailing_zeros()
-    }
-
-    /// The low `bits` bits of the block number, used to index direct-mapped
-    /// predictor tables.
-    pub fn index_bits(self, bits: u32) -> u64 {
-        if bits >= 64 {
-            self.block_number()
-        } else {
-            self.block_number() & ((1u64 << bits) - 1)
-        }
-    }
-
-    /// A partial tag of `bits` bits taken from the block number above the index,
-    /// folded by XOR so that high-order bits still participate.
-    pub fn partial_tag(self, index_bits: u32, tag_bits: u32) -> u64 {
-        let hi = self.block_number() >> index_bits;
-        fold_bits(hi, tag_bits)
-    }
-
-    /// The next sequential fetch block.
-    pub fn next(self) -> BlockPc {
-        BlockPc {
-            addr: self.addr + self.block_bytes,
-            block_bytes: self.block_bytes,
-        }
-    }
-}
-
-impl fmt::Display for BlockPc {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "blk@{:#x}", self.addr)
-    }
-}
-
-/// Folds a 64-bit value down to `bits` bits by XOR-ing successive `bits`-wide chunks.
+/// Folds a 64-bit value down to `bits` bits by XOR-ing successive `bits`-wide
+/// chunks: the one fold behind every partial tag and folded history.
 ///
 /// Returns 0 when `bits` is 0 and the identity when `bits >= 64`.
-pub(crate) fn fold_bits(value: u64, bits: u32) -> u64 {
+pub fn fold_bits(value: u64, bits: u32) -> u64 {
     if bits == 0 {
         return 0;
     }
@@ -147,65 +71,6 @@ pub(crate) fn fold_bits(value: u64, bits: u32) -> u64 {
         v >>= bits;
     }
     acc
-}
-
-/// The static layout of instructions inside one fetch block: the byte offsets at
-/// which instructions start (the "boundary bits" produced by pre-decode).
-///
-/// # Example
-///
-/// ```
-/// use bebop_isa::FetchBlockLayout;
-/// // Instructions of 3, 5 and 8 bytes filling a 16-byte block.
-/// let layout = FetchBlockLayout::from_lengths(16, &[3, 5, 8]);
-/// assert_eq!(layout.boundaries(), &[0, 3, 8]);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FetchBlockLayout {
-    block_bytes: u64,
-    boundaries: Vec<u8>,
-}
-
-impl FetchBlockLayout {
-    /// Builds a layout from consecutive instruction lengths starting at byte 0.
-    ///
-    /// Instructions that would start at or past the end of the block are ignored
-    /// (they belong to the next block).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_bytes` is not a power of two.
-    pub fn from_lengths(block_bytes: u64, lengths: &[u8]) -> Self {
-        assert!(block_bytes.is_power_of_two());
-        let mut boundaries = Vec::new();
-        let mut offset = 0u64;
-        for &len in lengths {
-            if offset >= block_bytes {
-                break;
-            }
-            boundaries.push(offset as u8);
-            offset += u64::from(len);
-        }
-        FetchBlockLayout {
-            block_bytes,
-            boundaries,
-        }
-    }
-
-    /// The byte offsets at which instructions start inside this block.
-    pub fn boundaries(&self) -> &[u8] {
-        &self.boundaries
-    }
-
-    /// The number of instructions starting in this block.
-    pub fn num_insts(&self) -> usize {
-        self.boundaries.len()
-    }
-
-    /// The block size in bytes.
-    pub fn block_bytes(&self) -> u64 {
-        self.block_bytes
-    }
 }
 
 #[cfg(test)]
@@ -228,43 +93,12 @@ mod tests {
     }
 
     #[test]
-    fn block_number_and_index_bits() {
-        let b = BlockPc::containing(0x8000_1234, 16);
-        assert_eq!(b.addr(), 0x8000_1230);
-        assert_eq!(b.block_number(), 0x8000_1230 >> 4);
-        assert_eq!(b.index_bits(8), (0x8000_1230u64 >> 4) & 0xff);
-        // 64-bit index returns the whole number.
-        assert_eq!(b.index_bits(64), b.block_number());
-    }
-
-    #[test]
-    fn partial_tag_is_stable_and_bounded() {
-        let b = BlockPc::containing(0xdead_beef, 16);
-        let t = b.partial_tag(10, 13);
-        assert!(t < (1 << 13));
-        assert_eq!(t, b.partial_tag(10, 13));
-    }
-
-    #[test]
     fn fold_bits_behaviour() {
         assert_eq!(fold_bits(0, 13), 0);
         assert_eq!(fold_bits(0xffff, 16), 0xffff);
         assert_eq!(fold_bits(0x1_0001, 16), 0); // two identical chunks XOR to zero
         assert_eq!(fold_bits(42, 0), 0);
         assert_eq!(fold_bits(42, 64), 42);
-    }
-
-    #[test]
-    fn next_block_advances() {
-        let b = BlockPc::containing(0x1000, 16);
-        assert_eq!(b.next().addr(), 0x1010);
-    }
-
-    #[test]
-    fn layout_truncates_at_block_end() {
-        let l = FetchBlockLayout::from_lengths(16, &[8, 8, 4]);
-        assert_eq!(l.boundaries(), &[0, 8]);
-        assert_eq!(l.num_insts(), 2);
     }
 
     #[test]

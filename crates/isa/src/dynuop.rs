@@ -157,11 +157,6 @@ impl DynUop {
         self
     }
 
-    /// Returns `true` if this µ-op is the first of its macro-instruction.
-    pub fn is_first_uop(&self) -> bool {
-        self.uop_idx == 0
-    }
-
     /// Returns `true` if this µ-op is the last of its macro-instruction.
     pub fn is_last_uop(&self) -> bool {
         self.uop_idx + 1 == self.inst_num_uops
@@ -179,11 +174,6 @@ impl DynUop {
             Some(b) if b.taken => b.target,
             _ => self.fallthrough_pc(),
         }
-    }
-
-    /// Returns `true` if this is a taken branch µ-op.
-    pub fn is_taken_branch(&self) -> bool {
-        self.branch.map(|b| b.taken).unwrap_or(false)
     }
 
     /// Returns `true` if the µ-op is eligible for value prediction (see
@@ -225,8 +215,8 @@ mod tests {
     fn first_and_last_uop_flags() {
         let u0 = DynUop::new(0, 0x100, 4, 0, 2, alu_uop(), 1);
         let u1 = DynUop::new(1, 0x100, 4, 1, 2, alu_uop(), 2);
-        assert!(u0.is_first_uop() && !u0.is_last_uop());
-        assert!(!u1.is_first_uop() && u1.is_last_uop());
+        assert!(!u0.is_last_uop());
+        assert!(u1.is_last_uop());
     }
 
     #[test]
@@ -237,9 +227,7 @@ mod tests {
         let not_taken =
             DynUop::new(1, 0x100, 2, 0, 1, br, 0).with_branch(BranchKind::Conditional, false, 0x80);
         assert_eq!(taken.next_pc(), 0x80);
-        assert!(taken.is_taken_branch());
         assert_eq!(not_taken.next_pc(), 0x102);
-        assert!(!not_taken.is_taken_branch());
     }
 
     #[test]

@@ -149,11 +149,6 @@ impl StaticInst {
         self.uops.iter().filter(|u| u.produces_value()).count()
     }
 
-    /// The number of value-prediction-eligible results of this instruction.
-    pub fn num_vp_eligible(&self) -> usize {
-        self.uops.iter().filter(|u| u.vp_eligible()).count()
-    }
-
     /// Returns `true` if the instruction ends with a branch µ-op.
     pub fn is_branch(&self) -> bool {
         self.uops
@@ -176,54 +171,13 @@ impl fmt::Display for StaticInst {
     }
 }
 
-/// A builder for ad-hoc [`StaticInst`] values used by workload generators.
-///
-/// # Example
-///
-/// ```
-/// use bebop_isa::{ArchReg, InstBuilder, UopKind};
-///
-/// let inst = InstBuilder::new(3)
-///     .uop(UopKind::Load, Some(ArchReg::int(1)), &[ArchReg::int(2)])
-///     .uop(UopKind::Alu, Some(ArchReg::int(3)), &[ArchReg::int(1)])
-///     .build();
-/// assert_eq!(inst.uops().len(), 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct InstBuilder {
-    len_bytes: u8,
-    uops: Vec<Uop>,
-}
-
-impl InstBuilder {
-    /// Starts building an instruction of the given byte length.
-    pub fn new(len_bytes: u8) -> Self {
-        InstBuilder {
-            len_bytes,
-            uops: Vec::new(),
-        }
-    }
-
-    /// Appends a µ-op.
-    #[must_use]
-    pub fn uop(mut self, kind: UopKind, dst: Option<ArchReg>, srcs: &[ArchReg]) -> Self {
-        self.uops.push(Uop::new(kind, dst, srcs));
-        self
-    }
-
-    /// Finishes the instruction.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`StaticInst::new`].
-    pub fn build(self) -> StaticInst {
-        StaticInst::new(self.len_bytes, self.uops)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn num_vp_eligible(i: &StaticInst) -> usize {
+        i.uops().iter().filter(|u| u.vp_eligible()).count()
+    }
 
     #[test]
     fn alu_inst_shape() {
@@ -231,7 +185,7 @@ mod tests {
         assert_eq!(i.len_bytes(), 3);
         assert_eq!(i.uops().len(), 1);
         assert_eq!(i.num_results(), 1);
-        assert_eq!(i.num_vp_eligible(), 1);
+        assert_eq!(num_vp_eligible(&i), 1);
         assert!(!i.is_branch());
     }
 
@@ -245,7 +199,7 @@ mod tests {
             6,
         );
         assert_eq!(i.num_results(), 2);
-        assert_eq!(i.num_vp_eligible(), 2);
+        assert_eq!(num_vp_eligible(&i), 2);
     }
 
     #[test]
@@ -254,7 +208,7 @@ mod tests {
         assert!(i.is_branch());
         assert_eq!(i.uops().len(), 2);
         // Flags producer is not VP-eligible.
-        assert_eq!(i.num_vp_eligible(), 0);
+        assert_eq!(num_vp_eligible(&i), 0);
         assert_eq!(i.num_results(), 1);
     }
 
@@ -262,23 +216,13 @@ mod tests {
     fn load_imm_not_vp_eligible() {
         let i = StaticInst::load_imm(ArchReg::int(5), 5);
         assert_eq!(i.num_results(), 1);
-        assert_eq!(i.num_vp_eligible(), 0);
+        assert_eq!(num_vp_eligible(&i), 0);
     }
 
     #[test]
     fn store_has_no_result() {
         let i = StaticInst::store(ArchReg::int(1), ArchReg::int(2), 4);
         assert_eq!(i.num_results(), 0);
-    }
-
-    #[test]
-    fn builder_builds() {
-        let i = InstBuilder::new(7)
-            .uop(UopKind::Load, Some(ArchReg::int(1)), &[ArchReg::int(0)])
-            .uop(UopKind::FpMul, Some(ArchReg::fp(2)), &[ArchReg::fp(3)])
-            .build();
-        assert_eq!(i.len_bytes(), 7);
-        assert_eq!(i.uops().len(), 2);
     }
 
     #[test]

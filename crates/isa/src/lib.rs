@@ -45,18 +45,18 @@ mod dynuop;
 mod inst;
 mod program;
 mod reg;
+mod seq_queue;
 mod state;
 mod uop;
 
-pub use block::{
-    byte_index_in_block, fetch_block_pc, BlockPc, FetchBlockLayout, DEFAULT_FETCH_BLOCK_BYTES,
-};
+pub use block::{byte_index_in_block, fetch_block_pc, fold_bits, DEFAULT_FETCH_BLOCK_BYTES};
 pub use dynuop::{BranchInfo, BranchKind, DynUop, MemAccess, SeqNum};
-pub use inst::{InstBuilder, StaticInst, MAX_INST_BYTES, MAX_UOPS_PER_INST};
+pub use inst::{StaticInst, MAX_INST_BYTES, MAX_UOPS_PER_INST};
 pub use program::{BasicBlock, BasicBlockId, Program, ProgramBuilder, Terminator};
 pub use reg::{ArchReg, RegClass, NUM_ARCH_REGS, NUM_FP_REGS, NUM_INT_REGS};
+pub use seq_queue::{SeqQueue, Sequenced};
 pub use state::{
-    ensure, in_program_order, restore_snapshot, snapshot, Nested, Snap, StateError, StateReader,
-    StateResult, StateWriter, VarVec,
+    ensure, restore_snapshot, snapshot, Nested, Snap, StateError, StateReader, StateResult,
+    StateWriter, VarVec,
 };
 pub use uop::{ExecClass, Uop, UopKind, MAX_SRCS};

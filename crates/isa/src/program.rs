@@ -8,7 +8,6 @@
 //! from the static code layout.
 
 use crate::inst::StaticInst;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of a basic block inside a [`Program`].
@@ -141,24 +140,6 @@ impl Program {
             .enumerate()
             .map(|(i, b)| (BasicBlockId(i), b, self.block_pcs[i]))
     }
-
-    /// The PCs of every static instruction in the program, keyed by address.
-    pub fn static_inst_pcs(&self) -> BTreeMap<u64, &StaticInst> {
-        let mut map = BTreeMap::new();
-        for (_, block, start) in self.iter() {
-            let mut pc = start;
-            for inst in block.insts() {
-                map.insert(pc, inst);
-                pc += u64::from(inst.len_bytes());
-            }
-        }
-        map
-    }
-
-    /// Total static code footprint in bytes.
-    pub fn code_bytes(&self) -> u64 {
-        self.blocks.iter().map(|b| b.size_bytes()).sum()
-    }
 }
 
 /// Builder for [`Program`] values.
@@ -272,7 +253,8 @@ mod tests {
         let p = b.build(bb0);
         assert_eq!(p.block_pc(bb0), 0x4000);
         assert_eq!(p.block_pc(bb1), 0x4007);
-        assert_eq!(p.code_bytes(), 15);
+        let code_bytes: u64 = p.iter().map(|(_, block, _)| block.size_bytes()).sum();
+        assert_eq!(code_bytes, 15);
     }
 
     #[test]
@@ -285,18 +267,6 @@ mod tests {
         let p = b.build(head);
         assert_eq!(p.num_blocks(), 2);
         assert_eq!(p.entry(), head);
-    }
-
-    #[test]
-    fn static_inst_pcs_enumerates_all_instructions() {
-        let mut b = ProgramBuilder::new(0x100);
-        let bb = b.add(
-            vec![simple_inst(4), simple_inst(2), simple_inst(6)],
-            Terminator::Exit,
-        );
-        let p = b.build(bb);
-        let pcs: Vec<u64> = p.static_inst_pcs().keys().copied().collect();
-        assert_eq!(pcs, vec![0x100, 0x104, 0x106]);
     }
 
     #[test]

@@ -22,11 +22,12 @@
 //! * `VecDeque<T>`, [`VarVec<T>`] and `BTreeMap<K, V>` are *variable-length
 //!   queues*: a `u64` length bounded by `remaining bytes / T::MIN_BYTES`
 //!   before anything is decoded, so a corrupt length fails instead of
-//!   allocating without bound; map keys must be strictly ascending;
+//!   allocating without bound; map keys must be strictly ascending, and so
+//!   must the sequence numbers of a [`SeqQueue`](crate::SeqQueue);
 //! * [`Nested<T>`] frames `T` as a length-prefixed sub-payload.
 //!
-//! Checks that depend on the configuration — index ranges, program order,
-//! clamped confidence levels — run once per component after its fields are
+//! Checks that depend on the configuration — index ranges, clamped
+//! confidence levels — run once per component after its fields are
 //! decoded (the `validate` hook of [`snap!`]). Decoding never panics: a
 //! truncated, oversized or out-of-range payload is an [`StateError`], so a
 //! corrupt checkpoint is rejected rather than restored into nonsense.
@@ -64,18 +65,6 @@ pub fn ensure(ok: bool, what: &'static str) -> StateResult<()> {
     } else {
         Err(StateError(what))
     }
-}
-
-/// `true` when the sequence numbers `seqs` never decrease — or, if
-/// `strict`, always increase: the program-order check of restored in-flight
-/// records.
-pub fn in_program_order(seqs: impl IntoIterator<Item = u64>, strict: bool) -> bool {
-    let mut prev: Option<u64> = None;
-    seqs.into_iter().all(|seq| {
-        let ok = prev.map_or(true, |p| p < seq || (!strict && p == seq));
-        prev = Some(seq);
-        ok
-    })
 }
 
 /// A type with one checkpoint byte layout, used in both directions.

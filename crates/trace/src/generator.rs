@@ -487,7 +487,7 @@ mod tests {
             let (a, b) = (&w[0], &w[1]);
             if a.is_last_uop() {
                 assert_eq!(b.pc, a.next_pc(), "discontinuity between {a} and {b}");
-                assert!(b.is_first_uop());
+                assert_eq!(b.uop_idx, 0);
             } else {
                 assert_eq!(b.pc, a.pc, "µ-ops of one instruction must share a PC");
                 assert_eq!(b.uop_idx, a.uop_idx + 1);
@@ -538,7 +538,10 @@ mod tests {
             .filter(|u| u.branch.is_some() && u.branch.unwrap().kind == BranchKind::Conditional)
             .collect();
         assert!(!branches.is_empty());
-        let taken = branches.iter().filter(|u| u.is_taken_branch()).count();
+        let taken = branches
+            .iter()
+            .filter(|u| u.branch.is_some_and(|i| i.taken))
+            .count();
         let ratio = taken as f64 / branches.len() as f64;
         // Trip count 8 => 7/8 of back-edges taken.
         assert!(
@@ -576,7 +579,7 @@ mod tests {
                 && a.is_last_uop()
             {
                 assert!(b.wrong_path, "no burst after conditional branch {a}");
-                if a.is_taken_branch() {
+                if a.branch.is_some_and(|i| i.taken) {
                     // Alternate of a taken branch is the fall-through path
                     // (the not-taken successor is laid out next in memory).
                     assert_eq!(

@@ -60,27 +60,6 @@ pub enum ValuePattern {
     Random,
 }
 
-impl ValuePattern {
-    /// Returns `true` if the pattern is (eventually) predictable by a stride-based
-    /// predictor tracking last value + stride.
-    pub fn stride_predictable(&self) -> bool {
-        matches!(
-            self,
-            ValuePattern::Constant(_)
-                | ValuePattern::Strided { .. }
-                | ValuePattern::PeriodicStrided { .. }
-        )
-    }
-
-    /// Returns `true` if the pattern requires branch-history context to predict.
-    pub fn context_dependent(&self) -> bool {
-        matches!(
-            self,
-            ValuePattern::BranchCorrelated { .. } | ValuePattern::BranchCorrelatedStride { .. }
-        )
-    }
-}
-
 /// The per-static-µ-op dynamic state needed to emit the next value of a pattern.
 #[derive(Debug, Clone)]
 pub struct ValueState {
@@ -240,15 +219,6 @@ impl ValueProfile {
             + self.branch_correlated
             + self.branch_correlated_stride
             + self.random
-    }
-
-    /// The fraction of results that are predictable by *some* predictor class.
-    pub fn predictable_fraction(&self) -> f64 {
-        let t = self.total();
-        if t <= 0.0 {
-            return 0.0;
-        }
-        (t - self.random) / t
     }
 
     /// Samples a concrete [`ValuePattern`] according to the profile.
@@ -442,25 +412,14 @@ mod tests {
         for _ in 0..200 {
             let p = prof.sample(&mut r);
             assert!(
-                p.stride_predictable(),
+                matches!(
+                    p,
+                    ValuePattern::Constant(_)
+                        | ValuePattern::Strided { .. }
+                        | ValuePattern::PeriodicStrided { .. }
+                ),
                 "all_strided profile produced a non-stride pattern: {p:?}"
             );
         }
-    }
-
-    #[test]
-    fn profile_predictable_fraction() {
-        assert!((ValueProfile::all_strided().predictable_fraction() - 1.0).abs() < 1e-9);
-        assert!(ValueProfile::all_random().predictable_fraction() < 1e-9);
-        let m = ValueProfile::mixed().predictable_fraction();
-        assert!(m > 0.5 && m < 0.9);
-    }
-
-    #[test]
-    fn classification_helpers() {
-        assert!(ValuePattern::Constant(0).stride_predictable());
-        assert!(!ValuePattern::Random.stride_predictable());
-        assert!(ValuePattern::BranchCorrelated { values: vec![1] }.context_dependent());
-        assert!(!ValuePattern::Strided { base: 0, stride: 1 }.context_dependent());
     }
 }

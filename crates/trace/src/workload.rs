@@ -454,10 +454,10 @@ mod tests {
         let p1 = spec.build_program();
         let p2 = spec.build_program();
         assert_eq!(p1.num_blocks(), p2.num_blocks());
-        assert_eq!(p1.code_bytes(), p2.code_bytes());
         for (id, b1, pc1) in p1.iter() {
             let b2 = p2.block(id);
             assert_eq!(p2.block_pc(id), pc1);
+            assert_eq!(b1.size_bytes(), b2.size_bytes());
             assert_eq!(b1.insts().len(), b2.insts().len());
         }
     }

@@ -19,17 +19,6 @@ pub struct BranchStats {
     pub target_mispredicts: u64,
 }
 
-impl BranchStats {
-    /// Mispredictions per kilo-µ-op (the caller supplies the µ-op count).
-    pub fn mpku(&self, uops: u64) -> f64 {
-        if uops == 0 {
-            0.0
-        } else {
-            (self.cond_mispredicts + self.target_mispredicts) as f64 * 1000.0 / uops as f64
-        }
-    }
-}
-
 /// The front-end branch prediction unit: a TAGE direction predictor, a set
 /// associative BTB and a return-address stack, as configured in Table I.
 #[derive(Debug, Clone)]
@@ -241,10 +230,5 @@ mod tests {
         u.predict_and_update(0x20, 0x22, cond(false, 0x100));
         u.predict_and_update(0x30, 0x32, cond(true, 0x100));
         assert_eq!(u.global_history() & 0b111, 0b101);
-    }
-
-    #[test]
-    fn mpku_is_zero_without_uops() {
-        assert_eq!(BranchStats::default().mpku(0), 0.0);
     }
 }

@@ -324,15 +324,6 @@ impl PipelineConfig {
         c
     }
 
-    /// An EOLE pipeline with a configurable issue width (used for sensitivity
-    /// studies).
-    pub fn eole_n_60(issue_width: u8) -> Self {
-        let mut c = Self::eole_4_60();
-        c.name = format!("EOLE_{issue_width}_60");
-        c.issue_width = issue_width;
-        c
-    }
-
     /// Whether this configuration late-executes/validates predictions outside the
     /// OoO engine.
     pub fn has_eole(&self) -> bool {
@@ -392,12 +383,6 @@ mod tests {
         assert_eq!(c.issue_width, 6);
         assert!(c.value_prediction);
         assert!(!c.has_eole());
-    }
-
-    #[test]
-    fn eole_n_width_is_configurable() {
-        assert_eq!(PipelineConfig::eole_n_60(8).issue_width, 8);
-        assert_eq!(PipelineConfig::eole_n_60(8).name, "EOLE_8_60");
     }
 
     #[test]

@@ -38,6 +38,9 @@ mod config;
 mod pipeline;
 mod prefetch;
 mod resources;
+#[cfg(test)]
+#[path = "../../../tests/support/slot_pool.rs"]
+mod slot_pool;
 mod stats;
 mod vp_iface;
 
@@ -49,7 +52,7 @@ pub use config::{
 pub use pipeline::Pipeline;
 pub use prefetch::{PrefetchTargets, StridePrefetcher};
 pub use resources::{
-    Lane, LanePool, OccupancyRing, SlotPool, MAX_DENSE_SPAN, MAX_OVERFLOW_TRACKED, NUM_POOL_LANES,
+    Lane, LanePool, OccupancyRing, MAX_DENSE_SPAN, MAX_OVERFLOW_TRACKED, NUM_POOL_LANES,
 };
 pub use stats::{
     gmean, ContextStats, EoleStats, SimStats, VpStats, WrongPathStats, MAX_SIM_CONTEXTS,

@@ -40,8 +40,8 @@ use crate::resources::{Lane, LanePool, OccupancyRing, NUM_POOL_LANES};
 use crate::stats::{SimStats, MAX_SIM_CONTEXTS};
 use crate::vp_iface::{PredictCtx, SquashCause, SquashInfo, ValuePredictor};
 use bebop_isa::{
-    ensure, fetch_block_pc, restore_snapshot, snap, snapshot, DynUop, ExecClass, StateResult,
-    UopKind, NUM_ARCH_REGS,
+    ensure, fetch_block_pc, restore_snapshot, snap, snapshot, DynUop, ExecClass, SeqNum, SeqQueue,
+    Sequenced, StateResult, UopKind, NUM_ARCH_REGS,
 };
 use std::collections::VecDeque;
 
@@ -64,6 +64,12 @@ struct PendingTrain {
     commit_cycle: u64,
     uop: DynUop,
     predicted: Option<u64>,
+}
+
+impl Sequenced for PendingTrain {
+    fn seq(&self) -> SeqNum {
+        self.uop.seq
+    }
 }
 
 /// Upper bound on distinct fetch blocks per cycle (the paper fetches two; the
@@ -232,7 +238,7 @@ pub struct Pipeline {
     last_commit: u64,
 
     // Deferred predictor training.
-    pending_train: VecDeque<PendingTrain>,
+    pending_train: SeqQueue<PendingTrain>,
 
     // Wrong-path execution state.
     wrong_path: Option<WrongPathEpisode>,
@@ -307,7 +313,7 @@ impl Pipeline {
             batch: Batch::default(),
             batch_cap,
             last_commit: 0,
-            pending_train: VecDeque::new(),
+            pending_train: SeqQueue::default(),
             wrong_path: None,
             pollution_window: [0; MAX_SIM_CONTEXTS],
             cur_asid: 0,
@@ -673,7 +679,7 @@ impl Pipeline {
             // CAST: (t - vnow) is clamped non-negative and far below 2^52,
             // so the f64 -> u64 conversion is exact enough for a cycle tag.
             let commit_cycle = base + (t - vnow).max(0.0) as u64;
-            self.pending_train.push_back(PendingTrain {
+            self.pending_train.push(PendingTrain {
                 commit_cycle,
                 uop: u,
                 predicted: p,
@@ -762,14 +768,11 @@ impl Pipeline {
             // the group fetches at the same cycle, and a µ-op committed by
             // this very group retires at least `fetch_to_commit` cycles
             // later, so nothing new matures mid-group.
-            while let Some(front) = self.pending_train.front() {
-                if front.commit_cycle <= fetch_cycle {
-                    // INVARIANT: front() just returned Some on this same deque.
-                    let p = self.pending_train.pop_front().expect("non-empty");
-                    predictor.train(&p.uop, p.uop.value, p.predicted);
-                } else {
-                    break;
-                }
+            while let Some(p) = self
+                .pending_train
+                .pop_front_if(|p| p.commit_cycle <= fetch_cycle)
+            {
+                predictor.train(&p.uop, p.uop.value, p.predicted);
             }
         }
         debug_assert_eq!(fetch_cycle, self.batch.fetch_cycle);
@@ -1098,7 +1101,7 @@ impl Pipeline {
 
             // ---- Deferred training ----
             if cfg_vp && uop.vp_eligible() {
-                self.pending_train.push_back(PendingTrain {
+                self.pending_train.push(PendingTrain {
                     commit_cycle,
                     uop,
                     predicted,
@@ -1356,29 +1359,18 @@ impl Pipeline {
     /// Validates per-cycle pipeline invariants: bandwidth-pool conservation,
     /// in-order occupancy-ring release monotonicity (ROB/LQ/SQ release at
     /// commit, which is in order; the IQ releases at issue, which is not),
-    /// program-ordered deferred-training records, and — every 4096 committed
-    /// µ-ops — per-context statistics consistency. Panics with a structured
-    /// `simcheck:` reason captured by the quarantine path.
+    /// and — every 4096 committed µ-ops — per-context statistics consistency.
+    /// Panics with a structured `simcheck:` reason captured by the quarantine
+    /// path. (Deferred trainings need no scan: their queue rejects
+    /// out-of-order pushes and restores in every build.)
     #[cfg(feature = "simcheck")]
     fn simcheck_step(&self) {
-        // The cheap O(pending) check runs every µ-op; the O(ring) scans are
-        // amortised to every 256 µ-ops. A conservation or monotonicity
-        // violation mostly persists (a lane slot lives until its horizon
-        // passes it, a ring entry until reuse), so the next gated scan
-        // usually still sees it, and scanning eleven lane rings plus four
+        // The O(ring) scans are amortised to every 256 µ-ops. A conservation
+        // or monotonicity violation mostly persists (a lane slot lives until
+        // its horizon passes it, a ring entry until reuse), so the next gated
+        // scan usually still sees it, and scanning eleven lane rings plus four
         // occupancy rings per committed µ-op would make the simcheck suite
         // orders of magnitude slower than plain debug.
-        let mut prev: Option<u64> = None;
-        for p in &self.pending_train {
-            if let Some(q) = prev {
-                assert!(
-                    p.uop.seq > q,
-                    "simcheck: pipeline: pending-train records out of program order (seq {} after {q})",
-                    p.uop.seq
-                );
-            }
-            prev = Some(p.uop.seq);
-        }
         if self.stats.uops % 256 != 0 {
             return;
         }
@@ -1426,7 +1418,7 @@ snap!(Pipeline {
     fetch_resume: u64,
     last_block_pc: Option<u64>,
     last_commit: u64,
-    pending_train: VecDeque<PendingTrain>,
+    pending_train: SeqQueue<PendingTrain>,
     wrong_path: Option<WrongPathEpisode>,
     pollution_window: [u32; MAX_SIM_CONTEXTS],
     cur_asid: u8,
@@ -1717,5 +1709,35 @@ mod tests {
         let stats = run(PipelineConfig::baseline_6_60(), &spec, 1_000);
         // Even a tiny run pays at least the fetch-to-commit depth.
         assert!(stats.cycles >= PipelineConfig::baseline_6_60().fetch_to_commit);
+    }
+
+    #[test]
+    fn restore_rejects_out_of_order_records() {
+        // A value-predicted run stopped mid-stream leaves deferred trainings
+        // pending.
+        let spec = WorkloadSpec::named_demo("pipe");
+        let cfg = PipelineConfig::baseline_vp_6_60();
+        let mut p = Pipeline::new(cfg.clone());
+        let mut pos = 0;
+        let mut trace = TraceGenerator::new(&spec);
+        p.run_segment(&mut trace, &mut PerfectValuePredictor, 20_000, &mut pos);
+        assert!(p.pending_train.len() > 1);
+        let bytes = p.save_state();
+        Pipeline::new(cfg.clone()).restore_state(&bytes).unwrap();
+        // The trainings are encoded as a plain deque inside the payload:
+        // splice in the same records with two of them swapped, then with one
+        // sequence number duplicated.
+        let queue = snapshot(&p.pending_train);
+        let at = bytes.windows(queue.len()).position(|w| w == queue).unwrap();
+        let records: VecDeque<PendingTrain> = p.pending_train.iter().cloned().collect();
+        let mut swapped = records.clone();
+        swapped.swap(0, 1);
+        let mut duplicated = records;
+        duplicated[1].uop.seq = duplicated[0].uop.seq;
+        for bad in [swapped, duplicated] {
+            let mut corrupt = bytes.clone();
+            corrupt.splice(at..at + queue.len(), snapshot(&bad));
+            assert!(Pipeline::new(cfg.clone()).restore_state(&corrupt).is_err());
+        }
     }
 }

@@ -1,24 +1,22 @@
 //! Low-level resource bookkeeping used by the pipeline timing model: per-cycle
 //! bandwidth pools and age-ordered occupancy rings.
 //!
-//! Two pool implementations share identical allocation semantics:
+//! The bandwidth pool is the [`LanePool`]: every resource class is a *lane*
+//! with its own horizon and a power-of-two ring of cycle-tagged counters, so
+//! an allocation costs one masked load however far past the horizon it
+//! lands, and pruning is a store per lane. Its allocation semantics are
+//! those of a scalar slot pool with one deque of per-cycle counts per
+//! resource class; that reference model lives in the test support
+//! (`tests/support/slot_pool.rs`) as the differential-testing oracle.
 //!
-//! * [`SlotPool`] — the scalar single-resource reference, one deque per
-//!   resource class. Kept as the differential-testing oracle and for
-//!   out-of-tree users.
-//! * [`LanePool`] — the pool the pipeline uses: every resource class is a
-//!   *lane* with its own horizon and a power-of-two ring of cycle-tagged
-//!   counters, so an allocation costs one masked load however far past the
-//!   horizon it lands, and pruning is a store per lane.
-//!
-//! Both pools bound their bookkeeping: the dense window never grows past
+//! The pool bounds its bookkeeping: the dense window never grows past
 //! [`MAX_DENSE_SPAN`] cycles, far-future allocations (a pathological latency
-//! sum would previously balloon the dense deque unboundedly) spill into an
+//! sum would otherwise balloon the dense storage unboundedly) spill into an
 //! exact sparse overflow, and restore rejects payloads claiming absurd
 //! horizons.
 
 use bebop_isa::{ensure, snap, Snap, StateReader, StateResult, StateWriter};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// Upper bound on the cycle span of a pool's *dense* window. Allocations
 /// further than this past the pruning horizon are tracked exactly in a sparse
@@ -33,194 +31,6 @@ pub const MAX_DENSE_SPAN: u64 = 1 << 18;
 /// its monotone floor every fetch group); crossing this bound means runaway
 /// state and dies with a structured panic instead of creeping towards OOM.
 pub const MAX_OVERFLOW_TRACKED: usize = 1 << 20;
-
-/// Finds the earliest cycle `>= c` with a free slot given dense counts,
-/// a sparse overflow, a width and the dense window base. This is the
-/// specification walk: [`SlotPool`] uses it directly, and [`LanePool`]'s
-/// hand-scheduled allocate path is held to it by the differential property
-/// tests (`prop_lane_pool_matches_slot_pool_bank`).
-///
-/// Returns the chosen cycle; the caller increments the matching counter.
-fn probe(
-    base: u64,
-    dense: impl Fn(u64) -> u16,
-    dense_len: u64,
-    far: &BTreeMap<u64, u16>,
-    width: u16,
-    mut c: u64,
-) -> u64 {
-    loop {
-        let span = c.saturating_sub(base);
-        let used = if span < MAX_DENSE_SPAN {
-            if span < dense_len {
-                dense(span)
-            } else {
-                0
-            }
-        } else {
-            far.get(&c).copied().unwrap_or(0)
-        };
-        if used < width {
-            return c;
-        }
-        c += 1;
-    }
-}
-
-/// A per-cycle slot pool modelling a bandwidth-limited resource (issue ports of one
-/// functional-unit class, rename slots, commit slots, …).
-///
-/// `allocate(t)` finds the earliest cycle `>= t` with a free slot, consumes it and
-/// returns the cycle. Cycles below a moving horizon are pruned; allocations below
-/// the horizon are clamped up to it (they can never be requested again by the
-/// in-order processing loop, which only moves forward).
-///
-/// This is the scalar reference implementation; the pipeline itself uses the
-/// lane-merged [`LanePool`], which is asserted allocation-for-allocation
-/// identical to a bank of `SlotPool`s by the differential property tests.
-#[derive(Debug, Clone)]
-pub struct SlotPool {
-    /// Slots available per cycle.
-    width: u16,
-    /// First cycle represented by `used[0]`.
-    base: u64,
-    /// Used-slot counts per cycle, starting at `base`; never longer than
-    /// [`MAX_DENSE_SPAN`].
-    used: VecDeque<u16>,
-    /// Exact overflow for allocations at least [`MAX_DENSE_SPAN`] cycles past
-    /// `base`: cycle → used count. Empty in every healthy steady state.
-    far: BTreeMap<u64, u16>,
-}
-
-impl SlotPool {
-    /// Creates a pool offering `width` slots per cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero.
-    pub fn new(width: u16) -> Self {
-        assert!(
-            width > 0,
-            "a slot pool must have at least one slot per cycle"
-        );
-        SlotPool {
-            width,
-            base: 0,
-            used: VecDeque::new(),
-            far: BTreeMap::new(),
-        }
-    }
-
-    /// The per-cycle width of this pool.
-    pub fn width(&self) -> u16 {
-        self.width
-    }
-
-    /// Allocates one slot at the earliest cycle `>= cycle`, returning that cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a structured `resource:` reason when the pool would track
-    /// more than [`MAX_OVERFLOW_TRACKED`] far-future cycles — runaway state
-    /// from a pathological configuration, caught before it eats the heap.
-    pub fn allocate(&mut self, cycle: u64) -> u64 {
-        let c = probe(
-            self.base,
-            |span| self.used[span as usize],
-            self.used.len() as u64,
-            &self.far,
-            self.width,
-            cycle.max(self.base),
-        );
-        let span = c - self.base;
-        if span < MAX_DENSE_SPAN {
-            let idx = span as usize;
-            if idx >= self.used.len() {
-                self.used.resize(idx + 1, 0);
-            }
-            self.used[idx] += 1;
-        } else {
-            *self.far.entry(c).or_insert(0) += 1;
-            assert!(
-                self.far.len() <= MAX_OVERFLOW_TRACKED,
-                "resource: slot pool: {} far-future cycles tracked (allocation at cycle {c}, horizon {}) — runaway latency sum or corrupt state",
-                self.far.len(),
-                self.base
-            );
-        }
-        c
-    }
-
-    /// Drops bookkeeping for all cycles strictly below `cycle`. Future allocations
-    /// below `cycle` are clamped up to it.
-    pub fn prune_below(&mut self, cycle: u64) {
-        while self.base < cycle && !self.used.is_empty() {
-            self.used.pop_front();
-            self.base += 1;
-        }
-        if self.base < cycle {
-            self.base = cycle;
-        }
-        // Far-future entries now inside the dense window migrate into it so
-        // the two storages keep disjoint, exact coverage; entries below the
-        // horizon are dropped like any pruned cycle.
-        if !self.far.is_empty() {
-            let dense_end = self.base.saturating_add(MAX_DENSE_SPAN);
-            while let Some((&c, &u)) = self.far.first_key_value() {
-                if c >= dense_end {
-                    break;
-                }
-                self.far.pop_first();
-                if c < self.base {
-                    continue;
-                }
-                let idx = (c - self.base) as usize;
-                if idx >= self.used.len() {
-                    self.used.resize(idx + 1, 0);
-                }
-                self.used[idx] = u;
-            }
-        }
-    }
-
-    /// Number of cycles currently tracked (test/diagnostic aid).
-    pub fn tracked_cycles(&self) -> usize {
-        self.used.len() + self.far.len()
-    }
-
-    /// Validates the pool's conservation invariant: no cycle may have more
-    /// slots consumed than the pool's width, and the tracked window must stay
-    /// within its growth bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a structured `simcheck:` reason on violation. Compiled only
-    /// under the `simcheck` feature.
-    #[cfg(feature = "simcheck")]
-    pub fn check_conservation(&self, name: &str) {
-        for (i, &u) in self.used.iter().enumerate() {
-            assert!(
-                u <= self.width,
-                "simcheck: slot pool '{name}': cycle {} uses {u} of {} slots",
-                self.base + i as u64,
-                self.width
-            );
-        }
-        for (&c, &u) in &self.far {
-            assert!(
-                u > 0 && u <= self.width,
-                "simcheck: slot pool '{name}': far cycle {c} uses {u} of {} slots",
-                self.width
-            );
-        }
-        assert!(
-            self.used.len() as u64 <= MAX_DENSE_SPAN && self.far.len() <= MAX_OVERFLOW_TRACKED,
-            "simcheck: slot pool '{name}': tracked window ({} dense + {} far) exceeds growth bounds",
-            self.used.len(),
-            self.far.len()
-        );
-    }
-}
 
 /// The resource classes sharing one [`LanePool`]. Each lane is an independent
 /// per-cycle bandwidth budget; the enum's discriminants index the pool's
@@ -536,7 +346,7 @@ impl Snap for LaneRing {
 /// pipeline processes in two parts (a run stopped mid-group for a
 /// checkpoint) ends in the same state as one processed whole.
 ///
-/// Allocation semantics are identical to one [`SlotPool`] per lane — the
+/// Allocation semantics are identical to one scalar slot pool per lane — the
 /// differential property tests in `tests/integration_properties.rs` assert
 /// exactly that, allocation for allocation.
 #[derive(Debug, Clone)]
@@ -907,7 +717,9 @@ impl Snap for OccupancyRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slot_pool::SlotPool;
     use bebop_isa::{restore_snapshot, snapshot};
+    use std::collections::VecDeque;
 
     #[test]
     fn slot_pool_respects_width() {

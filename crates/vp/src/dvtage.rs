@@ -11,8 +11,8 @@
 
 use crate::fpc::{ForwardProbabilisticCounter, FpcParams};
 use crate::tagged::{FIG5A_LOG_BASE, FIG5A_USEFUL_RESET_PERIOD};
-use crate::{clamp_stride, inst_key, InflightQueue, Lfsr, Slots, TaggedComponents, TaggedGeometry};
-use bebop_isa::{ensure, snap, snapshot, DynUop, StateResult};
+use crate::{clamp_stride, inst_key, Lfsr, Slots, TaggedComponents, TaggedGeometry};
+use bebop_isa::{ensure, snap, snapshot, DynUop, SeqNum, SeqQueue, StateResult};
 use bebop_uarch::{restore_predictor, PredictCtx, SquashInfo, ValuePredictor};
 
 /// The second key shift of D-VTAGE's tag hash.
@@ -85,7 +85,7 @@ pub struct DVtage {
     lvt: Vec<LvtEntry>,
     vt0: Vec<Vt0Entry>,
     tagged: TaggedComponents<Vec<TaggedEntry>>,
-    inflight: InflightQueue<Inflight>,
+    inflight: SeqQueue<(SeqNum, Inflight)>,
     rng: Lfsr,
     updates: u64,
 }
@@ -99,7 +99,7 @@ impl DVtage {
             lvt: vec![LvtEntry::default(); 1 << FIG5A_LOG_BASE],
             vt0: vec![Vt0Entry::default(); 1 << FIG5A_LOG_BASE],
             tagged: TaggedComponents::new(geometry, table),
-            inflight: InflightQueue::default(),
+            inflight: SeqQueue::default(),
             rng: Lfsr::new(0xd7a6e),
             updates: 0,
             cfg,
@@ -262,7 +262,7 @@ impl DVtage {
         for e in self.tagged.iter_mut().flatten() {
             e.conf.set_level(e.conf.level(), fpc);
         }
-        for info in self.inflight.records() {
+        for (_, info) in self.inflight.iter() {
             ensure(
                 info.base_index < self.lvt.len() && self.tagged.holds(info.provider, &info.slots),
                 "D-VTAGE in-flight record indexes outside the tables",
@@ -303,7 +303,7 @@ snap!(DVtage {
     lvt: Vec<LvtEntry>,
     vt0: Vec<Vt0Entry>,
     tagged: TaggedComponents<Vec<TaggedEntry>>,
-    inflight: InflightQueue<Inflight>,
+    inflight: SeqQueue<(SeqNum, Inflight)>,
     rng: Lfsr,
     updates: u64,
 } validate check_restored);
@@ -324,7 +324,7 @@ impl ValuePredictor for DVtage {
             lvt.spec_last = p;
             lvt.spec_inflight += 1;
         }
-        self.inflight.push(uop.seq, info);
+        self.inflight.push((uop.seq, info));
         match (confident, prediction) {
             (true, Some(p)) => Some(p),
             _ => None,
@@ -332,7 +332,7 @@ impl ValuePredictor for DVtage {
     }
 
     fn train(&mut self, uop: &DynUop, actual: u64, _predicted: Option<u64>) {
-        if let Some(info) = self.inflight.retire(uop.seq) {
+        if let Some((_, info)) = self.inflight.retire(uop.seq) {
             self.train_with(info, inst_key(uop), actual);
         }
     }
@@ -340,13 +340,13 @@ impl ValuePredictor for DVtage {
     fn train_wrong_path(&mut self, uop: &DynUop, actual: u64, _predicted: Option<u64>) {
         // Guarded wrong-path update: the polluting table update applies the
         // µ-op's own record, pushed by the predict probe just before.
-        if let Some(info) = self.inflight.take_wrong_path(uop.seq) {
+        if let Some((_, info)) = self.inflight.take_wrong_path(uop.seq) {
             self.train_with(info, inst_key(uop), actual);
         }
     }
 
     fn squash(&mut self, info: &SquashInfo) {
-        self.inflight.squash(info.flush_seq);
+        self.inflight.squash(info.flush_seq, drop);
         // Idealistic recovery: resynchronise speculative last values with retired
         // state (the realistic checkpointed window lives in the `bebop` crate).
         for e in &mut self.lvt {

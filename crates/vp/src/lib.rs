@@ -19,8 +19,8 @@
 //!
 //! VTAGE, D-VTAGE and the block-based predictor of the `bebop` core crate share
 //! one tagged-component core ([`TaggedComponents`], [`TaggedGeometry`]) and
-//! differ only in what their entries hold; the instruction-based predictors
-//! also share one in-flight record queue.
+//! differ only in what their entries hold. Every predictor here carries its
+//! prediction-time records to retirement in a [`bebop_isa::SeqQueue`].
 //!
 //! The block-based BeBoP infrastructure (which makes D-VTAGE implementable) lives
 //! in the `bebop` core crate; this crate is about the underlying prediction
@@ -59,7 +59,6 @@ pub use hybrid::VtageStrideHybrid;
 pub use last_value::LastValuePredictor;
 pub use sharded::{ShardCounters, ShardedTable};
 pub use stride::{StridePredictor, TwoDeltaStridePredictor};
-pub(crate) use tagged::InflightQueue;
 pub use tagged::{
     clamp_stride, tag_width, Component, Hit, Slots, Tagged, TaggedComponents, TaggedGeometry,
     MAX_TAGGED,

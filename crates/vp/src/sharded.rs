@@ -199,11 +199,6 @@ impl<T: Clone> ShardedTable<T> {
         self.steals.iter().sum()
     }
 
-    /// Total owned slots across all shards.
-    pub fn total_occupancy(&self) -> u64 {
-        self.occupancy.iter().sum()
-    }
-
     /// Mutably iterates over every entry, shard by shard (flat-index order).
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
         self.data.iter_mut()
@@ -261,7 +256,11 @@ mod tests {
         assert_eq!(t.total_steals(), 0);
         t.note_write(0, 1); // context 1 steals context 0's slot
         assert_eq!(t.counters().steals, vec![1, 0, 0, 0]);
-        assert_eq!(t.total_occupancy(), 2, "steals do not change occupancy");
+        assert_eq!(
+            t.counters().occupancy,
+            vec![2, 0, 0, 0],
+            "steals do not change occupancy"
+        );
         t.note_write(5, 2);
         assert_eq!(t.counters().occupancy, vec![2, 1, 0, 0]);
     }

@@ -9,8 +9,8 @@
 //! window; the realistic block-based window is in the `bebop` core crate).
 
 use crate::fpc::{ForwardProbabilisticCounter, FpcParams};
-use crate::{inst_key, InflightQueue, Lfsr};
-use bebop_isa::{snap, snapshot, DynUop, StateResult};
+use crate::{inst_key, Lfsr};
+use bebop_isa::{snap, snapshot, DynUop, SeqNum, SeqQueue, StateResult};
 use bebop_uarch::{restore_predictor, PredictCtx, SquashInfo, ValuePredictor};
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -41,7 +41,7 @@ pub struct StrideCore {
     two_delta: bool,
     /// Internal predictions in flight, so training can know what this
     /// predictor speculated at prediction time.
-    inflight: InflightQueue<u64>,
+    inflight: SeqQueue<(SeqNum, u64)>,
 }
 
 impl StrideCore {
@@ -53,7 +53,7 @@ impl StrideCore {
             params,
             rng: Lfsr::new(0x5712de),
             two_delta,
-            inflight: InflightQueue::default(),
+            inflight: SeqQueue::default(),
         }
     }
 
@@ -83,7 +83,7 @@ impl StrideCore {
         // inserts every prediction block in the speculative window.
         e.spec_last = prediction;
         e.spec_inflight += 1;
-        self.inflight.push(uop.seq, prediction);
+        self.inflight.push((uop.seq, prediction));
         if e.conf.is_confident(&self.params) {
             Some(prediction)
         } else {
@@ -92,7 +92,7 @@ impl StrideCore {
     }
 
     fn train_impl(&mut self, uop: &DynUop, actual: u64) {
-        let internal = self.inflight.retire(uop.seq);
+        let internal = self.inflight.retire(uop.seq).map(|(_, p)| p);
         self.update_entry(uop, actual, internal);
     }
 
@@ -100,7 +100,7 @@ impl StrideCore {
     /// entry *without* the program-order retirement bookkeeping of
     /// [`StrideCore::train_impl`], consuming only the µ-op's own record.
     fn train_wrong_path_impl(&mut self, uop: &DynUop, actual: u64) {
-        let internal = self.inflight.take_wrong_path(uop.seq);
+        let internal = self.inflight.take_wrong_path(uop.seq).map(|(_, p)| p);
         self.update_entry(uop, actual, internal);
     }
 
@@ -154,7 +154,7 @@ impl StrideCore {
     }
 
     fn squash_impl(&mut self, info: &SquashInfo) {
-        self.inflight.squash(info.flush_seq);
+        self.inflight.squash(info.flush_seq, drop);
         // Speculative last values computed past the flush point are gone; an
         // idealistic recovery resynchronises every entry with retired state.
         for e in &mut self.entries {
@@ -191,7 +191,7 @@ snap!(StrideEntry {
 snap!(StrideCore {
     entries: Vec<StrideEntry>,
     rng: Lfsr,
-    inflight: InflightQueue<u64>,
+    inflight: SeqQueue<(SeqNum, u64)>,
 } validate check_restored);
 
 /// The baseline Stride predictor: predicts `last value + stride` where the stride

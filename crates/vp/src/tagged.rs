@@ -9,9 +9,11 @@
 //!   history;
 //! * [`TaggedComponents`] — the component tables with the provider/alternate
 //!   scan, the allocation-victim policy and the periodic useful-bit reset;
-//! * [`InflightQueue`] — prediction-time records carried to retirement in
-//!   program order (the stride predictors use it too);
 //! * [`clamp_stride`] — the partial-stride truncation.
+//!
+//! Their prediction-time records travel to retirement in a
+//! [`SeqQueue`](bebop_isa::SeqQueue) of `(SeqNum, record)` pairs, as do the
+//! stride predictors'.
 //!
 //! Each predictor keeps only its payload policy: a full value (VTAGE), a
 //! stride plus a last-value table (D-VTAGE), or per-slot strides (BeBoP).
@@ -19,8 +21,7 @@
 //! reaches them through the small [`Tagged`] trait.
 
 use crate::{Lfsr, ShardedTable};
-use bebop_isa::{ensure, in_program_order, snap, SeqNum, Snap, StateResult};
-use std::collections::VecDeque;
+use bebop_isa::{fold_bits, snap, Snap};
 use std::ops::{Deref, DerefMut};
 
 /// The maximum number of tagged components (the paper uses 6).
@@ -56,28 +57,14 @@ pub fn tag_width(first_tag_bits: u32, comp: usize) -> u32 {
 }
 
 /// Folds the `len` most recent bits of a global branch history (bit 0 = most
-/// recent) into `bits` bits by XOR-ing successive chunks.
+/// recent) into `bits` bits.
 fn fold_history(history: u64, len: usize, bits: u32) -> u64 {
-    if bits == 0 || len == 0 {
-        return 0;
-    }
-    let len = len.min(64);
-    let mut h = if len >= 64 {
+    let recent = if len >= 64 {
         history
     } else {
         history & ((1u64 << len) - 1)
     };
-    let mask = if bits >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << bits) - 1
-    };
-    let mut acc = 0u64;
-    while h != 0 {
-        acc ^= h & mask;
-        h >>= bits.min(63);
-    }
-    acc & mask
+    fold_bits(recent, bits)
 }
 
 /// The shape of a set of tagged components: how many, how large, and which
@@ -382,87 +369,11 @@ impl<C> DerefMut for TaggedComponents<C> {
 // The tables only; the geometry is configuration and its fold memo derived.
 snap!(impl[C: Snap] TaggedComponents<C> { tables: Vec<C> });
 
-/// Prediction-time records in program order, carried until the µ-op
-/// retires, is trained on the wrong path, or is squashed. Predictions are
-/// made and retired in sequence-number order, so deque pops replace a hash
-/// lookup.
-#[derive(Debug, Clone)]
-pub(crate) struct InflightQueue<T> {
-    records: VecDeque<(SeqNum, T)>,
-}
-
-impl<T> Default for InflightQueue<T> {
-    fn default() -> Self {
-        InflightQueue {
-            records: VecDeque::new(),
-        }
-    }
-}
-
-impl<T> InflightQueue<T> {
-    /// The records, oldest first.
-    pub(crate) fn records(&self) -> impl Iterator<Item = &T> {
-        self.records.iter().map(|(_, r)| r)
-    }
-
-    /// Appends the record of the µ-op `seq`, the youngest so far.
-    pub(crate) fn push(&mut self, seq: SeqNum, record: T) {
-        debug_assert!(self.records.back().map_or(true, |&(s, _)| s <= seq));
-        self.records.push_back((seq, record));
-    }
-
-    /// Retirement of `seq`: drops the records of older µ-ops (never trained)
-    /// and returns `seq`'s own record if its prediction was not squashed.
-    pub(crate) fn retire(&mut self, seq: SeqNum) -> Option<T> {
-        while self.records.front().is_some_and(|&(s, _)| s < seq) {
-            self.records.pop_front();
-        }
-        let record = match self.records.front() {
-            Some(&(s, _)) if s == seq => self.records.pop_front().map(|(_, r)| r),
-            _ => None,
-        };
-        #[cfg(feature = "simcheck")]
-        assert!(
-            in_program_order(self.records.iter().map(|&(s, _)| s), false),
-            "simcheck: in-flight queue: records out of program order after retiring {seq}"
-        );
-        record
-    }
-
-    /// The guarded wrong-path update of `seq`: takes its record — pushed by
-    /// the predict probe immediately before — from the back, leaving older
-    /// correct-path records for their own retirements.
-    pub(crate) fn take_wrong_path(&mut self, seq: SeqNum) -> Option<T> {
-        match self.records.back() {
-            Some(&(s, _)) if s == seq => self.records.pop_back().map(|(_, r)| r),
-            _ => None,
-        }
-    }
-
-    /// Drops the records of every µ-op younger than `flush_seq`.
-    pub(crate) fn squash(&mut self, flush_seq: SeqNum) {
-        while self.records.back().is_some_and(|&(s, _)| s > flush_seq) {
-            self.records.pop_back();
-        }
-    }
-
-    /// Rejects restored records out of program order.
-    fn check_restored(&mut self) -> StateResult<()> {
-        ensure(
-            in_program_order(self.records.iter().map(|&(s, _)| s), false),
-            "in-flight records out of order",
-        )
-    }
-}
-
-snap!(impl[T: Snap + Default] InflightQueue<T> {
-    records: VecDeque<(SeqNum, T)>,
-} validate check_restored);
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bebop_isa::{restore_snapshot, snapshot};
+    use bebop_isa::{restore_snapshot, snapshot, SeqNum, SeqQueue};
+    use std::collections::VecDeque;
 
     #[derive(Debug, Clone, Copy, Default)]
     struct Entry {
@@ -607,43 +518,52 @@ mod tests {
         assert!(!t[1][5].useful);
     }
 
+    // VTAGE, D-VTAGE and the stride predictors carry their prediction-time
+    // records to retirement as `(SeqNum, record)` pairs in a `SeqQueue`.
+
+    /// The record values of an in-flight queue, oldest first.
+    fn values(q: &SeqQueue<(SeqNum, u64)>) -> Vec<u64> {
+        q.iter().map(|&(_, v)| v).collect()
+    }
+
     #[test]
     fn inflight_queue_protocol() {
-        let mut q = InflightQueue::default();
+        let mut q = SeqQueue::default();
         for seq in [1, 2, 4, 6, 7] {
-            q.push(seq, seq * 10);
+            q.push((seq, seq * 10));
         }
         // Retiring 4 drops the untrained 1 and 2, then pops 4's own record.
-        assert_eq!(q.retire(4), Some(40));
-        assert_eq!(q.records().copied().collect::<Vec<_>>(), [60, 70]);
+        assert_eq!(q.retire(4), Some((4, 40)));
+        assert_eq!(values(&q), [60, 70]);
         // A squashed µ-op has no record left to retire.
         assert_eq!(q.retire(5), None);
         // A wrong-path pop takes only a matching back.
         assert_eq!(q.take_wrong_path(6), None);
-        assert_eq!(q.take_wrong_path(7), Some(70));
-        q.push(8, 80);
-        q.push(9, 90);
-        q.squash(8);
-        assert_eq!(q.records().copied().collect::<Vec<_>>(), [60, 80]);
-        q.squash(0);
-        assert_eq!(q.records().count(), 0);
+        assert_eq!(q.take_wrong_path(7), Some((7, 70)));
+        q.push((8, 80));
+        q.push((9, 90));
+        q.squash(8, drop);
+        assert_eq!(values(&q), [60, 80]);
+        q.squash(0, drop);
+        assert!(q.is_empty());
     }
 
     #[test]
     fn restore_rejects_out_of_order_records() {
-        let mut q = InflightQueue::default();
-        q.push(3, 1u64);
-        q.push(3, 2);
-        q.push(5, 3);
+        let mut q = SeqQueue::default();
+        q.push((3, 1u64));
+        q.push((4, 2));
+        q.push((5, 3));
         let bytes = snapshot(&q);
-        let mut back: InflightQueue<u64> = InflightQueue::default();
+        let mut back: SeqQueue<(SeqNum, u64)> = SeqQueue::default();
         restore_snapshot(&mut back, &bytes).unwrap();
-        assert_eq!(back.records().copied().collect::<Vec<_>>(), [1, 2, 3]);
-        // Swap the sequence numbers of the last two records: 3, 5, 3.
-        let mut swapped: VecDeque<(SeqNum, u64)> = VecDeque::new();
-        swapped.extend([(3, 1), (5, 3), (3, 2)]);
-        let err = restore_snapshot(&mut back, &snapshot(&swapped)).unwrap_err();
-        assert!(err.to_string().contains("out of order"), "{err}");
+        assert_eq!(values(&back), [1, 2, 3]);
+        // Swapped (3, 5, 4) and duplicated (3, 3, 5) sequence numbers.
+        for bad in [[(3, 1), (5, 3), (4, 2)], [(3, 1), (3, 2), (5, 3)]] {
+            let bad: VecDeque<(SeqNum, u64)> = bad.into_iter().collect();
+            let err = restore_snapshot(&mut back, &snapshot(&bad)).unwrap_err();
+            assert!(err.to_string().contains("out of program order"), "{err}");
+        }
     }
 
     #[test]

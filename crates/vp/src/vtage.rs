@@ -10,8 +10,8 @@
 
 use crate::fpc::{ForwardProbabilisticCounter, FpcParams};
 use crate::tagged::{FIG5A_LOG_BASE, FIG5A_USEFUL_RESET_PERIOD};
-use crate::{inst_key, InflightQueue, Lfsr, Slots, TaggedComponents, TaggedGeometry};
-use bebop_isa::{ensure, snap, snapshot, DynUop, StateResult};
+use crate::{inst_key, Lfsr, Slots, TaggedComponents, TaggedGeometry};
+use bebop_isa::{ensure, snap, snapshot, DynUop, SeqNum, SeqQueue, StateResult};
 use bebop_uarch::{restore_predictor, PredictCtx, SquashInfo, ValuePredictor};
 
 /// The second key shift of VTAGE's tag hash.
@@ -62,7 +62,7 @@ pub struct Vtage {
     cfg: VtageConfig,
     base: Vec<BaseEntry>,
     tagged: TaggedComponents<Vec<TaggedEntry>>,
-    inflight: InflightQueue<Inflight>,
+    inflight: SeqQueue<(SeqNum, Inflight)>,
     rng: Lfsr,
     updates: u64,
 }
@@ -75,7 +75,7 @@ impl Vtage {
         Vtage {
             base: vec![BaseEntry::default(); 1 << FIG5A_LOG_BASE],
             tagged: TaggedComponents::new(geometry, table),
-            inflight: InflightQueue::default(),
+            inflight: SeqQueue::default(),
             rng: Lfsr::new(0x7a6e),
             updates: 0,
             cfg,
@@ -173,7 +173,7 @@ impl Vtage {
         for e in self.tagged.iter_mut().flatten() {
             e.conf.set_level(e.conf.level(), fpc);
         }
-        for info in self.inflight.records() {
+        for (_, info) in self.inflight.iter() {
             ensure(
                 info.base_index < self.base.len() && self.tagged.holds(info.provider, &info.slots),
                 "VTAGE in-flight record indexes outside the tables",
@@ -205,7 +205,7 @@ snap!(Inflight {
 snap!(Vtage {
     base: Vec<BaseEntry>,
     tagged: TaggedComponents<Vec<TaggedEntry>>,
-    inflight: InflightQueue<Inflight>,
+    inflight: SeqQueue<(SeqNum, Inflight)>,
     rng: Lfsr,
     updates: u64,
 } validate check_restored);
@@ -220,12 +220,12 @@ impl ValuePredictor for Vtage {
         let info = self.lookup(key, ctx.global_history, ctx.path_history);
         let confident = self.provider_confident(&info);
         let prediction = info.prediction;
-        self.inflight.push(uop.seq, info);
+        self.inflight.push((uop.seq, info));
         confident.then_some(prediction)
     }
 
     fn train(&mut self, uop: &DynUop, actual: u64, _predicted: Option<u64>) {
-        if let Some(info) = self.inflight.retire(uop.seq) {
+        if let Some((_, info)) = self.inflight.retire(uop.seq) {
             self.train_with(info, actual);
         }
     }
@@ -233,13 +233,13 @@ impl ValuePredictor for Vtage {
     fn train_wrong_path(&mut self, uop: &DynUop, actual: u64, _predicted: Option<u64>) {
         // Guarded wrong-path update: the polluting table update applies the
         // µ-op's own record, pushed by the predict probe just before.
-        if let Some(info) = self.inflight.take_wrong_path(uop.seq) {
+        if let Some((_, info)) = self.inflight.take_wrong_path(uop.seq) {
             self.train_with(info, actual);
         }
     }
 
     fn squash(&mut self, info: &SquashInfo) {
-        self.inflight.squash(info.flush_seq);
+        self.inflight.squash(info.flush_seq, drop);
     }
 
     fn storage_bits(&self) -> u64 {
@@ -359,7 +359,7 @@ mod tests {
         });
         // Training after the squash silently ignores the dropped entry.
         v.train(&u, 1, None);
-        assert_eq!(v.inflight.records().count(), 0);
+        assert_eq!(v.inflight.len(), 0);
     }
 
     #[test]

@@ -5,20 +5,21 @@
 //! deterministic pseudo-random inputs (failures are reproducible by case index).
 
 use bebop::{
-    BlockDVtageConfig, FifoUpdateQueue, MixSpec, ShardedTable, SpecWindowSize, SpeculativeWindow,
-    MAX_NPRED,
+    BlockDVtageConfig, MixSpec, ShardedTable, SpecWindowSize, SpeculativeWindow, MAX_NPRED,
 };
 use bebop_bench::sampling::{cluster_slices, workload_seed};
-use bebop_isa::{
-    byte_index_in_block, fetch_block_pc, restore_snapshot, snapshot, FetchBlockLayout,
-};
+use bebop_isa::{byte_index_in_block, fetch_block_pc, restore_snapshot, snapshot, SeqQueue};
 use bebop_trace::{profile_slices, SliceBbv, TraceBuffer, TraceGenerator, WorkloadSpec};
 use bebop_uarch::{
-    gmean, Btb, Lane, LanePool, OccupancyRing, SetAssocCache, SlotPool, MAX_DENSE_SPAN,
+    gmean, Btb, Lane, LanePool, OccupancyRing, SetAssocCache, MAX_DENSE_SPAN, MAX_OVERFLOW_TRACKED,
     NUM_POOL_LANES,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use slot_pool::SlotPool;
+
+#[path = "support/slot_pool.rs"]
+mod slot_pool;
 
 const CASES: u64 = 200;
 
@@ -49,25 +50,6 @@ fn prop_fetch_block_arithmetic() {
     }
 }
 
-/// Block layouts never place an instruction past the end of the block and keep
-/// boundaries strictly increasing.
-#[test]
-fn prop_fetch_block_layout() {
-    for case in 0..CASES {
-        let mut r = rng(case);
-        let n = r.gen_range(1usize..10);
-        let lengths: Vec<u8> = (0..n).map(|_| r.gen_range(1u8..=8)).collect();
-        let layout = FetchBlockLayout::from_lengths(16, &lengths);
-        let bounds = layout.boundaries();
-        for w in bounds.windows(2) {
-            assert!(w[1] > w[0], "case {case}");
-        }
-        for &b in bounds {
-            assert!(u64::from(b) < 16, "case {case}");
-        }
-    }
-}
-
 /// The speculative window always returns the most recent matching entry, and a
 /// squash removes exactly the entries younger than the flush point.
 #[test]
@@ -79,7 +61,7 @@ fn prop_spec_window_most_recent_and_squash() {
         let capacity = r.gen_range(1usize..64);
         let flush_at = r.gen_range(0usize..200);
 
-        let mut w = SpeculativeWindow::new(Some(capacity), 15);
+        let mut w = SpeculativeWindow::new(SpecWindowSize::Entries(capacity), 15);
         for (seq, b) in blocks.iter().enumerate() {
             w.push(b * 16, seq as u64, slot_values(seq as u64));
         }
@@ -116,15 +98,15 @@ fn prop_fifo_order_and_rollback() {
         let seqs: Vec<u64> = (0..n).map(|_| r.gen_range(1u64..50)).collect();
         let flush = r.gen_range(0u64..2000);
 
-        let mut q = FifoUpdateQueue::new();
+        let mut q = SeqQueue::default();
         let mut acc = 0u64;
         let mut pushed = Vec::new();
         for s in seqs {
             acc += s;
-            q.push(acc, acc);
+            q.push((acc, acc));
             pushed.push(acc);
         }
-        q.squash(flush);
+        q.squash(flush, drop);
         let remaining: Vec<u64> = std::iter::from_fn(|| q.pop_front().map(|(s, _)| s)).collect();
         let expected: Vec<u64> = pushed.into_iter().filter(|&s| s <= flush).collect();
         assert_eq!(remaining, expected, "case {case}");
