@@ -569,7 +569,7 @@ impl BlockDVtage {
     fn apply_update(&mut self, mut rec: BlockRecord) {
         self.updates += 1;
         let np = self.cfg.npred;
-        let fpc = self.cfg.fpc.clone();
+        let fpc = &self.cfg.fpc;
 
         // ---- Attribute retired results to slots --------------------------------
         // Results whose byte index matches a slot tag go to that slot; the rest may
@@ -672,7 +672,7 @@ impl BlockDVtage {
                 if e.valid && e.tag == expected_tag {
                     for (&(i, stride, correct), &r) in observed.iter().zip(&entropy) {
                         if correct {
-                            e.slots.conf[i].on_correct_with(&fpc, r);
+                            e.slots.conf[i].on_correct_with(fpc, r);
                         } else {
                             e.slots.conf[i].on_wrong();
                             if let Some(s) = stride {
@@ -688,7 +688,7 @@ impl BlockDVtage {
                 let e = self.vt0.get_mut(rec.lvt_index);
                 for (&(i, stride, correct), &r) in observed.iter().zip(&entropy) {
                     if correct {
-                        e.slots.conf[i].on_correct_with(&fpc, r);
+                        e.slots.conf[i].on_correct_with(fpc, r);
                     } else {
                         e.slots.conf[i].on_wrong();
                         if let Some(s) = stride {
@@ -712,7 +712,7 @@ impl BlockDVtage {
                 for i in 0..np {
                     // Default: inherit the provider's stride and confidence.
                     slots.strides[i] = rec.provider_strides[i];
-                    slots.conf[i].set_level(rec.provider_conf_levels[i], &fpc);
+                    slots.conf[i].set_level(rec.provider_conf_levels[i], fpc);
                 }
                 for &(i, stride, correct) in observed {
                     if !correct {

@@ -10,13 +10,14 @@
 //! resumed run equal those of an uninterrupted one.
 //!
 //! The on-disk format follows the `bebop-trace` store conventions: magic,
-//! format version, configuration fingerprint, FNV-1a checksum over the whole
-//! payload, and atomic write-via-rename so a torn write leaves the previous
+//! format version, configuration fingerprint, a trailing word-parallel
+//! FNV-1a checksum ([`bebop_trace::fnv1a_wide`]) over everything before it,
+//! and atomic write-via-rename so a torn write leaves the previous
 //! checkpoint (or nothing) in place, never a half-written file. A stale,
 //! corrupt or version-mismatched checkpoint is *rejected and discarded* — the
 //! caller falls back to a from-zero run instead of propagating garbage state.
 
-use bebop_trace::{fnv1a, FNV_OFFSET_BASIS};
+use bebop_trace::{fnv1a_wide, FNV_OFFSET_BASIS};
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -35,8 +36,10 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"BBPCKPT\0";
 /// `SlotPool` encoding; 3 — the per-lane `LanePool` (shared prune horizon
 /// and generation, then per lane its own horizon, only its live cycle tags in
 /// cycle order, and its overflow) and the flat TAGE tagged table (one entry
-/// list for all components instead of a list per component).
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 3;
+/// list for all components instead of a list per component); 4 — the
+/// trailing checksum is the word-parallel [`bebop_trace::fnv1a_wide`] instead
+/// of byte-serial FNV-1a (header and payload bytes unchanged).
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 4;
 
 /// Why a checkpoint file was rejected (all outcomes mean "fall back to a
 /// from-zero run"; none are fatal).
@@ -100,12 +103,13 @@ pub struct SimCheckpoint {
 
 // Header: magic(8) version(4) fingerprint(8) committed(8) stream_pos(8)
 //         pipeline_len(8) predictor_len(8)  = 52 bytes, then the two
-// payloads, then the trailing FNV-1a checksum (8) over everything before it.
+// payloads, then the trailing checksum (8): `fnv1a_wide` from the FNV offset
+// basis over everything before it.
 const HEADER_LEN: usize = 52;
 
 impl SimCheckpoint {
     /// Encodes the checkpoint into its on-disk byte format (header, payloads,
-    /// trailing FNV-1a checksum).
+    /// trailing checksum).
     pub fn encode(&self) -> Vec<u8> {
         let mut out =
             Vec::with_capacity(HEADER_LEN + self.pipeline.len() + self.predictor.len() + 8);
@@ -118,7 +122,7 @@ impl SimCheckpoint {
         out.extend_from_slice(&(self.predictor.len() as u64).to_le_bytes());
         out.extend_from_slice(&self.pipeline);
         out.extend_from_slice(&self.predictor);
-        let checksum = fnv1a(FNV_OFFSET_BASIS, &out);
+        let checksum = fnv1a_wide(FNV_OFFSET_BASIS, &out);
         out.extend_from_slice(&checksum.to_le_bytes());
         out
     }
@@ -136,7 +140,7 @@ impl SimCheckpoint {
         let (body, tail) = bytes.split_at(bytes.len() - 8);
         // INVARIANT: split_at(len - 8) makes the tail exactly 8 bytes.
         let stored = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-        if fnv1a(FNV_OFFSET_BASIS, body) != stored {
+        if fnv1a_wide(FNV_OFFSET_BASIS, body) != stored {
             return Err(CheckpointError::Corrupt("checksum mismatch"));
         }
         // INVARIANT: the header-length check above covers every fixed
@@ -260,7 +264,7 @@ mod tests {
     /// tests exercise the length validation, not the corruption check.
     fn reseal(bytes: &mut [u8]) {
         let body_len = bytes.len() - 8;
-        let checksum = fnv1a(FNV_OFFSET_BASIS, &bytes[..body_len]);
+        let checksum = fnv1a_wide(FNV_OFFSET_BASIS, &bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
     }
 
@@ -305,9 +309,7 @@ mod tests {
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
         // Checksum covers the version, so re-seal the file to isolate the
         // version check from the corruption check.
-        let body_len = bytes.len() - 8;
-        let checksum = fnv1a(FNV_OFFSET_BASIS, &bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
+        reseal(&mut bytes);
         assert_eq!(
             SimCheckpoint::decode(&bytes, 0xfeed_f00d),
             Err(CheckpointError::VersionMismatch { found: 99 })

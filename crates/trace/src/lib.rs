@@ -59,8 +59,8 @@ pub use spec::{
     all_spec_benchmarks, benchmark_class, spec_benchmark, BenchClass, SPEC_BENCHMARK_NAMES,
 };
 pub use store::{
-    decode_trace, encode_trace, encode_trace_key, fnv1a, spec_fingerprint, write_atomic,
-    DecodedTrace, StoreError, SweepStats, TraceKey, TraceStore, FNV_OFFSET_BASIS,
+    decode_trace, encode_trace, encode_trace_key, fnv1a, fnv1a_wide, spec_fingerprint,
+    write_atomic, DecodedTrace, StoreError, SweepStats, TraceKey, TraceStore, FNV_OFFSET_BASIS,
     TRACE_FORMAT_VERSION, TRACE_MAGIC, TRACE_STREAM_VERSION,
 };
 pub use value::{ValuePattern, ValueProfile, ValueState};

@@ -8,7 +8,7 @@
 //! `figures` invocations (and CI jobs restoring the directory from a cache)
 //! skip generation entirely and load the lanes straight from disk.
 //!
-//! # File format (`TRACE_FORMAT_VERSION` 3)
+//! # File format (`TRACE_FORMAT_VERSION` 4)
 //!
 //! Little-endian throughout. A fixed 64-byte header:
 //!
@@ -22,7 +22,7 @@
 //! | 32     | 8     | µ-op count (dense lane length) |
 //! | 40     | 8     | memory lane length |
 //! | 48     | 8     | branch lane length |
-//! | 56     | 8     | FNV-1a checksum over header bytes 0..56 + payload |
+//! | 56     | 8     | checksum: [`fnv1a_wide`] over the payload, continuing from [`fnv1a`] over header bytes 0..56 |
 //!
 //! followed by the raw structure-of-arrays lanes in recording order: `pc`
 //! (`u64` each), static µ-ops (packed to one `u64` each), `value` (`u64`),
@@ -69,8 +69,12 @@ use std::time::SystemTime;
 /// 0 announces an optional dense per-µop ASID lane after the branch lane
 /// (multi-programmed mix recordings), and mix recordings key on a mix
 /// fingerprint. A v2 reader would silently replay a mix file with every
-/// ASID dropped — the version bump makes it reject-and-regenerate instead.
-pub const TRACE_FORMAT_VERSION: u32 = 3;
+/// ASID dropped — the version bump makes it reject-and-regenerate instead;
+/// 4 = the checksum at offset 56 is the word-parallel [`fnv1a_wide`] over the
+/// payload (continuing from byte-serial [`fnv1a`] over the header) instead of
+/// byte-serial FNV-1a over both. The lanes are unchanged, but a v3 file's
+/// checksum would read as corrupt, so v3 files are rejected on the version.
+pub const TRACE_FORMAT_VERSION: u32 = 4;
 
 /// Header flags (offset 12): bit 0 set when the ASID lane is present.
 const FLAG_HAS_ASID: u32 = 1;
@@ -93,15 +97,53 @@ pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// One FNV-1a round over `bytes`, continuing from hash state `h` (seed with
-/// [`FNV_OFFSET_BASIS`]). The workspace's one FNV-1a: the trace store, the
-/// fault injector, the BBV projection, the simulation checkpoint codec and
-/// the sweep engine's job keys and ledger checksums all hash with it.
+/// [`FNV_OFFSET_BASIS`]). The workspace's one byte-serial FNV-1a: spec and
+/// mix fingerprints, the fault injector, the BBV projection, the run
+/// fingerprint and the sweep engine's job keys, ledger checksums and cell
+/// digests all hash with it. Whole trace and checkpoint files use
+/// [`fnv1a_wide`] instead.
 pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// Interleaved lanes of [`fnv1a_wide`]: one 64-byte block feeds one word to
+/// each lane.
+const WIDE_LANES: usize = 8;
+
+/// The whole-file checksum of the trace store and the simulation checkpoint:
+/// eight interleaved lanes over little-endian `u64` words (lane `i` absorbs
+/// word `i` of every 64-byte block, each lane starting from
+/// [`FNV_OFFSET_BASIS`]), each step an FNV-1a word step followed by a
+/// rotation; then the lane states are folded into `h` as whole words in lane
+/// order, and [`fnv1a`] continues over the tail of fewer than 64 bytes.
+///
+/// Byte-serial FNV-1a waits on one multiply per byte; here eight independent
+/// multiply chains each take a word, so a checksum runs at memory speed.
+/// The rotation carries each step's high bits down into the next multiply:
+/// without it a flip of a word's top bit would shift the lane state by
+/// exactly 2^63 for good, and two such flips in one lane would cancel. Every
+/// step (word step, rotation, whole-word fold, tail byte) is a bijection of
+/// its state, so flipping any single bit of `bytes` changes the result.
+/// Unlike [`fnv1a`] it does not chain: hashing `a` and then `b` differs from
+/// hashing `a` followed by `b` in one call.
+pub fn fnv1a_wide(h: u64, bytes: &[u8]) -> u64 {
+    let mut lanes = [FNV_OFFSET_BASIS; WIDE_LANES];
+    let mut blocks = bytes.chunks_exact(8 * WIDE_LANES);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            // INVARIANT: chunks_exact(8) yields 8-byte slices only.
+            let word = u64::from_le_bytes(word.try_into().unwrap());
+            *lane = (*lane ^ word).wrapping_mul(FNV_PRIME).rotate_left(29);
+        }
+    }
+    let h = lanes
+        .iter()
+        .fold(h, |h, &lane| (h ^ lane).wrapping_mul(FNV_PRIME));
+    fnv1a(h, blocks.remainder())
 }
 
 /// Version of the *generation behaviour*: the mapping from a [`WorkloadSpec`]
@@ -357,19 +399,24 @@ fn decode_uop(word: u64) -> Result<Uop, StoreError> {
     let bytes = word.to_le_bytes();
     let kind = decode_kind(bytes[0]).ok_or(StoreError::Malformed("unknown µ-op kind"))?;
     let dst = decode_reg(bytes[1])?;
-    let mut srcs: Vec<ArchReg> = Vec::with_capacity(3);
-    let mut ended = false;
-    for &b in &bytes[2..5] {
+    let mut srcs = [ArchReg::default(); 3];
+    let mut count = 0;
+    for (i, &b) in bytes[2..5].iter().enumerate() {
         match decode_reg(b)? {
-            Some(r) if !ended => srcs.push(r),
-            Some(_) => return Err(StoreError::Malformed("gap in µ-op source registers")),
-            None => ended = true,
+            Some(_) if count < i => {
+                return Err(StoreError::Malformed("gap in µ-op source registers"))
+            }
+            Some(r) => {
+                srcs[count] = r;
+                count += 1;
+            }
+            None => {}
         }
     }
     if bytes[5..8] != [0, 0, 0] {
         return Err(StoreError::Malformed("non-zero µ-op padding"));
     }
-    Ok(Uop::new(kind, dst, &srcs))
+    Ok(Uop::new(kind, dst, &srcs[..count]))
 }
 
 // ---------------------------------------------------------------------------
@@ -471,12 +518,18 @@ pub fn encode_trace_key(key: &TraceKey, buf: &TraceBuffer) -> Vec<u8> {
     }
     out.extend_from_slice(asid);
 
-    let checksum = fnv1a(
-        fnv1a(FNV_OFFSET_BASIS, &out[..CHECKSUM_OFFSET]),
-        &out[HEADER_LEN..],
-    );
+    let checksum = file_checksum(&out);
     out[CHECKSUM_OFFSET..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
     out
+}
+
+/// The checksum stored at [`CHECKSUM_OFFSET`] of a trace file of at least
+/// [`HEADER_LEN`] bytes: every byte but the checksum field itself.
+fn file_checksum(bytes: &[u8]) -> u64 {
+    fnv1a_wide(
+        fnv1a(FNV_OFFSET_BASIS, &bytes[..CHECKSUM_OFFSET]),
+        &bytes[HEADER_LEN..],
+    )
 }
 
 struct Reader<'a> {
@@ -503,22 +556,28 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn u64_lane(&mut self, n: usize) -> Result<Vec<u64>, StoreError> {
-        let raw = self.take(n.checked_mul(8).ok_or(StoreError::Truncated)?)?;
-        Ok(raw
-            .chunks_exact(8)
-            // INVARIANT: chunks_exact(8) yields 8-byte slices only.
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+    /// The raw bytes of a lane of `n` fields of `W` bytes each.
+    fn fields<const W: usize>(
+        &mut self,
+        n: usize,
+    ) -> Result<std::slice::ChunksExact<'a, u8>, StoreError> {
+        Ok(self
+            .take(n.checked_mul(W).ok_or(StoreError::Truncated)?)?
+            .chunks_exact(W))
     }
 
-    fn u32_lane(&mut self, n: usize) -> Result<Vec<u32>, StoreError> {
-        let raw = self.take(n.checked_mul(4).ok_or(StoreError::Truncated)?)?;
-        Ok(raw
-            .chunks_exact(4)
-            // INVARIANT: chunks_exact(4) yields 4-byte slices only.
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+    /// A lane of `n` fields of `W` bytes each, decoded by `field` into a
+    /// vector of exactly `n` elements.
+    fn lane<const W: usize, T>(
+        &mut self,
+        n: usize,
+        field: impl Fn([u8; W]) -> T,
+    ) -> Result<Vec<T>, StoreError> {
+        let raw = self.fields::<W>(n)?;
+        let mut lane = Vec::with_capacity(n);
+        // INVARIANT: chunks_exact(W) yields W-byte slices only.
+        lane.extend(raw.map(|c| field(c.try_into().unwrap())));
+        Ok(lane)
     }
 }
 
@@ -554,27 +613,25 @@ pub fn decode_trace(bytes: &[u8]) -> Result<DecodedTrace, StoreError> {
         return Err(StoreError::Truncated);
     }
 
-    let checksum = fnv1a(
-        fnv1a(FNV_OFFSET_BASIS, &bytes[..CHECKSUM_OFFSET]),
-        &bytes[HEADER_LEN..],
-    );
-    if checksum != stored_checksum {
+    if file_checksum(bytes) != stored_checksum {
         return Err(StoreError::ChecksumMismatch);
     }
 
-    let n = n as usize;
-    let pc = r.u64_lane(n)?;
-    let uop = r
-        .u64_lane(n)?
-        .into_iter()
-        .map(decode_uop)
-        .collect::<Result<Vec<Uop>, StoreError>>()?;
-    let value = r.u64_lane(n)?;
-    let meta = r.u32_lane(n)?;
-    // CAST: mem_len/br_len are u32 lane counts — widening into usize (≥32 bits).
-    let mem_addr = r.u64_lane(mem_len as usize)?;
-    let mem_size = r.take(mem_len as usize)?.to_vec();
-    let br_target = r.u64_lane(br_len as usize)?;
+    // CAST: the three lengths fit in the byte slice (checked above), so they
+    // fit in usize.
+    let (n, mem_len, br_len) = (n as usize, mem_len as usize, br_len as usize);
+    // Every lane is allocated once at its exact length and filled in place.
+    let pc = r.lane(n, u64::from_le_bytes)?;
+    let mut uop = Vec::with_capacity(n);
+    for field in r.fields::<8>(n)? {
+        // INVARIANT: fields::<8> yields 8-byte slices only.
+        uop.push(decode_uop(u64::from_le_bytes(field.try_into().unwrap()))?);
+    }
+    let value = r.lane(n, u64::from_le_bytes)?;
+    let meta = r.lane(n, u32::from_le_bytes)?;
+    let mem_addr = r.lane(mem_len, u64::from_le_bytes)?;
+    let mem_size = r.take(mem_len)?.to_vec();
+    let br_target = r.lane(br_len, u64::from_le_bytes)?;
     let asid = if flags & FLAG_HAS_ASID != 0 {
         r.take(n)?.to_vec()
     } else {
@@ -584,12 +641,8 @@ pub fn decode_trace(bytes: &[u8]) -> Result<DecodedTrace, StoreError> {
         return Err(StoreError::Malformed("trailing bytes after the lanes"));
     }
 
-    let mut buffer =
-        TraceBuffer::from_lanes(pc, uop, value, meta, mem_addr, mem_size, br_target, asid)
-            .map_err(StoreError::Malformed)?;
-    // Collecting through fallible adapters can over-allocate; keep loaded
-    // footprints exact, as `TraceBuffer::record` does.
-    buffer.shrink_to_fit();
+    let buffer = TraceBuffer::from_lanes(pc, uop, value, meta, mem_addr, mem_size, br_target, asid)
+        .map_err(StoreError::Malformed)?;
     Ok(DecodedTrace {
         fingerprint,
         seed,
@@ -993,6 +1046,79 @@ mod tests {
                 decoded.buffer.replay().collect::<Vec<_>>(),
                 "{name} diverged through the store format"
             );
+        }
+    }
+
+    /// `len` bytes of a fixed, non-repeating-per-word pattern.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(151).wrapping_add(7))
+            .collect()
+    }
+
+    #[test]
+    fn fnv1a_wide_is_pinned_around_the_block_boundary() {
+        // Empty, tail only, one byte short of a block, one block, one block
+        // plus a tail byte, and three blocks plus an 8-byte tail.
+        let pinned: [(usize, u64); 6] = [
+            (0, 0x52fc_c39e_bac1_808d),
+            (1, 0xc500_f0b7_56cd_6a7e),
+            (63, 0x1dbb_250f_7c0d_e68f),
+            (64, 0x98d4_fb51_7f1b_7978),
+            (65, 0xcd60_ca7a_fbaf_df8d),
+            (200, 0x071d_f7d5_7fdf_e213),
+        ];
+        for (len, want) in pinned {
+            assert_eq!(
+                fnv1a_wide(FNV_OFFSET_BASIS, &pattern(len)),
+                want,
+                "fnv1a_wide moved on {len} bytes"
+            );
+        }
+        // The continuation state is folded in, not ignored.
+        assert_ne!(fnv1a_wide(0, &pattern(200)), pinned[5].1);
+    }
+
+    #[test]
+    fn fnv1a_wide_sees_every_single_bit_flip() {
+        // 200 bytes = three 64-byte blocks (every word lane, three times)
+        // plus an 8-byte tail: a flip anywhere must change the checksum.
+        let bytes = pattern(200);
+        let clean = fnv1a_wide(FNV_OFFSET_BASIS, &bytes);
+        let mut flipped = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(
+                fnv1a_wide(FNV_OFFSET_BASIS, &flipped),
+                clean,
+                "flip of bit {bit} went unseen"
+            );
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
+    fn fnv1a_wide_sees_paired_high_bit_flips_in_one_lane() {
+        // Two flips of the same high bit in two words of one lane: a lane
+        // step without the rotation shifts the state by exactly 2^63 for a
+        // top-bit flip, so the second flip would cancel the first. 200 bytes
+        // hold three words per lane; try every pair of them, top byte only.
+        let bytes = pattern(200);
+        let clean = fnv1a_wide(FNV_OFFSET_BASIS, &bytes);
+        for lane in 0..8 {
+            for (a, b) in [(0, 1), (0, 2), (1, 2)] {
+                for bit in 0..8 {
+                    let mut flipped = bytes.clone();
+                    flipped[64 * a + 8 * lane + 7] ^= 1 << bit;
+                    flipped[64 * b + 8 * lane + 7] ^= 1 << bit;
+                    assert_ne!(
+                        fnv1a_wide(FNV_OFFSET_BASIS, &flipped),
+                        clean,
+                        "bit {} of lane {lane}, words {a} and {b}, cancelled",
+                        56 + bit
+                    );
+                }
+            }
         }
     }
 

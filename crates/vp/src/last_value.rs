@@ -85,11 +85,11 @@ impl ValuePredictor for LastValuePredictor {
         let key = inst_key(uop);
         let idx = self.index(key);
         let tag = self.tag(key);
-        let params = self.params.clone();
+        let params = &self.params;
         let e = &mut self.entries[idx];
         if e.valid && e.tag == tag {
             if e.value == actual {
-                e.conf.on_correct(&params, &mut self.rng);
+                e.conf.on_correct(params, &mut self.rng);
             } else {
                 e.conf.on_wrong();
                 e.value = actual;

@@ -110,14 +110,14 @@ impl StrideCore {
         let key = inst_key(uop);
         let idx = self.index(key);
         let tag = self.tag(key);
-        let params = self.params.clone();
+        let params = &self.params;
         let two_delta = self.two_delta;
         let e = &mut self.entries[idx];
         if e.valid && e.tag == tag {
             let delta = actual.wrapping_sub(e.last) as i64;
             let was_correct = internal == Some(actual);
             if was_correct {
-                e.conf.on_correct(&params, &mut self.rng);
+                e.conf.on_correct(params, &mut self.rng);
             } else {
                 e.conf.on_wrong();
             }

@@ -12,7 +12,8 @@ use bebop::{
     TraceStore, UopSource, WorkloadSpec,
 };
 use bebop_trace::{
-    decode_trace, encode_trace, fnv1a, StoreError, TraceKey, FNV_OFFSET_BASIS, TRACE_FORMAT_VERSION,
+    decode_trace, encode_trace, fnv1a, fnv1a_wide, StoreError, TraceKey, FNV_OFFSET_BASIS,
+    TRACE_FORMAT_VERSION,
 };
 use std::fs;
 use std::path::PathBuf;
@@ -170,40 +171,45 @@ fn corrupt_and_stale_files_regenerate_transparently() {
 /// Rewrites the header checksum of a trace file whose header was edited, so
 /// version-downgrade tests exercise the *version* check, not the checksum.
 fn rechecksum(bytes: &mut [u8]) {
-    let sum = fnv1a(fnv1a(FNV_OFFSET_BASIS, &bytes[..56]), &bytes[64..]);
+    let sum = fnv1a_wide(fnv1a(FNV_OFFSET_BASIS, &bytes[..56]), &bytes[64..]);
     bytes[56..64].copy_from_slice(&sum.to_le_bytes());
 }
 
 #[test]
 fn format_v2_files_are_rejected_and_regenerated() {
-    // A valid v3 file downgraded to version 2 (checksum made consistent, so
-    // only the version differs) must be rejected with VersionMismatch — a
-    // v2-era recording has no ASID lane and meta-only wrong-path semantics,
-    // so mis-replaying it silently would corrupt mix experiments — and the
-    // store must delete it and regenerate transparently.
-    assert_eq!(TRACE_FORMAT_VERSION, 3, "update this test on a format bump");
+    // A valid v4 file downgraded to version 2 or 3 (checksum made consistent,
+    // so only the version differs) must be rejected with VersionMismatch —
+    // a v2-era recording has no ASID lane and meta-only wrong-path
+    // semantics, so mis-replaying it silently would corrupt mix experiments,
+    // and a v3 file's byte-serial checksum would read as corruption — and
+    // the store must delete it and regenerate transparently.
+    assert_eq!(TRACE_FORMAT_VERSION, 4, "update this test on a format bump");
     let (dir, store) = tmp_store("v2");
     let spec = WorkloadSpec::named_demo("v2-reject");
     let (original, _) = store.load_or_record(&spec, 2_000);
     let path = store.trace_path(&spec, 2_000);
+    let current = fs::read(&path).unwrap();
 
-    let mut bytes = fs::read(&path).unwrap();
-    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
-    rechecksum(&mut bytes);
-    assert!(
-        matches!(decode_trace(&bytes), Err(StoreError::VersionMismatch(2))),
-        "a checksum-consistent v2 file must fail on the version, not the checksum"
-    );
-    fs::write(&path, &bytes).unwrap();
+    for old in [2u32, 3] {
+        let mut bytes = current.clone();
+        bytes[8..12].copy_from_slice(&old.to_le_bytes());
+        rechecksum(&mut bytes);
+        assert_eq!(
+            decode_trace(&bytes).err(),
+            Some(StoreError::VersionMismatch(old)),
+            "a checksum-consistent v{old} file must fail on the version, not the checksum"
+        );
+        fs::write(&path, &bytes).unwrap();
 
-    assert!(store.load(&spec, 2_000).is_none(), "v2 file must miss");
-    assert!(!path.exists(), "v2 file must be deleted");
-    let (rebuilt, loaded) = store.load_or_record(&spec, 2_000);
-    assert!(!loaded, "regeneration, not a load");
-    assert_eq!(
-        original.replay().collect::<Vec<_>>(),
-        rebuilt.replay().collect::<Vec<_>>()
-    );
+        assert!(store.load(&spec, 2_000).is_none(), "v{old} file must miss");
+        assert!(!path.exists(), "v{old} file must be deleted");
+        let (rebuilt, loaded) = store.load_or_record(&spec, 2_000);
+        assert!(!loaded, "regeneration, not a load");
+        assert_eq!(
+            original.replay().collect::<Vec<_>>(),
+            rebuilt.replay().collect::<Vec<_>>()
+        );
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 
