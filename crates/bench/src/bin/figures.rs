@@ -289,6 +289,9 @@ fn parse_args() -> Options {
         // Slice replay needs a materialised recording to index into.
         fail("--sample replays slices of a recorded trace: it cannot run with --no-trace-cache");
     }
+    if opts.uops == 0 {
+        fail("--uops needs a non-zero µ-op budget");
+    }
     if opts.sample_phases == Some(0) {
         fail("--sample-phases needs at least one phase");
     }

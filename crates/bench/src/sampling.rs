@@ -50,10 +50,13 @@ impl SamplingConfig {
     /// The default geometry for a full-run budget of `uops`: 50 slices of
     /// `uops/50`, up to 8 phases, detailed warm-up of a quarter slice (the
     /// heavy lifting is the functional warming of the whole prefix, which
-    /// does not count against the detailed budget). Worst case the sampled
-    /// simulation costs `8 × (uops/50) × 1.25 = uops/5` detailed committed
-    /// µ-ops per benchmark — the ≤ 1/5 budget contract the acceptance tests
-    /// assert — and typically less (fewer phases, shorter tail slice).
+    /// does not count against the detailed budget). For `uops ≥ 25 000`,
+    /// where the slice is `uops/50`, the sampled simulation costs at worst
+    /// `8 × (uops/50) × 1.25 = uops/5` detailed committed µ-ops per
+    /// benchmark — the ≤ 1/5 budget contract the acceptance tests assert —
+    /// and typically less (fewer phases, shorter tail slice). Below 25 000
+    /// µ-ops the 500-µop slice floor takes over and the bound does not hold:
+    /// up to 8 slices of 500 plus warm-up, i.e. most of a 5 000-µop run.
     pub fn for_budget(uops: u64) -> Self {
         let slice_uops = (uops / 50).max(500).min(uops.max(1));
         SamplingConfig {

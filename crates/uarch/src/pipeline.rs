@@ -38,10 +38,10 @@ use crate::cache::MemoryHierarchy;
 use crate::config::PipelineConfig;
 use crate::resources::{Lane, LanePool, OccupancyRing, NUM_POOL_LANES};
 use crate::stats::{SimStats, MAX_SIM_CONTEXTS};
-use crate::vp_iface::{PredictCtx, SquashCause, SquashInfo, ValuePredictor};
+use crate::vp_iface::{PredictCtx, SquashInfo, ValuePredictor};
 use bebop_isa::{
-    ensure, fetch_block_pc, restore_snapshot, snap, snapshot, DynUop, ExecClass, SeqNum, SeqQueue,
-    Sequenced, StateResult, UopKind, NUM_ARCH_REGS,
+    ensure, fetch_block_pc, restore_snapshot, snap, snapshot, DynUop, SeqNum, SeqQueue, Sequenced,
+    StateResult, UopKind, NUM_ARCH_REGS,
 };
 use std::collections::VecDeque;
 
@@ -114,6 +114,12 @@ struct WrongPathEpisode {
 
 /// The current fetch group being assembled (one cycle's worth of fetch).
 ///
+/// This is the one fetch-bandwidth rule of the model — up to `front_width`
+/// µ-ops per cycle drawn from at most `fetch_blocks_per_cycle` distinct fetch
+/// blocks (the paper fetches two 16-byte blocks per cycle, potentially over
+/// one taken branch) — shared by the detailed front end, the wrong-path
+/// burst and the functional-warming clock.
+///
 /// A new group starts every cycle or redirect — well inside the per-µop hot
 /// loop — so the block list is a fixed inline array, not a `Vec`: the previous
 /// heap-backed version allocated roughly once per simulated cycle.
@@ -137,13 +143,24 @@ impl FetchGroup {
         self.blocks[..self.num_blocks as usize].contains(&block)
     }
 
-    fn push_block(&mut self, block: u64) {
-        // `Pipeline::new` rejects configs with more blocks per cycle than the
-        // inline capacity, so the group is always full before this saturates.
-        if (self.num_blocks as usize) < MAX_FETCH_BLOCKS {
+    /// Whether a µ-op of fetch block `block` still fits this cycle's group:
+    /// below the front-end width, and from a block the group already fetches
+    /// or within the per-cycle block budget.
+    fn admits(&self, block: u64, cfg: &PipelineConfig) -> bool {
+        self.uops < cfg.front_width
+            && (self.contains(block)
+                || (self.num_blocks as usize) < cfg.fetch_blocks_per_cycle as usize)
+    }
+
+    /// Adds one µ-op of fetch block `block` to the group. `Pipeline::new`
+    /// bounds the block budget by the inline capacity, so an admitted µ-op
+    /// always has room.
+    fn add(&mut self, block: u64) {
+        if !self.contains(block) && (self.num_blocks as usize) < MAX_FETCH_BLOCKS {
             self.blocks[self.num_blocks as usize] = block;
             self.num_blocks += 1;
         }
+        self.uops += 1;
     }
 
     /// Rejects a restored block count beyond the group's capacity.
@@ -262,12 +279,17 @@ impl Pipeline {
     ///
     /// # Panics
     ///
-    /// Panics if `fetch_blocks_per_cycle` exceeds the fetch group's inline
-    /// block capacity (`MAX_FETCH_BLOCKS` = 8; the paper fetches two).
+    /// Panics if `front_width` or `commit_width` is zero, or if
+    /// `fetch_blocks_per_cycle` is zero or exceeds the fetch group's inline
+    /// block capacity (`MAX_FETCH_BLOCKS` = 8; the paper fetches two): a
+    /// front end that admits no µ-op, or a commit stage that retires none,
+    /// never makes progress.
     pub fn new(cfg: PipelineConfig) -> Self {
+        assert!(cfg.front_width >= 1, "front_width must be at least 1");
+        assert!(cfg.commit_width >= 1, "commit_width must be at least 1");
         assert!(
-            cfg.fetch_blocks_per_cycle as usize <= MAX_FETCH_BLOCKS,
-            "fetch_blocks_per_cycle {} exceeds the supported maximum {MAX_FETCH_BLOCKS}",
+            (1..=MAX_FETCH_BLOCKS).contains(&(cfg.fetch_blocks_per_cycle as usize)),
+            "fetch_blocks_per_cycle {} is outside the supported range 1..={MAX_FETCH_BLOCKS}",
             cfg.fetch_blocks_per_cycle
         );
         let tage_cfg = TageConfig {
@@ -295,8 +317,7 @@ impl Pipeline {
             .min(cfg.rob_entries)
             .min(cfg.iq_entries)
             .min(cfg.lq_entries)
-            .min(cfg.sq_entries)
-            .max(1);
+            .min(cfg.sq_entries);
         Pipeline {
             bpu: BranchPredictorUnit::new(tage_cfg, cfg.btb_entries, cfg.ras_entries),
             mem: MemoryHierarchy::new(cfg.mem),
@@ -452,24 +473,21 @@ impl Pipeline {
         P: ValuePredictor + ?Sized,
     {
         let cfg_vp = self.cfg.value_prediction;
-        let commit_step = 1.0 / f64::from(self.cfg.commit_width.max(1));
+        let commit_step = 1.0 / f64::from(self.cfg.commit_width);
         let depth_cycles = self.cfg.fetch_to_commit as f64;
         let front_depth = self.cfg.front_depth as f64;
         let l1d_lat = self.cfg.mem.l1d_lat;
-        let front_width = self.cfg.front_width.max(1);
-        let blocks_per_cycle = (self.cfg.fetch_blocks_per_cycle as usize).max(1);
-        // Virtual fetch clock (cycles) with the detailed model's fetch-group
-        // shape: up to `front_width` µ-ops per cycle from at most
-        // `fetch_blocks_per_cycle` distinct blocks. Fetch is *decoupled* from
-        // commit (exactly as in [`Pipeline::fetch`]): in miss-heavy regions
-        // the in-order commit frontier runs far ahead of the fetch clock, so
-        // deferred trainings mature with the same very long lag the detailed
-        // model exhibits — the property confidence-gated predictors are most
-        // sensitive to. Only a squash redirect re-synchronises the two.
+        // Virtual fetch clock (cycles), advanced by the detailed model's
+        // fetch-group rule ([`FetchGroup::admits`]) on a group of its own:
+        // `self.group` is the detailed clock the hand-off below rebases on.
+        // Fetch is *decoupled* from commit (exactly as in
+        // [`Pipeline::fetch`]): in miss-heavy regions the in-order commit
+        // frontier runs far ahead of the fetch clock, so deferred trainings
+        // mature with the same very long lag the detailed model exhibits —
+        // the property confidence-gated predictors are most sensitive to.
+        // Only a squash redirect re-synchronises the two.
         let mut vnow = 0.0f64;
-        let mut group_uops: u8 = 0;
-        let mut group_blocks: [u64; MAX_FETCH_BLOCKS] = [0; MAX_FETCH_BLOCKS];
-        let mut group_len: usize = 0;
+        let mut group = FetchGroup::default();
         let mut last_commit = 0.0f64;
         // Out-of-order execution overlaps long-latency misses; serialising
         // them would run the virtual commit frontier ~3x ahead of the real
@@ -491,7 +509,7 @@ impl Pipeline {
         // resolve — to within a ROB-span of the commit frontier, which is
         // exactly how the detailed model's rare branch redirects still keep
         // training maturation within a bounded lag of commit.
-        let rob_entries = self.cfg.rob_entries.max(1);
+        let rob_entries = self.cfg.rob_entries;
         let mut rob_ring: VecDeque<f64> = VecDeque::new();
         let mut pending: VecDeque<(DynUop, Option<u64>, f64)> = VecDeque::new();
         let mut committed = 0u64;
@@ -507,19 +525,11 @@ impl Pipeline {
 
             // ---- Virtual fetch --------------------------------------------
             let block_pc = fetch_block_pc(uop.pc, self.cfg.fetch_block_bytes);
-            let known_block = group_blocks[..group_len].contains(&block_pc);
-            if group_uops >= front_width
-                || (!known_block && group_len >= blocks_per_cycle.min(MAX_FETCH_BLOCKS))
-            {
+            if !group.admits(block_pc, &self.cfg) {
                 vnow += 1.0;
-                group_uops = 0;
-                group_len = 0;
+                group = FetchGroup::default();
             }
-            if !group_blocks[..group_len].contains(&block_pc) && group_len < MAX_FETCH_BLOCKS {
-                group_blocks[group_len] = block_pc;
-                group_len += 1;
-            }
-            group_uops += 1;
+            group.add(block_pc);
 
             // Deliver trainings whose µ-ops retired before this fetch: their
             // values are architecturally visible to the predictor from now on.
@@ -531,29 +541,19 @@ impl Pipeline {
 
             // Branch prediction: updates TAGE tables and the global/path
             // history the value predictor's context is derived from.
-            let mut branch_mispredicted = false;
-            if let Some(info) = uop.branch {
-                branch_mispredicted =
-                    self.bpu
-                        .predict_and_update(uop.pc, uop.fallthrough_pc(), info);
-            }
+            let branch_mispredicted = uop.branch.is_some_and(|info| {
+                self.bpu
+                    .predict_and_update(uop.pc, uop.fallthrough_pc(), info)
+            });
 
             // Value prediction: the same predict / deferred-train / squash
             // sequence the detailed commit path runs, minus the statistics.
-            let new_block = self.last_block_pc != Some(block_pc);
-            self.last_block_pc = Some(block_pc);
-            let mut predicted: Option<u64> = None;
-            if cfg_vp && uop.vp_eligible() {
-                let ctx = PredictCtx {
-                    seq: uop.seq,
-                    fetch_block_pc: block_pc,
-                    new_fetch_block: new_block,
-                    global_history: self.bpu.global_history(),
-                    path_history: self.bpu.path_history(),
-                    asid: uop.asid,
-                };
-                predicted = predictor.predict(&ctx, &uop);
-            }
+            let ctx = self.predict_ctx(&uop);
+            let predicted = if cfg_vp && uop.vp_eligible() {
+                predictor.predict(&ctx, &uop)
+            } else {
+                None
+            };
             let free_imm = self.cfg.free_load_immediates && uop.uop.kind() == UopKind::LoadImm;
 
             // ---- Virtual dataflow timing ----------------------------------
@@ -571,35 +571,18 @@ impl Pipeline {
                 .srcs()
                 .map(|r| reg_done[r.raw() as usize])
                 .fold(dispatch, f64::max);
-            let kind = uop.uop.kind();
-            let complete = if kind == UopKind::Load {
-                let addr = uop.mem.map(|m| m.addr).unwrap_or(0);
-                let lat = self.mem.access(uop.pc, addr);
-                let mut start = ready + 1.0;
-                if lat > l1d_lat {
-                    if mshr.len() >= WARM_MLP {
-                        // INVARIANT: len() >= WARM_MLP > 0, so the deque is
-                        // non-empty and pop_front returns Some.
-                        start = start.max(mshr.pop_front().expect("non-empty"));
-                    }
-                    let c = start + lat as f64;
-                    mshr.push_back(c);
-                    c
-                } else {
-                    start + lat as f64
-                }
-            } else {
-                let lat = match kind {
-                    UopKind::Mul => f64::from(self.cfg.fu.mul_lat),
-                    UopKind::Div => f64::from(self.cfg.fu.div_lat),
-                    UopKind::FpAdd => f64::from(self.cfg.fu.fp_lat),
-                    UopKind::FpMul => f64::from(self.cfg.fu.fpmul_lat),
-                    UopKind::FpDiv => f64::from(self.cfg.fu.fpdiv_lat),
-                    UopKind::Store => 1.0,
-                    _ => f64::from(self.cfg.fu.alu_lat),
-                };
-                ready + 1.0 + lat
-            };
+            let lat = self.exec_latency(&uop);
+            let beyond_l1 = uop.uop.kind() == UopKind::Load && lat > l1d_lat;
+            let mut start = ready + 1.0;
+            if beyond_l1 && mshr.len() >= WARM_MLP {
+                // INVARIANT: len() >= WARM_MLP > 0, so the deque is non-empty
+                // and pop_front returns Some.
+                start = start.max(mshr.pop_front().expect("non-empty"));
+            }
+            let complete = start + lat as f64;
+            if beyond_l1 {
+                mshr.push_back(complete);
+            }
             // In-order commit: no earlier than the previous µ-op, no faster
             // than the commit width, no shallower than the pipeline depth,
             // and not before this µ-op's own completion.
@@ -619,27 +602,11 @@ impl Pipeline {
                 };
             }
             if branch_mispredicted && cfg_vp {
-                predictor.squash(&SquashInfo {
-                    flush_seq: uop.seq,
-                    flush_pc: uop.pc,
-                    next_pc: uop.next_pc(),
-                    cause: SquashCause::BranchMispredict,
-                    asid: uop.asid,
-                });
+                predictor.squash(&SquashInfo::branch(&uop));
             }
             let value_mispredicted = predicted.map(|v| v != uop.value).unwrap_or(false);
             if value_mispredicted {
-                predictor.squash(&SquashInfo {
-                    flush_seq: uop.seq,
-                    flush_pc: uop.pc,
-                    next_pc: if uop.is_last_uop() {
-                        uop.next_pc()
-                    } else {
-                        uop.pc
-                    },
-                    cause: SquashCause::ValueMispredict,
-                    asid: uop.asid,
-                });
+                predictor.squash(&SquashInfo::value(&uop));
             }
             // A squash redirects fetch to the offender's resolve point. The
             // two causes resolve at very different times, and the detailed
@@ -652,13 +619,11 @@ impl Pipeline {
             // training on the next fetch's drain.
             if branch_mispredicted {
                 vnow = vnow.max(complete + 1.0);
-                group_uops = 0;
-                group_len = 0;
+                group = FetchGroup::default();
             }
             if value_mispredicted {
                 vnow = vnow.max(commit_at + 1.0);
-                group_uops = 0;
-                group_len = 0;
+                group = FetchGroup::default();
             }
             if cfg_vp && uop.vp_eligible() {
                 pending.push_back((uop, predicted, commit_at));
@@ -710,27 +675,53 @@ impl Pipeline {
         self.stats
     }
 
-    /// Returns whether fetching `uop` would start a new fetch group — the
-    /// group-boundary predicate of [`Pipeline::fetch`], side-effect free.
-    fn fetch_breaks_group(&self, uop: &DynUop) -> bool {
-        if self.fetch_resume > self.group.cycle {
-            return true;
+    /// Advances the fetch-block tracker past `uop` and returns the value
+    /// predictor's context for it: its fetch block, whether that block
+    /// differs from the previous µ-op's, and the branch histories as they
+    /// stand after every older branch.
+    fn predict_ctx(&mut self, uop: &DynUop) -> PredictCtx {
+        let block_pc = fetch_block_pc(uop.pc, self.cfg.fetch_block_bytes);
+        let new_fetch_block = self.last_block_pc != Some(block_pc);
+        self.last_block_pc = Some(block_pc);
+        PredictCtx {
+            seq: uop.seq,
+            fetch_block_pc: block_pc,
+            new_fetch_block,
+            global_history: self.bpu.global_history(),
+            path_history: self.bpu.path_history(),
+            asid: uop.asid,
         }
-        let block = fetch_block_pc(uop.pc, self.cfg.fetch_block_bytes);
-        let fits_width = self.group.uops < self.cfg.front_width;
-        let known_block = self.group.contains(block);
-        let fits_blocks = known_block
-            || (self.group.num_blocks as usize) < self.cfg.fetch_blocks_per_cycle as usize;
-        !(fits_width && fits_blocks)
+    }
+
+    /// The execute latency of `uop` in cycles. A load walks the cache
+    /// hierarchy (and trains its prefetchers), so the detailed and warming
+    /// paths each call this once per correct-path µ-op, in program order.
+    fn exec_latency(&mut self, uop: &DynUop) -> u64 {
+        let fu = &self.cfg.fu;
+        match uop.uop.kind() {
+            UopKind::Alu | UopKind::LoadImm | UopKind::Nop | UopKind::Branch => {
+                u64::from(fu.alu_lat)
+            }
+            UopKind::Mul => u64::from(fu.mul_lat),
+            UopKind::Div => u64::from(fu.div_lat),
+            UopKind::FpAdd => u64::from(fu.fp_lat),
+            UopKind::FpMul => u64::from(fu.fpmul_lat),
+            UopKind::FpDiv => u64::from(fu.fpdiv_lat),
+            UopKind::Load => {
+                let addr = uop.mem.map(|m| m.addr).unwrap_or(0);
+                self.mem.access(uop.pc, addr)
+            }
+            UopKind::Store => 1,
+        }
     }
 
     /// Runs the front end for one committed (correct-path) µ-op — fetch,
     /// branch prediction, value-predictor probe — and accumulates it into the
     /// current fetch-group batch. The batch is flushed *before* this µ-op
-    /// when it starts a new group (or context), and *after* it when it
-    /// mispredicts: the redirect must update `fetch_resume` before the next
-    /// µ-op's group-boundary check, which is exactly why group formation
-    /// lives here and not in [`Pipeline::flush_batch`].
+    /// joins it when the µ-op starts a new group (or context), and *after*
+    /// it when it mispredicts: the redirect must update `fetch_resume` before
+    /// the next µ-op fetches, which is exactly why group formation lives here
+    /// and not in [`Pipeline::flush_batch`].
     fn enqueue<P: ValuePredictor + ?Sized>(&mut self, uop: &DynUop, predictor: &mut P) {
         // A wrong-path episode ends at the first correct-path µ-op: the
         // mispredicted branch has resolved, and the squash — deferred so the
@@ -756,10 +747,15 @@ impl Pipeline {
         }
 
         // ---- Fetch -------------------------------------------------------------
-        if !self.batch.is_empty() && self.fetch_breaks_group(uop) {
+        // A new group always starts in a later cycle, so a changed fetch
+        // cycle closes the batch. Flushing it after this fetch is exact:
+        // fetch moves only `self.group`, which the back end never reads, and
+        // a batch still open here holds no mispredicting µ-op, so its flush
+        // leaves `fetch_resume` alone.
+        let fetch_cycle = self.fetch(uop);
+        if fetch_cycle != self.batch.fetch_cycle {
             self.flush_batch(predictor);
         }
-        let fetch_cycle = self.fetch(uop);
         if self.batch.is_empty() {
             self.batch.fetch_cycle = fetch_cycle;
             // Release predictor updates for µ-ops that retired before this
@@ -778,31 +774,19 @@ impl Pipeline {
         debug_assert_eq!(fetch_cycle, self.batch.fetch_cycle);
 
         // ---- Branch prediction ---------------------------------------------------
-        let mut branch_mispredicted = false;
-        if let Some(info) = uop.branch {
-            branch_mispredicted = self
-                .bpu
-                .predict_and_update(uop.pc, uop.fallthrough_pc(), info);
-        }
+        let branch_mispredicted = uop.branch.is_some_and(|info| {
+            self.bpu
+                .predict_and_update(uop.pc, uop.fallthrough_pc(), info)
+        });
 
         // ---- Value prediction ----------------------------------------------------
         let ctx_slot = SimStats::context_slot(uop.asid);
-        let block_pc = fetch_block_pc(uop.pc, self.cfg.fetch_block_bytes);
-        let new_block = self.last_block_pc != Some(block_pc);
-        self.last_block_pc = Some(block_pc);
+        let ctx = self.predict_ctx(uop);
 
         let mut predicted: Option<u64> = None;
         if self.cfg.value_prediction && uop.vp_eligible() {
             self.stats.vp.eligible += 1;
             self.stats.contexts[ctx_slot].vp.eligible += 1;
-            let ctx = PredictCtx {
-                seq: uop.seq,
-                fetch_block_pc: block_pc,
-                new_fetch_block: new_block,
-                global_history: self.bpu.global_history(),
-                path_history: self.bpu.path_history(),
-                asid: uop.asid,
-            };
             predicted = predictor.predict(&ctx, uop);
             if predicted.is_some() {
                 self.stats.vp.predicted += 1;
@@ -854,21 +838,7 @@ impl Pipeline {
         self.batch.lat.clear();
         for i in 0..n {
             let uop = self.batch.uops[i];
-            let lat = match uop.uop.kind() {
-                UopKind::Alu | UopKind::LoadImm | UopKind::Nop | UopKind::Branch => {
-                    u64::from(self.cfg.fu.alu_lat)
-                }
-                UopKind::Mul => u64::from(self.cfg.fu.mul_lat),
-                UopKind::Div => u64::from(self.cfg.fu.div_lat),
-                UopKind::FpAdd => u64::from(self.cfg.fu.fp_lat),
-                UopKind::FpMul => u64::from(self.cfg.fu.fpmul_lat),
-                UopKind::FpDiv => u64::from(self.cfg.fu.fpdiv_lat),
-                UopKind::Load => {
-                    let addr = uop.mem.map(|m| m.addr).unwrap_or(0);
-                    self.mem.access(uop.pc, addr)
-                }
-                UopKind::Store => 1,
-            };
+            let lat = self.exec_latency(&uop);
             self.batch.lat.push(lat);
         }
 
@@ -985,14 +955,7 @@ impl Pipeline {
                     (c, dispatch_cycle)
                 }
                 ExecMode::OutOfOrder => {
-                    let fu_lane = match kind.exec_class() {
-                        ExecClass::Alu => Lane::Alu,
-                        ExecClass::MulDiv => Lane::MulDiv,
-                        ExecClass::Fp => Lane::Fp,
-                        ExecClass::FpMulDiv => Lane::FpMulDiv,
-                        ExecClass::Load => Lane::Load,
-                        ExecClass::Store => Lane::Store,
-                    };
+                    let fu_lane = Lane::for_class(kind.exec_class());
                     let fu_cycle = self.pool.allocate(fu_lane, ready_cycle + 1);
                     let issue_cycle = self.pool.allocate(Lane::Issue, fu_cycle);
                     (issue_cycle, issue_cycle + self.batch.lat[i])
@@ -1048,13 +1011,7 @@ impl Pipeline {
                 self.stats.branch_flushes += 1;
                 self.stats.contexts[ctx_slot].branch_flushes += 1;
                 self.fetch_resume = self.fetch_resume.max(complete_cycle + 1);
-                let info = SquashInfo {
-                    flush_seq: uop.seq,
-                    flush_pc: uop.pc,
-                    next_pc: uop.next_pc(),
-                    cause: SquashCause::BranchMispredict,
-                    asid: uop.asid,
-                };
+                let info = SquashInfo::branch(&uop);
                 if self.cfg.wrong_path.is_some() {
                     // Wrong-path mode: the burst following this branch in the
                     // stream is fetched until the branch resolves, and the squash
@@ -1083,17 +1040,7 @@ impl Pipeline {
                 self.stats.contexts[ctx_slot].vp_flushes += 1;
                 self.stats.contexts[ctx_slot].vp.incorrect += 1;
                 self.fetch_resume = self.fetch_resume.max(commit_cycle + 1);
-                predictor.squash(&SquashInfo {
-                    flush_seq: uop.seq,
-                    flush_pc: uop.pc,
-                    next_pc: if uop.is_last_uop() {
-                        uop.next_pc()
-                    } else {
-                        uop.pc
-                    },
-                    cause: SquashCause::ValueMispredict,
-                    asid: uop.asid,
-                });
+                predictor.squash(&SquashInfo::value(&uop));
             } else if predicted_used {
                 self.stats.vp.correct += 1;
                 self.stats.contexts[ctx_slot].vp.correct += 1;
@@ -1208,17 +1155,7 @@ impl Pipeline {
         // last-value chains, the BeBoP speculative window) until the squash.
         let mut predicted: Option<u64> = None;
         if self.cfg.value_prediction && uop.vp_eligible() {
-            let block_pc = fetch_block_pc(uop.pc, self.cfg.fetch_block_bytes);
-            let new_block = self.last_block_pc != Some(block_pc);
-            self.last_block_pc = Some(block_pc);
-            let ctx = PredictCtx {
-                seq: uop.seq,
-                fetch_block_pc: block_pc,
-                new_fetch_block: new_block,
-                global_history: self.bpu.global_history(),
-                path_history: self.bpu.path_history(),
-                asid: uop.asid,
-            };
+            let ctx = self.predict_ctx(uop);
             predicted = predictor.predict(&ctx, uop);
             if predicted.is_some() {
                 self.stats.wrong_path.vp_predictions += 1;
@@ -1235,15 +1172,9 @@ impl Pipeline {
         let dispatch_cycle = fetch_cycle + self.cfg.front_depth;
         if dispatch_cycle < wp.resolve {
             let kind = uop.uop.kind();
-            let fu_lane = match kind.exec_class() {
-                ExecClass::Alu => Lane::Alu,
-                ExecClass::MulDiv => Lane::MulDiv,
-                ExecClass::Fp => Lane::Fp,
-                ExecClass::FpMulDiv => Lane::FpMulDiv,
-                ExecClass::Load => Lane::Load,
-                ExecClass::Store => Lane::Store,
-            };
-            let fu_cycle = self.pool.allocate(fu_lane, dispatch_cycle + 1);
+            let fu_cycle = self
+                .pool
+                .allocate(Lane::for_class(kind.exec_class()), dispatch_cycle + 1);
             self.pool.allocate(Lane::Issue, fu_cycle);
             if kind == UopKind::Load {
                 // Wrong-path loads go through the real hierarchy: they can
@@ -1271,58 +1202,36 @@ impl Pipeline {
         }
     }
 
-    /// Assigns a fetch cycle to a wrong-path µ-op, using the same fetch-group
-    /// bandwidth rules as [`Pipeline::fetch`] but continuing *past* the
+    /// Assigns a fetch cycle to a wrong-path µ-op under the same
+    /// [`FetchGroup`] rule as [`Pipeline::fetch`], but continuing *past* the
     /// redirect (the wrong path is exactly what the front end fetches before
     /// the resume point) and stopping at the branch's resolve cycle. Returns
     /// `None` when the µ-op would be fetched after the resolve — it is then
     /// never fetched at all.
     fn fetch_wrong_path(&mut self, uop: &DynUop, resolve: u64) -> Option<u64> {
         let block = fetch_block_pc(uop.pc, self.cfg.fetch_block_bytes);
-        let fits_width = self.group.uops < self.cfg.front_width;
-        let known_block = self.group.contains(block);
-        let fits_blocks = known_block
-            || (self.group.num_blocks as usize) < self.cfg.fetch_blocks_per_cycle as usize;
-        let mut cycle = self.group.cycle;
-        if !(fits_width && fits_blocks) {
-            cycle += 1;
-        }
+        let cycle = self.group.cycle + u64::from(!self.group.admits(block, &self.cfg));
         if cycle > resolve {
             return None;
         }
         if cycle != self.group.cycle {
             self.group = FetchGroup::at_cycle(cycle);
         }
-        if !self.group.contains(block) {
-            self.group.push_block(block);
-        }
-        self.group.uops += 1;
+        self.group.add(block);
         Some(cycle)
     }
 
-    /// Assigns a fetch cycle to `uop`, modelling fetch-block grouping: up to
-    /// `front_width` µ-ops per cycle drawn from at most `fetch_blocks_per_cycle`
-    /// distinct fetch blocks (the paper fetches two 16-byte blocks per cycle,
-    /// potentially over one taken branch).
+    /// Assigns a fetch cycle to `uop` under the [`FetchGroup`] rule.
     fn fetch(&mut self, uop: &DynUop) -> u64 {
         let block = fetch_block_pc(uop.pc, self.cfg.fetch_block_bytes);
-
         // A redirect forces a new group at the resume cycle.
         if self.fetch_resume > self.group.cycle {
             self.group = FetchGroup::at_cycle(self.fetch_resume);
         }
-
-        let fits_width = self.group.uops < self.cfg.front_width;
-        let known_block = self.group.contains(block);
-        let fits_blocks = known_block
-            || (self.group.num_blocks as usize) < self.cfg.fetch_blocks_per_cycle as usize;
-        if !(fits_width && fits_blocks) {
+        if !self.group.admits(block, &self.cfg) {
             self.group = FetchGroup::at_cycle(self.group.cycle + 1);
         }
-        if !self.group.contains(block) {
-            self.group.push_block(block);
-        }
-        self.group.uops += 1;
+        self.group.add(block);
         self.group.cycle
     }
 
@@ -1443,6 +1352,58 @@ mod tests {
         pred: &mut dyn ValuePredictor,
     ) -> SimStats {
         Pipeline::new(cfg).run(TraceGenerator::new(spec), pred, n)
+    }
+
+    #[test]
+    #[should_panic(expected = "front_width")]
+    fn new_rejects_zero_front_width() {
+        let mut cfg = PipelineConfig::baseline_6_60();
+        cfg.front_width = 0;
+        Pipeline::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "fetch_blocks_per_cycle")]
+    fn new_rejects_zero_fetch_blocks_per_cycle() {
+        let mut cfg = PipelineConfig::baseline_6_60();
+        cfg.fetch_blocks_per_cycle = 0;
+        Pipeline::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "commit_width")]
+    fn new_rejects_zero_commit_width() {
+        let mut cfg = PipelineConfig::baseline_6_60();
+        cfg.commit_width = 0;
+        Pipeline::new(cfg);
+    }
+
+    #[test]
+    fn fetch_group_caps_width_and_distinct_blocks() {
+        let mut cfg = PipelineConfig::baseline_6_60();
+        cfg.front_width = 4;
+        cfg.fetch_blocks_per_cycle = 2;
+
+        // Block cap: two distinct blocks fill the budget; a third is refused
+        // while a µ-op of a block already in the group is still admitted.
+        let mut g = FetchGroup::at_cycle(7);
+        assert!(g.admits(0x100, &cfg));
+        g.add(0x100);
+        assert!(g.admits(0x110, &cfg));
+        g.add(0x110);
+        assert!(!g.admits(0x120, &cfg), "a third block exceeds the budget");
+        assert!(g.admits(0x100, &cfg), "a known block is past the block cap");
+        g.add(0x100);
+
+        // Width cap: the fourth µ-op fills the group, even from a known block.
+        g.add(0x110);
+        assert!(!g.admits(0x100, &cfg), "a full group admits nothing");
+        assert_eq!((g.cycle, g.uops, g.num_blocks), (7, 4, 2));
+
+        // A fresh group (the next cycle, or a redirect) admits again.
+        let g = FetchGroup::at_cycle(g.cycle + 1);
+        assert!(g.admits(0x120, &cfg));
+        assert_eq!((g.cycle, g.uops, g.num_blocks), (8, 0, 0));
     }
 
     #[test]

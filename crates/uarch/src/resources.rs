@@ -15,7 +15,7 @@
 //! exact sparse overflow, and restore rejects payloads claiming absurd
 //! horizons.
 
-use bebop_isa::{ensure, snap, Snap, StateReader, StateResult, StateWriter};
+use bebop_isa::{ensure, snap, ExecClass, Snap, StateReader, StateResult, StateWriter};
 use std::collections::BTreeMap;
 
 /// Upper bound on the cycle span of a pool's *dense* window. Allocations
@@ -79,6 +79,18 @@ impl Lane {
         Lane::Late,
         Lane::Commit,
     ];
+
+    /// The functional-unit lane that executes µ-ops of `class`.
+    pub fn for_class(class: ExecClass) -> Lane {
+        match class {
+            ExecClass::Alu => Lane::Alu,
+            ExecClass::MulDiv => Lane::MulDiv,
+            ExecClass::Fp => Lane::Fp,
+            ExecClass::FpMulDiv => Lane::FpMulDiv,
+            ExecClass::Load => Lane::Load,
+            ExecClass::Store => Lane::Store,
+        }
+    }
 
     /// Diagnostic name used in simcheck/panic messages.
     pub fn name(self) -> &'static str {

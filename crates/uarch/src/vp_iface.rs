@@ -63,6 +63,37 @@ pub struct SquashInfo {
     pub asid: u8,
 }
 
+impl SquashInfo {
+    /// The squash of a mispredicted branch `uop`: everything younger is
+    /// flushed and fetch resumes at the branch's actual successor.
+    pub fn branch(uop: &DynUop) -> Self {
+        SquashInfo {
+            flush_seq: uop.seq,
+            flush_pc: uop.pc,
+            next_pc: uop.next_pc(),
+            cause: SquashCause::BranchMispredict,
+            asid: uop.asid,
+        }
+    }
+
+    /// The squash of a value-mispredicted `uop`, detected by validation at
+    /// commit: everything younger is flushed, so fetch refetches the µ-op's
+    /// own instruction (its remaining µ-ops) unless `uop` is its last µ-op.
+    pub fn value(uop: &DynUop) -> Self {
+        SquashInfo {
+            flush_seq: uop.seq,
+            flush_pc: uop.pc,
+            next_pc: if uop.is_last_uop() {
+                uop.next_pc()
+            } else {
+                uop.pc
+            },
+            cause: SquashCause::ValueMispredict,
+            asid: uop.asid,
+        }
+    }
+}
+
 snap_enum!(SquashCause {
     BranchMispredict = 0,
     ValueMispredict = 1,

@@ -4,8 +4,8 @@
 //! `bebop-trace` and `bebop-uarch` as libraries, so a changed signature there
 //! breaks only its own build, which `cargo test` never compiles. The first
 //! test coerces every item it calls to its exact signature, turning such a
-//! break into a compile error here. The second pins the exit-status contract
-//! of the `perf_gate` binary that CI drives.
+//! break into a compile error here. The others pin the exit-status contract
+//! of the `perf_gate` and `figures` binaries that CI drives.
 
 use bebop::{
     run_fingerprint, run_slice, run_source, run_source_resumable, AnyPredictor, PipelineConfig,
@@ -127,4 +127,29 @@ fn perf_gate_rejects_malformed_tolerances_with_exit_2() {
         }
     }
     let _ = std::fs::remove_file(report);
+}
+
+/// `figures` promises exit 2 on unusable flags: a value that does not parse,
+/// a zero budget or phase count, or an unknown experiment is a usage error
+/// that names the flag, not a panic (101) and not a run that prints zeros.
+#[test]
+fn figures_rejects_unusable_flags_with_exit_2() {
+    let cases: [(&[&str], &str); 4] = [
+        (&["--sample", "--subset", "--uops", "0"], "--uops"),
+        (&["--fig5b", "--subset", "--uops", "abc"], "--uops"),
+        (
+            &["--sample", "--subset", "--sample-phases", "0"],
+            "--sample-phases",
+        ),
+        (&["--fig9"], "fig9"),
+    ];
+    for (args, flag) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args(args)
+            .output()
+            .expect("run figures");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+    }
 }
