@@ -19,13 +19,19 @@
 //! front (~6–7 MiB per 200K-µop trace; `--no-trace-cache` streams
 //! everything), and every (config, workload) simulation replays the shared
 //! recording — so a config sweep pays trace generation once, not once per
-//! configuration. With `--trace-dir <path>` the
-//! recordings are additionally persisted to a versioned, checksummed on-disk
-//! store, so a *second* invocation (or a CI job restoring the directory from a
-//! cache) loads every trace from disk and generates zero µ-ops;
-//! `--trace-dir-mb` bounds the directory with an LRU eviction sweep. Simulations are fanned out
-//! across all cores by default; `--serial` forces one thread (the figure output
-//! is bit-identical either way), and `--json <path>` writes per-experiment
+//! configuration. The simulating experiments are the `SweepRequest`s of
+//! `bebop_bench::experiments`, resolved in print order through one
+//! `JobTable`: a (workload, pipeline, predictor) cell an earlier experiment
+//! simulated is reused, so `--all` simulates each distinct cell once (the
+//! `--json` report counts the reused cells as `figures_jobs_reused`).
+//!
+//! With `--trace-dir <path>` the recordings are additionally persisted to a
+//! versioned, checksummed on-disk store, so a *second* invocation (or a CI job
+//! restoring the directory from a cache) loads every trace from disk and
+//! generates zero µ-ops; `--trace-dir-mb` bounds the directory with an LRU
+//! eviction sweep. Simulations are fanned out across all cores by default;
+//! `--serial` forces one thread (the figure output is bit-identical either
+//! way), and `--json <path>` writes per-experiment
 //! wall-clock and µops/sec so perf regressions are visible across commits (the
 //! `perf_gate` binary turns that diff into a CI failure).
 //!
@@ -298,6 +304,14 @@ fn parse_args() -> Options {
     if opts.sample_slice_uops == Some(0) {
         fail("--sample-slice-uops needs a non-zero slice length");
     }
+    if opts.sweep_cells == Some(0) {
+        fail("--sweep-cells needs at least one cell");
+    }
+    if opts.cell_timeout_ms == Some(0) {
+        // A zero budget cancels any cell the watchdog's first scans catch
+        // between two heartbeats, so quarantine would follow host scheduling.
+        fail("--cell-timeout needs a non-zero budget in milliseconds");
+    }
     if !opts.fault_stall_jobs.is_empty() && opts.cell_timeout_ms.is_none() {
         // A stalled cell only exits through the watchdog's cancellation; a
         // stall without a watchdog is a deliberate hang, not a test.
@@ -326,17 +340,6 @@ fn wants(opts: &Options, name: &str) -> bool {
         return opts.which.iter().any(|w| w == name);
     }
     opts.which.iter().any(|w| w == "all" || w == name)
-}
-
-fn print_grouped(title: &str, groups: &[(String, Vec<bebop::BenchResult>)], per_bench: bool) {
-    println!("\n=== {title} ===");
-    for (label, results) in groups {
-        let summary = SpeedupSummary::from_results(results);
-        println!("{}", format_summary(label, &summary));
-        if per_bench {
-            print!("{}", format_per_bench(results));
-        }
-    }
 }
 
 /// Runs `f`, printing nothing itself; records wall-clock and the simulated µ-op
@@ -375,10 +378,8 @@ fn main() {
     // buffers. The recording cost shows up as its own perf-report entry so the
     // µops/sec trajectory stays honest. Runs that only print static tables
     // (table1/table3) skip recording entirely.
-    const SIMULATING: [&str; 9] = [
-        "table2", "fig5a", "fig5b", "fig6a", "fig6b", "strides", "fig7a", "fig7b", "fig8",
-    ];
-    let needs_traces = SIMULATING.iter().any(|e| wants(&opts, e));
+    let experiments = experiments(&specs, uops);
+    let needs_traces = experiments.iter().any(|e| wants(&opts, e.name));
     let store = opts.trace_dir.as_ref().map(|dir| {
         let mut st = bebop_bench::TraceStore::open(dir).unwrap_or_else(|e| {
             eprintln!("[figures] --trace-dir {dir}: cannot open trace store: {e}");
@@ -457,117 +458,48 @@ fn main() {
         println!("{c:#?}");
     }
 
-    if wants(&opts, "table2") {
-        timed(&mut report, "table2", || {
-            let rows = run_table2(&set, uops);
-            println!("\n=== Table II: baseline IPC per benchmark (Baseline_6_60) ===");
-            for (name, ipc) in rows {
-                println!("    {name:<18} {ipc:.3}");
+    // Every simulating experiment resolves through one job table: a cell an
+    // earlier experiment simulated is reused, so each experiment's perf row
+    // counts only the simulations it ran first.
+    let mut table = JobTable::new(&set, uops);
+    for exp in &experiments {
+        if exp.name == "fig8" && wants(&opts, "table3") {
+            // Table III precedes Figure 8, as in the paper.
+            println!("\n=== Table III: final predictor configurations ===");
+            println!(
+                "    paper:   Small_4p 17.26 KB, Small_6p 17.18 KB, Medium 32.76 KB, Large 61.65 KB"
+            );
+            for (name, kb) in run_table3() {
+                println!("    modelled {name:<9} {kb:.2} KB");
             }
-            set.len() as u64 * uops
-        });
-    }
-
-    if wants(&opts, "fig5a") {
-        timed(&mut report, "fig5a", || {
-            let out = run_fig5a(&set, uops);
-            print_grouped(
-                "Figure 5a: value predictors over Baseline_6_60 (idealistic infrastructure)",
-                &out.groups,
-                true,
-            );
-            out.simulated_uops
-        });
-    }
-
-    if wants(&opts, "fig5b") {
-        timed(&mut report, "fig5b", || {
-            let out = run_fig5b(&set, uops);
-            print_grouped(
-                "Figure 5b: EOLE_4_60 (D-VTAGE) over Baseline_VP_6_60",
-                &out.groups,
-                true,
-            );
-            out.simulated_uops
-        });
-    }
-
-    if wants(&opts, "fig6a") {
-        timed(&mut report, "fig6a", || {
-            let out = run_fig6a(&set, uops);
-            print_grouped(
-                "Figure 6a: predictions per entry (BeBoP D-VTAGE) over EOLE_4_60",
-                &out.groups,
-                false,
-            );
-            out.simulated_uops
-        });
-    }
-
-    if wants(&opts, "fig6b") {
-        timed(&mut report, "fig6b", || {
-            let out = run_fig6b(&set, uops);
-            print_grouped(
-                "Figure 6b: base/tagged component sizes (Npred=6) over EOLE_4_60",
-                &out.groups,
-                false,
-            );
-            out.simulated_uops
-        });
-    }
-
-    if wants(&opts, "strides") {
-        timed(&mut report, "strides", || {
-            let out = run_strides(&set, uops);
-            print_grouped("Section VI-B(a): partial strides", &out.groups, false);
-            out.simulated_uops
-        });
-    }
-
-    if wants(&opts, "fig7a") {
-        timed(&mut report, "fig7a", || {
-            let out = run_fig7a(&set, uops);
-            print_grouped(
-                "Figure 7a: speculative window recovery policies over EOLE_4_60",
-                &out.groups,
-                false,
-            );
-            out.simulated_uops
-        });
-    }
-
-    if wants(&opts, "fig7b") {
-        timed(&mut report, "fig7b", || {
-            let out = run_fig7b(&set, uops);
-            print_grouped(
-                "Figure 7b: speculative window size (DnRDnR) over EOLE_4_60",
-                &out.groups,
-                false,
-            );
-            out.simulated_uops
-        });
-    }
-
-    if wants(&opts, "table3") {
-        println!("\n=== Table III: final predictor configurations ===");
-        println!(
-            "    paper:   Small_4p 17.26 KB, Small_6p 17.18 KB, Medium 32.76 KB, Large 61.65 KB"
-        );
-        for (name, kb) in run_table3() {
-            println!("    modelled {name:<9} {kb:.2} KB");
         }
-    }
-
-    if wants(&opts, "fig8") {
-        timed(&mut report, "fig8", || {
-            let out = run_fig8(&set, uops);
-            print_grouped(
-                "Figure 8: final configurations over Baseline_6_60",
-                &out.groups,
-                true,
-            );
+        if !wants(&opts, exp.name) {
+            continue;
+        }
+        timed(&mut report, exp.name, || {
+            let req = &exp.request;
+            let out = table.resolve(req);
+            println!("\n=== {} ===", exp.title);
+            if req.variants.len() == 1 {
+                for (spec, stats) in req.workloads.iter().zip(&out.stats) {
+                    println!("    {:<18} {:.3}", spec.name, stats.inst_ipc());
+                }
+            }
+            for (label, results) in out.groups(req) {
+                println!(
+                    "{}",
+                    format_summary(&label, &SpeedupSummary::from_results(&results))
+                );
+                if exp.per_bench {
+                    print!("{}", format_per_bench(&results));
+                }
+            }
             out.simulated_uops
         });
+    }
+    if needs_traces {
+        // Cells declared by more than one experiment, served from the table.
+        counters.push(("figures_jobs_reused", table.reused()));
     }
 
     if wants(&opts, "wrongpath") {
@@ -855,7 +787,7 @@ fn main() {
             if out.complete {
                 println!(
                     "    ledger: {} (complete)",
-                    // INVARIANT: run_sweep sets ledger_path whenever complete.
+                    // INVARIANT: run_sweep_jobs sets ledger_path whenever complete.
                     out.ledger_path.as_ref().expect("complete sweep").display()
                 );
                 println!(

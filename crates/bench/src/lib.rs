@@ -1,10 +1,11 @@
 //! Shared harness code for regenerating the tables and figures of the BeBoP paper.
 //!
 //! The `figures` binary (`cargo run -p bebop-bench --release --bin figures -- --all`)
-//! calls into this crate. Every experiment of the paper's evaluation (Section VI)
-//! has a `run_*` function here that produces the same rows/series the paper
-//! reports: per-benchmark speedups plus the `[min, max]` box and geometric mean
-//! used in the figures.
+//! calls into this crate. Every simulating experiment of the paper's evaluation
+//! (Section VI) is declared by [`experiments`] as a [`SweepRequest`] whose
+//! variant 0 is its baseline; resolved, it gives the rows/series the paper
+//! reports: per-benchmark speedups plus the `[min, max]` box and geometric
+//! mean used in the figures.
 //!
 //! # Execution model
 //!
@@ -15,10 +16,13 @@
 //!   [`TraceSet`] records every workload's µ-op stream into a shared
 //!   [`bebop::TraceBuffer`] up front, and every simulation replays it
 //!   (bit-identically) instead of regenerating it.
-//! * **Baseline simulations are paid once per sweep**, not once per variant:
-//!   [`run_sweep`] simulates the common baseline configuration once per
-//!   workload and shares the statistics across every variant group, then fans
-//!   the whole (variant × workload) product out over the cores.
+//! * **Each distinct simulation is paid once per run**, not once per
+//!   experiment that declares it: a [`JobTable`] keys every cell on
+//!   (workload, [`config_encoding`]), simulates the cells it does not hold yet
+//!   in one fan-out per experiment and reuses the rest. The figures share
+//!   their reference points (Baseline_6_60, Baseline_VP_6_60 and EOLE_4_60
+//!   with D-VTAGE, the optimistic BeBoP configuration), so `figures --all`
+//!   simulates 32 of the 47 cells it declares per workload.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,6 +32,8 @@ use bebop::{
 };
 use bebop_trace::{all_spec_benchmarks, MixSpec, TraceBuffer, WorkloadSpec};
 use bebop_uarch::{Pipeline, PipelineConfig, SharingPolicy};
+use std::collections::BTreeMap;
+use sweep::{config_encoding, SweepJob, SweepRequest};
 
 mod trace_set;
 
@@ -41,8 +47,8 @@ pub use trace_set::{TraceCachePolicy, TraceSet};
 /// Number of µ-ops simulated per benchmark when regenerating figures
 /// (200K µ-ops). The paper simulates 100M instructions per benchmark; the default
 /// here is sized so the full figure set completes in minutes even on a laptop —
-/// pass `--uops` to the `figures` binary to raise it. Every `run_*` experiment
-/// takes the budget as a parameter; nothing is hard-coded to this constant.
+/// pass `--uops` to the `figures` binary to raise it. Every experiment takes the
+/// budget as a parameter; nothing is hard-coded to this constant.
 pub const DEFAULT_UOPS: u64 = 200_000;
 
 /// Returns the benchmark population: all 36 Table II workloads, or a reduced subset
@@ -93,151 +99,235 @@ pub fn format_per_bench(results: &[BenchResult]) -> String {
 /// One variant group of a sweep: display label, pipeline and predictor.
 pub type SweepVariant = (String, PipelineConfig, PredictorKind);
 
-/// The outcome of [`run_sweep`]: per-group comparison results plus the number
-/// of µ-ops actually simulated (baselines are shared across groups, so this is
-/// `(1 + groups) × workloads × uops`, not `2 × groups × workloads × uops`).
-#[derive(Debug, Clone)]
-pub struct SweepOutcome {
-    /// `(label, per-benchmark results)` per variant group, in input order.
-    pub groups: Vec<(String, Vec<BenchResult>)>,
-    /// Committed µ-ops across every simulation the sweep ran.
+/// One simulating experiment of the paper's evaluation.
+#[derive(Debug)]
+pub struct Experiment {
+    /// Name on the `figures` command line and in the perf report.
+    pub name: &'static str,
+    /// Heading the experiment prints.
+    pub title: &'static str,
+    /// Whether the experiment prints a row per benchmark under each group.
+    pub per_bench: bool,
+    /// The grid it simulates. Variant 0 is the baseline every other variant's
+    /// speedup is reported against; a one-variant grid (Table II) reports the
+    /// baseline's IPC per benchmark instead.
+    pub request: SweepRequest,
+}
+
+/// The nine simulating experiments of Section VI, in the order `figures`
+/// prints them, each over `workloads` at `uops` committed µ-ops per cell:
+/// Table II, Figures 5a/5b/6a/6b, the partial strides, Figures 7a/7b and 8.
+pub fn experiments(workloads: &[WorkloadSpec], uops: u64) -> Vec<Experiment> {
+    let base = PipelineConfig::baseline_6_60();
+    let vp = PipelineConfig::baseline_vp_6_60();
+    let eole = PipelineConfig::eole_4_60();
+    let no_vp = ("Baseline_6_60".to_string(), base, PredictorKind::None);
+    let eole_dvtage = |label: &str| (label.to_string(), eole.clone(), PredictorKind::DVtage);
+    let block_dvtage = |label: String, cfg| (label, eole.clone(), PredictorKind::BlockDVtage(cfg));
+    // Figures 6 and 7 and the stride study: BeBoP configurations over EOLE_4_60
+    // with instruction-based D-VTAGE.
+    let bebop_sweep = |sweep: Vec<(String, bebop::BlockDVtageConfig)>| {
+        std::iter::once(eole_dvtage("EOLE_4_60 w/ D-VTAGE"))
+            .chain(
+                sweep
+                    .into_iter()
+                    .map(|(label, cfg)| block_dvtage(label, cfg)),
+            )
+            .collect()
+    };
+    let fig5a = std::iter::once(no_vp.clone())
+        .chain(
+            [
+                PredictorKind::TwoDeltaStride,
+                PredictorKind::Vtage,
+                PredictorKind::VtageStrideHybrid,
+                PredictorKind::DVtage,
+            ]
+            .map(|kind| (kind.label(), vp.clone(), kind)),
+        )
+        .collect();
+    let vp_dvtage = ("Baseline_VP_6_60".to_string(), vp, PredictorKind::DVtage);
+    // Each stride label carries its storage budget, e.g. `8-bit strides [37.8 KB]`.
+    let strides = configs::stride_sweep()
+        .into_iter()
+        .map(|(label, cfg)| (format!("{label} [{:.1} KB]", cfg.storage_kb()), cfg))
+        .collect();
+    let fig8 = [no_vp.clone(), vp_dvtage.clone(), eole_dvtage("EOLE_4_60")]
+        .into_iter()
+        .chain(
+            configs::table3_configs()
+                .into_iter()
+                .map(|(name, cfg)| block_dvtage(name.to_string(), cfg)),
+        )
+        .collect();
+    let experiment = |name, title, per_bench, variants| Experiment {
+        name,
+        title,
+        per_bench,
+        request: SweepRequest {
+            name: name.to_string(),
+            workloads: workloads.to_vec(),
+            variants,
+            uops,
+        },
+    };
+    vec![
+        experiment(
+            "table2",
+            "Table II: baseline IPC per benchmark (Baseline_6_60)",
+            true,
+            vec![no_vp],
+        ),
+        experiment(
+            "fig5a",
+            "Figure 5a: value predictors over Baseline_6_60 (idealistic infrastructure)",
+            true,
+            fig5a,
+        ),
+        experiment(
+            "fig5b",
+            "Figure 5b: EOLE_4_60 (D-VTAGE) over Baseline_VP_6_60",
+            true,
+            vec![vp_dvtage, eole_dvtage("EOLE_4_60 w/ D-VTAGE")],
+        ),
+        experiment(
+            "fig6a",
+            "Figure 6a: predictions per entry (BeBoP D-VTAGE) over EOLE_4_60",
+            false,
+            bebop_sweep(configs::fig6a_sweep()),
+        ),
+        experiment(
+            "fig6b",
+            "Figure 6b: base/tagged component sizes (Npred=6) over EOLE_4_60",
+            false,
+            bebop_sweep(configs::fig6b_sweep()),
+        ),
+        experiment(
+            "strides",
+            "Section VI-B(a): partial strides",
+            false,
+            bebop_sweep(strides),
+        ),
+        experiment(
+            "fig7a",
+            "Figure 7a: speculative window recovery policies over EOLE_4_60",
+            false,
+            bebop_sweep(configs::fig7a_sweep()),
+        ),
+        experiment(
+            "fig7b",
+            "Figure 7b: speculative window size (DnRDnR) over EOLE_4_60",
+            false,
+            bebop_sweep(configs::fig7b_sweep()),
+        ),
+        experiment(
+            "fig8",
+            "Figure 8: final configurations over Baseline_6_60",
+            true,
+            fig8,
+        ),
+    ]
+}
+
+/// Every simulation the experiments have run over one [`TraceSet`], keyed by
+/// (workload index, [`config_encoding`]). Simulation is deterministic, so a
+/// cell that several experiments declare (a shared baseline, the optimistic
+/// BeBoP working point) is simulated once and reused after.
+#[derive(Debug)]
+pub struct JobTable<'a> {
+    set: &'a TraceSet,
+    uops: u64,
+    cells: BTreeMap<(usize, String), SimStats>,
+    reused: u64,
+}
+
+/// One experiment's cells, resolved through a [`JobTable`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Resolved {
+    /// Statistics of every cell, in [`SweepRequest::expand`] order
+    /// (`variant * workloads + workload`).
+    pub stats: Vec<SimStats>,
+    /// µ-ops of the simulations this resolution ran; cells the table already
+    /// held cost none.
     pub simulated_uops: u64,
 }
 
-/// Runs a config sweep over the shared trace set: the baseline configuration is
-/// simulated once per workload, every `(variant, workload)` pair is fanned out
-/// over the cores as one flat task list, and each variant group's results reuse
-/// the shared baseline statistics.
-///
-/// Results are ordering-stable and bit-identical to a serial run (the fan-out
-/// is [`par::par_map`]), and — because replay is bit-identical to live
-/// generation — to simulating every (configuration, workload) pair live.
-pub fn run_sweep(
-    set: &TraceSet,
-    baseline_pipeline: &PipelineConfig,
-    baseline_predictor: &PredictorKind,
-    variants: &[SweepVariant],
-    uops: u64,
-) -> SweepOutcome {
-    set.assert_covers(uops);
-    let idx: Vec<usize> = (0..set.len()).collect();
-    let baselines: Vec<SimStats> = par::par_map(&idx, |&i| {
-        run_source(set.source(i), baseline_pipeline, baseline_predictor, uops)
-    });
-
-    let tasks: Vec<(usize, usize)> = (0..variants.len())
-        .flat_map(|g| (0..set.len()).map(move |i| (g, i)))
-        .collect();
-    let variant_stats: Vec<SimStats> = par::par_map(&tasks, |&(g, i)| {
-        let (_, pipeline, predictor) = &variants[g];
-        run_source(set.source(i), pipeline, predictor, uops)
-    });
-
-    let groups = variants
-        .iter()
-        .enumerate()
-        .map(|(g, (label, _, _))| {
-            let results = (0..set.len())
-                .map(|i| BenchResult {
-                    name: set.name(i).to_string(),
-                    baseline: baselines[i],
-                    variant: variant_stats[g * set.len() + i],
-                })
-                .collect();
-            (label.clone(), results)
-        })
-        .collect();
-    SweepOutcome {
-        groups,
-        simulated_uops: (1 + variants.len() as u64) * set.len() as u64 * uops,
+impl Resolved {
+    /// Variant `v` against variant 0 for every `v ≥ 1`, per workload: the
+    /// pairing [`sweep::SweepReport::variant_speedups`] uses.
+    pub fn groups(&self, req: &SweepRequest) -> Vec<(String, Vec<BenchResult>)> {
+        let w = req.workloads.len();
+        let result = |v: usize, i: usize| BenchResult {
+            name: req.workloads[i].name.clone(),
+            baseline: self.stats[i],
+            variant: self.stats[v * w + i],
+        };
+        (1..req.variants.len())
+            .map(|v| {
+                (
+                    req.variants[v].0.clone(),
+                    (0..w).map(|i| result(v, i)).collect(),
+                )
+            })
+            .collect()
     }
 }
 
-/// Figure 5a: speedup of 2d-Stride, VTAGE, VTAGE-2d-Stride and D-VTAGE (idealistic
-/// instruction-based infrastructure) on the 6-issue baseline, over `Baseline_6_60`.
-pub fn run_fig5a(set: &TraceSet, uops: u64) -> SweepOutcome {
-    let vp_pipe = PipelineConfig::baseline_vp_6_60();
-    let variants: Vec<SweepVariant> = [
-        PredictorKind::TwoDeltaStride,
-        PredictorKind::Vtage,
-        PredictorKind::VtageStrideHybrid,
-        PredictorKind::DVtage,
-    ]
-    .into_iter()
-    .map(|kind| (kind.label(), vp_pipe.clone(), kind))
-    .collect();
-    run_sweep(
-        set,
-        &PipelineConfig::baseline_6_60(),
-        &PredictorKind::None,
-        &variants,
-        uops,
-    )
-}
+impl<'a> JobTable<'a> {
+    /// An empty table over `set`, whose cells simulate `uops` µ-ops each.
+    pub fn new(set: &'a TraceSet, uops: u64) -> Self {
+        set.assert_covers(uops);
+        JobTable {
+            set,
+            uops,
+            cells: BTreeMap::new(),
+            reused: 0,
+        }
+    }
 
-/// Figure 5b: EOLE_4_60 with instruction-based D-VTAGE over Baseline_VP_6_60,
-/// as a one-group sweep labelled `EOLE_4_60 w/ D-VTAGE`.
-pub fn run_fig5b(set: &TraceSet, uops: u64) -> SweepOutcome {
-    let variants: Vec<SweepVariant> = vec![(
-        "EOLE_4_60 w/ D-VTAGE".to_string(),
-        PipelineConfig::eole_4_60(),
-        PredictorKind::DVtage,
-    )];
-    run_sweep(
-        set,
-        &PipelineConfig::baseline_vp_6_60(),
-        &PredictorKind::DVtage,
-        &variants,
-        uops,
-    )
-}
+    /// Resolves every cell of `req`: the cells not yet in the table run in one
+    /// [`par::par_map`] (bit-identical to a serial run), the others are reused.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `req` is not over the table's workloads and µ-op budget.
+    pub fn resolve(&mut self, req: &SweepRequest) -> Resolved {
+        let names = (0..self.set.len()).map(|i| self.set.name(i));
+        assert!(
+            req.uops == self.uops && req.workloads.iter().map(|s| s.name.as_str()).eq(names),
+            "{} is not over the table's workloads and µ-op budget",
+            req.name
+        );
+        let encodings: Vec<String> = req
+            .variants
+            .iter()
+            .map(|(_, pipeline, predictor)| config_encoding(pipeline, predictor))
+            .collect();
+        let jobs = req.expand();
+        let key = |job: &SweepJob| (job.workload, encodings[job.variant].clone());
+        let missing: Vec<&SweepJob> = jobs
+            .iter()
+            .filter(|job| !self.cells.contains_key(&key(job)))
+            .collect();
+        let (set, uops) = (self.set, self.uops);
+        let stats = par::par_map(&missing, |job| {
+            let (_, pipeline, predictor) = &req.variants[job.variant];
+            run_source(set.source(job.workload), pipeline, predictor, uops)
+        });
+        for (job, s) in missing.iter().zip(stats) {
+            self.cells.insert(key(job), s);
+        }
+        self.reused += (jobs.len() - missing.len()) as u64;
+        Resolved {
+            stats: jobs.iter().map(|job| self.cells[&key(job)]).collect(),
+            simulated_uops: missing.len() as u64 * uops,
+        }
+    }
 
-/// Shared shape of Figures 6/7: BeBoP configurations over the EOLE_4_60 +
-/// instruction-based D-VTAGE reference, baseline simulated once for the sweep.
-fn run_bebop_sweep(
-    set: &TraceSet,
-    sweep: Vec<(String, bebop::BlockDVtageConfig)>,
-    uops: u64,
-) -> SweepOutcome {
-    let eole = PipelineConfig::eole_4_60();
-    let variants: Vec<SweepVariant> = sweep
-        .into_iter()
-        .map(|(label, cfg)| (label, eole.clone(), PredictorKind::BlockDVtage(cfg)))
-        .collect();
-    run_sweep(set, &eole, &PredictorKind::DVtage, &variants, uops)
-}
-
-/// Figure 6a: predictions per entry (4/6/8) at roughly constant storage.
-pub fn run_fig6a(set: &TraceSet, uops: u64) -> SweepOutcome {
-    run_bebop_sweep(set, configs::fig6a_sweep(), uops)
-}
-
-/// Figure 6b: base/tagged component sizes with 6 predictions per entry.
-pub fn run_fig6b(set: &TraceSet, uops: u64) -> SweepOutcome {
-    run_bebop_sweep(set, configs::fig6b_sweep(), uops)
-}
-
-/// Section VI-B(a): partial stride widths (64/32/16/8 bits). Each group label
-/// carries the configuration's storage budget, e.g. `8-bit strides [37.8 KB]`.
-pub fn run_strides(set: &TraceSet, uops: u64) -> SweepOutcome {
-    let sweep = configs::stride_sweep()
-        .into_iter()
-        .map(|(label, cfg)| {
-            let label = format!("{label} [{:.1} KB]", cfg.storage_kb());
-            (label, cfg)
-        })
-        .collect();
-    run_bebop_sweep(set, sweep, uops)
-}
-
-/// Figure 7a: recovery policies with an infinite speculative window.
-pub fn run_fig7a(set: &TraceSet, uops: u64) -> SweepOutcome {
-    run_bebop_sweep(set, configs::fig7a_sweep(), uops)
-}
-
-/// Figure 7b: speculative window sizes under DnRDnR.
-pub fn run_fig7b(set: &TraceSet, uops: u64) -> SweepOutcome {
-    run_bebop_sweep(set, configs::fig7b_sweep(), uops)
+    /// Cells served without simulating, over every resolution so far.
+    pub fn reused(&self) -> u64 {
+        self.reused
+    }
 }
 
 /// Table III: the final configurations and their storage budgets in KB.
@@ -246,35 +336,6 @@ pub fn run_table3() -> Vec<(String, f64)> {
         .into_iter()
         .map(|(name, cfg)| (name.to_string(), cfg.storage_kb()))
         .collect()
-}
-
-/// Figure 8: the final configurations (plus Baseline_VP_6_60 and EOLE_4_60 with
-/// instruction-based D-VTAGE) over Baseline_6_60. All seven groups share one
-/// Baseline_6_60 simulation per workload.
-pub fn run_fig8(set: &TraceSet, uops: u64) -> SweepOutcome {
-    let eole = PipelineConfig::eole_4_60();
-    let mut variants: Vec<SweepVariant> = vec![
-        (
-            "Baseline_VP_6_60".to_string(),
-            PipelineConfig::baseline_vp_6_60(),
-            PredictorKind::DVtage,
-        ),
-        ("EOLE_4_60".to_string(), eole.clone(), PredictorKind::DVtage),
-    ];
-    for (name, cfg) in configs::table3_configs() {
-        variants.push((
-            name.to_string(),
-            eole.clone(),
-            PredictorKind::BlockDVtage(cfg),
-        ));
-    }
-    run_sweep(
-        set,
-        &PipelineConfig::baseline_6_60(),
-        &PredictorKind::None,
-        &variants,
-        uops,
-    )
 }
 
 /// Wrong-path burst length used by the `figures --wrong-path` experiment:
@@ -524,25 +585,28 @@ pub fn run_mix(specs: &[WorkloadSpec], uops: u64, store: Option<&TraceStore>) ->
     }
 }
 
-/// Table II reproduction: baseline IPC of every synthetic benchmark on
-/// `Baseline_6_60`. Fanned out across cores like every other experiment.
-pub fn run_table2(set: &TraceSet, uops: u64) -> Vec<(String, f64)> {
-    set.assert_covers(uops);
-    let baseline = PipelineConfig::baseline_6_60();
-    let idx: Vec<usize> = (0..set.len()).collect();
-    par::par_map(&idx, |&i| {
-        let stats = run_source(set.source(i), &baseline, &PredictorKind::None, uops);
-        (set.name(i).to_string(), stats.inst_ipc())
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn demo_set(names: &[&str], uops: u64) -> TraceSet {
-        let specs: Vec<WorkloadSpec> = names.iter().map(|n| WorkloadSpec::named_demo(*n)).collect();
-        TraceSet::build(&specs, uops, &TraceCachePolicy::default())
+    fn demo_specs(names: &[&str]) -> Vec<WorkloadSpec> {
+        names.iter().map(|n| WorkloadSpec::named_demo(*n)).collect()
+    }
+
+    /// Experiment `name` over `set`, resolved through a fresh job table,
+    /// with its request.
+    fn resolve_alone(
+        set: &TraceSet,
+        specs: &[WorkloadSpec],
+        name: &str,
+        uops: u64,
+    ) -> (SweepRequest, Resolved) {
+        let exp = experiments(specs, uops)
+            .into_iter()
+            .find(|e| e.name == name)
+            .expect("known experiment");
+        let out = JobTable::new(set, uops).resolve(&exp.request);
+        (exp.request, out)
     }
 
     #[test]
@@ -563,10 +627,12 @@ mod tests {
 
     #[test]
     fn fig5a_runs_on_a_tiny_population() {
-        let set = demo_set(&["tiny"], 3_000);
-        let out = run_fig5a(&set, 3_000);
-        assert_eq!(out.groups.len(), 4);
-        for (_, results) in &out.groups {
+        let specs = demo_specs(&["tiny"]);
+        let set = TraceSet::build(&specs, 3_000, &TraceCachePolicy::default());
+        let (req, out) = resolve_alone(&set, &specs, "fig5a", 3_000);
+        let groups = out.groups(&req);
+        assert_eq!(groups.len(), 4);
+        for (_, results) in &groups {
             assert_eq!(results.len(), 1);
         }
         // One shared baseline + four variants, one workload.
@@ -575,9 +641,11 @@ mod tests {
 
     #[test]
     fn formatting_helpers_produce_text() {
-        let set = demo_set(&["fmt"], 2_000);
-        let out = run_fig5b(&set, 2_000);
-        let results = &out.groups[0].1;
+        let specs = demo_specs(&["fmt"]);
+        let set = TraceSet::build(&specs, 2_000, &TraceCachePolicy::default());
+        let (req, out) = resolve_alone(&set, &specs, "fig5b", 2_000);
+        let groups = out.groups(&req);
+        let results = &groups[0].1;
         let summary = SpeedupSummary::from_results(results);
         assert!(format_summary("x", &summary).contains("gmean"));
         assert!(format_per_bench(results).contains("fmt"));
@@ -586,26 +654,90 @@ mod tests {
     #[test]
     fn uops_budget_plumbs_through_every_experiment() {
         // `--uops` must reach every simulation: each run commits exactly the
-        // requested budget, for every experiment entry point.
+        // requested budget, in every experiment, whether the table simulated
+        // the cell for it or reused it.
         let uops = 1_500;
-        let set = demo_set(&["tiny-a", "tiny-b"], uops);
-        for (_, results) in run_fig5a(&set, uops).groups {
-            for r in &results {
-                assert_eq!(r.baseline.uops, uops);
-                assert_eq!(r.variant.uops, uops);
+        let specs = demo_specs(&["tiny-a", "tiny-b"]);
+        let set = TraceSet::build(&specs, uops, &TraceCachePolicy::default());
+        let mut table = JobTable::new(&set, uops);
+        for exp in experiments(&specs, uops) {
+            assert_eq!(exp.request.uops, uops, "{}", exp.name);
+            let out = table.resolve(&exp.request);
+            for s in &out.stats {
+                assert_eq!(s.uops, uops, "{}", exp.name);
+            }
+            for (_, results) in out.groups(&exp.request) {
+                for r in &results {
+                    assert_eq!(r.baseline.uops, uops, "{}", exp.name);
+                    assert_eq!(r.variant.uops, uops, "{}", exp.name);
+                }
             }
         }
-        let fig5b = run_fig5b(&set, uops);
+        let (_, fig5b) = resolve_alone(&set, &specs, "fig5b", uops);
         assert_eq!(fig5b.simulated_uops, 2 * 2 * uops);
-        for r in &fig5b.groups[0].1 {
-            assert_eq!(r.baseline.uops, uops);
-            assert_eq!(r.variant.uops, uops);
+    }
+
+    #[test]
+    fn job_table_simulates_each_distinct_cell_once() {
+        let uops = 1_500;
+        let specs = demo_specs(&["jt-a", "jt-b"]);
+        let set = TraceSet::build(&specs, uops, &TraceCachePolicy::default());
+        let exps = experiments(&specs, uops);
+        let names: Vec<&str> = exps.iter().map(|e| e.name).collect();
+        assert_eq!(
+            names,
+            ["table2", "fig5a", "fig5b", "fig6a", "fig6b", "strides", "fig7a", "fig7b", "fig8"]
+        );
+
+        // Through one shared table, every experiment resolves exactly as it
+        // does alone.
+        let mut shared = JobTable::new(&set, uops);
+        let mut simulated_uops = 0;
+        for exp in &exps {
+            let out = shared.resolve(&exp.request);
+            simulated_uops += out.simulated_uops;
+            let mut fresh = JobTable::new(&set, uops);
+            let alone = fresh.resolve(&exp.request);
+            assert_eq!(out.stats, alone.stats, "{}", exp.name);
+            assert_eq!(
+                out.groups(&exp.request),
+                alone.groups(&exp.request),
+                "{}",
+                exp.name
+            );
+            assert_eq!(fresh.reused(), 0, "{} declares a cell twice", exp.name);
         }
-        for (_, results) in run_fig7b(&set, uops).groups.into_iter().take(2) {
-            for r in &results {
-                assert_eq!(r.baseline.uops, uops);
-            }
-        }
+
+        // 47 cells declared per workload, 32 of them distinct.
+        let declared: usize = exps.iter().map(|e| e.request.expand().len()).sum();
+        assert_eq!(declared, 47 * specs.len());
+        assert_eq!(shared.cells.len(), 32 * specs.len());
+        assert_eq!(shared.reused(), 15 * specs.len() as u64);
+        assert_eq!(simulated_uops, 32 * specs.len() as u64 * uops);
+
+        // A reused cell is the direct simulation of its configuration: Figure
+        // 8's Medium group on the second workload, whose Baseline_6_60 side
+        // Table II simulated first.
+        let fig8 = &exps[8].request;
+        let groups = shared.resolve(fig8).groups(fig8);
+        let (label, results) = &groups[4];
+        assert_eq!(label, "Medium");
+        let direct = BenchResult {
+            name: specs[1].name.clone(),
+            baseline: run_source(
+                set.source(1),
+                &PipelineConfig::baseline_6_60(),
+                &PredictorKind::None,
+                uops,
+            ),
+            variant: run_source(
+                set.source(1),
+                &PipelineConfig::eole_4_60(),
+                &PredictorKind::BlockDVtage(configs::medium()),
+                uops,
+            ),
+        };
+        assert_eq!(results[1], direct);
     }
 
     #[test]
@@ -707,10 +839,11 @@ mod tests {
         let eole = PipelineConfig::eole_4_60();
         let sweep = configs::stride_sweep();
 
-        let outcome = run_strides(&set, uops);
-        assert_eq!(outcome.groups.len(), sweep.len());
-        for ((label, results), (legacy_label, cfg)) in outcome.groups.iter().zip(sweep) {
-            // run_strides appends the storage budget to the legacy label.
+        let (req, out) = resolve_alone(&set, &specs, "strides", uops);
+        let groups = out.groups(&req);
+        assert_eq!(groups.len(), sweep.len());
+        for ((label, results), (legacy_label, cfg)) in groups.iter().zip(sweep) {
+            // The strides experiment appends the storage budget to the legacy label.
             assert!(
                 label.starts_with(&legacy_label) && label.ends_with("KB]"),
                 "unexpected stride label {label:?}"
@@ -734,10 +867,10 @@ mod tests {
             .collect();
         let cached = TraceSet::build(&specs, uops, &TraceCachePolicy::default());
         let streaming = TraceSet::build(&specs, uops, &TraceCachePolicy::disabled());
-        let a = run_fig8(&cached, uops);
-        let b = run_fig8(&streaming, uops);
-        assert_eq!(a.groups, b.groups);
-        assert_eq!(a.simulated_uops, b.simulated_uops);
+        let (fig8, a) = resolve_alone(&cached, &specs, "fig8", uops);
+        let (_, b) = resolve_alone(&streaming, &specs, "fig8", uops);
+        assert_eq!(a, b);
+        assert_eq!(a.groups(&fig8), b.groups(&fig8));
     }
 
     #[test]
@@ -750,18 +883,20 @@ mod tests {
         let uops = 3_000;
         let set = TraceSet::build(&specs, uops, &TraceCachePolicy::default());
 
+        let run = |name| resolve_alone(&set, &specs, name, uops);
         bebop::par::set_threads(1);
-        let serial = run_fig5b(&set, uops);
-        let serial_t2 = run_table2(&set, uops);
+        let (fig5b, serial) = run("fig5b");
+        let (_, serial_t2) = run("table2");
         // Force real worker threads even on a single-core machine, so the
         // parallel path is exercised everywhere this test runs.
         bebop::par::set_threads(4);
-        let parallel = run_fig5b(&set, uops);
-        let parallel_t2 = run_table2(&set, uops);
+        let (_, parallel) = run("fig5b");
+        let (_, parallel_t2) = run("table2");
         bebop::par::set_threads(0);
 
         assert_eq!(
-            serial.groups, parallel.groups,
+            serial.groups(&fig5b),
+            parallel.groups(&fig5b),
             "SimStats must match bit-for-bit"
         );
         assert_eq!(serial_t2, parallel_t2);

@@ -8,8 +8,8 @@
 //! against the committed `BENCH_figures.json` baseline.
 //!
 //! Besides throughput, a report carries a `"counters"` object: named `u64`
-//! counters the run's modes reported (trace-store hits, wrong-path traffic,
-//! sweep cells, …). A mode that did not run writes no entries, and an absent
+//! counters the run's modes reported (trace-store hits, reused figure cells,
+//! wrong-path traffic, sweep cells, …). A mode that did not run writes no entries, and an absent
 //! counter reads as zero, so reports from before a counter existed (the
 //! committed baseline among them) parse unchanged. Counters are
 //! informational: [`diff`] shows them, only µops/sec gates.
@@ -23,7 +23,11 @@ pub struct Timing {
     pub name: &'static str,
     /// Wall-clock seconds the experiment took.
     pub wall_s: f64,
-    /// µ-ops the experiment simulated (or recorded, for `tracegen`).
+    /// µ-ops the experiment simulated (or recorded, for `tracegen`). A
+    /// figure experiment counts only the cells it simulated itself: a cell an
+    /// earlier experiment of the same run already simulated is reused from
+    /// the job table, costs no time and is counted in the
+    /// `figures_jobs_reused` counter instead.
     pub uops: u64,
 }
 

@@ -109,15 +109,19 @@ impl JobKey {
         enc.extend_from_slice(&spec_fingerprint(spec).to_le_bytes());
         enc.extend_from_slice(&(label.len() as u64).to_le_bytes());
         enc.extend_from_slice(label.as_bytes());
-        // The pipeline and predictor configurations are plain-old-data structs
-        // whose `Debug` rendering covers every field; hashing it gives a
-        // fingerprint that changes whenever any knob changes, with no
-        // hand-maintained field list to fall out of date.
-        enc.extend_from_slice(format!("{pipeline:?}").as_bytes());
-        enc.push(0);
-        enc.extend_from_slice(format!("{predictor:?}").as_bytes());
+        enc.extend_from_slice(config_encoding(pipeline, predictor).as_bytes());
         JobKey(fnv1a(FNV_OFFSET_BASIS, &enc))
     }
+}
+
+/// The configuration part of a cell's identity: the `Debug` renderings of the
+/// pipeline and the predictor, separated by a NUL byte. Both are
+/// plain-old-data structs whose `Debug` rendering covers every field, so the
+/// encoding changes whenever any knob changes, with no hand-maintained field
+/// list to fall out of date. [`JobKey`] hashes it; the figures' job table
+/// (`bebop_bench::JobTable`) keys its cells on it.
+pub fn config_encoding(pipeline: &PipelineConfig, predictor: &PredictorKind) -> String {
+    format!("{pipeline:?}\0{predictor:?}")
 }
 
 /// One cell of the expanded grid: its position plus its content address.

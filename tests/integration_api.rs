@@ -130,11 +130,15 @@ fn perf_gate_rejects_malformed_tolerances_with_exit_2() {
 }
 
 /// `figures` promises exit 2 on unusable flags: a value that does not parse,
-/// a zero budget or phase count, or an unknown experiment is a usage error
-/// that names the flag, not a panic (101) and not a run that prints zeros.
+/// a zero budget, phase count, sweep cell count or cell timeout, or an unknown
+/// experiment is a usage error that names the flag, not a panic (101) and not
+/// a run that prints zeros.
 #[test]
 fn figures_rejects_unusable_flags_with_exit_2() {
-    let cases: [(&[&str], &str); 4] = [
+    // Never created: the flags are rejected before the sweep opens it.
+    let dir = std::env::temp_dir().join(format!("bebop-flags-{}", std::process::id()));
+    let dir = dir.to_str().expect("utf-8 temp path");
+    let cases: [(&[&str], &str); 6] = [
         (&["--sample", "--subset", "--uops", "0"], "--uops"),
         (&["--fig5b", "--subset", "--uops", "abc"], "--uops"),
         (
@@ -142,6 +146,14 @@ fn figures_rejects_unusable_flags_with_exit_2() {
             "--sample-phases",
         ),
         (&["--fig9"], "fig9"),
+        (
+            &["--sweep", dir, "--subset", "--sweep-cells", "0"],
+            "--sweep-cells",
+        ),
+        (
+            &["--sweep", dir, "--subset", "--cell-timeout", "0"],
+            "--cell-timeout",
+        ),
     ];
     for (args, flag) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_figures"))
@@ -152,4 +164,5 @@ fn figures_rejects_unusable_flags_with_exit_2() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains(flag), "{args:?}: {stderr}");
     }
+    assert!(!Path::new(dir).exists(), "a rejected sweep must not start");
 }
