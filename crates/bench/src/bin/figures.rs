@@ -29,14 +29,17 @@
 //! versioned, checksummed on-disk store, so a *second* invocation (or a CI job
 //! restoring the directory from a cache) loads every trace from disk and
 //! generates zero µ-ops; `--trace-dir-mb` bounds the directory with an LRU
-//! eviction sweep. Simulations are fanned out across all cores by default;
+//! eviction sweep. The `Trace store:` line prints last, once every mode has
+//! used the store: hits, misses and the recordings no save could persist
+//! (`; N unsaved`, each also logged on stderr when it happened). Simulations are fanned out across all cores by default;
 //! `--serial` forces one thread (the figure output is bit-identical either
 //! way), and `--json <path>` writes per-experiment
 //! wall-clock and µops/sec so perf regressions are visible across commits (the
 //! `perf_gate` binary turns that diff into a CI failure).
 //!
 //! `--wrong-path` runs the (opt-in, never part of `--all`) wrong-path
-//! pollution experiment: every workload is re-traced with wrong-path bursts
+//! pollution experiment, `bebop_bench::wrong_path_request` resolved through a
+//! job table of its own: every workload is re-traced with wrong-path bursts
 //! and simulated under the three wrong-path policies — disabled, clean
 //! (probe-only) and polluted (speculative predictor updates) — reporting
 //! per-benchmark predictor accuracy under pollution plus the wrong-path
@@ -70,10 +73,11 @@
 
 #![forbid(unsafe_code)]
 
-use bebop::SpeedupSummary;
+use bebop::{SimStats, SpeedupSummary};
 use bebop_bench::perf_json::Timing;
 use bebop_bench::sweep::{run_sweep_jobs, SweepOptions, SweepRequest};
 use bebop_bench::*;
+use bebop_uarch::VpStats;
 use std::time::Instant;
 
 struct Options {
@@ -428,30 +432,6 @@ fn main() {
     } else {
         println!("Trace cache: not needed by the requested experiments");
     }
-    if let Some(st) = &store {
-        println!(
-            "Trace store: {} hit(s), {} miss(es); generated {} µ-ops, loaded {}/{} recordings ({:.1} MiB on disk at {})",
-            st.hits(),
-            st.misses(),
-            set.generated_uops(),
-            set.loaded_count(),
-            set.cached_count(),
-            st.disk_bytes() as f64 / (1024.0 * 1024.0),
-            st.dir().display()
-        );
-        if let Some(mb) = opts.trace_dir_mb {
-            match st.sweep(mb * 1024 * 1024) {
-                Ok(sw) if sw.files_removed > 0 => println!(
-                    "Trace store: evicted {} stale recording(s) ({:.1} MiB) to fit {mb} MiB",
-                    sw.files_removed,
-                    sw.bytes_removed as f64 / (1024.0 * 1024.0)
-                ),
-                Ok(_) => {}
-                Err(e) => eprintln!("[figures] trace store sweep failed: {e}"),
-            }
-        }
-    }
-
     if wants(&opts, "table1") {
         println!("\n=== Table I: pipeline configuration ===");
         let c = bebop::PipelineConfig::baseline_6_60();
@@ -504,7 +484,18 @@ fn main() {
 
     if wants(&opts, "wrongpath") {
         timed(&mut report, "wrongpath", || {
-            let out = run_wrong_path(&specs, uops, &opts.trace_cache, store.as_ref());
+            let req = wrong_path_request(&specs, uops);
+            let wp_set =
+                TraceSet::build_with_store(&req.workloads, uops, &opts.trace_cache, store.as_ref());
+            let out = JobTable::new(&wp_set, uops).resolve(&req);
+            // `Resolved::stats` is variant-major: the off, clean and polluted
+            // columns, one entry per workload each.
+            let columns: Vec<&[SimStats]> = out.stats.chunks_exact(wp_set.len()).collect();
+            let (off, clean, polluted) = (columns[0], columns[1], columns[2]);
+            let mean = |col: &[SimStats], metric: fn(&VpStats) -> f64| {
+                col.iter().map(|s| metric(&s.vp)).sum::<f64>() / col.len() as f64
+            };
+            let polluted_total = |f: fn(&SimStats) -> u64| -> u64 { polluted.iter().map(f).sum() };
             println!(
                 "\n=== Wrong-path execution: {}-µ-op bursts, D-VTAGE on Baseline_VP_6_60 ===",
                 WRONG_PATH_BURST
@@ -522,19 +513,20 @@ fn main() {
                 "wp-train",
                 "pol-misp"
             );
-            for r in &out.rows {
+            for (i, spec) in req.workloads.iter().enumerate() {
+                let p = &polluted[i];
                 println!(
                     "    {:<18} {:>8.4} {:>8.4} {:>8.4} {:>8.4} {:>8.4}  {:>9} {:>9} {:>9} {:>9}",
-                    r.name,
-                    r.off.vp.accuracy(),
-                    r.clean.vp.accuracy(),
-                    r.polluted.vp.accuracy(),
-                    r.off.vp.coverage(),
-                    r.polluted.vp.coverage(),
-                    r.polluted.wrong_path.fetched,
-                    r.polluted.wrong_path.executed,
-                    r.polluted.wrong_path.vp_trains,
-                    r.polluted.wrong_path.pollution_mispredicts,
+                    spec.name,
+                    off[i].vp.accuracy(),
+                    clean[i].vp.accuracy(),
+                    p.vp.accuracy(),
+                    off[i].vp.coverage(),
+                    p.vp.coverage(),
+                    p.wrong_path.fetched,
+                    p.wrong_path.executed,
+                    p.wrong_path.vp_trains,
+                    p.wrong_path.pollution_mispredicts,
                 );
             }
             // Pollution shows up two ways: wrong predictions (accuracy) and —
@@ -542,36 +534,36 @@ fn main() {
             // (coverage). Both deltas are over the identical trace.
             println!(
                 "    mean accuracy: off {:.4}  clean {:.4}  polluted {:.4}  (pollution delta {:+.4})",
-                out.mean_accuracy(|r| &r.off),
-                out.mean_accuracy(|r| &r.clean),
-                out.mean_accuracy(|r| &r.polluted),
-                out.mean_accuracy(|r| &r.polluted) - out.mean_accuracy(|r| &r.clean),
+                mean(off, VpStats::accuracy),
+                mean(clean, VpStats::accuracy),
+                mean(polluted, VpStats::accuracy),
+                mean(polluted, VpStats::accuracy) - mean(clean, VpStats::accuracy),
             );
             println!(
                 "    mean coverage: off {:.4}  clean {:.4}  polluted {:.4}  (pollution delta {:+.4})",
-                out.mean_coverage(|r| &r.off),
-                out.mean_coverage(|r| &r.clean),
-                out.mean_coverage(|r| &r.polluted),
-                out.mean_coverage(|r| &r.polluted) - out.mean_coverage(|r| &r.clean),
+                mean(off, VpStats::coverage),
+                mean(clean, VpStats::coverage),
+                mean(polluted, VpStats::coverage),
+                mean(polluted, VpStats::coverage) - mean(clean, VpStats::coverage),
             );
             // The fetched/executed split plus the polluted run's pollution
             // counters.
             counters.extend([
                 (
                     "wrong_path_fetched",
-                    out.polluted_total(|s| s.wrong_path.fetched),
+                    polluted_total(|s| s.wrong_path.fetched),
                 ),
                 (
                     "wrong_path_executed",
-                    out.polluted_total(|s| s.wrong_path.executed),
+                    polluted_total(|s| s.wrong_path.executed),
                 ),
                 (
                     "wrong_path_vp_trains",
-                    out.polluted_total(|s| s.wrong_path.vp_trains),
+                    polluted_total(|s| s.wrong_path.vp_trains),
                 ),
                 (
                     "wrong_path_pollution_mispredicts",
-                    out.polluted_total(|s| s.wrong_path.pollution_mispredicts),
+                    polluted_total(|s| s.wrong_path.pollution_mispredicts),
                 ),
             ]);
             out.simulated_uops
@@ -661,9 +653,9 @@ fn main() {
                  D-VTAGE on Baseline_VP_6_60 ===",
                 cfg.slice_uops, cfg.max_phases, cfg.warmup_uops
             );
-            // The header trace-accounting line prints before opt-in
-            // experiments run, so sampling reports its own population (CI
-            // greps "generated 0 µ-ops" here on a warm store).
+            // The `Trace store:` line's generated/loaded split counts the
+            // experiments' shared set only, so sampling reports its own
+            // population (CI greps "generated 0 µ-ops" here on a warm store).
             println!(
                 "    sample trace population: loaded {}, recorded {}, generated {} µ-ops",
                 out.loaded_traces, out.recorded_traces, out.generated_uops
@@ -824,11 +816,38 @@ fn main() {
     }
 
     if let Some(st) = &store {
-        // Store traffic of every experiment above: cache regressions show up
-        // as a hit-rate drop here before they show up as wall-clock.
+        // Store traffic of every mode above, printed after they all ran. The
+        // generated/loaded split is the experiments' shared trace set; the
+        // unsaved count covers every mode (each failure was also logged on
+        // stderr as it happened).
+        println!(
+            "Trace store: {} hit(s), {} miss(es); generated {} µ-ops, loaded {}/{} recordings ({:.1} MiB on disk at {}); {} unsaved",
+            st.hits(),
+            st.misses(),
+            set.generated_uops(),
+            set.loaded_count(),
+            set.cached_count(),
+            st.disk_bytes() as f64 / (1024.0 * 1024.0),
+            st.dir().display(),
+            st.unsaved()
+        );
+        if let Some(mb) = opts.trace_dir_mb {
+            match st.sweep(mb * 1024 * 1024) {
+                Ok(sw) if sw.files_removed > 0 => println!(
+                    "Trace store: evicted {} stale recording(s) ({:.1} MiB) to fit {mb} MiB",
+                    sw.files_removed,
+                    sw.bytes_removed as f64 / (1024.0 * 1024.0)
+                ),
+                Ok(_) => {}
+                Err(e) => eprintln!("[figures] trace store sweep failed: {e}"),
+            }
+        }
+        // Cache regressions show up as a hit-rate drop here before they show
+        // up as wall-clock.
         counters.extend([
             ("trace_store_hits", st.hits()),
             ("trace_store_misses", st.misses()),
+            ("trace_store_unsaved", st.unsaved()),
         ]);
     }
     if let Some(path) = &opts.json {

@@ -17,7 +17,10 @@
 //! shape of regression the aggregate-only gate historically waved through.
 //! An experiment missing from the current report also fails in that mode.
 //! Every counter that is nonzero in either report prints as
-//! `name: current (baseline N)`; counters never gate.
+//! `name: current (baseline N)`; counters never gate. An experiment whose
+//! µ-op count differs between the reports carries a `job mix changed: A -> B
+//! µops` note, since its µops/sec then times different work; notes never
+//! gate either.
 
 #![forbid(unsafe_code)]
 

@@ -15,14 +15,22 @@
 //! * **Trace generation is paid once per workload**, not once per run: a
 //!   [`TraceSet`] records every workload's µ-op stream into a shared
 //!   [`bebop::TraceBuffer`] up front, and every simulation replays it
-//!   (bit-identically) instead of regenerating it.
+//!   (bit-identically) instead of regenerating it. With a [`TraceStore`]
+//!   attached it is paid once per machine. Every mode gets its recordings
+//!   through [`TraceStore::load_or_record_key`] with one failure policy (a
+//!   failed save is retried, then counted unsaved while the run goes on):
+//!   the `--all` experiments, `--wrong-path`, `--sample` and `--sweep` via
+//!   [`TraceSet::build_with_store`], and `--mix`, whose workloads are
+//!   interleaved [`MixSpec`]s, directly.
 //! * **Each distinct simulation is paid once per run**, not once per
 //!   experiment that declares it: a [`JobTable`] keys every cell on
 //!   (workload, [`config_encoding`]), simulates the cells it does not hold yet
 //!   in one fan-out per experiment and reuses the rest. The figures share
 //!   their reference points (Baseline_6_60, Baseline_VP_6_60 and EOLE_4_60
 //!   with D-VTAGE, the optimistic BeBoP configuration), so `figures --all`
-//!   simulates 32 of the 47 cells it declares per workload.
+//!   simulates 32 of the 47 cells it declares per workload. The wrong-path
+//!   grid ([`wrong_path_request`]) resolves through a table of its own, over
+//!   its own wrong-path recordings.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +38,7 @@
 use bebop::{
     configs, par, run_source, BenchResult, PredictorKind, SimStats, SpeedupSummary, UopSource,
 };
-use bebop_trace::{all_spec_benchmarks, MixSpec, TraceBuffer, WorkloadSpec};
+use bebop_trace::{all_spec_benchmarks, MixSpec, TraceBuffer, TraceKey, WorkloadSpec};
 use bebop_uarch::{Pipeline, PipelineConfig, SharingPolicy};
 use std::collections::BTreeMap;
 use sweep::{config_encoding, SweepJob, SweepRequest};
@@ -343,110 +351,39 @@ pub fn run_table3() -> Vec<(String, f64)> {
 /// resolves, small enough that trace recordings stay affordable.
 pub const WRONG_PATH_BURST: u32 = 8;
 
-/// One benchmark row of the wrong-path pollution experiment: the same
-/// wrong-path trace simulated under the three wrong-path policies.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WrongPathRow {
-    /// Benchmark name.
-    pub name: String,
-    /// Wrong-path execution disabled: bursts are skipped for free (the
-    /// paper's model, the reference the other two columns are judged against).
-    pub off: SimStats,
-    /// Wrong-path execution enabled, probe-only pollution
-    /// (`update_predictor = false`): wrong-path µ-ops occupy bandwidth and
-    /// pollute caches and the predictor's speculative state, but tables are
-    /// only updated at commit.
-    pub clean: SimStats,
-    /// Wrong-path execution with speculative predictor updates
-    /// (`update_predictor = true`): bogus wrong-path results reach the tables.
-    pub polluted: SimStats,
-}
-
-/// The outcome of [`run_wrong_path`].
-#[derive(Debug, Clone)]
-pub struct WrongPathOutcome {
-    /// Per-benchmark rows, in input order.
-    pub rows: Vec<WrongPathRow>,
-    /// Committed µ-ops across every simulation the experiment ran.
-    pub simulated_uops: u64,
-}
-
-impl WrongPathOutcome {
-    /// Sums a wrong-path counter over the polluted column.
-    pub fn polluted_total(&self, f: impl Fn(&SimStats) -> u64) -> u64 {
-        self.rows.iter().map(|r| f(&r.polluted)).sum()
-    }
-
-    /// Mean value-prediction accuracy of one column (`0.0..=1.0`).
-    ///
-    /// Note that a fully confidence-gated predictor driven to zero
-    /// predictions by pollution reports accuracy 0.0; read it together with
-    /// [`WrongPathOutcome::mean_coverage`].
-    pub fn mean_accuracy(&self, col: impl Fn(&WrongPathRow) -> &SimStats) -> f64 {
-        if self.rows.is_empty() {
-            return 0.0;
-        }
-        self.rows.iter().map(|r| col(r).vp.accuracy()).sum::<f64>() / self.rows.len() as f64
-    }
-
-    /// Mean value-prediction coverage of one column (`0.0..=1.0`): the
-    /// fraction of eligible µ-ops correctly predicted. Pollution of a
-    /// confidence-gated predictor shows up here as vanished predictions even
-    /// when the (few) surviving predictions stay accurate.
-    pub fn mean_coverage(&self, col: impl Fn(&WrongPathRow) -> &SimStats) -> f64 {
-        if self.rows.is_empty() {
-            return 0.0;
-        }
-        self.rows.iter().map(|r| col(r).vp.coverage()).sum::<f64>() / self.rows.len() as f64
-    }
-}
-
 /// The wrong-path pollution experiment behind `figures --wrong-path`: every
-/// workload is re-specified with [`WRONG_PATH_BURST`]-µ-op wrong-path bursts,
-/// recorded once, and simulated with D-VTAGE on `Baseline_VP_6_60` under the
-/// three wrong-path policies (off / clean / polluted) — all over the identical
-/// trace, so the polluted-vs-clean accuracy delta isolates predictor pollution
-/// and the clean-vs-off delta isolates bandwidth and cache effects.
+/// workload re-specified with [`WRONG_PATH_BURST`]-µ-op wrong-path bursts,
+/// simulated with D-VTAGE on `Baseline_VP_6_60` under the three wrong-path
+/// policies. Resolved through a [`JobTable`] over a [`TraceSet`] of the
+/// request's workloads, every variant replays the identical trace, so the
+/// polluted-vs-clean accuracy delta isolates predictor pollution and the
+/// clean-vs-off delta isolates bandwidth and cache effects. The variants:
+///
+/// 0. `off`: wrong-path execution disabled, bursts skipped for free (the
+///    paper's model, the reference the other two are judged against);
+/// 1. `clean`: wrong-path µ-ops occupy bandwidth and pollute caches and the
+///    predictor's speculative state, but tables are only updated at commit
+///    (`update_predictor = false`);
+/// 2. `polluted`: speculative predictor updates, so bogus wrong-path results
+///    reach the tables (`update_predictor = true`).
 ///
 /// The wrong-path specifications have their own trace-store fingerprints, so a
 /// shared `--trace-dir` caches these recordings alongside the plain ones.
-pub fn run_wrong_path(
-    specs: &[WorkloadSpec],
-    uops: u64,
-    policy: &TraceCachePolicy,
-    store: Option<&TraceStore>,
-) -> WrongPathOutcome {
-    let wp_specs: Vec<WorkloadSpec> = specs
-        .iter()
-        .map(|s| s.clone().with_wrong_path(WRONG_PATH_BURST))
-        .collect();
-    let set = TraceSet::build_with_store(&wp_specs, uops, policy, store);
-    set.assert_covers(uops);
-
+pub fn wrong_path_request(workloads: &[WorkloadSpec], uops: u64) -> SweepRequest {
     let base = PipelineConfig::baseline_vp_6_60();
-    let pipes = [
-        base.clone(),
-        base.clone().with_wrong_path(false),
-        base.with_wrong_path(true),
-    ];
-    let tasks: Vec<(usize, usize)> = (0..pipes.len())
-        .flat_map(|p| (0..set.len()).map(move |i| (p, i)))
-        .collect();
-    let stats: Vec<SimStats> = par::par_map(&tasks, |&(p, i)| {
-        run_source(set.source(i), &pipes[p], &PredictorKind::DVtage, uops)
-    });
-
-    let rows = (0..set.len())
-        .map(|i| WrongPathRow {
-            name: set.name(i).to_string(),
-            off: stats[i],
-            clean: stats[set.len() + i],
-            polluted: stats[2 * set.len() + i],
-        })
-        .collect();
-    WrongPathOutcome {
-        rows,
-        simulated_uops: 3 * set.len() as u64 * uops,
+    let variant = |label: &str, pipeline| (label.to_string(), pipeline, PredictorKind::DVtage);
+    SweepRequest {
+        name: "wrongpath".to_string(),
+        workloads: workloads
+            .iter()
+            .map(|s| s.clone().with_wrong_path(WRONG_PATH_BURST))
+            .collect(),
+        variants: vec![
+            variant("off", base.clone()),
+            variant("clean", base.clone().with_wrong_path(false)),
+            variant("polluted", base.with_wrong_path(true)),
+        ],
+        uops,
     }
 }
 
@@ -527,7 +464,10 @@ pub fn run_mix(specs: &[WorkloadSpec], uops: u64, store: Option<&TraceStore>) ->
 
     // Record (or load) every pair's interleaved trace once, fanned out.
     let buffers: Vec<TraceBuffer> = par::par_map(&pairs, |mix| match store {
-        Some(st) => st.load_or_record_mix(mix, uops).0,
+        Some(st) => {
+            st.load_or_record_key(&TraceKey::for_mix(mix), uops, || mix.record(uops))
+                .0
+        }
         None => mix.record(uops),
     });
 
@@ -744,22 +684,26 @@ mod tests {
     fn wrong_path_experiment_exercises_all_three_policies() {
         let specs: Vec<WorkloadSpec> = vec![WorkloadSpec::new("wp-bench", 41)];
         let uops = 4_000;
-        let out = run_wrong_path(&specs, uops, &TraceCachePolicy::default(), None);
-        assert_eq!(out.rows.len(), 1);
+        let req = wrong_path_request(&specs, uops);
+        let set = TraceSet::build(&req.workloads, uops, &TraceCachePolicy::default());
+        let mut table = JobTable::new(&set, uops);
+        let out = table.resolve(&req);
+        assert_eq!(out.stats.len(), 3, "one workload under three policies");
         assert_eq!(out.simulated_uops, 3 * uops);
-        let row = &out.rows[0];
+        assert_eq!(table.reused(), 0, "the three policies are distinct cells");
+        let [off, clean, polluted] = [&out.stats[0], &out.stats[1], &out.stats[2]];
         // All three columns commit the same budget over the same trace.
-        assert_eq!(row.off.uops, uops);
-        assert_eq!(row.clean.uops, uops);
-        assert_eq!(row.polluted.uops, uops);
+        assert_eq!(off.uops, uops);
+        assert_eq!(clean.uops, uops);
+        assert_eq!(polluted.uops, uops);
         // Off: bursts skipped for free. Clean: fetched but never trained.
         // Polluted: trains delivered.
-        assert_eq!(row.off.wrong_path.fetched, 0);
-        assert!(row.clean.wrong_path.fetched > 0);
-        assert_eq!(row.clean.wrong_path.vp_trains, 0);
-        assert!(row.polluted.wrong_path.vp_trains > 0);
-        assert!(out.polluted_total(|s| s.wrong_path.fetched) > 0);
-        let _ = out.mean_accuracy(|r| &r.polluted);
+        assert_eq!(off.wrong_path.fetched, 0);
+        assert!(clean.wrong_path.fetched > 0);
+        assert_eq!(clean.wrong_path.vp_trains, 0);
+        assert!(polluted.wrong_path.vp_trains > 0);
+        assert!(polluted.wrong_path.fetched > 0);
+        assert!((0.0..=1.0).contains(&polluted.vp.accuracy()));
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub struct PerfReport {
     /// The report's `"counters"` object, by name (empty for reports from
     /// before the object existed).
     pub counters: BTreeMap<String, u64>,
-    /// `(experiment name, µops/sec)` rows, in report order.
-    pub experiments: Vec<(String, f64)>,
+    /// `(experiment name, µops/sec, µops)` rows, in report order.
+    pub experiments: Vec<(String, f64, u64)>,
 }
 
 impl PerfReport {
@@ -179,8 +179,9 @@ pub fn parse(text: &str) -> Option<PerfReport> {
     let mut experiments = Vec::new();
     let mut cursor = exp_at;
     while let Some((name, after_name)) = string_after(text, "name", cursor) {
-        let (ups, after_ups) = number_after(text, "uops_per_sec", after_name)?;
-        experiments.push((name, ups.parse().ok()?));
+        let (uops, after_uops) = number_after(text, "uops", after_name)?;
+        let (ups, after_ups) = number_after(text, "uops_per_sec", after_uops)?;
+        experiments.push((name, ups.parse().ok()?, uops.parse().ok()?));
         cursor = after_ups;
     }
     if experiments.is_empty() {
@@ -232,6 +233,11 @@ fn ratio_row(name: &str, base: f64, cur: f64, tolerance: f64) -> (String, bool) 
 /// one-experiment cliff — e.g. one figure falling to a third of its siblings
 /// — hides inside an aggregate that still passes). An experiment present in
 /// the baseline but missing from the current report also fails in that mode.
+///
+/// A row whose µ-op count differs between the reports gets a `job mix
+/// changed: A -> B µops` note: its µops/sec then measures a different set of
+/// simulations (the job table reuses cells across experiments), not only a
+/// different simulator speed. The note never changes the verdict.
 pub fn diff(
     baseline: &PerfReport,
     current: &PerfReport,
@@ -258,9 +264,12 @@ pub fn diff(
     }
     let exp_tolerance = per_experiment.unwrap_or(tolerance);
     let mut exp_failures: Vec<String> = Vec::new();
-    for (name, base_ups) in &baseline.experiments {
-        if let Some((_, cur_ups)) = current.experiments.iter().find(|(n, _)| n == name) {
-            let (line, regressed) = ratio_row(name, *base_ups, *cur_ups, exp_tolerance);
+    for (name, base_ups, base_uops) in &baseline.experiments {
+        if let Some((_, cur_ups, cur_uops)) = current.experiments.iter().find(|(n, ..)| n == name) {
+            let (mut line, regressed) = ratio_row(name, *base_ups, *cur_ups, exp_tolerance);
+            if base_uops != cur_uops {
+                line += &format!("  job mix changed: {base_uops} -> {cur_uops} µops");
+            }
             lines.push(line);
             if regressed && per_experiment.is_some() {
                 exp_failures.push(format!(
@@ -328,6 +337,7 @@ mod tests {
         assert_eq!(r.experiments.len(), 2);
         assert_eq!(r.experiments[0].0, "table2");
         assert!((r.experiments[1].1 - 3491105.2).abs() < 1e-6);
+        assert_eq!(r.experiments[1].2, 500);
     }
 
     #[test]
@@ -359,9 +369,10 @@ mod tests {
 
     /// The counters each `figures` mode can write, each with a distinct
     /// nonzero value (one above 2^53, which an `f64` round trip would corrupt).
-    const STORE_COUNTERS: [(&str, u64); 3] = [
+    const STORE_COUNTERS: [(&str, u64); 4] = [
         ("trace_store_hits", 36),
         ("trace_store_misses", 2),
+        ("trace_store_unsaved", 3),
         ("trace_generated_uops", (1 << 53) + 1),
     ];
     const WRONG_PATH_COUNTERS: [(&str, u64); 4] = [
@@ -414,7 +425,7 @@ mod tests {
         assert!(quiet.counters.is_empty());
         let loud = parse(&render(1, 200_000, 6, counters, &timings)).expect("parse");
         assert_eq!(loud.counters.len(), counters.len());
-        assert_eq!(loud.experiments, vec![("fig8".to_string(), 500.0)]);
+        assert_eq!(loud.experiments, vec![("fig8".to_string(), 500.0, 1000)]);
         let shown = diff(&old, &loud, 0.20, None).lines;
         let zeros: Vec<(&str, u64)> = counters.iter().map(|&(name, _)| (name, 0)).collect();
         let zero = parse(&render(1, 200_000, 6, &zeros, &timings)).expect("parse");
@@ -563,6 +574,32 @@ mod tests {
         let msg = diff(&base, &cur, 0.20, Some(0.35)).failure.unwrap();
         assert!(msg.contains("aggregate"), "{msg}");
         assert!(msg.contains("fig8"), "{msg}");
+    }
+
+    #[test]
+    fn a_changed_job_mix_is_noted_on_its_row_only_and_never_gates() {
+        let base = parse(&report(1000.0, 1000.0)).unwrap();
+        let cur = parse(&report(1000.0, 1000.0).replacen(
+            "\"uops\": 500, \"uops_per_sec\": 1000",
+            "\"uops\": 400, \"uops_per_sec\": 1000",
+            1,
+        ))
+        .unwrap();
+        assert_eq!(cur.experiments[1].2, 400, "fig8's row was edited");
+        for per_experiment in [None, Some(0.35)] {
+            let same = diff(&base, &base, 0.20, per_experiment);
+            let changed = diff(&base, &cur, 0.20, per_experiment);
+            assert_eq!(same.failure, changed.failure);
+            let noted: Vec<&String> = changed
+                .lines
+                .iter()
+                .filter(|l| l.contains("job mix changed"))
+                .collect();
+            assert_eq!(noted.len(), 1, "{:?}", changed.lines);
+            assert!(noted[0].trim_start().starts_with("fig8"), "{}", noted[0]);
+            assert!(noted[0].ends_with("job mix changed: 500 -> 400 µops"));
+            assert!(!same.lines.iter().any(|l| l.contains("job mix")));
+        }
     }
 
     #[test]

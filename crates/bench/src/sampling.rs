@@ -25,7 +25,7 @@
 //! reported interval must contain the full-run golden; see
 //! [`SampledMetrics`]).
 
-use crate::trace_set::TraceCachePolicy;
+use crate::trace_set::{TraceCachePolicy, TraceSet};
 use bebop::{par, run_slice, PredictorKind, SimStats, TraceBuffer, TraceStore};
 use bebop_trace::{fnv1a, profile_slices, SliceBbv, WorkloadSpec, BBV_DIMS, FNV_OFFSET_BASIS};
 use bebop_uarch::PipelineConfig;
@@ -480,18 +480,12 @@ pub fn run_sampled_with(
         "phase sampling needs materialised recordings; `--no-trace-cache` cannot stream them"
     );
     // Record (or load) every workload's full-length trace once, fanned out.
-    let recorded: Vec<(TraceBuffer, bool)> = par::par_map(specs, |spec| match store {
-        Some(st) => st.load_or_record(spec, uops),
-        None => (TraceBuffer::record(spec, uops), false),
-    });
-    let loaded_traces = recorded.iter().filter(|(_, loaded)| *loaded).count();
-    let recorded_traces = recorded.len() - loaded_traces;
-    let generated_uops: u64 = recorded
-        .iter()
-        .filter(|(_, loaded)| !loaded)
-        .map(|(b, _)| b.len() as u64)
-        .sum();
-    let buffers: Vec<TraceBuffer> = recorded.into_iter().map(|(b, _)| b).collect();
+    let set = TraceSet::build_with_store(specs, uops, policy, store);
+    let buffers: Vec<&TraceBuffer> = (0..set.len())
+        // INVARIANT: the policy is enabled (asserted above), so every
+        // workload of the set is recorded.
+        .map(|i| set.recording(i).expect("an enabled policy records"))
+        .collect();
 
     // Profile + cluster each recording (cheap relative to simulation; done
     // in input order, seeded by workload content — see `cluster_slices` for
@@ -516,7 +510,7 @@ pub fn run_sampled_with(
         let (slices, clustering) = &clusterings[i];
         let rep = &slices[clustering.phases[p].representative];
         run_slice(
-            &buffers[i],
+            buffers[i],
             pipeline,
             predictor,
             rep.start,
@@ -566,9 +560,9 @@ pub fn run_sampled_with(
         simulated_uops,
         warm_uops,
         full_uops: specs.len() as u64 * uops,
-        loaded_traces,
-        recorded_traces,
-        generated_uops,
+        loaded_traces: set.loaded_count(),
+        recorded_traces: set.cached_count() - set.loaded_count(),
+        generated_uops: set.generated_uops(),
     }
 }
 

@@ -24,10 +24,14 @@
 //!   [`bebop::run_source_resumable`], reason via [`bebop::panic_reason`]); a
 //!   poisoned configuration is *quarantined* (recorded with a reason,
 //!   reported, excluded from aggregates) instead of aborting the sweep.
-//!   Transient store I/O errors are retried with exponential backoff;
-//!   permanent ones degrade gracefully (an unwritable trace store falls back
-//!   to in-memory recording, a corrupt trace is deleted and regenerated by
-//!   the store itself) and are counted in the [`SweepReport`].
+//! * The cells' recordings come from a [`TraceSet`] over the workloads the
+//!   remaining cells need, built the way every other harness mode builds one
+//!   ([`TraceSet::build_with_store`]). Its failure policy is the store's: a
+//!   save is retried with exponential backoff ([`bebop_trace::retry_io`]),
+//!   one that still fails runs from memory, a corrupt trace is deleted and
+//!   regenerated by the store itself. Journal appends and the ledger write
+//!   take the same retries. Retries and unsaved traces are counted in the
+//!   [`SweepReport`].
 //! * Cells run supervised: each publishes a committed-µop heartbeat through a
 //!   [`RunControl`], and when [`SweepOptions::cell_timeout`] is set a watchdog
 //!   thread cancels any cell whose heartbeat stalls past the budget. A stalled
@@ -49,21 +53,22 @@
 //! | store read error | transient | degrade to miss → regenerate trace |
 //! | corrupt / short / stale trace | permanent (file) | store deletes it → regenerate |
 //! | undeletable invalid trace | permanent (dir) | skip and count (`delete_errors`) |
-//! | store write error | transient | retry with backoff, then run unsaved |
+//! | store write error | transient | retry with backoff, then run unsaved (`traces_unsaved`) |
 //! | journal append error | transient | retry with backoff, then count (cell re-runs on resume) |
 //! | job panic | permanent (config) | quarantine the cell, `reason_kind = panic` |
 //! | stalled cell (heartbeat flat past `cell_timeout`) | permanent (config) | watchdog cancels → quarantine, `reason_kind = timeout`, checkpoint discarded |
 //! | SIGINT / SIGTERM mid-sweep | — | in-flight cells final-checkpoint and return unjournaled (`skipped_on_shutdown`); resume re-runs them from their snapshots |
 //! | `kill -9` mid-sweep | — | resume: journal replay + torn-tail salvage; mid-cell snapshot restores the interrupted cell |
 //! | corrupt / stale / mismatched cell checkpoint | permanent (file) | rejected and discarded; the cell re-runs from zero |
+//! | checkpoint write error | transient | the cell runs on, unsnapshotted until a later write lands (`checkpoint_write_errors`) |
 
-use crate::{SweepVariant, TraceStore};
+use crate::{SweepVariant, TraceCachePolicy, TraceSet, TraceStore};
 use bebop::{
     configs, panic_reason, par, run_source_resumable, shutdown_requested, PredictorKind,
-    ResumeOptions, RunControl, RunOutcome, SimStats, UopSource,
+    ResumeOptions, RunControl, RunOutcome, SimStats,
 };
 use bebop_trace::{
-    fnv1a, spec_fingerprint, write_atomic, FaultPlan, TraceBuffer, WorkloadSpec, FNV_OFFSET_BASIS,
+    fnv1a, retry_io, spec_fingerprint, write_atomic, FaultPlan, WorkloadSpec, FNV_OFFSET_BASIS,
 };
 use bebop_uarch::{gmean, PipelineConfig};
 use std::collections::{BTreeMap, BTreeSet};
@@ -561,13 +566,10 @@ impl SweepLedger {
 // The engine
 // ---------------------------------------------------------------------------
 
-/// Failure-handling policy of one engine run.
-#[derive(Debug)]
+/// Options of one engine run. `Default` runs every cell to completion,
+/// unsupervised, without faults or checkpoints.
+#[derive(Debug, Default)]
 pub struct SweepOptions {
-    /// Attempts per transient-I/O operation (journal appends, trace saves).
-    pub retries: u32,
-    /// Backoff before retry `k` is `backoff_ms << k` milliseconds.
-    pub backoff_ms: u64,
     /// Stop after this many newly executed cells (used by tests and the CI
     /// smoke to create genuinely partial sweeps; `None` = run to completion).
     pub max_cells: Option<usize>,
@@ -585,45 +587,6 @@ pub struct SweepOptions {
     /// interval, and a killed run resumes mid-cell from the last snapshot
     /// (bit-identical final statistics) instead of restarting the cell.
     pub checkpoint_every: u64,
-}
-
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions {
-            retries: 3,
-            backoff_ms: 1,
-            max_cells: None,
-            faults: None,
-            cell_timeout: None,
-            checkpoint_every: 0,
-        }
-    }
-}
-
-/// Retries `op` up to `opts.retries` times with exponential backoff, counting
-/// every retry. Transient faults (injected or real) get absorbed here;
-/// persistent ones surface as the last error for the caller to degrade on.
-fn retry_io<T>(
-    opts: &SweepOptions,
-    retries: &AtomicU64,
-    mut op: impl FnMut() -> io::Result<T>,
-) -> io::Result<T> {
-    let mut attempt = 0;
-    loop {
-        match op() {
-            Ok(v) => return Ok(v),
-            Err(e) => {
-                if attempt >= opts.retries {
-                    return Err(e);
-                }
-                retries.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(std::time::Duration::from_millis(
-                    opts.backoff_ms << attempt.min(10),
-                ));
-                attempt += 1;
-            }
-        }
-    }
 }
 
 /// The outcome of one engine run over a sweep directory.
@@ -645,6 +608,9 @@ pub struct SweepReport {
     /// Cells this run left unrun because SIGINT/SIGTERM arrived mid-sweep;
     /// they are not journaled and re-run on the next resume.
     pub skipped_on_shutdown: usize,
+    /// Intra-cell checkpoint writes that failed this run. The cells ran on;
+    /// a kill before a cell's next successful write re-simulates more of it.
+    pub checkpoint_write_errors: u64,
     /// Cells this run resumed mid-simulation from an intra-cell checkpoint.
     pub checkpoint_resumes: u64,
     /// Committed µ-ops those checkpoints carried (work a from-zero restart
@@ -672,14 +638,15 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// The one-line summary the front end prints and CI greps.
+    /// The one-line summary the front end prints and CI greps. Failed
+    /// checkpoint writes are appended last, and only when there were any.
     pub fn summary_line(&self) -> String {
         let timed_out = self
             .quarantined
             .iter()
             .filter(|(_, kind, _)| *kind == ReasonKind::Timeout)
             .count();
-        format!(
+        let mut line = format!(
             "resumed {} completed cell(s), newly executed {}, re-simulated {} previously completed cell(s), quarantined {} ({} timed out), skipped {} on shutdown, io retries {}, unsaved traces {}, salvaged {} journal byte(s)",
             self.resumed,
             self.executed,
@@ -690,7 +657,11 @@ impl SweepReport {
             self.io_retries,
             self.traces_unsaved,
             self.salvaged_bytes,
-        )
+        );
+        if self.checkpoint_write_errors > 0 {
+            line += &format!(", checkpoint write errors {}", self.checkpoint_write_errors);
+        }
+        line
     }
 
     /// Per-variant geometric-mean speedup over variant 0, computed from the
@@ -789,42 +760,24 @@ pub fn run_sweep_jobs(
         None => &remaining[..],
     };
 
-    let io_retries = AtomicU64::new(0);
-    let traces_unsaved = AtomicU64::new(0);
-    let ledger_writes_failed = AtomicU64::new(0);
-
     // Materialise the traces the cells replay: one recording per workload,
-    // shared by reference across its variants. Store misses (including
-    // corrupt/short/stale files the store deleted, and injected read faults)
-    // regenerate; a store that cannot persist the regenerated recording
-    // degrades to in-memory (counted) rather than failing the sweep.
+    // shared by reference across its variants. The store's retries and
+    // unsaved traces during the build are this run's.
     let needed: Vec<usize> = to_run
         .iter()
         .map(|j| j.workload)
         .collect::<BTreeSet<_>>()
         .into_iter()
         .collect();
-    let buffers: Vec<TraceBuffer> = par::par_map(&needed, |&w| {
-        let spec = &req.workloads[w];
-        if let Some(st) = store {
-            if let Some(buf) = st.load(spec, req.uops) {
-                return buf;
-            }
-        }
-        let buf = TraceBuffer::record(spec, req.uops);
-        if let Some(st) = store {
-            if let Err(e) = retry_io(opts, &io_retries, || st.save(spec, req.uops, &buf)) {
-                traces_unsaved.fetch_add(1, Ordering::Relaxed);
-                eprintln!(
-                    "[sweep] cannot persist trace for {}: {e} (continuing with the in-memory recording)",
-                    spec.name
-                );
-            }
-        }
-        buf
-    });
-    let buffer_of: BTreeMap<usize, &TraceBuffer> =
-        needed.iter().copied().zip(buffers.iter()).collect();
+    let specs: Vec<WorkloadSpec> = needed.iter().map(|&w| req.workloads[w].clone()).collect();
+    let save_counts = || store.map_or((0, 0), |st| (st.save_retries(), st.unsaved()));
+    let (retries_before, unsaved_before) = save_counts();
+    let set = TraceSet::build_with_store(&specs, req.uops, &TraceCachePolicy::default(), store);
+    let (retries_after, unsaved_after) = save_counts();
+    let set_index: BTreeMap<usize, usize> =
+        needed.iter().enumerate().map(|(i, &w)| (w, i)).collect();
+    let io_retries = AtomicU64::new(retries_after - retries_before);
+    let ledger_writes_failed = AtomicU64::new(0);
 
     // Simulate the remaining cells, panic-isolated and watchdog-supervised,
     // journaling each result as it lands. The fan-out is `par_map`, so any
@@ -841,6 +794,7 @@ pub fn run_sweep_jobs(
     let watchdog_stop = AtomicBool::new(false);
     let checkpoint_resumes = AtomicU64::new(0);
     let checkpoint_resumed_uops = AtomicU64::new(0);
+    let checkpoint_write_errors = AtomicU64::new(0);
 
     let run_cell = |&i: &usize| -> Option<CellRecord> {
         let job = to_run[i];
@@ -883,7 +837,7 @@ pub fn run_sweep_jobs(
                 .then(|| dir.join("ckpt").join(format!("{:016x}.bbpckpt", job.key.0)));
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 run_source_resumable(
-                    UopSource::Replay(buffer_of[&job.workload]),
+                    set.source(set_index[&job.workload]),
                     pipeline,
                     predictor,
                     req.uops,
@@ -901,6 +855,15 @@ pub fn run_sweep_jobs(
                     if let Some(why) = &run.rejected_checkpoint {
                         eprintln!(
                             "[sweep] discarded stale checkpoint for {}: {why} (restarting the cell from zero)",
+                            req.cell_label(job.workload, job.variant)
+                        );
+                    }
+                    if run.checkpoint_write_errors > 0 {
+                        checkpoint_write_errors
+                            .fetch_add(run.checkpoint_write_errors, Ordering::Relaxed);
+                        eprintln!(
+                            "[sweep] {} checkpoint write(s) failed for {} (the cell ran on without them)",
+                            run.checkpoint_write_errors,
                             req.cell_label(job.workload, job.variant)
                         );
                     }
@@ -939,7 +902,7 @@ pub fn run_sweep_jobs(
                 CellRecord::quarantined(job, kind, &reason)
             }
         };
-        if let Err(e) = retry_io(opts, &io_retries, || ledger.append(&rec)) {
+        if let Err(e) = retry_io(&io_retries, || ledger.append(&rec)) {
             ledger_writes_failed.fetch_add(1, Ordering::Relaxed);
             eprintln!(
                 "[sweep] journal append failed for {}: {e} (the cell will re-run on resume)",
@@ -1024,7 +987,7 @@ pub fn run_sweep_jobs(
         })
         .collect();
     let ledger_path = if complete {
-        Some(retry_io(opts, &io_retries, || {
+        Some(retry_io(&io_retries, || {
             ledger.finalize(req.fingerprint(), &cells)
         })?)
     } else {
@@ -1038,11 +1001,12 @@ pub fn run_sweep_jobs(
         resimulated: 0, // structural: journaled cells are filtered out above
         quarantined,
         skipped_on_shutdown,
+        checkpoint_write_errors: checkpoint_write_errors.load(Ordering::Relaxed),
         checkpoint_resumes: checkpoint_resumes.load(Ordering::Relaxed),
         checkpoint_resumed_uops: checkpoint_resumed_uops.load(Ordering::Relaxed),
         io_retries: io_retries.load(Ordering::Relaxed),
         ledger_writes_failed: ledger_writes_failed.load(Ordering::Relaxed),
-        traces_unsaved: traces_unsaved.load(Ordering::Relaxed),
+        traces_unsaved: unsaved_after - unsaved_before,
         salvaged_bytes: salvage.salvaged_bytes,
         complete,
         ledger_path,
@@ -1193,6 +1157,37 @@ mod tests {
         let (_, salvage) = SweepLedger::open(&dir).unwrap();
         assert_eq!(salvage.records, recs);
         assert_eq!(salvage.salvaged_bytes, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_checkpoint_writes_are_summed_into_the_report() {
+        // `<dir>/ckpt` is a regular file, so every cell's checkpoint write
+        // fails; the sweep must still complete, with the failures reported.
+        let dir = std::env::temp_dir().join(format!("bebop-ckpt-fail-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("ckpt"), b"not a directory").unwrap();
+        let mut req =
+            SweepRequest::bebop_geometry(vec![WorkloadSpec::named_demo("ckpt-fail")], 3_000);
+        req.variants.truncate(2);
+        let opts = SweepOptions {
+            checkpoint_every: 1_000,
+            ..SweepOptions::default()
+        };
+        let report = run_sweep_jobs(&req, &dir, None, &opts).expect("sweep runs");
+        assert!(report.complete);
+        assert!(report.cells.iter().all(|c| c.status == CellStatus::Ok));
+        // Two periodic writes per cell (at the 1 024 and 2 048 µ-op chunk
+        // boundaries), two cells.
+        assert_eq!(report.checkpoint_write_errors, 4);
+        assert!(
+            report
+                .summary_line()
+                .ends_with("salvaged 0 journal byte(s), checkpoint write errors 4"),
+            "{}",
+            report.summary_line()
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -18,7 +18,13 @@
 //! the `--trace-dir` flag), recordings are additionally keyed and cached *on
 //! disk*: a build first tries to load each workload's serialised lanes and
 //! only generates (then persists) on a miss, so a second run of the same
-//! (spec, µ-op budget) population generates zero µ-ops.
+//! (spec, µ-op budget) population generates zero µ-ops. That build is how
+//! every harness mode gets its recordings: the `--all` experiments,
+//! `--wrong-path`, `--sample` ([`crate::sampling::run_sampled_with`]) and
+//! `--sweep` ([`crate::sweep::run_sweep_jobs`]). Each workload goes through
+//! [`TraceStore::load_or_record`], so they share one failure policy: a save
+//! is retried with backoff, and one that still fails is logged and counted
+//! ([`TraceStore::unsaved`]) while the run continues from memory.
 
 use bebop::{par, UopSource, WorkloadSpec};
 use bebop_trace::{TraceBuffer, TraceStore};
@@ -78,9 +84,10 @@ impl TraceSet {
     }
 
     /// [`TraceSet::build`] with an optional persistent [`TraceStore`]: each
-    /// recording is first looked up on disk and only generated (then
-    /// persisted, best-effort) on a miss, so a warm store turns the whole
-    /// build into deserialisation — [`TraceSet::generated_uops`] reports zero.
+    /// recording goes through [`TraceStore::load_or_record`], so it is looked
+    /// up on disk and only generated (then saved, with retries) on a miss. A
+    /// warm store turns the whole build into deserialisation:
+    /// [`TraceSet::generated_uops`] reports zero.
     pub fn build_with_store(
         specs: &[WorkloadSpec],
         uops: u64,
@@ -98,6 +105,11 @@ impl TraceSet {
             .iter()
             .filter(|(_, was_loaded)| *was_loaded)
             .count();
+        let generated = recorded
+            .iter()
+            .filter(|(_, was_loaded)| !was_loaded)
+            .map(|(buf, _)| buf.len() as u64)
+            .sum();
         let entries = specs
             .iter()
             .zip(recorded)
@@ -109,7 +121,7 @@ impl TraceSet {
         TraceSet {
             uops,
             entries,
-            generated: (specs.len() - loaded) as u64 * uops,
+            generated,
             loaded,
         }
     }
@@ -154,6 +166,11 @@ impl TraceSet {
         }
     }
 
+    /// The recording of workload `i`, or `None` when the set streams it.
+    pub fn recording(&self, i: usize) -> Option<&TraceBuffer> {
+        self.entries[i].buf.as_ref()
+    }
+
     /// Number of workloads with a recorded trace.
     pub fn cached_count(&self) -> usize {
         self.entries.iter().filter(|e| e.buf.is_some()).count()
@@ -175,9 +192,10 @@ impl TraceSet {
         self.cached_count() as u64 * self.uops
     }
 
-    /// Total µ-ops generated *live* into recordings when the set was built.
-    /// Recordings loaded from a warm [`TraceStore`] generate nothing, so a
-    /// fully warm build reports zero here.
+    /// Total µ-ops generated *live* into recordings when the set was built,
+    /// wrong-path µ-ops included. Recordings loaded from a warm
+    /// [`TraceStore`] generate nothing, so a fully warm build reports zero
+    /// here.
     pub fn generated_uops(&self) -> u64 {
         self.generated
     }

@@ -211,10 +211,7 @@ pub fn fig7b_sweep() -> Vec<(String, BlockDVtageConfig)> {
 mod tests {
     use super::*;
     use bebop_uarch::ValuePredictor;
-    use bebop_vp::{
-        DVtage, LastValuePredictor, StridePredictor, TwoDeltaStridePredictor, Vtage,
-        VtageStrideHybrid,
-    };
+    use bebop_vp::{DVtage, LastValuePredictor, StridePredictor, Vtage, VtageStrideHybrid};
 
     #[test]
     fn table3_storage_budgets_match_the_paper() {
@@ -311,7 +308,7 @@ mod tests {
         let fig5a: [(&dyn ValuePredictor, u64); 6] = [
             (&LastValuePredictor::default_config(), 622_592),
             (&StridePredictor::default_config(), 1_146_880),
-            (&TwoDeltaStridePredictor::default_config(), 1_671_168),
+            (&StridePredictor::two_delta_default(), 1_671_168),
             (&Vtage::default_config(), 1_064_960),
             (&VtageStrideHybrid::default_config(), 2_736_128),
             (&DVtage::default_config(), 1_638_400),

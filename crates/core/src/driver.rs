@@ -9,9 +9,7 @@ use bebop_uarch::{
     gmean, NoValuePredictor, PerfectValuePredictor, Pipeline, PipelineConfig, PredictCtx, SimStats,
     SquashInfo, ValuePredictor,
 };
-use bebop_vp::{
-    DVtage, LastValuePredictor, StridePredictor, TwoDeltaStridePredictor, Vtage, VtageStrideHybrid,
-};
+use bebop_vp::{DVtage, LastValuePredictor, StridePredictor, Vtage, VtageStrideHybrid};
 
 /// The value predictors that can be plugged into a simulation run.
 #[derive(Debug, Clone)]
@@ -48,7 +46,7 @@ impl PredictorKind {
             }
             PredictorKind::Stride => AnyPredictor::Stride(StridePredictor::default_config()),
             PredictorKind::TwoDeltaStride => {
-                AnyPredictor::TwoDeltaStride(TwoDeltaStridePredictor::default_config())
+                AnyPredictor::TwoDeltaStride(StridePredictor::two_delta_default())
             }
             PredictorKind::Vtage => AnyPredictor::Vtage(Vtage::default_config()),
             PredictorKind::VtageStrideHybrid => {
@@ -111,7 +109,7 @@ pub enum AnyPredictor {
     /// Baseline stride predictor.
     Stride(StridePredictor),
     /// 2-delta stride predictor.
-    TwoDeltaStride(TwoDeltaStridePredictor),
+    TwoDeltaStride(StridePredictor),
     /// VTAGE.
     Vtage(Vtage),
     /// Naive VTAGE + 2-delta stride hybrid.

@@ -113,6 +113,10 @@ pub struct ResumableRun {
     /// Why an existing checkpoint file was rejected and discarded, if one
     /// was (`Missing` is not recorded — a first run is not a rejection).
     pub rejected_checkpoint: Option<String>,
+    /// Checkpoint writes (periodic or final) that failed. The run goes on
+    /// without them: its statistics are unaffected, only a later resume
+    /// restarts from an older snapshot, or from zero.
+    pub checkpoint_write_errors: u64,
 }
 
 /// The configuration fingerprint binding a checkpoint to one (source,
@@ -258,6 +262,13 @@ pub fn run_source_resumable(
         }
     }
 
+    let mut checkpoint_write_errors = 0;
+    let mut write_checkpoint = |pipeline: &Pipeline, predictor: &AnyPredictor, stream_pos| {
+        if let Some(path) = opts.checkpoint_path {
+            let written = snapshot(fingerprint, pipeline, predictor, stream_pos).write_atomic(path);
+            checkpoint_write_errors += u64::from(written.is_err());
+        }
+    };
     let mut next_checkpoint_at = if opts.checkpoint_every > 0 {
         pipeline.committed_uops() + opts.checkpoint_every
     } else {
@@ -269,34 +280,29 @@ pub fn run_source_resumable(
         if let Some(control) = opts.control {
             control.heartbeat.store(committed, Ordering::Relaxed);
             if control.cancelled() {
-                if let Some(path) = opts.checkpoint_path {
-                    let _ =
-                        snapshot(fingerprint, &pipeline, &predictor, stream_pos).write_atomic(path);
-                }
+                write_checkpoint(&pipeline, &predictor, stream_pos);
                 return ResumableRun {
                     outcome: RunOutcome::Cancelled { committed },
                     resumed_from,
                     rejected_checkpoint,
+                    checkpoint_write_errors,
                 };
             }
         }
         if opts.react_to_signals && shutdown::shutdown_requested() {
-            if let Some(path) = opts.checkpoint_path {
-                let _ = snapshot(fingerprint, &pipeline, &predictor, stream_pos).write_atomic(path);
-            }
+            write_checkpoint(&pipeline, &predictor, stream_pos);
             return ResumableRun {
                 outcome: RunOutcome::Interrupted { committed },
                 resumed_from,
                 rejected_checkpoint,
+                checkpoint_write_errors,
             };
         }
         if committed >= max_uops {
             break;
         }
         if committed >= next_checkpoint_at {
-            if let Some(path) = opts.checkpoint_path {
-                let _ = snapshot(fingerprint, &pipeline, &predictor, stream_pos).write_atomic(path);
-            }
+            write_checkpoint(&pipeline, &predictor, stream_pos);
             next_checkpoint_at = committed + opts.checkpoint_every;
         }
 
@@ -322,6 +328,7 @@ pub fn run_source_resumable(
         outcome: RunOutcome::Complete(pipeline.finish(&mut predictor)),
         resumed_from,
         rejected_checkpoint,
+        checkpoint_write_errors,
     }
 }
 
@@ -353,6 +360,37 @@ mod tests {
         assert_eq!(run.outcome, RunOutcome::Complete(direct));
         assert_eq!(run.resumed_from, None);
         assert_eq!(run.rejected_checkpoint, None);
+        assert_eq!(run.checkpoint_write_errors, 0);
+    }
+
+    #[test]
+    fn failed_checkpoint_writes_are_counted_and_do_not_change_the_run() {
+        // The checkpoint's parent is a regular file, so every write fails.
+        let blocker =
+            std::env::temp_dir().join(format!("bebop-ckpt-blocker-{}", std::process::id()));
+        std::fs::write(&blocker, b"not a directory").expect("write blocker");
+        let path = blocker.join("cell.bbpckpt");
+        let spec = demo();
+        let cfg = PipelineConfig::baseline_vp_6_60();
+        let kind = PredictorKind::DVtage;
+        let direct = run_source(UopSource::Live(&spec), &cfg, &kind, 5_000);
+        let run = run_source_resumable(
+            UopSource::Live(&spec),
+            &cfg,
+            &kind,
+            5_000,
+            ResumeOptions {
+                checkpoint_path: Some(&path),
+                checkpoint_every: 1_000,
+                ..ResumeOptions::default()
+            },
+        );
+        assert_eq!(run.outcome, RunOutcome::Complete(direct));
+        // Chunk boundaries 1 024, 2 048, 3 072 and 4 096 each pass the next
+        // 1 000-µop mark, and each of those four periodic writes failed.
+        assert_eq!(run.checkpoint_write_errors, 4);
+        assert!(!path.exists());
+        let _ = std::fs::remove_file(&blocker);
     }
 
     #[test]

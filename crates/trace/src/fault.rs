@@ -157,8 +157,9 @@ impl FaultPlan {
     }
 
     /// Consulted before a store write; an injected error must be handled like
-    /// any real `io::Error` from the filesystem (the sweep engine retries
-    /// with backoff, then degrades to an unpersisted in-memory recording).
+    /// any real `io::Error` from the filesystem (the store's
+    /// `load_or_record_key` retries with backoff, then degrades to an
+    /// unsaved in-memory recording).
     pub fn check_write(&self) -> io::Result<()> {
         if self.roll(self.write_error_1_in, WRITE_ERROR) {
             return Err(io::Error::other("injected fault: transient write error"));

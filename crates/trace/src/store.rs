@@ -687,6 +687,36 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     }
 }
 
+/// Retries [`retry_io`] makes after a failed first attempt.
+pub const IO_RETRIES: u32 = 3;
+
+/// Backoff before retry `k` (counting from 0) is `IO_BACKOFF_MS << k`
+/// milliseconds.
+pub const IO_BACKOFF_MS: u64 = 1;
+
+/// Runs `op`, retrying a failure up to [`IO_RETRIES`] times with exponential
+/// backoff and counting every retry in `retries`. Transient faults (injected
+/// or real) are absorbed here; a persistent one surfaces as the last error
+/// for the caller to degrade on.
+///
+/// The one retry policy of the workspace: trace-store saves
+/// ([`TraceStore::load_or_record_key`]) and the sweep's journal appends and
+/// ledger write.
+pub fn retry_io<T>(retries: &AtomicU64, mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+    let mut attempt = 0;
+    loop {
+        match op() {
+            Ok(v) => return Ok(v),
+            Err(e) if attempt >= IO_RETRIES => return Err(e),
+            Err(_) => {
+                retries.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(std::time::Duration::from_millis(IO_BACKOFF_MS << attempt));
+                attempt += 1;
+            }
+        }
+    }
+}
+
 /// Outcome of an eviction sweep ([`TraceStore::sweep`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
@@ -740,6 +770,8 @@ pub struct TraceStore {
     misses: AtomicU64,
     delete_errors: AtomicU64,
     read_errors: AtomicU64,
+    save_retries: AtomicU64,
+    unsaved: AtomicU64,
     faults: Option<crate::FaultPlan>,
 }
 
@@ -754,6 +786,8 @@ impl TraceStore {
             misses: AtomicU64::new(0),
             delete_errors: AtomicU64::new(0),
             read_errors: AtomicU64::new(0),
+            save_retries: AtomicU64::new(0),
+            unsaved: AtomicU64::new(0),
             faults: None,
         })
     }
@@ -762,7 +796,8 @@ impl TraceStore {
     /// write paths (see [`crate::FaultPlan`]). Injected read errors degrade to
     /// misses, injected short reads and corruption exercise the
     /// reject-and-regenerate path, and injected write errors surface as real
-    /// `io::Error`s from [`TraceStore::save`] for callers to retry or absorb.
+    /// `io::Error`s from [`TraceStore::save`], which
+    /// [`TraceStore::load_or_record_key`] retries and then absorbs.
     pub fn set_faults(&mut self, plan: crate::FaultPlan) {
         self.faults = Some(plan);
     }
@@ -894,29 +929,39 @@ impl TraceStore {
         Ok(path)
     }
 
-    /// Loads the recording of `(spec, uops)` or, on a miss, records it live
-    /// and persists it (best-effort: an unwritable directory degrades to plain
-    /// recording, it never fails the run). The flag is `true` on a store hit.
+    /// The spec form of [`TraceStore::load_or_record_key`]: loads the
+    /// recording of `(spec, uops)` or records it live. The flag is `true` on
+    /// a store hit.
     pub fn load_or_record(&self, spec: &WorkloadSpec, uops: u64) -> (TraceBuffer, bool) {
-        if let Some(buf) = self.load(spec, uops) {
-            return (buf, true);
-        }
-        let buf = TraceBuffer::record(spec, uops);
-        let _ = self.save(spec, uops, &buf);
-        (buf, false)
+        self.load_or_record_key(&TraceKey::for_spec(spec), uops, || {
+            TraceBuffer::record(spec, uops)
+        })
     }
 
-    /// The mix counterpart of [`TraceStore::load_or_record`]: loads the
-    /// recording of `(mix, uops)` keyed by the mix fingerprint, or records
-    /// the interleaved stream and persists it (best-effort). The flag is
-    /// `true` on a store hit.
-    pub fn load_or_record_mix(&self, mix: &crate::MixSpec, uops: u64) -> (TraceBuffer, bool) {
-        let key = TraceKey::for_mix(mix);
-        if let Some(buf) = self.load_key(&key, uops) {
+    /// The one way a harness mode turns a workload (a spec or a mix) into a
+    /// recording: loads the recording of `(key, uops)` or, on a miss, records
+    /// it with `record` and saves it, retrying a failed save through
+    /// [`retry_io`] (each retry counted in [`TraceStore::save_retries`]). A
+    /// save that still fails never fails the run: it is logged once as
+    /// `[trace-store] cannot save …`, counted in [`TraceStore::unsaved`], and
+    /// the in-memory recording is returned. The flag is `true` on a store hit.
+    pub fn load_or_record_key(
+        &self,
+        key: &TraceKey,
+        uops: u64,
+        record: impl FnOnce() -> TraceBuffer,
+    ) -> (TraceBuffer, bool) {
+        if let Some(buf) = self.load_key(key, uops) {
             return (buf, true);
         }
-        let buf = mix.record(uops);
-        let _ = self.save_key(&key, uops, &buf);
+        let buf = record();
+        if let Err(e) = retry_io(&self.save_retries, || self.save_key(key, uops, &buf)) {
+            self.unsaved.fetch_add(1, Ordering::Relaxed);
+            eprintln!(
+                "[trace-store] cannot save {}: {e} (continuing with the in-memory recording)",
+                self.trace_path_key(key, uops).display()
+            );
+        }
         (buf, false)
     }
 
@@ -944,6 +989,18 @@ impl TraceStore {
     /// directory itself is unhealthy.
     pub fn read_errors(&self) -> u64 {
         self.read_errors.load(Ordering::Relaxed)
+    }
+
+    /// Save retries [`TraceStore::load_or_record_key`] made since open.
+    pub fn save_retries(&self) -> u64 {
+        self.save_retries.load(Ordering::Relaxed)
+    }
+
+    /// Recordings [`TraceStore::load_or_record_key`] could not save even
+    /// after retrying, since open. Each ran from its in-memory recording, so
+    /// the next run with this store records it again.
+    pub fn unsaved(&self) -> u64 {
+        self.unsaved.load(Ordering::Relaxed)
     }
 
     /// Total bytes of trace files currently in the store.
@@ -1445,7 +1502,7 @@ mod tests {
         let mut hits = 0;
         for _ in 0..24 {
             // Saves may fail with the injected write error: retry until one
-            // lands (the sweep engine's policy, inlined).
+            // lands (`retry_io`'s policy, without its bound).
             if !store.trace_path(&spec, 1_000).exists() {
                 while store.save(&spec, 1_000, &reference).is_err() {}
             }
@@ -1466,6 +1523,58 @@ mod tests {
         assert!(
             store.read_errors() > 0,
             "injected read errors must be counted"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_save_that_keeps_failing_is_counted_unsaved_after_every_retry() {
+        let dir = tmp_dir("unsaved");
+        let mut store = TraceStore::open(&dir).expect("open");
+        store.set_faults(crate::FaultPlan::seeded(7).with_write_errors(1));
+        let spec = WorkloadSpec::named_demo("unsaved-demo");
+        let (buf, loaded) = store.load_or_record(&spec, 1_000);
+        assert!(!loaded);
+        assert_eq!(
+            buf.replay().collect::<Vec<_>>(),
+            TraceBuffer::record(&spec, 1_000)
+                .replay()
+                .collect::<Vec<_>>(),
+            "the in-memory recording is returned"
+        );
+        assert_eq!(store.unsaved(), 1);
+        assert_eq!(store.save_retries(), u64::from(IO_RETRIES));
+        let plan = store.faults.as_ref().expect("plan attached");
+        assert_eq!(plan.injected_by_kind().1, u64::from(IO_RETRIES) + 1);
+        assert!(!store.trace_path(&spec, 1_000).exists());
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "nothing on disk");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_save_that_fails_once_is_retried_and_lands() {
+        // The first seed whose plan fails the first write and passes the
+        // second, drawn the way the store draws them.
+        let plan = |seed| crate::FaultPlan::seeded(seed).with_write_errors(2);
+        let seed = (0..)
+            .find(|&s| {
+                let p = plan(s);
+                p.check_write().is_err() && p.check_write().is_ok()
+            })
+            .expect("some seed fails then passes");
+        let dir = tmp_dir("retried");
+        let mut store = TraceStore::open(&dir).expect("open");
+        store.set_faults(plan(seed));
+        let spec = WorkloadSpec::named_demo("retried-demo");
+        let (buf, loaded) = store.load_or_record(&spec, 1_000);
+        assert!(!loaded);
+        assert_eq!((store.save_retries(), store.unsaved()), (1, 0));
+        assert!(store.trace_path(&spec, 1_000).exists());
+        let (again, loaded) = store.load_or_record(&spec, 1_000);
+        assert!(loaded, "the retried save must be a later hit");
+        assert_eq!(
+            buf.replay().collect::<Vec<_>>(),
+            again.replay().collect::<Vec<_>>()
         );
         let _ = fs::remove_dir_all(&dir);
     }

@@ -5,22 +5,22 @@
 //! metapredictor arbitrates: use the confident component; if both are confident but
 //! disagree, do not predict.
 
-use crate::stride::TwoDeltaStridePredictor;
+use crate::stride::StridePredictor;
 use crate::vtage::Vtage;
 use crate::FpcParams;
 use bebop_isa::{snap, snapshot, DynUop, Nested};
 use bebop_uarch::{restore_predictor, PredictCtx, SquashInfo, ValuePredictor};
 
-/// A side-by-side hybrid of [`Vtage`] and [`TwoDeltaStridePredictor`].
+/// A side-by-side hybrid of [`Vtage`] and 2-delta [`StridePredictor`].
 #[derive(Debug, Clone)]
 pub struct VtageStrideHybrid {
     vtage: Nested<Vtage>,
-    stride: Nested<TwoDeltaStridePredictor>,
+    stride: Nested<StridePredictor>,
 }
 
 impl VtageStrideHybrid {
     /// Builds the hybrid from explicit components.
-    pub fn new(vtage: Vtage, stride: TwoDeltaStridePredictor) -> Self {
+    pub fn new(vtage: Vtage, stride: StridePredictor) -> Self {
         VtageStrideHybrid {
             vtage: Nested(vtage),
             stride: Nested(stride),
@@ -32,7 +32,7 @@ impl VtageStrideHybrid {
     pub fn default_config() -> Self {
         VtageStrideHybrid::new(
             Vtage::default_config(),
-            TwoDeltaStridePredictor::new(13, 8, FpcParams::paper_default()),
+            StridePredictor::two_delta(13, 8, FpcParams::paper_default()),
         )
     }
 }
@@ -85,7 +85,7 @@ impl ValuePredictor for VtageStrideHybrid {
 
 snap!(VtageStrideHybrid {
     vtage: Nested<Vtage>,
-    stride: Nested<TwoDeltaStridePredictor>,
+    stride: Nested<StridePredictor>,
 });
 
 #[cfg(test)]
@@ -123,7 +123,7 @@ mod tests {
             Vtage::new(VtageConfig {
                 fpc: FpcParams::deterministic(2),
             }),
-            TwoDeltaStridePredictor::new(13, 8, FpcParams::deterministic(2)),
+            StridePredictor::two_delta(13, 8, FpcParams::deterministic(2)),
         )
     }
 
@@ -166,7 +166,7 @@ mod tests {
         assert_eq!(
             h.storage_bits(),
             Vtage::default_config().storage_bits()
-                + TwoDeltaStridePredictor::new(13, 8, FpcParams::paper_default()).storage_bits()
+                + StridePredictor::two_delta(13, 8, FpcParams::paper_default()).storage_bits()
         );
     }
 

@@ -4,9 +4,9 @@
 //! *idealistic* infrastructure (one entry per µ-op, as many ports as needed):
 //!
 //! * [`LastValuePredictor`] — predicts the previously produced value (LVP).
-//! * [`StridePredictor`] — baseline stride predictor (last value + stride).
-//! * [`TwoDeltaStridePredictor`] — the 2-delta stride predictor: the stride used
-//!   for prediction is only updated once the same stride is observed twice.
+//! * [`StridePredictor`] — the stride predictors (last value + stride): the
+//!   baseline one, and the 2-delta one, whose prediction stride is only
+//!   updated once the same stride is observed twice.
 //! * [`Vtage`] — the VTAGE context-based predictor (TAGE applied to values).
 //! * [`VtageStrideHybrid`] — the naive VTAGE + 2-delta stride hybrid of the
 //!   earlier Perais & Seznec work.
@@ -58,7 +58,7 @@ pub use fpc::{ForwardProbabilisticCounter, FpcParams};
 pub use hybrid::VtageStrideHybrid;
 pub use last_value::LastValuePredictor;
 pub use sharded::{ShardCounters, ShardedTable};
-pub use stride::{StridePredictor, TwoDeltaStridePredictor};
+pub use stride::StridePredictor;
 pub use tagged::{
     clamp_stride, tag_width, Component, Hit, Slots, Tagged, TaggedComponents, TaggedGeometry,
     MAX_TAGGED,

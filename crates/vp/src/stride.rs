@@ -30,9 +30,13 @@ struct StrideEntry {
     spec_inflight: u32,
 }
 
-/// Shared implementation of the baseline and 2-delta stride predictors.
+/// A stride predictor: predicts `last value + stride`. The baseline variant
+/// ("Stride") adopts the most recently observed delta as its stride; the
+/// 2-delta variant ("2d-Stride") only adopts a delta once it has been seen
+/// twice in a row, filtering out one-off breaks in a strided pattern. Both
+/// variants share every table and path; `two_delta` is the only difference.
 #[derive(Debug, Clone)]
-pub struct StrideCore {
+pub struct StridePredictor {
     entries: Vec<StrideEntry>,
     index_mask: u64,
     tag_bits: u32,
@@ -44,9 +48,29 @@ pub struct StrideCore {
     inflight: SeqQueue<(SeqNum, u64)>,
 }
 
-impl StrideCore {
-    fn new(log_entries: u32, tag_bits: u32, params: FpcParams, two_delta: bool) -> Self {
-        StrideCore {
+impl StridePredictor {
+    /// A baseline stride predictor with `2^log_entries` entries.
+    pub fn new(log_entries: u32, tag_bits: u32, params: FpcParams) -> Self {
+        Self::with_policy(log_entries, tag_bits, params, false)
+    }
+
+    /// A 2-delta stride predictor with `2^log_entries` entries.
+    pub fn two_delta(log_entries: u32, tag_bits: u32, params: FpcParams) -> Self {
+        Self::with_policy(log_entries, tag_bits, params, true)
+    }
+
+    /// The 8K-entry baseline configuration used in Figure 5a ("Stride").
+    pub fn default_config() -> Self {
+        Self::new(13, 8, FpcParams::paper_default())
+    }
+
+    /// The 8K-entry 2-delta configuration used in Figure 5a ("2d-Stride").
+    pub fn two_delta_default() -> Self {
+        Self::two_delta(13, 8, FpcParams::paper_default())
+    }
+
+    fn with_policy(log_entries: u32, tag_bits: u32, params: FpcParams, two_delta: bool) -> Self {
+        StridePredictor {
             entries: vec![StrideEntry::default(); 1 << log_entries],
             index_mask: (1u64 << log_entries) - 1,
             tag_bits,
@@ -63,45 +87,6 @@ impl StrideCore {
 
     fn tag(&self, key: u64) -> u16 {
         (((key >> 1) >> self.index_mask.count_ones()) & ((1 << self.tag_bits) - 1)) as u16
-    }
-
-    fn predict_impl(&mut self, uop: &DynUop) -> Option<u64> {
-        let key = inst_key(uop);
-        let idx = self.index(key);
-        let tag = self.tag(key);
-        let e = &mut self.entries[idx];
-        if !(e.valid && e.tag == tag) {
-            return None;
-        }
-        let base = if e.spec_inflight > 0 {
-            e.spec_last
-        } else {
-            e.last
-        };
-        let prediction = base.wrapping_add_signed(e.stride);
-        // Track the speculative instance regardless of confidence: the hardware
-        // inserts every prediction block in the speculative window.
-        e.spec_last = prediction;
-        e.spec_inflight += 1;
-        self.inflight.push((uop.seq, prediction));
-        if e.conf.is_confident(&self.params) {
-            Some(prediction)
-        } else {
-            None
-        }
-    }
-
-    fn train_impl(&mut self, uop: &DynUop, actual: u64) {
-        let internal = self.inflight.retire(uop.seq).map(|(_, p)| p);
-        self.update_entry(uop, actual, internal);
-    }
-
-    /// The guarded wrong-path update: applies `actual` to the µ-op's table
-    /// entry *without* the program-order retirement bookkeeping of
-    /// [`StrideCore::train_impl`], consuming only the µ-op's own record.
-    fn train_wrong_path_impl(&mut self, uop: &DynUop, actual: u64) {
-        let internal = self.inflight.take_wrong_path(uop.seq).map(|(_, p)| p);
-        self.update_entry(uop, actual, internal);
     }
 
     /// The table-write half of training: confidence, stride and last-value
@@ -153,22 +138,6 @@ impl StrideCore {
         }
     }
 
-    fn squash_impl(&mut self, info: &SquashInfo) {
-        self.inflight.squash(info.flush_seq, drop);
-        // Speculative last values computed past the flush point are gone; an
-        // idealistic recovery resynchronises every entry with retired state.
-        for e in &mut self.entries {
-            e.spec_inflight = 0;
-            e.spec_last = e.last;
-        }
-    }
-
-    fn storage_bits_impl(&self) -> u64 {
-        // valid + tag + last(64) + stride(64) [+ last_delta for 2-delta] + conf(3).
-        let per = 1 + u64::from(self.tag_bits) + 64 + 64 + if self.two_delta { 64 } else { 0 } + 3;
-        self.entries.len() as u64 * per
-    }
-
     /// Clamps restored confidence levels to the configured saturation.
     fn check_restored(&mut self) -> StateResult<()> {
         for e in &mut self.entries {
@@ -188,114 +157,74 @@ snap!(StrideEntry {
     spec_last: u64,
     spec_inflight: u32,
 });
-snap!(StrideCore {
+snap!(StridePredictor {
     entries: Vec<StrideEntry>,
     rng: Lfsr,
     inflight: SeqQueue<(SeqNum, u64)>,
 } validate check_restored);
 
-/// The baseline Stride predictor: predicts `last value + stride` where the stride
-/// is the most recently observed delta.
-#[derive(Debug, Clone)]
-pub struct StridePredictor {
-    core: StrideCore,
-}
-
-impl StridePredictor {
-    /// Creates a predictor with `2^log_entries` entries.
-    pub fn new(log_entries: u32, tag_bits: u32, params: FpcParams) -> Self {
-        StridePredictor {
-            core: StrideCore::new(log_entries, tag_bits, params, false),
-        }
-    }
-
-    /// The 8K-entry configuration used in Figure 5a.
-    pub fn default_config() -> Self {
-        StridePredictor::new(13, 8, FpcParams::paper_default())
-    }
-}
-
 impl ValuePredictor for StridePredictor {
     fn name(&self) -> &str {
-        "Stride"
-    }
-
-    fn predict(&mut self, _ctx: &PredictCtx, uop: &DynUop) -> Option<u64> {
-        self.core.predict_impl(uop)
-    }
-
-    fn train(&mut self, uop: &DynUop, actual: u64, _predicted: Option<u64>) {
-        self.core.train_impl(uop, actual);
-    }
-
-    fn train_wrong_path(&mut self, uop: &DynUop, actual: u64, _predicted: Option<u64>) {
-        self.core.train_wrong_path_impl(uop, actual);
-    }
-
-    fn squash(&mut self, info: &SquashInfo) {
-        self.core.squash_impl(info);
-    }
-
-    fn storage_bits(&self) -> u64 {
-        self.core.storage_bits_impl()
-    }
-
-    fn save_state(&self) -> Vec<u8> {
-        snapshot(self)
-    }
-
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        restore_predictor(self, bytes)
-    }
-}
-
-snap!(StridePredictor { core: StrideCore });
-
-/// The 2-delta Stride predictor: the prediction stride is only updated once the
-/// same delta has been observed twice in a row, filtering out one-off breaks in a
-/// strided pattern.
-#[derive(Debug, Clone)]
-pub struct TwoDeltaStridePredictor {
-    core: StrideCore,
-}
-
-impl TwoDeltaStridePredictor {
-    /// Creates a predictor with `2^log_entries` entries.
-    pub fn new(log_entries: u32, tag_bits: u32, params: FpcParams) -> Self {
-        TwoDeltaStridePredictor {
-            core: StrideCore::new(log_entries, tag_bits, params, true),
+        if self.two_delta {
+            "2d-Stride"
+        } else {
+            "Stride"
         }
     }
 
-    /// The 8K-entry configuration used in Figure 5a ("2d-Stride").
-    pub fn default_config() -> Self {
-        TwoDeltaStridePredictor::new(13, 8, FpcParams::paper_default())
-    }
-}
-
-impl ValuePredictor for TwoDeltaStridePredictor {
-    fn name(&self) -> &str {
-        "2d-Stride"
-    }
-
     fn predict(&mut self, _ctx: &PredictCtx, uop: &DynUop) -> Option<u64> {
-        self.core.predict_impl(uop)
+        let key = inst_key(uop);
+        let idx = self.index(key);
+        let tag = self.tag(key);
+        let e = &mut self.entries[idx];
+        if !(e.valid && e.tag == tag) {
+            return None;
+        }
+        let base = if e.spec_inflight > 0 {
+            e.spec_last
+        } else {
+            e.last
+        };
+        let prediction = base.wrapping_add_signed(e.stride);
+        // Track the speculative instance regardless of confidence: the hardware
+        // inserts every prediction block in the speculative window.
+        e.spec_last = prediction;
+        e.spec_inflight += 1;
+        self.inflight.push((uop.seq, prediction));
+        if e.conf.is_confident(&self.params) {
+            Some(prediction)
+        } else {
+            None
+        }
     }
 
     fn train(&mut self, uop: &DynUop, actual: u64, _predicted: Option<u64>) {
-        self.core.train_impl(uop, actual);
+        let internal = self.inflight.retire(uop.seq).map(|(_, p)| p);
+        self.update_entry(uop, actual, internal);
     }
 
+    /// The guarded wrong-path update: applies `actual` to the µ-op's table
+    /// entry *without* the program-order retirement bookkeeping of
+    /// `train`, consuming only the µ-op's own record.
     fn train_wrong_path(&mut self, uop: &DynUop, actual: u64, _predicted: Option<u64>) {
-        self.core.train_wrong_path_impl(uop, actual);
+        let internal = self.inflight.take_wrong_path(uop.seq).map(|(_, p)| p);
+        self.update_entry(uop, actual, internal);
     }
 
     fn squash(&mut self, info: &SquashInfo) {
-        self.core.squash_impl(info);
+        self.inflight.squash(info.flush_seq, drop);
+        // Speculative last values computed past the flush point are gone; an
+        // idealistic recovery resynchronises every entry with retired state.
+        for e in &mut self.entries {
+            e.spec_inflight = 0;
+            e.spec_last = e.last;
+        }
     }
 
     fn storage_bits(&self) -> u64 {
-        self.core.storage_bits_impl()
+        // valid + tag + last(64) + stride(64) [+ last_delta for 2-delta] + conf(3).
+        let per = 1 + u64::from(self.tag_bits) + 64 + 64 + if self.two_delta { 64 } else { 0 } + 3;
+        self.entries.len() as u64 * per
     }
 
     fn save_state(&self) -> Vec<u8> {
@@ -306,8 +235,6 @@ impl ValuePredictor for TwoDeltaStridePredictor {
         restore_predictor(self, bytes)
     }
 }
-
-snap!(TwoDeltaStridePredictor { core: StrideCore });
 
 #[cfg(test)]
 mod tests {
@@ -376,9 +303,9 @@ mod tests {
 
     #[test]
     fn two_delta_filters_single_break() {
-        let mut p2d = TwoDeltaStridePredictor::new(10, 8, FpcParams::deterministic(1));
+        let mut p2d = StridePredictor::two_delta(10, 8, FpcParams::deterministic(1));
         let mut seq = 0u64;
-        let mut feed = |p: &mut TwoDeltaStridePredictor, v: u64| {
+        let mut feed = |p: &mut StridePredictor, v: u64| {
             let u = uop(seq, 0x400, v);
             let _ = p.predict(&ctx(), &u);
             p.train(&u, v, None);
@@ -422,8 +349,10 @@ mod tests {
     fn storage_reported() {
         assert!(StridePredictor::default_config().storage_bits() > 0);
         assert!(
-            TwoDeltaStridePredictor::default_config().storage_bits()
+            StridePredictor::two_delta_default().storage_bits()
                 > StridePredictor::default_config().storage_bits()
         );
+        assert_eq!(StridePredictor::default_config().name(), "Stride");
+        assert_eq!(StridePredictor::two_delta_default().name(), "2d-Stride");
     }
 }

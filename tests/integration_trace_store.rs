@@ -222,9 +222,10 @@ fn mix_recordings_round_trip_with_their_asid_lane() {
         bebop::spec_benchmark("429.mcf"),
     );
 
-    let (cold, was_hit) = store.load_or_record_mix(&mix, UOPS);
+    let key = TraceKey::for_mix(&mix);
+    let (cold, was_hit) = store.load_or_record_key(&key, UOPS, || mix.record(UOPS));
     assert!(!was_hit, "first materialisation must record");
-    let (warm, was_hit) = store.load_or_record_mix(&mix, UOPS);
+    let (warm, was_hit) = store.load_or_record_key(&key, UOPS, || mix.record(UOPS));
     assert!(was_hit, "second materialisation must load");
 
     // Bit-identity including the ASID lane: the store round trip preserves
