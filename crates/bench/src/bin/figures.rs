@@ -30,8 +30,9 @@
 //! restoring the directory from a cache) loads every trace from disk and
 //! generates zero µ-ops; `--trace-dir-mb` bounds the directory with an LRU
 //! eviction sweep. The `Trace store:` line prints last, once every mode has
-//! used the store: hits, misses and the recordings no save could persist
-//! (`; N unsaved`, each also logged on stderr when it happened). Simulations are fanned out across all cores by default;
+//! used the store: hits, misses, the µ-ops the misses recorded and the
+//! recordings no save could persist (`; N unsaved`, each also logged on
+//! stderr when it happened). Simulations are fanned out across all cores by default;
 //! `--serial` forces one thread (the figure output is bit-identical either
 //! way), and `--json <path>` writes per-experiment
 //! wall-clock and µops/sec so perf regressions are visible across commits (the
@@ -95,7 +96,6 @@ struct Options {
     sweep_dir: Option<String>,
     resume: bool,
     sweep_cells: Option<usize>,
-    cell_timeout_ms: Option<u64>,
     checkpoint_every: u64,
     fault_seed: Option<u64>,
     fault_read: u64,
@@ -103,7 +103,6 @@ struct Options {
     fault_short: u64,
     fault_corrupt: u64,
     fault_panic_jobs: Vec<u64>,
-    fault_stall_jobs: Vec<u64>,
 }
 
 /// Exits with a usage error (a bad flag is the caller's mistake, not a crash).
@@ -140,7 +139,6 @@ fn parse_args() -> Options {
         sweep_dir: None,
         resume: false,
         sweep_cells: None,
-        cell_timeout_ms: None,
         checkpoint_every: 0,
         fault_seed: None,
         fault_read: 0,
@@ -148,7 +146,6 @@ fn parse_args() -> Options {
         fault_short: 0,
         fault_corrupt: 0,
         fault_panic_jobs: Vec::new(),
-        fault_stall_jobs: Vec::new(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -167,13 +164,6 @@ fn parse_args() -> Options {
             "--resume" => opts.resume = true,
             "--sweep-cells" => {
                 opts.sweep_cells = Some(arg_value(&mut args, "--sweep-cells", "a cell count"));
-            }
-            "--cell-timeout" => {
-                opts.cell_timeout_ms = Some(arg_value(
-                    &mut args,
-                    "--cell-timeout",
-                    "a budget in milliseconds",
-                ));
             }
             "--checkpoint-every" => {
                 opts.checkpoint_every = arg_value(
@@ -203,13 +193,6 @@ fn parse_args() -> Options {
                 opts.fault_panic_jobs.push(arg_value(
                     &mut args,
                     "--fault-panic-job",
-                    "a job index",
-                ));
-            }
-            "--fault-stall-job" => {
-                opts.fault_stall_jobs.push(arg_value(
-                    &mut args,
-                    "--fault-stall-job",
                     "a job index",
                 ));
             }
@@ -277,9 +260,6 @@ fn parse_args() -> Options {
         if opts.sweep_cells.is_some() {
             fail("--sweep-cells bounds a sweep run: it requires --sweep <dir>");
         }
-        if opts.cell_timeout_ms.is_some() {
-            fail("--cell-timeout supervises sweep cells: it requires --sweep <dir>");
-        }
         if opts.checkpoint_every != 0 {
             fail("--checkpoint-every snapshots sweep cells: it requires --sweep <dir>");
         }
@@ -311,22 +291,11 @@ fn parse_args() -> Options {
     if opts.sweep_cells == Some(0) {
         fail("--sweep-cells needs at least one cell");
     }
-    if opts.cell_timeout_ms == Some(0) {
-        // A zero budget cancels any cell the watchdog's first scans catch
-        // between two heartbeats, so quarantine would follow host scheduling.
-        fail("--cell-timeout needs a non-zero budget in milliseconds");
-    }
-    if !opts.fault_stall_jobs.is_empty() && opts.cell_timeout_ms.is_none() {
-        // A stalled cell only exits through the watchdog's cancellation; a
-        // stall without a watchdog is a deliberate hang, not a test.
-        fail("--fault-stall-job stalls a cell until the watchdog cancels it: it requires --cell-timeout");
-    }
     let has_fault_flags = opts.fault_read != 0
         || opts.fault_write != 0
         || opts.fault_short != 0
         || opts.fault_corrupt != 0
-        || !opts.fault_panic_jobs.is_empty()
-        || !opts.fault_stall_jobs.is_empty();
+        || !opts.fault_panic_jobs.is_empty();
     if has_fault_flags && opts.fault_seed.is_none() {
         // Panic-job injection is positional and needs no randomness, but one
         // explicit seed for the whole plan keeps every faulty run replayable.
@@ -653,13 +622,6 @@ fn main() {
                  D-VTAGE on Baseline_VP_6_60 ===",
                 cfg.slice_uops, cfg.max_phases, cfg.warmup_uops
             );
-            // The `Trace store:` line's generated/loaded split counts the
-            // experiments' shared set only, so sampling reports its own
-            // population (CI greps "generated 0 µ-ops" here on a warm store).
-            println!(
-                "    sample trace population: loaded {}, recorded {}, generated {} µ-ops",
-                out.loaded_traces, out.recorded_traces, out.generated_uops
-            );
             println!(
                 "    {:<18} {:>6} {:>6}  {:>8} {:>7}  {:>8} {:>7}  {:>8} {:>7}  {:>9}",
                 "benchmark",
@@ -739,7 +701,6 @@ fn main() {
         let req = SweepRequest::bebop_geometry(specs.clone(), uops);
         let mut sweep_opts = SweepOptions {
             max_cells: opts.sweep_cells,
-            cell_timeout: opts.cell_timeout_ms.map(std::time::Duration::from_millis),
             checkpoint_every: opts.checkpoint_every,
             ..SweepOptions::default()
         };
@@ -747,9 +708,6 @@ fn main() {
             let mut plan = FaultPlan::seeded(seed);
             for &job in &opts.fault_panic_jobs {
                 plan = plan.with_panic_job(job);
-            }
-            for &job in &opts.fault_stall_jobs {
-                plan = plan.with_stall_job(job);
             }
             sweep_opts.faults = Some(plan);
         }
@@ -797,17 +755,11 @@ fn main() {
             }
             // The resumed/executed split is the crash-safety ledger: resumed
             // cells cost no simulation.
-            let timed_out = out
-                .quarantined
-                .iter()
-                .filter(|(_, kind, _)| *kind == bebop_bench::sweep::ReasonKind::Timeout)
-                .count();
             counters.extend([
                 ("sweep_cells_total", out.total as u64),
                 ("sweep_cells_resumed", out.resumed as u64),
                 ("sweep_cells_executed", out.executed as u64),
                 ("sweep_cells_quarantined", out.quarantined.len() as u64),
-                ("sweep_cells_timed_out", timed_out as u64),
                 ("sweep_checkpoint_resumes", out.checkpoint_resumes),
                 ("sweep_io_retries", out.io_retries),
             ]);
@@ -816,17 +768,13 @@ fn main() {
     }
 
     if let Some(st) = &store {
-        // Store traffic of every mode above, printed after they all ran. The
-        // generated/loaded split is the experiments' shared trace set; the
-        // unsaved count covers every mode (each failure was also logged on
-        // stderr as it happened).
+        // Store traffic of every mode above, printed after they all ran (each
+        // unsaved recording was also logged on stderr as it happened).
         println!(
-            "Trace store: {} hit(s), {} miss(es); generated {} µ-ops, loaded {}/{} recordings ({:.1} MiB on disk at {}); {} unsaved",
+            "Trace store: {} hit(s), {} miss(es); generated {} µ-ops ({:.1} MiB on disk at {}); {} unsaved",
             st.hits(),
             st.misses(),
-            set.generated_uops(),
-            set.loaded_count(),
-            set.cached_count(),
+            st.generated_uops(),
             st.disk_bytes() as f64 / (1024.0 * 1024.0),
             st.dir().display(),
             st.unsaved()

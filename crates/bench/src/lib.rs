@@ -477,7 +477,7 @@ pub fn run_mix(specs: &[WorkloadSpec], uops: u64, store: Option<&TraceStore>) ->
         .collect();
     let results: Vec<MixPolicyResult> = par::par_map(&tasks, |&(i, p)| {
         let policy = SharingPolicy::ALL[p];
-        let pipe = PipelineConfig::baseline_vp_6_60().with_mix(policy);
+        let pipe = PipelineConfig::baseline_vp_6_60().with_mix();
         let mut predictor = PredictorKind::BlockDVtage(configs::medium_mix(policy, 2)).build();
         let stats = Pipeline::new(pipe).run(
             UopSource::Replay(&buffers[i]).stream(),

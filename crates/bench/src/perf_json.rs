@@ -388,12 +388,11 @@ mod tests {
         ("sampled_simulated_uops", 240_000),
         ("sampled_full_uops", 1_200_000),
     ];
-    const SWEEP_COUNTERS: [(&str, u64); 7] = [
+    const SWEEP_COUNTERS: [(&str, u64); 6] = [
         ("sweep_cells_total", 66),
         ("sweep_cells_resumed", 40),
         ("sweep_cells_executed", 26),
         ("sweep_cells_quarantined", 3),
-        ("sweep_cells_timed_out", 1),
         ("sweep_checkpoint_resumes", 5),
         ("sweep_io_retries", 9),
     ];

@@ -451,11 +451,6 @@ pub struct SampledOutcome {
     pub warm_uops: u64,
     /// Committed µ-ops the equivalent full runs would have simulated.
     pub full_uops: u64,
-    /// Trace-population accounting: recordings loaded from the persistent
-    /// store (no generation paid).
-    pub loaded_traces: usize,
-    /// Recordings generated this run (store misses or no store attached).
-    pub recorded_traces: usize,
     /// µ-ops generated this run (0 on a fully warm store).
     pub generated_uops: u64,
 }
@@ -560,8 +555,6 @@ pub fn run_sampled_with(
         simulated_uops,
         warm_uops,
         full_uops: specs.len() as u64 * uops,
-        loaded_traces: set.loaded_count(),
-        recorded_traces: set.cached_count() - set.loaded_count(),
         generated_uops: set.generated_uops(),
     }
 }
@@ -652,8 +645,6 @@ mod tests {
             out.simulated_uops,
             out.full_uops
         );
-        assert_eq!(out.loaded_traces, 0);
-        assert_eq!(out.recorded_traces, 1);
         assert_eq!(out.generated_uops, uops);
         let row = &out.rows[0];
         assert_eq!(row.slices, 50);

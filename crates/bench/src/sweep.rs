@@ -1,10 +1,9 @@
 //! Crash-safe, resumable design-space sweeps.
 //!
-//! The ROADMAP's north star is a service-scale search over predictor
-//! geometries (10⁴–10⁶ cells). A sweep that long *will* be killed, meet
-//! corrupt trace files and transient I/O errors, and hit the odd
-//! configuration that panics the simulator — so this module treats a sweep as
-//! a durable job set rather than one in-memory loop:
+//! A sweep over predictor geometries can be killed, meet corrupt trace files
+//! and transient I/O errors, and hit the odd configuration that panics the
+//! simulator — so this module treats a sweep as a durable job set rather than
+//! one in-memory loop:
 //!
 //! * A [`SweepRequest`] (workloads × variants × µ-op budget) expands into a
 //!   content-addressed job set: every cell's [`JobKey`] fingerprints the
@@ -32,19 +31,13 @@
 //!   regenerated by the store itself. Journal appends and the ledger write
 //!   take the same retries. Retries and unsaved traces are counted in the
 //!   [`SweepReport`].
-//! * Cells run supervised: each publishes a committed-µop heartbeat through a
-//!   [`RunControl`], and when [`SweepOptions::cell_timeout`] is set a watchdog
-//!   thread cancels any cell whose heartbeat stalls past the budget. A stalled
-//!   cell is journaled as quarantined with [`ReasonKind::Timeout`] — distinct
-//!   from a panic — and the sweep completes around it.
 //! * With [`SweepOptions::checkpoint_every`] set, each cell periodically
 //!   snapshots its full simulation state to `<dir>/ckpt/<jobkey>.bbpckpt`
 //!   (see `bebop::SimCheckpoint`); a `kill -9` mid-cell then costs only the
 //!   work since the last snapshot, and SIGINT/SIGTERM write a final snapshot
 //!   before the cell returns unjournaled (to be resumed later).
 //! * A [`FaultPlan`] makes all of the above testable in-tree: deterministic
-//!   injected I/O errors, short reads, corruption, per-job panics and
-//!   per-job stalls.
+//!   injected I/O errors, short reads, corruption and per-job panics.
 //!
 //! The failure matrix, in one place:
 //!
@@ -56,7 +49,6 @@
 //! | store write error | transient | retry with backoff, then run unsaved (`traces_unsaved`) |
 //! | journal append error | transient | retry with backoff, then count (cell re-runs on resume) |
 //! | job panic | permanent (config) | quarantine the cell, `reason_kind = panic` |
-//! | stalled cell (heartbeat flat past `cell_timeout`) | permanent (config) | watchdog cancels → quarantine, `reason_kind = timeout`, checkpoint discarded |
 //! | SIGINT / SIGTERM mid-sweep | — | in-flight cells final-checkpoint and return unjournaled (`skipped_on_shutdown`); resume re-runs them from their snapshots |
 //! | `kill -9` mid-sweep | — | resume: journal replay + torn-tail salvage; mid-cell snapshot restores the interrupted cell |
 //! | corrupt / stale / mismatched cell checkpoint | permanent (file) | rejected and discarded; the cell re-runs from zero |
@@ -65,7 +57,7 @@
 use crate::{SweepVariant, TraceCachePolicy, TraceSet, TraceStore};
 use bebop::{
     configs, panic_reason, par, run_source_resumable, shutdown_requested, PredictorKind,
-    ResumeOptions, RunControl, RunOutcome, SimStats,
+    ResumeOptions, RunOutcome, SimStats,
 };
 use bebop_trace::{
     fnv1a, retry_io, spec_fingerprint, write_atomic, FaultPlan, WorkloadSpec, FNV_OFFSET_BASIS,
@@ -75,9 +67,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// Version of the sweep directory layout (manifest, journal and ledger).
 /// Part of every [`JobKey`] and of the manifest line, so a directory written
@@ -252,18 +243,17 @@ pub enum CellStatus {
     Quarantined(String),
 }
 
-/// Failure class of a quarantined cell, persisted alongside the reason token
-/// so post-mortems can separate "this configuration crashes the simulator"
-/// (re-file a bug) from "this cell stopped making progress" (raise the
-/// timeout, or suspect the machine) from "this cell's I/O failed permanently".
+/// Failure class of a quarantined cell, persisted alongside the reason token.
+/// This engine only quarantines panics; `Timeout` and `Io` records written by
+/// older engines stay decodable, because a line that fails to decode truncates
+/// the journal replay at that line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReasonKind {
     /// The job panicked inside its isolation boundary.
     Panic,
-    /// The watchdog saw no committed-µop progress within the cell timeout and
-    /// cooperatively cancelled the job.
+    /// An older engine cancelled the job after its cell timeout passed.
     Timeout,
-    /// The job was lost to a permanent I/O failure.
+    /// An older engine recorded the job as lost to a permanent I/O failure.
     Io,
 }
 
@@ -358,7 +348,7 @@ impl CellRecord {
         }
     }
 
-    /// The record of a quarantined cell (panicked, timed out or lost to I/O).
+    /// The record of a quarantined cell.
     pub fn quarantined(job: &SweepJob, kind: ReasonKind, reason: &str) -> CellRecord {
         CellRecord {
             key: job.key,
@@ -567,21 +557,15 @@ impl SweepLedger {
 // ---------------------------------------------------------------------------
 
 /// Options of one engine run. `Default` runs every cell to completion,
-/// unsupervised, without faults or checkpoints.
+/// without faults or checkpoints.
 #[derive(Debug, Default)]
 pub struct SweepOptions {
     /// Stop after this many newly executed cells (used by tests and the CI
     /// smoke to create genuinely partial sweeps; `None` = run to completion).
     pub max_cells: Option<usize>,
-    /// Deterministic fault injection for this run's *jobs* (per-job panics
-    /// and stalls). Store-level faults are attached to the [`TraceStore`]
-    /// itself. Stall injection needs `cell_timeout`, or the stalled cell
-    /// spins until the process is signalled.
+    /// Deterministic fault injection for this run's *jobs* (per-job panics).
+    /// Store-level faults are attached to the [`TraceStore`] itself.
     pub faults: Option<FaultPlan>,
-    /// Watchdog budget: a running cell whose committed-µop heartbeat does not
-    /// advance for this long is cooperatively cancelled and quarantined as
-    /// timed out ([`ReasonKind::Timeout`]). `None` disables supervision.
-    pub cell_timeout: Option<Duration>,
     /// Intra-cell checkpoint interval in committed µ-ops (0 = off). Each cell
     /// then snapshots its full simulation state to `<dir>/ckpt/<jobkey>` every
     /// interval, and a killed run resumes mid-cell from the last snapshot
@@ -641,18 +625,12 @@ impl SweepReport {
     /// The one-line summary the front end prints and CI greps. Failed
     /// checkpoint writes are appended last, and only when there were any.
     pub fn summary_line(&self) -> String {
-        let timed_out = self
-            .quarantined
-            .iter()
-            .filter(|(_, kind, _)| *kind == ReasonKind::Timeout)
-            .count();
         let mut line = format!(
-            "resumed {} completed cell(s), newly executed {}, re-simulated {} previously completed cell(s), quarantined {} ({} timed out), skipped {} on shutdown, io retries {}, unsaved traces {}, salvaged {} journal byte(s)",
+            "resumed {} completed cell(s), newly executed {}, re-simulated {} previously completed cell(s), quarantined {}, skipped {} on shutdown, io retries {}, unsaved traces {}, salvaged {} journal byte(s)",
             self.resumed,
             self.executed,
             self.resimulated,
             self.quarantined.len(),
-            timed_out,
             self.skipped_on_shutdown,
             self.io_retries,
             self.traces_unsaved,
@@ -779,26 +757,15 @@ pub fn run_sweep_jobs(
     let io_retries = AtomicU64::new(retries_after - retries_before);
     let ledger_writes_failed = AtomicU64::new(0);
 
-    // Simulate the remaining cells, panic-isolated and watchdog-supervised,
-    // journaling each result as it lands. The fan-out is `par_map`, so any
-    // panic escaping the isolation boundary would abort the whole process —
-    // the `catch_unwind` below is what keeps one poisoned cell from costing
-    // the sweep. Each cell publishes a committed-µop heartbeat through its
-    // `RunControl`; the watchdog thread cancels any *started* cell whose
-    // heartbeat stops advancing for `cell_timeout`, and the cell journals
-    // itself as timed out — distinct from panicked — on the way out.
-    let cell_ids: Vec<usize> = (0..to_run.len()).collect();
-    let controls: Vec<RunControl> = cell_ids.iter().map(|_| RunControl::new()).collect();
-    let started: Vec<AtomicBool> = cell_ids.iter().map(|_| AtomicBool::new(false)).collect();
-    let finished: Vec<AtomicBool> = cell_ids.iter().map(|_| AtomicBool::new(false)).collect();
-    let watchdog_stop = AtomicBool::new(false);
+    // Simulate the remaining cells, panic-isolated, journaling each result as
+    // it lands. The fan-out is `par_map`, so any panic escaping the isolation
+    // boundary would abort the whole process — the `catch_unwind` below is
+    // what keeps one poisoned cell from costing the sweep.
     let checkpoint_resumes = AtomicU64::new(0);
     let checkpoint_resumed_uops = AtomicU64::new(0);
     let checkpoint_write_errors = AtomicU64::new(0);
 
-    let run_cell = |&i: &usize| -> Option<CellRecord> {
-        let job = to_run[i];
-        started[i].store(true, Ordering::Release);
+    let run_cell = |&job: &&SweepJob| -> Option<CellRecord> {
         let outcome = (|| -> Option<Result<SimStats, (ReasonKind, String)>> {
             // A termination signal mid-sweep: leave the cell unjournaled so
             // the next resume re-runs it — an orderly shrink, not a failure.
@@ -813,20 +780,6 @@ pub fn run_sweep_jobs(
                     panic!("injected fault-plan panic in job {}", job.index)
                 });
                 return Some(caught.map_err(|p| (ReasonKind::Panic, panic_reason(p))));
-            }
-            if faults.is_some_and(|f| f.should_stall(job.index)) {
-                // The injected stall never touches the heartbeat, exactly
-                // like a simulator loop that stopped committing: the only
-                // ways out are the watchdog's cancellation or a signal.
-                loop {
-                    if controls[i].cancelled() {
-                        return Some(Err((ReasonKind::Timeout, "timed_out".to_string())));
-                    }
-                    if shutdown_requested() {
-                        return None;
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
             }
             let (_, pipeline, predictor) = &req.variants[job.variant];
             // Intra-cell checkpoints live next to the journal, keyed by the
@@ -844,7 +797,6 @@ pub fn run_sweep_jobs(
                     ResumeOptions {
                         checkpoint_path: ckpt_path.as_deref(),
                         checkpoint_every: opts.checkpoint_every,
-                        control: Some(&controls[i]),
                         react_to_signals: true,
                     },
                 )
@@ -877,20 +829,11 @@ pub fn run_sweep_jobs(
                     }
                     match run.outcome {
                         RunOutcome::Complete(stats) => Some(Ok(stats)),
-                        RunOutcome::Cancelled { .. } => {
-                            // A terminal quarantine orphans the cell's
-                            // snapshot: drop it with the cell.
-                            if let Some(p) = &ckpt_path {
-                                bebop::SimCheckpoint::discard(p);
-                            }
-                            Some(Err((ReasonKind::Timeout, "timed_out".to_string())))
-                        }
                         RunOutcome::Interrupted { .. } => None,
                     }
                 }
             }
         })();
-        finished[i].store(true, Ordering::Release);
         let rec = match outcome? {
             Ok(stats) => CellRecord::from_stats(job, &stats),
             Err((kind, reason)) => {
@@ -912,52 +855,7 @@ pub fn run_sweep_jobs(
         Some(rec)
     };
 
-    let cell_outcomes: Vec<Option<CellRecord>> = std::thread::scope(|scope| {
-        if let Some(timeout) = opts.cell_timeout {
-            // `timeout` is a per-iteration local, so the thread takes a
-            // `move` closure; everything shared moves in as a reference.
-            let (controls, started, finished) = (&controls, &started, &finished);
-            let (watchdog_stop, to_run) = (&watchdog_stop, &to_run);
-            scope.spawn(move || {
-                // Scan at a fraction of the budget so a stall is caught within
-                // ~1.25× the timeout. Cells are tracked from the first scan
-                // that sees them *started* — a cell still queued behind the
-                // worker pool must not burn its budget waiting for a slot.
-                let poll = (timeout / 4).max(Duration::from_millis(2));
-                let mut last: Vec<Option<(u64, Instant)>> = vec![None; to_run.len()];
-                while !watchdog_stop.load(Ordering::Acquire) {
-                    std::thread::sleep(poll);
-                    let now = Instant::now();
-                    for i in 0..to_run.len() {
-                        if !started[i].load(Ordering::Acquire)
-                            || finished[i].load(Ordering::Acquire)
-                            || controls[i].cancelled()
-                        {
-                            continue;
-                        }
-                        let beat = controls[i].committed();
-                        match last[i] {
-                            Some((prev, since)) if beat == prev => {
-                                if now.duration_since(since) >= timeout {
-                                    let job = to_run[i];
-                                    eprintln!(
-                                        "[sweep] watchdog: no progress from {} for {:?}, cancelling",
-                                        req.cell_label(job.workload, job.variant),
-                                        timeout
-                                    );
-                                    controls[i].request_cancel();
-                                }
-                            }
-                            _ => last[i] = Some((beat, now)),
-                        }
-                    }
-                }
-            });
-        }
-        let outcomes = par::par_map(&cell_ids, run_cell);
-        watchdog_stop.store(true, Ordering::Release);
-        outcomes
-    });
+    let cell_outcomes = par::par_map(to_run, run_cell);
     let skipped_on_shutdown = cell_outcomes.iter().filter(|r| r.is_none()).count();
     let new_records: Vec<CellRecord> = cell_outcomes.into_iter().flatten().collect();
     let executed = new_records.len();

@@ -72,8 +72,6 @@ pub struct TraceSet {
     /// µ-ops generated *live* into recordings during the build (store hits
     /// load their lanes from disk and generate nothing).
     generated: u64,
-    /// Recordings loaded from the persistent store during the build.
-    loaded: usize,
 }
 
 impl TraceSet {
@@ -101,10 +99,6 @@ impl TraceSet {
             Some(st) => st.load_or_record(spec, uops),
             None => (TraceBuffer::record(spec, uops), false),
         });
-        let loaded = recorded
-            .iter()
-            .filter(|(_, was_loaded)| *was_loaded)
-            .count();
         let generated = recorded
             .iter()
             .filter(|(_, was_loaded)| !was_loaded)
@@ -122,7 +116,6 @@ impl TraceSet {
             uops,
             entries,
             generated,
-            loaded,
         }
     }
 
@@ -138,7 +131,6 @@ impl TraceSet {
                 })
                 .collect(),
             generated: 0,
-            loaded: 0,
         }
     }
 
@@ -198,11 +190,6 @@ impl TraceSet {
     /// here.
     pub fn generated_uops(&self) -> u64 {
         self.generated
-    }
-
-    /// Number of recordings loaded from the persistent store (store hits).
-    pub fn loaded_count(&self) -> usize {
-        self.loaded
     }
 
     /// Asserts that every recorded trace covers a `max_uops` simulation.
@@ -273,16 +260,20 @@ mod tests {
             TraceSet::build_with_store(&specs, 2_500, &TraceCachePolicy::default(), Some(&store));
         assert_eq!(cold.cached_count(), 3);
         assert_eq!(cold.generated_uops(), 3 * 2_500);
-        assert_eq!(cold.loaded_count(), 0);
-        assert_eq!(store.misses(), 3);
+        assert_eq!((store.hits(), store.misses()), (0, 3));
+        assert_eq!(store.generated_uops(), 3 * 2_500);
 
         let warm =
             TraceSet::build_with_store(&specs, 2_500, &TraceCachePolicy::default(), Some(&store));
         assert_eq!(warm.cached_count(), 3);
         assert_eq!(warm.generated_uops(), 0, "warm build must not generate");
-        assert_eq!(warm.loaded_count(), 3);
         assert_eq!(warm.materialised_uops(), 3 * 2_500);
-        assert_eq!(store.hits(), 3);
+        assert_eq!((store.hits(), store.misses()), (3, 3));
+        assert_eq!(
+            store.generated_uops(),
+            3 * 2_500,
+            "warm build must not generate"
+        );
 
         let plain = TraceSet::build(&specs, 2_500, &TraceCachePolicy::default());
         for i in 0..specs.len() {

@@ -26,9 +26,9 @@
 //! `bebop-vp` (the instruction-based predictors of Figure 5a). The driver
 //! layer glues them together: a [`PredictorKind`] and a [`UopSource`] run
 //! through [`run_source`] (a whole run), [`run_slice`] (one phase-sampling
-//! window) or [`run_source_resumable`] (a checkpointed, cancellable run), and
-//! `bebop-bench` regenerates every table and figure of the paper's
-//! evaluation.
+//! window) or [`run_source_resumable`] (a checkpointed run that stops
+//! cleanly on SIGINT/SIGTERM), and `bebop-bench` regenerates every table and
+//! figure of the paper's evaluation.
 //!
 //! # Quickstart
 //!
@@ -74,8 +74,7 @@ pub use driver::{
 };
 pub use recovery::RecoveryPolicy;
 pub use resume::{
-    run_fingerprint, run_source_resumable, ResumableRun, ResumeOptions, RunControl, RunOutcome,
-    CHUNK_UOPS,
+    run_fingerprint, run_source_resumable, ResumableRun, ResumeOptions, RunOutcome, CHUNK_UOPS,
 };
 pub use shutdown::{install_shutdown_handler, set_shutdown_requested, shutdown_requested};
 pub use spec_window::{

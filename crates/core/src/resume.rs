@@ -1,18 +1,17 @@
-//! Resumable, supervised simulation runs.
+//! Resumable simulation runs.
 //!
 //! [`run_source_resumable`] is [`crate::run_source`] wrapped in the
 //! robustness layer: it periodically snapshots the complete simulation state
 //! to a [`SimCheckpoint`] file, restores from a valid snapshot on startup
 //! (replaying the deterministic µ-op stream up to the snapshot position, so
 //! the resumed run's final `SimStats` are bit-identical to an uninterrupted
-//! run's), publishes a progress heartbeat for watchdog supervision, and
-//! reacts to cooperative cancellation and SIGINT/SIGTERM by writing a final
-//! checkpoint before returning.
+//! run's), and reacts to SIGINT/SIGTERM by writing a final checkpoint before
+//! returning.
 //!
 //! The simulation advances in chunks of [`CHUNK_UOPS`] committed µ-ops
-//! between control-plane checks, so the heartbeat/cancellation/signal
-//! overhead is amortised across ~a thousand µ-ops and the release hot path
-//! is unchanged inside a chunk.
+//! between signal and checkpoint-interval checks, so their overhead is
+//! amortised across ~a thousand µ-ops and the release hot path is unchanged
+//! inside a chunk.
 
 use crate::checkpoint::{CheckpointError, SimCheckpoint};
 use crate::driver::{AnyPredictor, PredictorKind, UopSource};
@@ -20,50 +19,13 @@ use crate::shutdown;
 use bebop_trace::{fnv1a, spec_fingerprint, FNV_OFFSET_BASIS};
 use bebop_uarch::{Pipeline, PipelineConfig, SimStats, ValuePredictor};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Committed µ-ops simulated between control-plane checks (heartbeat bump,
-/// cancellation poll, checkpoint-interval test). Large enough that the checks
-/// are amortised to noise; small enough that a stalled cell is detected and a
-/// cancellation honoured within milliseconds of simulated work.
+/// Committed µ-ops simulated between signal and checkpoint-interval checks.
+/// Large enough that the checks are amortised to noise; small enough that a
+/// termination signal is honoured within milliseconds of simulated work.
 pub const CHUNK_UOPS: u64 = 1024;
 
-/// Shared progress/cancellation channel between a simulation run and its
-/// supervisor (the sweep watchdog, a signal handler, a test harness).
-#[derive(Debug, Default)]
-pub struct RunControl {
-    /// Monotonically increasing count of committed µ-ops, stored by the run
-    /// once per chunk. A supervisor that sees it unchanged across a wall-
-    /// clock budget declares the run stalled.
-    pub heartbeat: AtomicU64,
-    /// Set by a supervisor to request cooperative cancellation; the run
-    /// stops at the next chunk boundary.
-    pub cancel: AtomicBool,
-}
-
-impl RunControl {
-    /// A fresh control block (heartbeat 0, not cancelled).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The last published committed-µop count.
-    pub fn committed(&self) -> u64 {
-        self.heartbeat.load(Ordering::Relaxed)
-    }
-
-    /// Requests cooperative cancellation.
-    pub fn request_cancel(&self) {
-        self.cancel.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn cancelled(&self) -> bool {
-        self.cancel.load(Ordering::Relaxed)
-    }
-}
-
-/// Checkpoint/supervision options of a resumable run. `Default` disables
+/// Checkpoint and signal options of a resumable run. `Default` disables
 /// everything, reducing [`run_source_resumable`] to a chunked `run_source`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ResumeOptions<'a> {
@@ -73,8 +35,6 @@ pub struct ResumeOptions<'a> {
     /// granularity). 0 with a path set means "no periodic snapshots, but
     /// still resume from / final-checkpoint to the file".
     pub checkpoint_every: u64,
-    /// Supervisor channel for heartbeat publication and cancellation.
-    pub control: Option<&'a RunControl>,
     /// Poll [`shutdown::shutdown_requested`] and stop (with a final
     /// checkpoint) when a termination signal has arrived.
     pub react_to_signals: bool,
@@ -88,11 +48,6 @@ pub struct ResumeOptions<'a> {
 pub enum RunOutcome {
     /// Ran to its µ-op budget; the statistics are final.
     Complete(SimStats),
-    /// Stopped early by cooperative cancellation ([`RunControl::cancel`]).
-    Cancelled {
-        /// Committed µ-ops at the stop point.
-        committed: u64,
-    },
     /// Stopped early by SIGINT/SIGTERM (with a final checkpoint written when
     /// a checkpoint path was configured).
     Interrupted {
@@ -200,8 +155,7 @@ fn try_restore(
     }
 }
 
-/// [`crate::run_source`] with checkpoint/restore, heartbeat supervision and
-/// signal handling. With `ResumeOptions::default()` the behaviour (and the
+/// [`crate::run_source`] with checkpoint/restore and signal handling. With `ResumeOptions::default()` the behaviour (and the
 /// resulting `SimStats`) is identical to `run_source`.
 ///
 /// # Example
@@ -277,18 +231,6 @@ pub fn run_source_resumable(
 
     loop {
         let committed = pipeline.committed_uops();
-        if let Some(control) = opts.control {
-            control.heartbeat.store(committed, Ordering::Relaxed);
-            if control.cancelled() {
-                write_checkpoint(&pipeline, &predictor, stream_pos);
-                return ResumableRun {
-                    outcome: RunOutcome::Cancelled { committed },
-                    resumed_from,
-                    rejected_checkpoint,
-                    checkpoint_write_errors,
-                };
-            }
-        }
         if opts.react_to_signals && shutdown::shutdown_requested() {
             write_checkpoint(&pipeline, &predictor, stream_pos);
             return ResumableRun {
@@ -306,19 +248,13 @@ pub fn run_source_resumable(
             next_checkpoint_at = committed + opts.checkpoint_every;
         }
 
-        let before = pipeline.committed_uops();
-        let stop_at = (before + CHUNK_UOPS).min(max_uops);
+        let stop_at = (committed + CHUNK_UOPS).min(max_uops);
         pipeline.run_segment(&mut stream, &mut predictor, stop_at, &mut stream_pos);
-        if pipeline.committed_uops() == before {
+        if pipeline.committed_uops() == committed {
             break; // stream exhausted before the budget
         }
     }
 
-    if let Some(control) = opts.control {
-        control
-            .heartbeat
-            .store(pipeline.committed_uops(), Ordering::Relaxed);
-    }
     // The run completed: the snapshot is stale the moment the final stats
     // exist, so drop it rather than let a later run resurrect it.
     if let Some(path) = opts.checkpoint_path {
@@ -393,24 +329,6 @@ mod tests {
         let _ = std::fs::remove_file(&blocker);
     }
 
-    #[test]
-    fn cancellation_stops_at_a_chunk_boundary() {
-        let spec = demo();
-        let control = RunControl::new();
-        control.request_cancel();
-        let run = run_source_resumable(
-            UopSource::Live(&spec),
-            &PipelineConfig::baseline_vp_6_60(),
-            &PredictorKind::LastValue,
-            1_000_000,
-            ResumeOptions {
-                control: Some(&control),
-                ..Default::default()
-            },
-        );
-        assert!(matches!(run.outcome, RunOutcome::Cancelled { .. }));
-    }
-
     /// Guards the two properties resumability rests on, at many cut points:
     /// stopping `run_segment` and continuing is invisible to the simulation,
     /// and a save/restore cycle at the stop point is byte-lossless (the LFSR
@@ -453,7 +371,7 @@ mod tests {
         .record(TRANSPARENCY_UOPS);
         check_transparent(
             UopSource::Replay(&mix),
-            &cfg.clone().with_mix(policy),
+            &cfg.clone().with_mix(),
             &PredictorKind::BlockDVtage(configs::medium_mix(policy, 2)),
             &thin,
         );

@@ -15,7 +15,7 @@
 //! | ID   | Class        | What it forbids |
 //! |------|--------------|-----------------|
 //! | D001 | determinism  | hash-based `std` containers (`HashMap`/`HashSet`) anywhere in the workspace — iteration order depends on a per-process random hasher seed |
-//! | D002 | determinism  | wall-clock time (`Instant`, `SystemTime`) outside allowlisted timing modules (bench timing, sweep watchdog, store LRU mtimes) |
+//! | D002 | determinism  | wall-clock time (`Instant`, `SystemTime`) outside allowlisted timing modules (bench timing, store LRU mtimes) |
 //! | D003 | determinism  | nondeterministic entropy sources (`thread_rng`, `from_entropy`, `OsRng`, `getrandom`, `RandomState`, `DefaultHasher`, …) — all randomness flows through the seeded `bebop-rand` generators |
 //! | R001 | robustness   | `.unwrap()` / `.expect(` / `panic!` / `unreachable!` / `todo!` / `unimplemented!` in non-test, non-`simcheck` library code without an `// INVARIANT:` justification |
 //! | S001 | safety       | `unsafe` without a `// SAFETY:` comment on or directly above the line |

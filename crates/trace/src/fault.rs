@@ -1,12 +1,12 @@
 //! Deterministic fault injection for the persistent store and the sweep engine.
 //!
-//! A service-scale sweep (10⁴–10⁶ cells) *will* meet transient I/O errors,
-//! short reads from files truncated by a crash, bit rot, and the occasional
-//! configuration that panics the simulator. Those failures are rare enough in
-//! the wild that untested recovery code is broken recovery code — so this
-//! module makes them injectable on purpose: a [`FaultPlan`] is a seeded,
-//! reproducible schedule of faults that the [`crate::TraceStore`] consults on
-//! its read/write paths and the `bebop-bench` sweep engine consults per job.
+//! A long sweep can meet transient I/O errors, short reads from files
+//! truncated by a crash, bit rot, and the occasional configuration that
+//! panics the simulator. Those failures are rare enough in the wild that
+//! untested recovery code is broken recovery code — so this module makes them
+//! injectable on purpose: a [`FaultPlan`] is a seeded, reproducible schedule
+//! of faults that the [`crate::TraceStore`] consults on its read/write paths
+//! and the `bebop-bench` sweep engine consults per job.
 //!
 //! Injection is *decision-counter* based: every potential fault site draws the
 //! next value of a shared atomic counter and hashes it with the seed, so a
@@ -54,7 +54,6 @@ pub struct FaultPlan {
     short_read_1_in: u64,
     corrupt_1_in: u64,
     panic_jobs: BTreeSet<u64>,
-    stall_jobs: BTreeSet<u64>,
     rolls: AtomicU64,
     injected: [AtomicU64; 4],
 }
@@ -69,7 +68,6 @@ impl FaultPlan {
             short_read_1_in: 0,
             corrupt_1_in: 0,
             panic_jobs: BTreeSet::new(),
-            stall_jobs: BTreeSet::new(),
             rolls: AtomicU64::new(0),
             injected: Default::default(),
         }
@@ -105,14 +103,6 @@ impl FaultPlan {
     /// abort the sweep.
     pub fn with_panic_job(mut self, index: u64) -> Self {
         self.panic_jobs.insert(index);
-        self
-    }
-
-    /// Marks job `index` as stalled: the sweep engine spins that job without
-    /// making progress, which must trip the watchdog and quarantine the cell
-    /// as timed out rather than hang the sweep.
-    pub fn with_stall_job(mut self, index: u64) -> Self {
-        self.stall_jobs.insert(index);
         self
     }
 
@@ -170,11 +160,6 @@ impl FaultPlan {
     /// Whether job `index` is poisoned (see [`FaultPlan::with_panic_job`]).
     pub fn should_panic(&self, index: u64) -> bool {
         self.panic_jobs.contains(&index)
-    }
-
-    /// Whether job `index` is stalled (see [`FaultPlan::with_stall_job`]).
-    pub fn should_stall(&self, index: u64) -> bool {
-        self.stall_jobs.contains(&index)
     }
 
     /// Total faults injected so far, across every category.
@@ -252,16 +237,5 @@ mod tests {
         let plan = FaultPlan::seeded(0).with_panic_job(2).with_panic_job(7);
         let poisoned: Vec<u64> = (0..10).filter(|&j| plan.should_panic(j)).collect();
         assert_eq!(poisoned, vec![2, 7]);
-    }
-
-    #[test]
-    fn stall_jobs_are_exact_indices() {
-        let plan = FaultPlan::seeded(0).with_stall_job(4).with_panic_job(1);
-        let stalled: Vec<u64> = (0..10).filter(|&j| plan.should_stall(j)).collect();
-        assert_eq!(stalled, vec![4]);
-        assert!(
-            !plan.should_panic(4),
-            "stall and panic sets are independent"
-        );
     }
 }

@@ -772,6 +772,7 @@ pub struct TraceStore {
     read_errors: AtomicU64,
     save_retries: AtomicU64,
     unsaved: AtomicU64,
+    generated: AtomicU64,
     faults: Option<crate::FaultPlan>,
 }
 
@@ -788,6 +789,7 @@ impl TraceStore {
             read_errors: AtomicU64::new(0),
             save_retries: AtomicU64::new(0),
             unsaved: AtomicU64::new(0),
+            generated: AtomicU64::new(0),
             faults: None,
         })
     }
@@ -955,6 +957,8 @@ impl TraceStore {
             return (buf, true);
         }
         let buf = record();
+        self.generated
+            .fetch_add(buf.len() as u64, Ordering::Relaxed);
         if let Err(e) = retry_io(&self.save_retries, || self.save_key(key, uops, &buf)) {
             self.unsaved.fetch_add(1, Ordering::Relaxed);
             eprintln!(
@@ -1001,6 +1005,12 @@ impl TraceStore {
     /// the next run with this store records it again.
     pub fn unsaved(&self) -> u64 {
         self.unsaved.load(Ordering::Relaxed)
+    }
+
+    /// µ-ops [`TraceStore::load_or_record_key`] recorded on misses since
+    /// open, wrong-path µ-ops included: zero when every lookup hit.
+    pub fn generated_uops(&self) -> u64 {
+        self.generated.load(Ordering::Relaxed)
     }
 
     /// Total bytes of trace files currently in the store.

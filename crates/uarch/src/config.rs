@@ -140,10 +140,9 @@ pub struct WrongPathConfig {
 /// How a shared value-prediction infrastructure is divided between the
 /// contexts of a multi-programmed trace.
 ///
-/// The policy is consumed in two places: the pipeline records it on its
-/// [`MixConfig`] (and flushes front-end fetch continuity at context switches),
-/// and sharded predictors (the BeBoP `ShardedTable`-backed block D-VTAGE)
-/// use it to decide how per-context accesses map onto their storage. For a
+/// Sharded predictors (the BeBoP `ShardedTable`-backed block D-VTAGE) carry
+/// the policy and use it to decide how per-context accesses map onto their
+/// storage; the pipeline itself is policy-agnostic ([`MixConfig`]). For a
 /// single-context trace (every µ-op carries ASID 0) all three policies are
 /// exactly equivalent — the policy only matters once a second context exists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -188,31 +187,12 @@ impl SharingPolicy {
 /// When present on a [`PipelineConfig`], the pipeline treats changes of
 /// [`bebop_isa::DynUop::asid`] in its input stream as context switches: the
 /// front-end fetch continuity (current fetch group, fetch-block adjacency) is
-/// flushed per `flush_on_switch`, the switch is counted, and per-context
-/// statistics are split in `SimStats::contexts`. Single-context traces never
-/// switch, so a mix-configured pipeline over an ASID-0-only stream behaves
-/// bit-identically to one configured without.
+/// flushed, modelling the fetch redirect of a real context switch, the switch
+/// is counted, and per-context statistics are split in `SimStats::contexts`.
+/// Single-context traces never switch, so a mix-configured pipeline over an
+/// ASID-0-only stream behaves bit-identically to one configured without.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MixConfig {
-    /// How the value-prediction infrastructure is shared between contexts
-    /// (recorded here for reporting; sharded predictors carry their own copy).
-    pub sharing: SharingPolicy,
-    /// Flush front-end fetch state (fetch group, block adjacency) at context
-    /// switches, modelling the fetch redirect of a real context switch. The
-    /// default (`true` via [`MixConfig::for_policy`]) is the realistic model.
-    pub flush_on_switch: bool,
-}
-
-impl MixConfig {
-    /// The standard mix configuration for a sharing policy: fetch state is
-    /// flushed at every context switch.
-    pub fn for_policy(sharing: SharingPolicy) -> Self {
-        MixConfig {
-            sharing,
-            flush_on_switch: true,
-        }
-    }
-}
+pub struct MixConfig;
 
 /// Full pipeline configuration, mirroring Table I of the paper.
 #[derive(Debug, Clone, PartialEq)]
@@ -340,11 +320,10 @@ impl PipelineConfig {
     }
 
     /// Returns this configuration with multi-programmed (mix) execution
-    /// enabled under the given sharing policy (fetch state flushed at
-    /// context switches).
+    /// enabled (fetch state flushed at context switches).
     #[must_use]
-    pub fn with_mix(mut self, sharing: SharingPolicy) -> Self {
-        self.mix = Some(MixConfig::for_policy(sharing));
+    pub fn with_mix(mut self) -> Self {
+        self.mix = Some(MixConfig);
         self
     }
 }
@@ -389,10 +368,8 @@ mod tests {
     fn mix_config_defaults_and_labels() {
         let c = PipelineConfig::baseline_vp_6_60();
         assert!(c.mix.is_none(), "mix mode is opt-in");
-        let m = c.with_mix(SharingPolicy::Partitioned);
-        let mix = m.mix.expect("mix enabled");
-        assert_eq!(mix.sharing, SharingPolicy::Partitioned);
-        assert!(mix.flush_on_switch);
+        assert!(format!("{c:?}").contains("mix: None"), "job keys render it");
+        assert_eq!(c.with_mix().mix, Some(MixConfig));
         assert_eq!(SharingPolicy::default(), SharingPolicy::Shared);
         let labels: Vec<_> = SharingPolicy::ALL.iter().map(|p| p.label()).collect();
         assert_eq!(labels, ["shared", "partitioned", "tagged"]);

@@ -733,14 +733,14 @@ impl Pipeline {
         // ---- Context switch ----------------------------------------------------
         // A change of ASID between committed µ-ops is a quantum boundary of a
         // multi-programmed trace. Fetch continuity never spans it: the next
-        // context starts a fresh fetch group (when the mix mode says to
-        // flush), exactly like a taken redirect. Single-context traces carry
-        // ASID 0 throughout and never reach this branch.
+        // context starts a fresh fetch group (in mix mode), exactly like a
+        // taken redirect. Single-context traces carry ASID 0 throughout and
+        // never reach this branch.
         if uop.asid != self.cur_asid {
             self.flush_batch(predictor);
             self.cur_asid = uop.asid;
             self.stats.context_switches += 1;
-            if self.cfg.mix.map(|m| m.flush_on_switch).unwrap_or(false) {
+            if self.cfg.mix.is_some() {
                 self.fetch_resume = self.fetch_resume.max(self.group.cycle + 1);
                 self.last_block_pc = None;
             }

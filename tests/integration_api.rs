@@ -138,7 +138,7 @@ fn figures_rejects_unusable_flags_with_exit_2() {
     // Never created: the flags are rejected before the sweep opens it.
     let dir = std::env::temp_dir().join(format!("bebop-flags-{}", std::process::id()));
     let dir = dir.to_str().expect("utf-8 temp path");
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 5] = [
         (&["--sample", "--subset", "--uops", "0"], "--uops"),
         (&["--fig5b", "--subset", "--uops", "abc"], "--uops"),
         (
@@ -149,10 +149,6 @@ fn figures_rejects_unusable_flags_with_exit_2() {
         (
             &["--sweep", dir, "--subset", "--sweep-cells", "0"],
             "--sweep-cells",
-        ),
-        (
-            &["--sweep", dir, "--subset", "--cell-timeout", "0"],
-            "--cell-timeout",
         ),
     ];
     for (args, flag) in cases {

@@ -11,8 +11,7 @@
 use bebop::{
     configs, par, run_fingerprint, run_slice, run_source, run_source_resumable,
     set_shutdown_requested, CheckpointError, MixSpec, PipelineConfig, PredictorKind, ResumeOptions,
-    RunControl, RunOutcome, SharingPolicy, SimCheckpoint, UopSource, WorkloadSpec,
-    CHECKPOINT_FORMAT_VERSION,
+    RunOutcome, SharingPolicy, SimCheckpoint, UopSource, WorkloadSpec, CHECKPOINT_FORMAT_VERSION,
 };
 use bebop_trace::spec_benchmark;
 use bebop_trace::{fnv1a, fnv1a_wide, TraceBuffer, FNV_OFFSET_BASIS};
@@ -21,6 +20,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 const TOTAL: u64 = 6_000;
 
@@ -314,34 +315,47 @@ fn corrupt_truncated_and_mismatched_checkpoints_fall_back_to_zero() {
     assert!(!path.exists());
 }
 
+/// Serialises the tests that raise the process-global shutdown flag, so one
+/// test's flag never interrupts another's run.
+static SHUTDOWN_FLAG: Mutex<()> = Mutex::new(());
+
+fn own_shutdown_flag() -> MutexGuard<'static, ()> {
+    SHUTDOWN_FLAG.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn cancelled_run_writes_a_final_checkpoint_and_resumes_bit_identically() {
-    let spec = WorkloadSpec::named_demo("ckpt-cancel");
+    let _flag = own_shutdown_flag();
+    let spec = WorkloadSpec::named_demo("ckpt-signal");
     let cfg = PipelineConfig::baseline_vp_6_60();
     let kind = PredictorKind::DVtage;
     // Under simcheck every committed µ-op pays for full invariant scans, so
     // a smaller budget keeps the sanitizer CI job inside its time box while
-    // still crossing several checkpoint intervals before the cancel lands.
+    // still leaving most of the run after the first periodic checkpoint.
     const BUDGET: u64 = if cfg!(feature = "simcheck") {
         60_000
     } else {
         200_000
     };
     let reference = run_source(UopSource::Live(&spec), &cfg, &kind, BUDGET);
-    let path = tmp_path("cancel");
+    let path = tmp_path("signal");
     SimCheckpoint::discard(&path);
 
-    // A supervisor cancels once the run is demonstrably mid-flight; the
-    // heartbeat makes "mid-flight" observable without guessing at timing.
-    let control = RunControl::new();
+    // The flag is what the SIGINT/SIGTERM handlers set; driving it directly
+    // keeps the test in-process and signal-free. It is raised once the first
+    // periodic checkpoint exists, so the run is demonstrably mid-flight.
+    let done = AtomicBool::new(false);
     let interrupted = std::thread::scope(|s| {
         s.spawn(|| {
-            while control.committed() < BUDGET / 4 {
+            while !done.load(Ordering::Acquire) {
+                if path.exists() {
+                    set_shutdown_requested(true);
+                    return;
+                }
                 std::thread::sleep(std::time::Duration::from_micros(200));
             }
-            control.request_cancel();
         });
-        run_source_resumable(
+        let run = run_source_resumable(
             UopSource::Live(&spec),
             &cfg,
             &kind,
@@ -349,20 +363,22 @@ fn cancelled_run_writes_a_final_checkpoint_and_resumes_bit_identically() {
             ResumeOptions {
                 checkpoint_path: Some(&path),
                 checkpoint_every: 10_000,
-                control: Some(&control),
-                react_to_signals: false,
+                react_to_signals: true,
             },
-        )
+        );
+        done.store(true, Ordering::Release);
+        run
     });
+    set_shutdown_requested(false);
     let committed = match interrupted.outcome {
-        RunOutcome::Cancelled { committed } => committed,
-        other => panic!("expected cancellation, got {other:?}"),
+        RunOutcome::Interrupted { committed } => committed,
+        other => panic!("expected a signal interruption, got {other:?}"),
     };
     assert!(
-        (BUDGET / 4..BUDGET).contains(&committed),
-        "cancellation must land mid-run (committed {committed})"
+        (1..BUDGET).contains(&committed),
+        "the interruption must land mid-run (committed {committed})"
     );
-    assert!(path.exists(), "a cancelled run leaves its final checkpoint");
+    assert!(path.exists(), "interruption must leave a checkpoint behind");
 
     let resumed = run_source_resumable(
         UopSource::Live(&spec),
@@ -381,15 +397,16 @@ fn cancelled_run_writes_a_final_checkpoint_and_resumes_bit_identically() {
 
 #[test]
 fn signal_interruption_leaves_a_resumable_checkpoint() {
-    let spec = WorkloadSpec::named_demo("ckpt-signal");
+    let _flag = own_shutdown_flag();
+    let spec = WorkloadSpec::named_demo("ckpt-signal-early");
     let cfg = PipelineConfig::baseline_vp_6_60();
     let kind = PredictorKind::LastValue;
     let reference = run_source(UopSource::Live(&spec), &cfg, &kind, TOTAL);
-    let path = tmp_path("signal");
+    let path = tmp_path("signal-early");
     SimCheckpoint::discard(&path);
 
-    // The flag is what the SIGINT/SIGTERM handlers set; driving it directly
-    // keeps the test in-process and signal-free.
+    // A signal that arrived before the run started stops it at the first
+    // chunk boundary, still with a checkpoint behind.
     set_shutdown_requested(true);
     let interrupted = run_source_resumable(
         UopSource::Live(&spec),
@@ -465,7 +482,7 @@ fn pin_cases() -> Vec<PinCase> {
     for policy in SharingPolicy::ALL {
         cases.push(PinCase {
             label: format!("mix-{}", policy.label()),
-            cfg: PipelineConfig::baseline_vp_6_60().with_mix(policy),
+            cfg: PipelineConfig::baseline_vp_6_60().with_mix(),
             kind: PredictorKind::BlockDVtage(configs::medium_mix(policy, 2)),
             trace: mix.clone(),
         });

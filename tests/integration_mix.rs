@@ -87,22 +87,19 @@ fn single_context_mix_simulates_bit_identically_for_every_predictor_kind() {
     assert_eq!(buf.committed_len() as u64, UOPS);
 
     let plain_pipe = PipelineConfig::baseline_vp_6_60();
-    for sharing in SharingPolicy::ALL {
-        let mix_pipe = plain_pipe.clone().with_mix(sharing);
-        for kind in all_kinds() {
-            let plain = run_source(UopSource::Live(&spec), &plain_pipe, &kind, UOPS);
-            let mixed = run_source(UopSource::Replay(&buf), &mix_pipe, &kind, UOPS);
-            assert_eq!(
-                plain,
-                mixed,
-                "{} diverged through the mix machinery under {}",
-                kind.label(),
-                sharing.label()
-            );
-            assert_eq!(mixed.context_switches, 0, "one context never switches");
-            assert!(mixed.context_totals_consistent());
-            assert_eq!(mixed.contexts[0].uops, UOPS, "slot 0 holds everything");
-        }
+    let mix_pipe = plain_pipe.clone().with_mix();
+    for kind in all_kinds() {
+        let plain = run_source(UopSource::Live(&spec), &plain_pipe, &kind, UOPS);
+        let mixed = run_source(UopSource::Replay(&buf), &mix_pipe, &kind, UOPS);
+        assert_eq!(
+            plain,
+            mixed,
+            "{} diverged through the mix machinery",
+            kind.label()
+        );
+        assert_eq!(mixed.context_switches, 0, "one context never switches");
+        assert!(mixed.context_totals_consistent());
+        assert_eq!(mixed.contexts[0].uops, UOPS, "slot 0 holds everything");
     }
 }
 
@@ -115,7 +112,7 @@ fn mcf_golden_values_survive_the_mix_machinery() {
     let spec = bebop::spec_benchmark("429.mcf");
     let mix = MixSpec::new("mcf-solo", QUANTUM, vec![spec.clone()]);
     let buf = mix.record(30_000);
-    let pipe = PipelineConfig::baseline_vp_6_60().with_mix(SharingPolicy::Shared);
+    let pipe = PipelineConfig::baseline_vp_6_60().with_mix();
     let stats = run_source(
         UopSource::Replay(&buf),
         &pipe,
@@ -161,7 +158,7 @@ fn shard_count_is_behaviour_invariant_under_the_shared_policy() {
         bebop::spec_benchmark("403.gcc"),
     );
     let buf = mix.record(UOPS);
-    let pipe = PipelineConfig::baseline_vp_6_60().with_mix(SharingPolicy::Shared);
+    let pipe = PipelineConfig::baseline_vp_6_60().with_mix();
     let mut results = Vec::new();
     for shards in [1usize, 2, 8] {
         let mut cfg = configs::medium();
@@ -188,7 +185,7 @@ fn sharing_policies_divide_the_predictor_as_advertised() {
 
     let mut steals_by_policy = Vec::new();
     for sharing in SharingPolicy::ALL {
-        let pipe = PipelineConfig::baseline_vp_6_60().with_mix(sharing);
+        let pipe = PipelineConfig::baseline_vp_6_60().with_mix();
         let mut predictor = PredictorKind::BlockDVtage(configs::medium_mix(sharing, 2)).build();
         let stats = Pipeline::new(pipe).run(UopSource::Replay(&buf).stream(), &mut predictor, UOPS);
         assert!(stats.context_totals_consistent(), "{}", sharing.label());
@@ -232,7 +229,7 @@ fn mix_replay_is_bit_identical_to_live_interleaving() {
         twice.replay().collect::<Vec<_>>(),
         "mix recording is not deterministic"
     );
-    let pipe = PipelineConfig::baseline_vp_6_60().with_mix(SharingPolicy::Tagged);
+    let pipe = PipelineConfig::baseline_vp_6_60().with_mix();
     for kind in [
         PredictorKind::DVtage,
         PredictorKind::BlockDVtage(configs::medium_mix(SharingPolicy::Tagged, 2)),

@@ -179,13 +179,13 @@ fn rerun_from_the_trace_store_is_bit_identical() {
     let uops = 30_000;
     let cfg = SamplingConfig::for_budget(uops);
 
+    let n = specs.len() as u64;
     let cold = sampled_dvtage(&specs, uops, &cfg, Some(&store));
-    assert_eq!(cold.recorded_traces, specs.len());
-    assert_eq!(cold.loaded_traces, 0);
+    assert_eq!((store.hits(), store.misses()), (0, n));
+    assert_eq!(store.generated_uops(), cold.generated_uops);
 
     let warm = sampled_dvtage(&specs, uops, &cfg, Some(&store));
-    assert_eq!(warm.loaded_traces, specs.len());
-    assert_eq!(warm.recorded_traces, 0);
+    assert_eq!((store.hits(), store.misses()), (n, n));
     assert_eq!(warm.generated_uops, 0);
 
     assert_eq!(cold.rows, warm.rows);

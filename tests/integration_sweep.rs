@@ -204,47 +204,6 @@ fn faulty_store_and_poisoned_job_degrade_without_losing_the_sweep() {
 }
 
 #[test]
-fn stalled_cell_is_timed_out_by_the_watchdog_and_only_it() {
-    let req = tiny_request();
-    let dir = tmp_dir("stall");
-
-    // Job 5 (variant 1 × workload 2) stalls: it makes no committed-µop
-    // progress, so the watchdog must cancel it within the cell timeout while
-    // every other cell completes normally.
-    let opts = SweepOptions {
-        faults: Some(FaultPlan::seeded(11).with_stall_job(5)),
-        cell_timeout: Some(std::time::Duration::from_millis(100)),
-        ..SweepOptions::default()
-    };
-    let out = run_sweep_jobs(&req, &dir, None, &opts).expect("stalled sweep");
-    assert!(
-        out.complete,
-        "a timed-out cell is terminal, not missing work"
-    );
-    assert_eq!(out.executed, 9);
-    assert_eq!(out.quarantined.len(), 1, "exactly the stalled cell");
-    assert_eq!(out.quarantined[0].1, ReasonKind::Timeout);
-    assert_eq!(out.quarantined[0].2, "timed_out");
-    assert!(out.quarantined[0].0.contains("swp-c"), "job 5 = v1 × w2");
-    assert!(out.quarantined[0].0.contains("Small_4p"));
-    assert_eq!(
-        out.cells
-            .iter()
-            .filter(|c| c.status == CellStatus::Ok)
-            .count(),
-        8,
-        "the other eight cells must complete"
-    );
-
-    // The timeout is journaled distinctly from a panic and survives resume.
-    let resumed = run_sweep_jobs(&req, &dir, None, &SweepOptions::default()).expect("resume");
-    assert_eq!((resumed.resumed, resumed.executed), (9, 0));
-    assert_eq!(resumed.quarantined.len(), 1);
-    assert_eq!(resumed.quarantined[0].1, ReasonKind::Timeout);
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn sweep_cells_checkpoint_and_produce_identical_ledgers() {
     // A sweep with intra-cell checkpointing enabled produces the same ledger
     // bytes as one without: checkpoints change durability, never results.

@@ -239,7 +239,7 @@ fn mix_recordings_round_trip_with_their_asid_lane() {
 
     // And end-to-end: a mix-mode simulation of the loaded trace matches one
     // of the freshly recorded trace bit-for-bit.
-    let pipe = PipelineConfig::baseline_vp_6_60().with_mix(bebop::SharingPolicy::Tagged);
+    let pipe = PipelineConfig::baseline_vp_6_60().with_mix();
     let kind = PredictorKind::BlockDVtage(configs::medium_mix(bebop::SharingPolicy::Tagged, 2));
     let a = run_source(UopSource::Replay(&cold), &pipe, &kind, UOPS);
     let b = run_source(UopSource::Replay(&warm), &pipe, &kind, UOPS);
