@@ -21,23 +21,42 @@
 //!   construction and the history folds are memoised, so the probe is a
 //!   straight masked pass with no `powf`/divisions;
 //! * retired FIFO update-queue records are recycled through a scratch pool
-//!   instead of being reallocated per block instance.
+//!   instead of being reallocated per block instance;
+//! * the in-flight records are narrow: a block record holds its LVT index as
+//!   `u32`, its provider as a component byte plus a `u16` index, its tagged
+//!   slots as `u16` indices, its slot tags as bytes (`NO_TAG` for none) and
+//!   its predictions as dense lanes plus a presence mask (about 224 B, down
+//!   from 408 B);
+//! * the current block holds only its cursor, flags and confidence mask and
+//!   reads slot tags and predictions from the newest FIFO record, which is
+//!   always its own.
+//!
+//! Checkpoints keep the layout these records had before they were narrowed:
+//! the hand-written `Snap` impls widen on save and check the narrowed
+//! ranges on restore.
 
 use crate::recovery::RecoveryPolicy;
 use crate::slot_simd;
 use crate::spec_window::{SlotPredictions, SpecWindowSize, SpeculativeWindow, MAX_NPRED};
 use bebop_isa::{
-    byte_index_in_block, ensure, fetch_block_pc, snap, snapshot, DynUop, SeqNum, SeqQueue,
-    StateResult, VarVec,
+    byte_index_in_block, ensure, fetch_block_pc, snap, snapshot, DynUop, SeqNum, SeqQueue, Snap,
+    StateError, StateReader, StateResult, StateWriter, VarVec,
 };
 use bebop_uarch::{restore_predictor, PredictCtx, SharingPolicy, SquashInfo, ValuePredictor};
 use bebop_vp::{
-    clamp_stride, tag_width, tagged_entry, ForwardProbabilisticCounter, FpcParams, Lfsr,
+    clamp_stride, tag_width, tagged_entry, ForwardProbabilisticCounter, FpcParams, Hit, Lfsr,
     ShardCounters, ShardedTable, Slots, TaggedComponents, TaggedGeometry, MAX_TAGGED,
 };
 
 /// The second block-number shift of BeBoP's tag hash.
 const TAG_SHIFT: u32 = 7;
+
+/// The slot tag of a prediction slot with no byte index. Byte indices are
+/// below `fetch_block_bytes` (at most 128), so this exceeds all of them.
+const NO_TAG: u8 = 0xFF;
+
+/// The provider component byte of a block record VT0 provided.
+const VT0_PROVIDER: u8 = 0xFF;
 
 /// Configuration of a block-based D-VTAGE predictor.
 #[derive(Debug, Clone, PartialEq)]
@@ -205,35 +224,40 @@ struct TaggedEntry {
     slots: SlotStrides,
 }
 
-/// The prediction block currently being attributed to fetched µ-ops.
+/// The prediction block currently being attributed to fetched µ-ops. Its
+/// slot tags and predictions are those of the newest FIFO record, which is
+/// always its own: retirement pops the front only while a younger record
+/// follows, and a flush that keeps the block keeps its record.
 #[derive(Debug, Clone, Copy, Default)]
 struct CurrentBlock {
     block_pc: u64,
+    first_seq: SeqNum,
     /// Context the block was predicted for (same-block squash recovery must
     /// not cross contexts of a multi-programmed trace).
     asid: u8,
-    first_seq: SeqNum,
-    cursor: usize,
+    cursor: u8,
     /// DnRDnR: predictions of this (re-fetched) block may not be consumed.
     forbid_use: bool,
-    slot_tags: [Option<u8>; MAX_NPRED],
-    slot_pred: SlotPredictions,
-    slot_conf: [bool; MAX_NPRED],
+    /// Bit `i` set when slot `i`'s provider confidence is saturated.
+    conf_mask: u8,
 }
 
 /// The in-flight record pushed on the FIFO update queue for one block instance.
 #[derive(Debug, Clone)]
 struct BlockRecord {
-    lvt_index: usize,
+    lvt_index: u32,
     lvt_tag: u16,
     /// Context that fetched the block (ownership accounting at update time).
     asid: u8,
-    provider: Option<(usize, usize)>,
+    /// The providing tagged component, or [`VT0_PROVIDER`].
+    provider_comp: u8,
+    provider_idx: u16,
     /// Per tagged component, the (index, tag) computed at prediction time.
     alloc_slots: Slots,
-    slot_tags: [Option<u8>; MAX_NPRED],
-    slot_pred: SlotPredictions,
+    /// Per slot, the byte index it predicts for, or [`NO_TAG`].
+    slot_tags: [u8; MAX_NPRED],
     provider_conf_levels: [u8; MAX_NPRED],
+    slot_pred: SlotPredictions,
     provider_strides: [i64; MAX_NPRED],
     /// Retired (byte index, actual value) pairs accumulated for this block.
     results: VarVec<(u8, u64)>,
@@ -245,15 +269,57 @@ impl Default for BlockRecord {
             lvt_index: 0,
             lvt_tag: 0,
             asid: 0,
-            provider: None,
-            alloc_slots: [(0, 0); MAX_TAGGED],
-            slot_tags: [None; MAX_NPRED],
-            slot_pred: [None; MAX_NPRED],
+            provider_comp: VT0_PROVIDER,
+            provider_idx: 0,
+            alloc_slots: Slots::default(),
+            slot_tags: [NO_TAG; MAX_NPRED],
             provider_conf_levels: [0; MAX_NPRED],
+            slot_pred: SlotPredictions::NONE,
             provider_strides: [0; MAX_NPRED],
             results: VarVec(Vec::with_capacity(MAX_NPRED)),
         }
     }
+}
+
+impl BlockRecord {
+    fn lvt_slot(&self) -> usize {
+        // CAST: u32 always fits usize on the 32/64-bit targets we build for.
+        self.lvt_index as usize
+    }
+
+    fn provider(&self) -> Option<Hit> {
+        (self.provider_comp != VT0_PROVIDER).then(|| {
+            (
+                usize::from(self.provider_comp),
+                usize::from(self.provider_idx),
+            )
+        })
+    }
+
+    fn set_provider(&mut self, provider: Option<Hit>) {
+        // CAST: components are below MAX_TAGGED and indices below 2^16
+        // (`TaggedGeometry` bounds both).
+        (self.provider_comp, self.provider_idx) = match provider {
+            Some((c, i)) => (c as u8, i as u16),
+            None => (VT0_PROVIDER, 0),
+        };
+    }
+
+    /// The slot tags as the `Option<u8>`s the checkpoint layout holds.
+    fn tag_options(&self) -> [Option<u8>; MAX_NPRED] {
+        self.slot_tags.map(|t| (t != NO_TAG).then_some(t))
+    }
+}
+
+/// Decodes a checkpointed `[Option<u8>; MAX_NPRED]` into [`NO_TAG`] form.
+fn restore_slot_tags(r: &mut StateReader<'_>) -> StateResult<[u8; MAX_NPRED]> {
+    let mut tags = [None::<u8>; MAX_NPRED];
+    tags.restore(r)?;
+    ensure(
+        !tags.contains(&Some(NO_TAG)),
+        "slot byte tag outside the fetch block",
+    )?;
+    Ok(tags.map(|t| t.unwrap_or(NO_TAG)))
 }
 
 /// Block-based D-VTAGE with BeBoP.
@@ -317,6 +383,16 @@ impl BlockDVtage {
         }
         // `asid` folds into u8 ownership accounting; the top value is reserved.
         assert!(cfg.contexts < 255, "at most 254 contexts are supported");
+        // Block records hold LVT indices as u32 and byte indices as u8 with
+        // NO_TAG free.
+        assert!(
+            cfg.base_entries <= 1 << 32,
+            "at most 2^32 base entries are supported"
+        );
+        assert!(
+            cfg.fetch_block_bytes.is_power_of_two() && cfg.fetch_block_bytes <= 128,
+            "fetch blocks are a power of two of at most 128 bytes"
+        );
         let lvt_entry = LvtEntry {
             valid: false,
             tag: 0,
@@ -470,8 +546,9 @@ impl BlockDVtage {
         let (ghist, path) = (ctx.global_history, ctx.path_history);
         let mut slots = self.tagged.slots(bn, ghist, path, TAG_SHIFT);
         let geometry = self.tagged.geometry();
-        for (c, (idx, tag)) in slots.iter_mut().enumerate().take(self.cfg.num_tagged) {
-            *idx = self.confine(*idx as u64, self.cfg.tagged_entries, ctx.asid);
+        for (c, (idx, tag)) in slots.0.iter_mut().enumerate().take(self.cfg.num_tagged) {
+            // CAST: confined below tagged_entries, at most 2^16.
+            *idx = self.confine(u64::from(*idx), self.cfg.tagged_entries, ctx.asid) as u16;
             *tag ^= self.asid_fold(ctx.asid, geometry.tag_mask(c));
         }
         slots
@@ -495,7 +572,7 @@ impl BlockDVtage {
         // Last values: the speculative window takes precedence over the retired LVT.
         self.window_lookups += 1;
         let wkey = self.window_key(block_pc, asid);
-        let win_values: Option<SlotPredictions> = self.window.lookup(wkey).map(|e| e.values);
+        let win_values = self.window.lookup(wkey).map(|e| e.values);
         if win_values.is_some() {
             self.window_hits += 1;
         }
@@ -516,23 +593,23 @@ impl BlockDVtage {
         // width, add onto the last-value lanes).
         let mut lasts = lvt.lasts;
         if let Some(win) = win_values {
-            for (last, w) in lasts.iter_mut().zip(win.iter()) {
-                if let Some(v) = *w {
-                    *last = v;
+            for (i, last) in lasts.iter_mut().enumerate() {
+                if win.mask() & (1 << i) != 0 {
+                    *last = win.values()[i];
                 }
             }
         }
         let clamped = provider_strides.map(|s| clamp_stride(s, self.cfg.stride_bits));
         let preds = slot_simd::add_strides(&lasts, &clamped);
 
-        let mut slot_tags = [None; MAX_NPRED];
-        let mut slot_pred = [None; MAX_NPRED];
-        let mut slot_conf = [false; MAX_NPRED];
-        for i in 0..np {
-            slot_conf[i] = confident & (1 << i) != 0;
-            if lvt_hit && lvt.slot_valid & (1 << i) != 0 {
-                slot_tags[i] = Some(lvt.byte_tags[i]);
-                slot_pred[i] = Some(preds[i]);
+        // CAST: npred <= 8, so the slot mask fits a byte.
+        let np_mask = ((1u16 << np) - 1) as u8;
+        let present = if lvt_hit { lvt.slot_valid & np_mask } else { 0 };
+        let slot_pred = SlotPredictions::masked(&preds, present);
+        let mut slot_tags = [NO_TAG; MAX_NPRED];
+        for (i, tag) in slot_tags.iter_mut().enumerate() {
+            if present & (1 << i) != 0 {
+                *tag = lvt.byte_tags[i];
             }
         }
 
@@ -540,10 +617,11 @@ impl BlockDVtage {
         // reusing a pooled record so steady state allocates nothing.
         self.window.push(wkey, first_seq, slot_pred);
         let mut rec = self.record_pool.pop().unwrap_or_default();
-        rec.lvt_index = lvt_index;
+        // CAST: below base_entries, at most 2^32 (checked at construction).
+        rec.lvt_index = lvt_index as u32;
         rec.lvt_tag = lvt_tag;
         rec.asid = asid;
-        rec.provider = provider;
+        rec.set_provider(provider);
         rec.alloc_slots = alloc_slots;
         rec.slot_tags = slot_tags;
         rec.slot_pred = slot_pred;
@@ -553,13 +631,11 @@ impl BlockDVtage {
         self.fifo.push((first_seq, rec));
         self.current = Some(CurrentBlock {
             block_pc,
-            asid,
             first_seq,
+            asid,
             cursor: 0,
             forbid_use: false,
-            slot_tags,
-            slot_pred,
-            slot_conf,
+            conf_mask: confident & np_mask,
         });
         self.force_new_block = false;
     }
@@ -580,14 +656,14 @@ impl BlockDVtage {
         let mut num_assigned = 0usize;
         let mut cursor = 0usize;
         for &(b, actual) in rec.results.iter() {
-            if let Some(i) = (cursor..np).find(|&i| !consumed[i] && rec.slot_tags[i] == Some(b)) {
+            if let Some(i) = (cursor..np).find(|&i| !consumed[i] && rec.slot_tags[i] == b) {
                 consumed[i] = true;
                 cursor = i + 1;
                 assignments[num_assigned] = (i, b, actual);
                 num_assigned += 1;
             } else if let Some(i) = (0..np).find(|&i| {
-                // INVARIANT: is_none() short-circuits before the unwrap.
-                !consumed[i] && (rec.slot_tags[i].is_none() || rec.slot_tags[i].unwrap() > b)
+                // An untagged slot's NO_TAG exceeds every byte index.
+                !consumed[i] && rec.slot_tags[i] > b
             }) {
                 consumed[i] = true;
                 assignments[num_assigned] = (i, b, actual);
@@ -602,9 +678,10 @@ impl BlockDVtage {
         }
 
         // ---- LVT: retire last values, learn byte tags -----------------------------
+        let lvt_index = rec.lvt_slot();
         let lvt_matched;
         {
-            let e = self.lvt.get_mut(rec.lvt_index);
+            let e = self.lvt.get_mut(lvt_index);
             lvt_matched = e.valid && e.tag == rec.lvt_tag;
             if !lvt_matched {
                 e.valid = true;
@@ -614,7 +691,7 @@ impl BlockDVtage {
         }
         // Ownership accounting (side-band, never affects prediction): the
         // retiring context claims — or steals — this LVT entry.
-        self.lvt.note_write(rec.lvt_index, rec.asid);
+        self.lvt.note_write(lvt_index, rec.asid);
 
         // Dense actual-value lanes for the vectorised compare / stride diff.
         let mut actuals = [0u64; MAX_NPRED];
@@ -624,13 +701,14 @@ impl BlockDVtage {
             assigned_mask |= 1 << i;
         }
         let (prev_lasts, prev_valid) = {
-            let e = self.lvt.get(rec.lvt_index);
+            let e = self.lvt.get(lvt_index);
             (e.lasts, if lvt_matched { e.slot_valid } else { 0 })
         };
         // Vectorised slot compare: which assigned slots' block predictions
         // matched the retired values.
-        let (pred_vals, pred_mask) = slot_simd::split_predictions(&rec.slot_pred);
-        let correct_mask = slot_simd::eq_mask(&pred_vals, &actuals) & pred_mask & assigned_mask;
+        let pred_mask = rec.slot_pred.mask();
+        let correct_mask =
+            slot_simd::eq_mask(rec.slot_pred.values(), &actuals) & pred_mask & assigned_mask;
         // Vectorised stride observation: actual minus previous last value,
         // truncated to the configured partial width, over all lanes at once.
         let diffs = slot_simd::sub_lanes(&actuals, &prev_lasts);
@@ -640,7 +718,7 @@ impl BlockDVtage {
         // Per assigned slot: (slot index, observed stride, correctness).
         let mut observed = [(0usize, None::<i64>, false); MAX_NPRED];
         for (&(i, b, actual), obs) in assignments[..num_assigned].iter().zip(observed.iter_mut()) {
-            let e = self.lvt.get_mut(rec.lvt_index);
+            let e = self.lvt.get_mut(lvt_index);
             let bit = 1u8 << i;
             if e.slot_valid & bit == 0 {
                 e.slot_valid |= bit;
@@ -657,7 +735,7 @@ impl BlockDVtage {
 
         let any_wrong = observed
             .iter()
-            .any(|(i, _, correct)| !correct && rec.slot_pred[*i].is_some());
+            .any(|&(i, _, correct)| !correct && pred_mask & (1 << i) != 0);
         let any_correct = observed.iter().any(|(_, _, c)| *c);
 
         // ---- Update the providing component -----------------------------------------
@@ -665,9 +743,9 @@ impl BlockDVtage {
         for e in entropy.iter_mut().take(num_assigned) {
             *e = self.rng.next_u64();
         }
-        match rec.provider {
+        match rec.provider() {
             Some((c, idx)) => {
-                let (_, expected_tag) = rec.alloc_slots[c];
+                let (_, expected_tag) = rec.alloc_slots.get(c);
                 let e = self.tagged[c].get_mut(idx);
                 if e.valid && e.tag == expected_tag {
                     for (&(i, stride, correct), &r) in observed.iter().zip(&entropy) {
@@ -685,7 +763,7 @@ impl BlockDVtage {
                 }
             }
             None => {
-                let e = self.vt0.get_mut(rec.lvt_index);
+                let e = self.vt0.get_mut(lvt_index);
                 for (&(i, stride, correct), &r) in observed.iter().zip(&entropy) {
                     if correct {
                         e.slots.conf[i].on_correct_with(fpc, r);
@@ -696,7 +774,7 @@ impl BlockDVtage {
                         }
                     }
                 }
-                self.vt0.note_write(rec.lvt_index, rec.asid);
+                self.vt0.note_write(lvt_index, rec.asid);
             }
         }
 
@@ -705,9 +783,9 @@ impl BlockDVtage {
         if any_wrong {
             if let Some(comp) = self
                 .tagged
-                .victim(&rec.alloc_slots, rec.provider, &mut self.rng)
+                .victim(&rec.alloc_slots, rec.provider(), &mut self.rng)
             {
-                let (idx, tag) = rec.alloc_slots[comp];
+                let (idx, tag) = rec.alloc_slots.get(comp);
                 let mut slots = SlotStrides::cleared();
                 for i in 0..np {
                     // Default: inherit the provider's stride and confidence.
@@ -737,8 +815,9 @@ impl BlockDVtage {
     }
 
     /// Clamps restored confidence levels to the configured saturation,
-    /// rejects in-flight block records indexing outside the tables, and
-    /// drops recycled records (they hold no state).
+    /// rejects byte tags outside the fetch block and in-flight block records
+    /// indexing outside the tables, and drops recycled records (they hold no
+    /// state).
     fn check_restored(&mut self) -> StateResult<()> {
         let fpc = &self.cfg.fpc;
         let vt0 = self.vt0.iter_mut().map(|e| &mut e.slots);
@@ -749,14 +828,88 @@ impl BlockDVtage {
         for c in vt0.chain(tagged).flat_map(|s| s.conf.iter_mut()) {
             c.set_level(c.level(), fpc);
         }
+        let in_block = |b: u8| u64::from(b) < self.cfg.fetch_block_bytes;
+        ensure(
+            self.lvt
+                .iter_mut()
+                .all(|e| e.byte_tags.iter().all(|&b| in_block(b))),
+            "LVT byte tag outside the fetch block",
+        )?;
         for (_, rec) in self.fifo.iter() {
             ensure(
-                rec.lvt_index < self.cfg.base_entries
-                    && self.tagged.holds(rec.provider, &rec.alloc_slots),
+                rec.lvt_slot() < self.cfg.base_entries
+                    && self.tagged.holds(rec.provider(), &rec.alloc_slots),
                 "block record indexes outside the tables",
+            )?;
+            ensure(
+                rec.slot_tags.iter().all(|&t| t == NO_TAG || in_block(t))
+                    && rec.results.iter().all(|&(b, _)| in_block(b)),
+                "block record byte tag outside the fetch block",
             )?;
         }
         self.record_pool.clear();
+        Ok(())
+    }
+
+    /// Writes `current` in its pre-narrowing layout: the slot tags and
+    /// predictions come from its record, the newest in the FIFO.
+    fn save_current(&self, w: &mut StateWriter) {
+        w.bool(self.current.is_some());
+        let (Some(cur), Some((_, rec))) = (&self.current, self.fifo.back()) else {
+            return;
+        };
+        w.u64(cur.block_pc);
+        w.u8(cur.asid);
+        w.u64(cur.first_seq);
+        w.u64(u64::from(cur.cursor));
+        w.bool(cur.forbid_use);
+        rec.tag_options().save(w);
+        rec.slot_pred.save(w);
+        for i in 0..MAX_NPRED {
+            w.bool(cur.conf_mask & (1 << i) != 0);
+        }
+    }
+
+    /// Reads what [`Self::save_current`] wrote; runs after the FIFO is
+    /// restored, and rejects a block whose slots are not its record's.
+    fn restore_current(&mut self, r: &mut StateReader<'_>) -> StateResult<()> {
+        if !r.bool()? {
+            self.current = None;
+            return Ok(());
+        }
+        let block_pc = r.u64()?;
+        let asid = r.u8()?;
+        let first_seq = r.u64()?;
+        let cursor = r.u64()?;
+        let forbid_use = r.bool()?;
+        let slot_tags = restore_slot_tags(r)?;
+        let mut slot_pred = SlotPredictions::NONE;
+        slot_pred.restore(r)?;
+        let mut conf = [false; MAX_NPRED];
+        conf.restore(r)?;
+        ensure(
+            cursor <= MAX_NPRED as u64,
+            "current block cursor out of range",
+        )?;
+        ensure(
+            self.fifo.back().is_some_and(|(seq, rec)| {
+                *seq == first_seq && rec.slot_tags == slot_tags && rec.slot_pred == slot_pred
+            }),
+            "current block is not the newest block record",
+        )?;
+        let mut conf_mask = 0u8;
+        for (i, &c) in conf.iter().enumerate() {
+            conf_mask |= u8::from(c) << i;
+        }
+        self.current = Some(CurrentBlock {
+            block_pc,
+            first_seq,
+            asid,
+            // CAST: at most MAX_NPRED (checked above).
+            cursor: cursor as u8,
+            forbid_use,
+            conf_mask,
+        });
         Ok(())
     }
 }
@@ -780,50 +933,104 @@ snap!(TaggedEntry {
     slots: SlotStrides,
 });
 tagged_entry!(TaggedEntry);
-snap!(BlockRecord {
-    lvt_index: usize,
-    lvt_tag: u16,
-    asid: u8,
-    provider: Option<(usize, usize)>,
-    alloc_slots: Slots,
-    slot_tags: [Option<u8>; MAX_NPRED],
-    slot_pred: SlotPredictions,
-    provider_conf_levels: [u8; MAX_NPRED],
-    provider_strides: [i64; MAX_NPRED],
-    results: VarVec<(u8, u64)>,
-});
-snap!(CurrentBlock {
-    block_pc: u64,
-    asid: u8,
-    first_seq: u64,
-    cursor: usize,
-    forbid_use: bool,
-    slot_tags: [Option<u8>; MAX_NPRED],
-    slot_pred: SlotPredictions,
-    slot_conf: [bool; MAX_NPRED],
-} validate check_restored);
-snap!(BlockDVtage {
-    lvt: ShardedTable<LvtEntry>,
-    vt0: ShardedTable<Vt0Entry>,
-    tagged: TaggedComponents<ShardedTable<TaggedEntry>>,
-    window: SpeculativeWindow,
-    fifo: SeqQueue<(SeqNum, BlockRecord)>,
-    current: Option<CurrentBlock>,
-    force_new_block: bool,
-    last_retired: Option<u64>,
-    rng: Lfsr,
-    updates: u64,
-    window_hits: u64,
-    window_lookups: u64,
-} validate check_restored);
 
-impl CurrentBlock {
-    /// Rejects a restored slot cursor past the block's slots.
-    fn check_restored(&mut self) -> StateResult<()> {
-        ensure(
-            self.cursor <= MAX_NPRED,
-            "current block cursor out of range",
-        )
+/// The pre-narrowing layout: the LVT index as `u64`, the provider as
+/// `Option<(usize, usize)>`, the slot tags as `[Option<u8>; MAX_NPRED]`.
+impl Snap for BlockRecord {
+    const MIN_BYTES: usize = 8
+        + 2
+        + 1
+        + <Option<Hit>>::MIN_BYTES
+        + Slots::MIN_BYTES
+        + <[Option<u8>; MAX_NPRED]>::MIN_BYTES
+        + SlotPredictions::MIN_BYTES
+        + <[u8; MAX_NPRED]>::MIN_BYTES
+        + <[i64; MAX_NPRED]>::MIN_BYTES
+        + <VarVec<(u8, u64)>>::MIN_BYTES;
+
+    fn save(&self, w: &mut StateWriter) {
+        w.u64(u64::from(self.lvt_index));
+        w.u16(self.lvt_tag);
+        w.u8(self.asid);
+        self.provider().save(w);
+        self.alloc_slots.save(w);
+        self.tag_options().save(w);
+        self.slot_pred.save(w);
+        self.provider_conf_levels.save(w);
+        self.provider_strides.save(w);
+        self.results.save(w);
+    }
+
+    fn restore(&mut self, r: &mut StateReader<'_>) -> StateResult<()> {
+        self.lvt_index = u32::try_from(r.u64()?)
+            .map_err(|_| StateError("block record LVT index does not fit u32"))?;
+        self.lvt_tag = r.u16()?;
+        self.asid = r.u8()?;
+        let mut provider: Option<Hit> = None;
+        provider.restore(r)?;
+        if let Some((c, i)) = provider {
+            ensure(
+                c < MAX_TAGGED,
+                "block record provider component out of range",
+            )?;
+            ensure(
+                i <= usize::from(u16::MAX),
+                "block record provider index does not fit u16",
+            )?;
+        }
+        self.set_provider(provider);
+        self.alloc_slots.restore(r)?;
+        self.slot_tags = restore_slot_tags(r)?;
+        self.slot_pred.restore(r)?;
+        self.provider_conf_levels.restore(r)?;
+        self.provider_strides.restore(r)?;
+        self.results.restore(r)
+    }
+}
+
+/// Field by field, except that `current` is written by
+/// `BlockDVtage::save_current` in its pre-narrowing layout.
+impl Snap for BlockDVtage {
+    const MIN_BYTES: usize = <ShardedTable<LvtEntry>>::MIN_BYTES
+        + <ShardedTable<Vt0Entry>>::MIN_BYTES
+        + <TaggedComponents<ShardedTable<TaggedEntry>>>::MIN_BYTES
+        + SpeculativeWindow::MIN_BYTES
+        + <SeqQueue<(SeqNum, BlockRecord)>>::MIN_BYTES
+        + 1 // current: a presence byte
+        + bool::MIN_BYTES
+        + <Option<u64>>::MIN_BYTES
+        + Lfsr::MIN_BYTES
+        + 3 * u64::MIN_BYTES;
+
+    fn save(&self, w: &mut StateWriter) {
+        self.lvt.save(w);
+        self.vt0.save(w);
+        self.tagged.save(w);
+        self.window.save(w);
+        self.fifo.save(w);
+        self.save_current(w);
+        self.force_new_block.save(w);
+        self.last_retired.save(w);
+        self.rng.save(w);
+        self.updates.save(w);
+        self.window_hits.save(w);
+        self.window_lookups.save(w);
+    }
+
+    fn restore(&mut self, r: &mut StateReader<'_>) -> StateResult<()> {
+        self.lvt.restore(r)?;
+        self.vt0.restore(r)?;
+        self.tagged.restore(r)?;
+        self.window.restore(r)?;
+        self.fifo.restore(r)?;
+        self.restore_current(r)?;
+        self.force_new_block.restore(r)?;
+        self.last_retired.restore(r)?;
+        self.rng.restore(r)?;
+        self.updates.restore(r)?;
+        self.window_hits.restore(r)?;
+        self.window_lookups.restore(r)?;
+        self.check_restored()
     }
 }
 
@@ -854,23 +1061,21 @@ impl ValuePredictor for BlockDVtage {
         let cur = self
             .current
             .as_mut()
-            // INVARIANT: predict_block opens a current block before any
-            // per-µ-op probe can reach this path.
+            // INVARIANT: a block was opened above if none was current.
             .expect("a block is always current here");
+        let (_, rec) = self
+            .fifo
+            .back()
+            // INVARIANT: the current block's record is the newest in the FIFO.
+            .expect("the current block has a record");
         // Attribute the next matching prediction slot to this µ-op.
-        let slot = (cur.cursor..np).find(|&i| cur.slot_tags[i] == Some(byte));
-        match slot {
-            Some(i) => {
-                cur.cursor = i + 1;
-                if cur.forbid_use {
-                    None
-                } else if cur.slot_conf[i] {
-                    cur.slot_pred[i]
-                } else {
-                    None
-                }
-            }
-            None => None,
+        let i = (usize::from(cur.cursor)..np).find(|&i| rec.slot_tags[i] == byte)?;
+        // CAST: i < npred <= 8.
+        cur.cursor = (i + 1) as u8;
+        if cur.forbid_use || cur.conf_mask & (1 << i) == 0 {
+            None
+        } else {
+            rec.slot_pred.get(i)
         }
     }
 
@@ -989,7 +1194,7 @@ impl ValuePredictor for BlockDVtage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bebop_isa::{ArchReg, Uop, UopKind};
+    use bebop_isa::{restore_snapshot, ArchReg, Uop, UopKind};
 
     fn uop(seq: SeqNum, pc: u64, value: u64) -> DynUop {
         DynUop::new(
@@ -1351,6 +1556,273 @@ mod tests {
             base_entries: 768,
             ..BlockDVtageConfig::default()
         });
+    }
+
+    /// `BlockRecord` before its fields were narrowed: the layout its
+    /// checkpoint encoding keeps.
+    #[derive(Debug, Default)]
+    struct OldBlockRecord {
+        lvt_index: usize,
+        lvt_tag: u16,
+        asid: u8,
+        provider: Option<(usize, usize)>,
+        alloc_slots: [(usize, u16); MAX_TAGGED],
+        slot_tags: [Option<u8>; MAX_NPRED],
+        slot_pred: [Option<u64>; MAX_NPRED],
+        provider_conf_levels: [u8; MAX_NPRED],
+        provider_strides: [i64; MAX_NPRED],
+        results: VarVec<(u8, u64)>,
+    }
+    snap!(OldBlockRecord {
+        lvt_index: usize,
+        lvt_tag: u16,
+        asid: u8,
+        provider: Option<(usize, usize)>,
+        alloc_slots: [(usize, u16); MAX_TAGGED],
+        slot_tags: [Option<u8>; MAX_NPRED],
+        slot_pred: [Option<u64>; MAX_NPRED],
+        provider_conf_levels: [u8; MAX_NPRED],
+        provider_strides: [i64; MAX_NPRED],
+        results: VarVec<(u8, u64)>,
+    });
+
+    /// `CurrentBlock` before it moved its slots to the FIFO record.
+    #[derive(Debug, Default, Clone, Copy)]
+    struct OldCurrentBlock {
+        block_pc: u64,
+        asid: u8,
+        first_seq: u64,
+        cursor: usize,
+        forbid_use: bool,
+        slot_tags: [Option<u8>; MAX_NPRED],
+        slot_pred: [Option<u64>; MAX_NPRED],
+        slot_conf: [bool; MAX_NPRED],
+    }
+    snap!(OldCurrentBlock {
+        block_pc: u64,
+        asid: u8,
+        first_seq: u64,
+        cursor: usize,
+        forbid_use: bool,
+        slot_tags: [Option<u8>; MAX_NPRED],
+        slot_pred: [Option<u64>; MAX_NPRED],
+        slot_conf: [bool; MAX_NPRED],
+    });
+
+    /// A record with every field away from its default, in both layouts.
+    fn record_pair() -> (BlockRecord, OldBlockRecord) {
+        let mut slots = Slots::default();
+        slots.0[0] = (255, 0x1fff);
+        slots.0[5] = (7, 3);
+        let mut old_slots = [(0usize, 0u16); MAX_TAGGED];
+        old_slots[0] = (255, 0x1fff);
+        old_slots[5] = (7, 3);
+        let levels = [7, 0, 3, 7, 0, 0, 0, 0];
+        let strides = [1, -2, 0, i64::MIN, 0, 0, 0, 0];
+        let results = VarVec(vec![(0, 10), (15, 99)]);
+        let rec = BlockRecord {
+            lvt_index: 2047,
+            lvt_tag: 0x1f,
+            asid: 2,
+            provider_comp: 5,
+            provider_idx: 255,
+            alloc_slots: slots,
+            slot_tags: [0, 4, NO_TAG, 15, NO_TAG, NO_TAG, NO_TAG, NO_TAG],
+            provider_conf_levels: levels,
+            slot_pred: SlotPredictions::masked(&[10, 20, 0, u64::MAX, 0, 0, 0, 0], 0b1011),
+            provider_strides: strides,
+            results: results.clone(),
+        };
+        let old = OldBlockRecord {
+            lvt_index: 2047,
+            lvt_tag: 0x1f,
+            asid: 2,
+            provider: Some((5, 255)),
+            alloc_slots: old_slots,
+            slot_tags: [Some(0), Some(4), None, Some(15), None, None, None, None],
+            slot_pred: [
+                Some(10),
+                Some(20),
+                None,
+                Some(u64::MAX),
+                None,
+                None,
+                None,
+                None,
+            ],
+            provider_conf_levels: levels,
+            provider_strides: strides,
+            results,
+        };
+        (rec, old)
+    }
+
+    #[test]
+    fn block_record_writes_the_pre_narrowing_layout() {
+        assert_eq!(BlockRecord::MIN_BYTES, OldBlockRecord::MIN_BYTES);
+        let (mut rec, mut old) = record_pair();
+        assert_eq!(snapshot(&rec), snapshot(&old));
+        let mut back = BlockRecord::default();
+        restore_snapshot(&mut back, &snapshot(&old)).unwrap();
+        assert_eq!(snapshot(&back), snapshot(&old));
+        rec.set_provider(None);
+        old.provider = None;
+        assert_eq!(snapshot(&rec), snapshot(&old), "VT0-provided record");
+    }
+
+    #[test]
+    fn current_block_writes_the_pre_narrowing_layout() {
+        let mut d = BlockDVtage::new(fast_cfg());
+        let bytes = |d: &BlockDVtage| {
+            let mut w = StateWriter::new();
+            d.save_current(&mut w);
+            w.finish()
+        };
+        assert_eq!(bytes(&d), snapshot(&None::<OldCurrentBlock>));
+        let (rec, old_rec) = record_pair();
+        d.fifo.push((42, rec));
+        d.current = Some(CurrentBlock {
+            block_pc: 0x2000,
+            first_seq: 42,
+            asid: 1,
+            cursor: 3,
+            forbid_use: true,
+            conf_mask: 0b1001,
+        });
+        let old = OldCurrentBlock {
+            block_pc: 0x2000,
+            asid: 1,
+            first_seq: 42,
+            cursor: 3,
+            forbid_use: true,
+            slot_tags: old_rec.slot_tags,
+            slot_pred: old_rec.slot_pred,
+            slot_conf: [true, false, false, true, false, false, false, false],
+        };
+        assert_eq!(bytes(&d), snapshot(&Some(old)));
+        let mut back = BlockDVtage::new(fast_cfg());
+        restore_snapshot(&mut back, &snapshot(&d)).unwrap();
+        assert_eq!(snapshot(&back), snapshot(&d));
+    }
+
+    /// A warmed predictor with three blocks predicted and not retired.
+    fn inflight_predictor() -> BlockDVtage {
+        let mut d = BlockDVtage::new(fast_cfg());
+        let _ = run_loop(&mut d, 100, (8, 16));
+        for (seq, pc) in [(1_000, 0x1000), (1_001, 0x2008), (1_002, 0x1000)] {
+            let _ = d.predict(&ctx(seq, pc, true), &uop(seq, pc, 0));
+        }
+        d
+    }
+
+    /// Restoring `bytes` onto a fresh predictor fails with an error naming
+    /// `what`.
+    fn assert_rejected(bytes: &[u8], what: &str) {
+        let mut back = BlockDVtage::new(fast_cfg());
+        let err = restore_snapshot(&mut back, bytes).unwrap_err();
+        assert!(err.0.contains(what), "expected {what:?}, got {err}");
+    }
+
+    #[test]
+    fn hostile_narrowed_fields_are_rejected() {
+        let d = inflight_predictor();
+        let mut back = BlockDVtage::new(fast_cfg());
+        restore_snapshot(&mut back, &snapshot(&d)).unwrap();
+        let cfg = fast_cfg();
+        let edit = |f: &mut dyn FnMut(&mut BlockDVtage)| {
+            let mut bad = d.clone();
+            f(&mut bad);
+            snapshot(&bad)
+        };
+        let outside = "block record indexes outside the tables";
+        // CAST: test geometry sizes are far below u8/u16.
+        let bad = edit(&mut |b| b.fifo.front_mut().unwrap().1.provider_comp = cfg.num_tagged as u8);
+        assert_rejected(&bad, outside);
+        let bad = edit(&mut |b| {
+            b.fifo.front_mut().unwrap().1.alloc_slots.0[2].0 = cfg.tagged_entries as u16
+        });
+        assert_rejected(&bad, outside);
+        let bad = edit(&mut |b| b.fifo.front_mut().unwrap().1.slot_tags[0] = 16);
+        assert_rejected(&bad, "byte tag outside the fetch block");
+        let bad = edit(&mut |b| b.current.as_mut().unwrap().first_seq += 1);
+        assert_rejected(&bad, "not the newest block record");
+    }
+
+    #[test]
+    fn hostile_current_slots_are_rejected() {
+        let d = inflight_predictor();
+        let (_, rec) = d.fifo.back().unwrap();
+        let cur = d.current.unwrap();
+        let old = OldCurrentBlock {
+            block_pc: cur.block_pc,
+            asid: cur.asid,
+            first_seq: cur.first_seq,
+            cursor: usize::from(cur.cursor),
+            forbid_use: cur.forbid_use,
+            slot_tags: rec.tag_options(),
+            slot_pred: std::array::from_fn(|i| rec.slot_pred.get(i)),
+            slot_conf: std::array::from_fn(|i| cur.conf_mask & (1 << i) != 0),
+        };
+        assert!(
+            old.slot_tags[0].is_some(),
+            "the warmed block has tagged slots"
+        );
+        // `current` follows the FIFO in the payload; splice edited copies in.
+        let bytes = snapshot(&d);
+        let at = [
+            snapshot(&d.lvt),
+            snapshot(&d.vt0),
+            snapshot(&d.tagged),
+            snapshot(&d.window),
+            snapshot(&d.fifo),
+        ]
+        .iter()
+        .map(Vec::len)
+        .sum::<usize>();
+        let len = snapshot(&Some(old)).len();
+        assert_eq!(bytes[at..at + len], snapshot(&Some(old)));
+        let splice = |c: OldCurrentBlock| {
+            let mut b = bytes[..at].to_vec();
+            b.extend(snapshot(&Some(c)));
+            b.extend(&bytes[at + len..]);
+            b
+        };
+        let mut retagged = old;
+        retagged.slot_tags[0] = Some(old.slot_tags[0].unwrap() ^ 1);
+        assert_rejected(&splice(retagged), "not the newest block record");
+        let mut repredicted = old;
+        repredicted.slot_pred[0] = Some(old.slot_pred[0].unwrap_or(0).wrapping_add(1));
+        assert_rejected(&splice(repredicted), "not the newest block record");
+        let mut far = old;
+        far.cursor = MAX_NPRED + 1;
+        assert_rejected(&splice(far), "cursor out of range");
+    }
+
+    #[test]
+    fn hostile_record_encodings_are_rejected() {
+        let restore = |old: &OldBlockRecord| {
+            let mut rec = BlockRecord::default();
+            restore_snapshot(&mut rec, &snapshot(old)).unwrap_err().0
+        };
+        let (_, old) = record_pair();
+        let mut o = OldBlockRecord {
+            results: VarVec(Vec::new()),
+            ..old
+        };
+        o.alloc_slots[1].0 = 1 << 16;
+        assert!(restore(&o).contains("does not fit u16"));
+        let (_, mut o) = record_pair();
+        o.provider = Some((0, 1 << 16));
+        assert!(restore(&o).contains("does not fit u16"));
+        let (_, mut o) = record_pair();
+        o.provider = Some((MAX_TAGGED, 0));
+        assert!(restore(&o).contains("provider component out of range"));
+        let (_, mut o) = record_pair();
+        o.lvt_index = 1 << 32;
+        assert!(restore(&o).contains("does not fit u32"));
+        let (_, mut o) = record_pair();
+        o.slot_tags[2] = Some(NO_TAG);
+        assert!(restore(&o).contains("byte tag outside the fetch block"));
     }
 
     #[test]

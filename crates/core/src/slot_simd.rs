@@ -9,7 +9,7 @@
 //! predictor-level guarantee (identical predictions and confidence decisions)
 //! is covered by `block_dvtage`'s own tests running on top of these helpers.
 
-use crate::spec_window::{SlotPredictions, MAX_NPRED};
+use crate::spec_window::MAX_NPRED;
 
 /// `lasts[i] + strides[i]` (wrapping) per lane.
 #[inline]
@@ -55,21 +55,6 @@ pub fn confident_mask(levels: &[u8; MAX_NPRED], threshold: u8) -> u8 {
     m
 }
 
-/// Splits an `[Option<u64>; MAX_NPRED]` slot-prediction array into dense value
-/// lanes plus a validity bitmask, the layout the lane compares operate on.
-#[inline]
-pub fn split_predictions(preds: &SlotPredictions) -> ([u64; MAX_NPRED], u8) {
-    let mut vals = [0u64; MAX_NPRED];
-    let mut mask = 0u8;
-    for (i, p) in preds.iter().enumerate() {
-        if let Some(v) = *p {
-            vals[i] = v;
-            mask |= 1 << i;
-        }
-    }
-    (vals, mask)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,20 +79,6 @@ mod tests {
         levels[2] = 200;
         levels[5] = 7;
         assert_eq!(confident_mask(&levels, 7), (1 << 2) | (1 << 5));
-    }
-
-    #[test]
-    fn split_predictions_round_trip() {
-        let mut preds: SlotPredictions = [None; MAX_NPRED];
-        preds[0] = Some(10);
-        preds[3] = Some(0);
-        preds[7] = Some(u64::MAX);
-        let (vals, mask) = split_predictions(&preds);
-        assert_eq!(mask, 0b1000_1001);
-        assert_eq!(vals[0], 10);
-        assert_eq!(vals[3], 0);
-        assert_eq!(vals[7], u64::MAX);
-        assert_eq!(vals[1], 0);
     }
 
     #[test]

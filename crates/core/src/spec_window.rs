@@ -7,16 +7,84 @@
 //! needed) and read associatively by partial tag, with an internal sequence number
 //! selecting the most recent matching entry.
 
-use bebop_isa::{ensure, fold_bits, snap, SeqNum, SeqQueue, Sequenced, StateResult};
+use bebop_isa::{
+    ensure, fold_bits, snap, SeqNum, SeqQueue, Sequenced, Snap, StateReader, StateResult,
+    StateWriter,
+};
 
 /// The maximum number of prediction slots per entry (`Npred`) supported by the
 /// allocation-free hot path. The paper sweeps 4/6/8 (Figure 6a); fixing the upper
 /// bound lets prediction blocks live in copyable arrays instead of heap vectors.
 pub const MAX_NPRED: usize = 8;
 
-/// The per-slot speculative values of one prediction block: `None` where no
-/// prediction could be computed, and slots at `npred..` always `None`.
-pub type SlotPredictions = [Option<u64>; MAX_NPRED];
+/// The per-slot speculative values of one prediction block: dense value
+/// lanes plus a presence mask. A slot without a prediction (always the case
+/// for slots at `npred..`) has its mask bit clear and its lane zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SlotPredictions {
+    values: [u64; MAX_NPRED],
+    mask: u8,
+}
+
+impl SlotPredictions {
+    /// No prediction in any slot.
+    pub const NONE: SlotPredictions = SlotPredictions {
+        values: [0; MAX_NPRED],
+        mask: 0,
+    };
+
+    /// The lanes of `values` whose bit is set in `mask`.
+    pub fn masked(values: &[u64; MAX_NPRED], mask: u8) -> Self {
+        let mut out = SlotPredictions {
+            values: *values,
+            mask,
+        };
+        for (i, v) in out.values.iter_mut().enumerate() {
+            if mask & (1 << i) == 0 {
+                *v = 0;
+            }
+        }
+        out
+    }
+
+    /// Slot `i`'s prediction.
+    pub fn get(&self, i: usize) -> Option<u64> {
+        (self.mask & (1 << i) != 0).then_some(self.values[i])
+    }
+
+    /// The value lanes (zero where no prediction).
+    pub fn values(&self) -> &[u64; MAX_NPRED] {
+        &self.values
+    }
+
+    /// Bit `i` set when slot `i` holds a prediction.
+    pub fn mask(&self) -> u8 {
+        self.mask
+    }
+}
+
+/// The layout of `[Option<u64>; MAX_NPRED]`: per slot a presence byte, then
+/// the value when present.
+impl Snap for SlotPredictions {
+    const MIN_BYTES: usize = <[Option<u64>; MAX_NPRED]>::MIN_BYTES;
+
+    fn save(&self, w: &mut StateWriter) {
+        for i in 0..MAX_NPRED {
+            self.get(i).save(w);
+        }
+    }
+
+    fn restore(&mut self, r: &mut StateReader<'_>) -> StateResult<()> {
+        let mut slots = [None::<u64>; MAX_NPRED];
+        slots.restore(r)?;
+        let mut mask = 0u8;
+        for (i, s) in slots.iter().enumerate() {
+            mask |= u8::from(s.is_some()) << i;
+        }
+        *self = SlotPredictions::masked(&slots.map(|s| s.unwrap_or(0)), mask);
+        Ok(())
+    }
+}
 
 /// The size of the speculative window (Figure 7b sweeps this from ∞ down to none).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -181,9 +249,50 @@ mod tests {
     use std::collections::VecDeque;
 
     fn vals(v: u64) -> SlotPredictions {
-        let mut values = [None; MAX_NPRED];
-        values[0] = Some(v);
-        values
+        let mut values = [0; MAX_NPRED];
+        values[0] = v;
+        SlotPredictions::masked(&values, 1)
+    }
+
+    #[test]
+    fn slot_predictions_keep_lanes_and_mask() {
+        let mut values = [7u64; MAX_NPRED];
+        values[3] = 0;
+        values[7] = u64::MAX;
+        let preds = SlotPredictions::masked(&values, 0b1000_1001);
+        assert_eq!(preds.mask(), 0b1000_1001);
+        assert_eq!(preds.values(), &[7, 0, 0, 0, 0, 0, 0, u64::MAX]);
+        assert_eq!(preds.get(0), Some(7));
+        assert_eq!(preds.get(3), Some(0), "a zero prediction is still present");
+        assert_eq!(preds.get(1), None);
+        assert_eq!(SlotPredictions::NONE, SlotPredictions::masked(&values, 0));
+    }
+
+    #[test]
+    fn slot_predictions_write_the_option_layout() {
+        let old: [Option<u64>; MAX_NPRED] = [
+            Some(7),
+            None,
+            None,
+            Some(0),
+            None,
+            None,
+            None,
+            Some(u64::MAX),
+        ];
+        let new = SlotPredictions::masked(&old.map(|v| v.unwrap_or(0)), 0b1000_1001);
+        assert_eq!(snapshot(&new), snapshot(&old));
+        assert_eq!(
+            snapshot(&SlotPredictions::NONE),
+            snapshot(&[None::<u64>; MAX_NPRED])
+        );
+        assert_eq!(
+            SlotPredictions::MIN_BYTES,
+            <[Option<u64>; MAX_NPRED]>::MIN_BYTES
+        );
+        let mut back = SlotPredictions::NONE;
+        restore_snapshot(&mut back, &snapshot(&old)).unwrap();
+        assert_eq!(back, new);
     }
 
     #[test]

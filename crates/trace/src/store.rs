@@ -419,6 +419,43 @@ fn decode_uop(word: u64) -> Result<Uop, StoreError> {
     Ok(Uop::new(kind, dst, &srcs[..count]))
 }
 
+/// log2 of the [`UopMemo`] slot count.
+const UOP_MEMO_BITS: u32 = 9;
+
+/// A direct-mapped memo of [`decode_uop`] keyed on the raw µ-op word: a
+/// trace repeats a few hundred distinct static µ-ops, so most of a lane's
+/// words hit. Only successful decodes are stored, so every invalid word is
+/// decoded, and rejected, each time it appears. Every slot starts out
+/// holding the word of a Nop µ-op with its decode, a real entry rather than
+/// a sentinel key that a file could contain.
+struct UopMemo {
+    slots: Vec<(u64, Uop)>,
+}
+
+impl UopMemo {
+    fn new() -> Self {
+        let nop = Uop::new(UopKind::Nop, None, &[]);
+        UopMemo {
+            slots: vec![(encode_uop(&nop), nop); 1 << UOP_MEMO_BITS],
+        }
+    }
+
+    fn slot(word: u64) -> usize {
+        // CAST: the shift leaves UOP_MEMO_BITS bits.
+        (word.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - UOP_MEMO_BITS)) as usize
+    }
+
+    /// `decode_uop(word)`, from the memo when `word` was decoded before.
+    #[inline]
+    fn decode(&mut self, word: u64) -> Result<Uop, StoreError> {
+        let slot = &mut self.slots[Self::slot(word)];
+        if slot.0 != word {
+            *slot = (word, decode_uop(word)?);
+        }
+        Ok(slot.1)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Serialisation
 // ---------------------------------------------------------------------------
@@ -623,9 +660,10 @@ pub fn decode_trace(bytes: &[u8]) -> Result<DecodedTrace, StoreError> {
     // Every lane is allocated once at its exact length and filled in place.
     let pc = r.lane(n, u64::from_le_bytes)?;
     let mut uop = Vec::with_capacity(n);
+    let mut memo = UopMemo::new();
     for field in r.fields::<8>(n)? {
         // INVARIANT: fields::<8> yields 8-byte slices only.
-        uop.push(decode_uop(u64::from_le_bytes(field.try_into().unwrap()))?);
+        uop.push(memo.decode(u64::from_le_bytes(field.try_into().unwrap()))?);
     }
     let value = r.lane(n, u64::from_le_bytes)?;
     let meta = r.lane(n, u32::from_le_bytes)?;
@@ -1098,6 +1136,73 @@ mod tests {
             std::env::temp_dir().join(format!("bebop-store-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// The µ-op words of the three recordings `pin_cases` in
+    /// `tests/integration_checkpoint.rs` pins checkpoint payloads on: the
+    /// demo loop, the wrong-path workload and the swim/gcc mix.
+    fn pin_case_words() -> Vec<u64> {
+        let n = 10_000;
+        let mut wp_spec = WorkloadSpec::new("ckpt-pin-wp", 77).with_wrong_path(8);
+        wp_spec.branches.random_frac = 0.3;
+        let mix =
+            crate::MixSpec::pair(1_000, spec_benchmark("171.swim"), spec_benchmark("403.gcc"));
+        let recordings = [
+            TraceBuffer::record(&WorkloadSpec::named_demo("ckpt-pin"), n),
+            TraceBuffer::record(&wp_spec, n),
+            mix.record(n),
+        ];
+        recordings
+            .iter()
+            .flat_map(|buf| buf.lanes().1.iter().map(encode_uop).collect::<Vec<_>>())
+            .collect()
+    }
+
+    #[test]
+    fn memoised_uop_decode_matches_decode_uop() {
+        let mut memo = UopMemo::new();
+        // Every seeded key is a real word that decodes to its entry.
+        for &(word, uop) in &memo.slots {
+            assert_eq!(decode_uop(word), Ok(uop));
+        }
+        let words = pin_case_words();
+        assert!(words.len() >= 30_000);
+        for &w in &words {
+            assert_eq!(memo.decode(w), decode_uop(w), "word {w:#018x}");
+        }
+        // An invalid word in the slot of a valid word already memoised: the
+        // non-zero padding byte makes it invalid whatever the other bytes.
+        let valid = words[0];
+        let twin = (1u64..)
+            .map(|k| valid ^ (k << 40))
+            .find(|&w| UopMemo::slot(w) == UopMemo::slot(valid))
+            .expect("a colliding word");
+        let seed = UopMemo::new().slots[0].0;
+        let hand_built = [
+            valid,
+            twin,
+            valid,
+            // The seed key itself, and the sentinels a seed must not be.
+            seed,
+            u64::MAX,
+            0,
+            seed | (1 << 56),
+            // Unknown kind; gap in the sources; register out of range.
+            0xFF,
+            u64::from_le_bytes([0, REG_NONE, REG_NONE, 1, REG_NONE, 0, 0, 0]),
+            u64::from_le_bytes([0, 200, REG_NONE, REG_NONE, REG_NONE, 0, 0, 0]),
+        ];
+        for &w in &hand_built {
+            assert_eq!(memo.decode(w), decode_uop(w), "word {w:#018x}");
+        }
+        assert!(memo.decode(twin).is_err());
+        assert_eq!(
+            memo.slots[UopMemo::slot(valid)].0,
+            valid,
+            "an invalid word evicted"
+        );
+        // A fresh memo rejects a word equal to any sentinel key.
+        assert!(UopMemo::new().decode(u64::MAX).is_err());
     }
 
     #[test]

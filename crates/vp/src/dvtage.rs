@@ -10,6 +10,7 @@
 //! window is provided by the `bebop` core crate.
 
 use crate::fpc::{ForwardProbabilisticCounter, FpcParams};
+use crate::spec_table::{SpecLast, SpecTable};
 use crate::tagged::{FIG5A_LOG_BASE, FIG5A_USEFUL_RESET_PERIOD};
 use crate::{clamp_stride, inst_key, Lfsr, Slots, TaggedComponents, TaggedGeometry};
 use bebop_isa::{ensure, snap, snapshot, DynUop, SeqNum, SeqQueue, StateResult};
@@ -52,6 +53,13 @@ struct LvtEntry {
     spec_inflight: u32,
 }
 
+impl SpecLast for LvtEntry {
+    fn resync(&mut self) {
+        self.spec_inflight = 0;
+        self.spec_last = self.last;
+    }
+}
+
 #[derive(Debug, Clone, Copy, Default)]
 struct Vt0Entry {
     stride: i64,
@@ -82,7 +90,7 @@ struct Inflight {
 #[derive(Debug, Clone)]
 pub struct DVtage {
     cfg: DVtageConfig,
-    lvt: Vec<LvtEntry>,
+    lvt: SpecTable<LvtEntry>,
     vt0: Vec<Vt0Entry>,
     tagged: TaggedComponents<Vec<TaggedEntry>>,
     inflight: SeqQueue<(SeqNum, Inflight)>,
@@ -96,7 +104,7 @@ impl DVtage {
         let geometry = TaggedGeometry::figure_5a();
         let table = vec![TaggedEntry::default(); 1 << geometry.index_bits()];
         DVtage {
-            lvt: vec![LvtEntry::default(); 1 << FIG5A_LOG_BASE],
+            lvt: SpecTable::new(LvtEntry::default(), 1 << FIG5A_LOG_BASE),
             vt0: vec![Vt0Entry::default(); 1 << FIG5A_LOG_BASE],
             tagged: TaggedComponents::new(geometry, table),
             inflight: SeqQueue::default(),
@@ -129,7 +137,7 @@ impl DVtage {
         let k = key >> 1;
         // CAST: masked to the base table size.
         let base_index = (k & (self.lvt.len() as u64 - 1)) as usize;
-        let lvt = self.lvt[base_index];
+        let lvt = *self.lvt.get_mut(base_index);
         let lvt_hit = lvt.valid && lvt.tag == Self::lvt_tag(k);
         let slots = self.tagged.slots(k, ghist, path, TAG_SHIFT);
         let (provider, alt) = self.tagged.providers(&slots);
@@ -169,7 +177,7 @@ impl DVtage {
         // Last Value Table: retire the actual value, unwind one speculative instance.
         let retired_last;
         {
-            let lvt = &mut self.lvt[info.base_index];
+            let lvt = self.lvt.get_mut(info.base_index);
             if lvt.valid && lvt.tag == lvt_tag {
                 retired_last = Some(lvt.last);
                 lvt.last = actual;
@@ -191,7 +199,7 @@ impl DVtage {
         let correct = info.prediction == Some(actual);
         if !correct {
             // The speculative chain diverged from the architectural values: resync.
-            let lvt = &mut self.lvt[info.base_index];
+            let lvt = self.lvt.get_mut(info.base_index);
             lvt.spec_inflight = 0;
             lvt.spec_last = actual;
         }
@@ -238,7 +246,7 @@ impl DVtage {
                 .tagged
                 .victim(&info.slots, info.provider, &mut self.rng)
             {
-                let (idx, tag) = info.slots[c];
+                let (idx, tag) = info.slots.get(c);
                 self.tagged[c][idx] = TaggedEntry {
                     valid: true,
                     tag,
@@ -300,7 +308,7 @@ snap!(Inflight {
     alt_stride: i64,
 });
 snap!(DVtage {
-    lvt: Vec<LvtEntry>,
+    lvt: SpecTable<LvtEntry>,
     vt0: Vec<Vt0Entry>,
     tagged: TaggedComponents<Vec<TaggedEntry>>,
     inflight: SeqQueue<(SeqNum, Inflight)>,
@@ -320,7 +328,7 @@ impl ValuePredictor for DVtage {
         // Chain the speculative last value regardless of confidence: the hardware
         // pushes every prediction block into the speculative window.
         if let Some(p) = prediction {
-            let lvt = &mut self.lvt[info.base_index];
+            let lvt = self.lvt.get_mut(info.base_index);
             lvt.spec_last = p;
             lvt.spec_inflight += 1;
         }
@@ -349,10 +357,7 @@ impl ValuePredictor for DVtage {
         self.inflight.squash(info.flush_seq, drop);
         // Idealistic recovery: resynchronise speculative last values with retired
         // state (the realistic checkpointed window lives in the `bebop` crate).
-        for e in &mut self.lvt {
-            e.spec_inflight = 0;
-            e.spec_last = e.last;
-        }
+        self.lvt.squash();
     }
 
     fn storage_bits(&self) -> u64 {

@@ -49,6 +49,7 @@ mod fpc;
 mod hybrid;
 mod last_value;
 mod sharded;
+mod spec_table;
 mod stride;
 mod tagged;
 mod vtage;

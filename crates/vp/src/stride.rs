@@ -9,6 +9,7 @@
 //! window; the realistic block-based window is in the `bebop` core crate).
 
 use crate::fpc::{ForwardProbabilisticCounter, FpcParams};
+use crate::spec_table::{SpecLast, SpecTable};
 use crate::{inst_key, Lfsr};
 use bebop_isa::{snap, snapshot, DynUop, SeqNum, SeqQueue, StateResult};
 use bebop_uarch::{restore_predictor, PredictCtx, SquashInfo, ValuePredictor};
@@ -30,6 +31,13 @@ struct StrideEntry {
     spec_inflight: u32,
 }
 
+impl SpecLast for StrideEntry {
+    fn resync(&mut self) {
+        self.spec_inflight = 0;
+        self.spec_last = self.last;
+    }
+}
+
 /// A stride predictor: predicts `last value + stride`. The baseline variant
 /// ("Stride") adopts the most recently observed delta as its stride; the
 /// 2-delta variant ("2d-Stride") only adopts a delta once it has been seen
@@ -37,7 +45,7 @@ struct StrideEntry {
 /// variants share every table and path; `two_delta` is the only difference.
 #[derive(Debug, Clone)]
 pub struct StridePredictor {
-    entries: Vec<StrideEntry>,
+    entries: SpecTable<StrideEntry>,
     index_mask: u64,
     tag_bits: u32,
     params: FpcParams,
@@ -71,7 +79,7 @@ impl StridePredictor {
 
     fn with_policy(log_entries: u32, tag_bits: u32, params: FpcParams, two_delta: bool) -> Self {
         StridePredictor {
-            entries: vec![StrideEntry::default(); 1 << log_entries],
+            entries: SpecTable::new(StrideEntry::default(), 1 << log_entries),
             index_mask: (1u64 << log_entries) - 1,
             tag_bits,
             params,
@@ -97,7 +105,7 @@ impl StridePredictor {
         let tag = self.tag(key);
         let params = &self.params;
         let two_delta = self.two_delta;
-        let e = &mut self.entries[idx];
+        let e = self.entries.get_mut(idx);
         if e.valid && e.tag == tag {
             let delta = actual.wrapping_sub(e.last) as i64;
             let was_correct = internal == Some(actual);
@@ -140,7 +148,7 @@ impl StridePredictor {
 
     /// Clamps restored confidence levels to the configured saturation.
     fn check_restored(&mut self) -> StateResult<()> {
-        for e in &mut self.entries {
+        for e in self.entries.iter_mut() {
             e.conf.set_level(e.conf.level(), &self.params);
         }
         Ok(())
@@ -158,7 +166,7 @@ snap!(StrideEntry {
     spec_inflight: u32,
 });
 snap!(StridePredictor {
-    entries: Vec<StrideEntry>,
+    entries: SpecTable<StrideEntry>,
     rng: Lfsr,
     inflight: SeqQueue<(SeqNum, u64)>,
 } validate check_restored);
@@ -176,7 +184,7 @@ impl ValuePredictor for StridePredictor {
         let key = inst_key(uop);
         let idx = self.index(key);
         let tag = self.tag(key);
-        let e = &mut self.entries[idx];
+        let e = self.entries.get_mut(idx);
         if !(e.valid && e.tag == tag) {
             return None;
         }
@@ -215,10 +223,7 @@ impl ValuePredictor for StridePredictor {
         self.inflight.squash(info.flush_seq, drop);
         // Speculative last values computed past the flush point are gone; an
         // idealistic recovery resynchronises every entry with retired state.
-        for e in &mut self.entries {
-            e.spec_inflight = 0;
-            e.spec_last = e.last;
-        }
+        self.entries.squash();
     }
 
     fn storage_bits(&self) -> u64 {

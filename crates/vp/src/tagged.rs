@@ -21,14 +21,47 @@
 //! reaches them through the small [`Tagged`] trait.
 
 use crate::{Lfsr, ShardedTable};
-use bebop_isa::{fold_bits, snap, Snap};
+use bebop_isa::{fold_bits, snap, Snap, StateError, StateReader, StateResult, StateWriter};
 use std::ops::{Deref, DerefMut};
 
 /// The maximum number of tagged components (the paper uses 6).
 pub const MAX_TAGGED: usize = 8;
 
-/// Per tagged component, the `(index, tag)` a key hashes to.
-pub type Slots = [(usize, u16); MAX_TAGGED];
+/// Per tagged component, the `(index, tag)` a key hashes to. Component
+/// indices fit `u16` (a component has at most 2^16 entries), which keeps the
+/// in-flight records that carry these pairs small; checkpoints still write
+/// each index as the `u64` it was when indices were `usize`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Slots(pub [(u16, u16); MAX_TAGGED]);
+
+impl Slots {
+    /// Component `c`'s `(index, tag)`, with the index widened for table access.
+    pub fn get(&self, c: usize) -> (usize, u16) {
+        let (idx, tag) = self.0[c];
+        (usize::from(idx), tag)
+    }
+}
+
+/// The pre-narrowing layout: per component a `u64` index, then the `u16` tag.
+impl Snap for Slots {
+    const MIN_BYTES: usize = MAX_TAGGED * (8 + 2);
+
+    fn save(&self, w: &mut StateWriter) {
+        for &(idx, tag) in &self.0 {
+            w.u64(u64::from(idx));
+            w.u16(tag);
+        }
+    }
+
+    fn restore(&mut self, r: &mut StateReader<'_>) -> StateResult<()> {
+        for slot in &mut self.0 {
+            let idx = u16::try_from(r.u64()?)
+                .map_err(|_| StateError("tagged slot index does not fit u16"))?;
+            *slot = (idx, r.u16()?);
+        }
+        Ok(())
+    }
+}
 
 /// A hitting tagged entry as `(component, index)`.
 pub type Hit = (usize, usize);
@@ -100,7 +133,7 @@ impl TaggedGeometry {
     ///
     /// # Panics
     ///
-    /// Panics if `num_tagged > MAX_TAGGED`.
+    /// Panics if `num_tagged > MAX_TAGGED` or `index_bits > 16`.
     pub fn new(
         num_tagged: usize,
         index_bits: u32,
@@ -111,6 +144,10 @@ impl TaggedGeometry {
         assert!(
             num_tagged <= MAX_TAGGED,
             "num_tagged {num_tagged} exceeds MAX_TAGGED {MAX_TAGGED}"
+        );
+        assert!(
+            index_bits <= 16,
+            "tagged components hold at most 2^16 entries"
         );
         let mut hist_len = [0; MAX_TAGGED];
         let mut tag_bits = [0; MAX_TAGGED];
@@ -162,12 +199,12 @@ impl TaggedGeometry {
             self.folds = self.fold(ghist);
         }
         let index_mask = (1u64 << self.index_bits) - 1;
-        let mut slots = [(0, 0); MAX_TAGGED];
-        for (c, slot) in slots.iter_mut().enumerate().take(self.num_tagged) {
+        let mut slots = Slots::default();
+        for (c, slot) in slots.0.iter_mut().enumerate().take(self.num_tagged) {
             let idx = k ^ (k >> self.index_bits) ^ self.folds.index[c] ^ (path & 0x3f);
             let tag = (k ^ (k >> tag_shift) ^ self.folds.tag[c]) & self.tag_mask(c);
             // CAST: both are masked to the table and tag widths (≤ 16 bits).
-            *slot = ((idx & index_mask) as usize, tag as u16);
+            *slot = ((idx & index_mask) as u16, tag as u16);
         }
         slots
     }
@@ -284,7 +321,7 @@ impl<C: Component> TaggedComponents<C> {
     pub fn providers(&self, slots: &Slots) -> (Option<Hit>, Option<Hit>) {
         let mut provider = None;
         for c in (0..self.tables.len()).rev() {
-            let (idx, tag) = slots[c];
+            let (idx, tag) = slots.get(c);
             if self.tables[c].entries()[idx].hits(tag) {
                 if provider.is_some() {
                     return (provider, Some((c, idx)));
@@ -309,8 +346,8 @@ impl<C: Component> TaggedComponents<C> {
         let start = provider.map_or(0, |(c, _)| c + 1);
         let mut first = [0usize; 2];
         let mut n = 0;
-        for (c, (t, &(idx, _))) in self.tables.iter().zip(slots).enumerate().skip(start) {
-            if !t.entries()[idx].useful() {
+        for (c, (t, &(idx, _))) in self.tables.iter().zip(&slots.0).enumerate().skip(start) {
+            if !t.entries()[usize::from(idx)].useful() {
                 if n < 2 {
                     first[n] = c;
                 }
@@ -318,8 +355,8 @@ impl<C: Component> TaggedComponents<C> {
             }
         }
         if n == 0 {
-            for (t, &(idx, _)) in self.tables.iter_mut().zip(slots).skip(start) {
-                t.entries_mut()[idx].set_useful(false);
+            for (t, &(idx, _)) in self.tables.iter_mut().zip(&slots.0).skip(start) {
+                t.entries_mut()[usize::from(idx)].set_useful(false);
             }
             return None;
         }
@@ -349,7 +386,7 @@ impl<C: Component> TaggedComponents<C> {
     pub fn holds(&self, provider: Option<Hit>, slots: &Slots) -> bool {
         let inside = |c: usize, i: usize| self.tables.get(c).is_some_and(|t| i < t.entries().len());
         provider.map_or(true, |(c, i)| inside(c, i))
-            && (0..self.tables.len()).all(|c| inside(c, slots[c].0))
+            && (0..self.tables.len()).all(|c| inside(c, slots.get(c).0))
     }
 }
 
@@ -408,16 +445,13 @@ mod tests {
     /// The slots of `k`, folded from scratch.
     fn direct(g: &TaggedGeometry, k: u64, h: u64, path: u64) -> Slots {
         let b = g.index_bits();
-        let mut slots = [(0usize, 0u16); MAX_TAGGED];
-        for (c, slot) in slots.iter_mut().enumerate().take(g.num_tagged) {
+        let mut slots = Slots::default();
+        for (c, slot) in slots.0.iter_mut().enumerate().take(g.num_tagged) {
             let (len, bits) = (g.hist_len[c], g.tag_bits(c));
             let f2 = fold_history(h, len, bits.saturating_sub(3).max(2));
             let idx = k ^ (k >> b) ^ fold_history(h, len, b) ^ (path & 0x3f);
             let tag = k ^ (k >> 8) ^ fold_history(h, len, bits) ^ (f2 << 2);
-            *slot = (
-                (idx & ((1 << b) - 1)) as usize,
-                (tag & g.tag_mask(c)) as u16,
-            );
+            *slot = ((idx & ((1 << b) - 1)) as u16, (tag & g.tag_mask(c)) as u16);
         }
         slots
     }
@@ -450,7 +484,7 @@ mod tests {
     #[test]
     fn providers_are_the_two_longest_hits() {
         let mut t = components(4);
-        let slots: Slots = [
+        let slots = Slots([
             (1, 10),
             (2, 20),
             (3, 30),
@@ -459,10 +493,10 @@ mod tests {
             (0, 0),
             (0, 0),
             (0, 0),
-        ];
+        ]);
         assert_eq!(t.providers(&slots), (None, None));
         for c in [0, 1, 3] {
-            let (i, tag) = slots[c];
+            let (i, tag) = slots.get(c);
             t[c][i] = Entry {
                 valid: true,
                 tag,
@@ -476,7 +510,7 @@ mod tests {
 
     #[test]
     fn victim_is_one_of_the_first_two_candidates() {
-        let slots: Slots = [(0, 0); MAX_TAGGED];
+        let slots = Slots::default();
         let mut seen = [false; 6];
         let mut rng = Lfsr::new(5);
         for _ in 0..64 {
@@ -492,7 +526,7 @@ mod tests {
 
     #[test]
     fn without_candidates_useful_bits_clear_and_no_number_is_drawn() {
-        let slots: Slots = [(3, 0); MAX_TAGGED];
+        let slots = Slots([(3, 0); MAX_TAGGED]);
         let mut t = components(4);
         for c in 0..4 {
             t[c][3].useful = true;
@@ -506,6 +540,33 @@ mod tests {
         // Nothing above the top component: nothing to clear, nothing drawn.
         assert_eq!(t.victim(&slots, Some((3, 3)), &mut rng), None);
         assert_eq!(snapshot(&rng), before);
+    }
+
+    #[test]
+    fn slots_write_the_usize_layout() {
+        let mut g = TaggedGeometry::figure_5a();
+        let slots = g.slots(0x1234_5678, 0xdead_beef, 0x2a, 8);
+        let old: [(usize, u16); MAX_TAGGED] = slots.0.map(|(i, t)| (usize::from(i), t));
+        assert_eq!(snapshot(&slots), snapshot(&old));
+        assert_eq!(Slots::MIN_BYTES, <[(usize, u16); MAX_TAGGED]>::MIN_BYTES);
+        let mut back = Slots::default();
+        restore_snapshot(&mut back, &snapshot(&old)).unwrap();
+        assert_eq!(back, slots);
+        // An index past u16 is rejected, not truncated.
+        let mut wide = old;
+        wide[3].0 = 1 << 16;
+        let err = restore_snapshot(&mut back, &snapshot(&wide)).unwrap_err();
+        assert!(err.to_string().contains("does not fit u16"), "{err}");
+        // One inside u16 but outside the table is left to `holds`.
+        let t = components(6);
+        let mut outside = Slots::default();
+        assert!(t.holds(None, &outside));
+        outside.0[2].0 = 16;
+        assert!(!t.holds(None, &outside));
+        assert!(
+            !t.holds(Some((6, 0)), &Slots::default()),
+            "component past num_tagged"
+        );
     }
 
     #[test]

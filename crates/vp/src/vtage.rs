@@ -149,7 +149,7 @@ impl Vtage {
                 .tagged
                 .victim(&info.slots, info.provider, &mut self.rng)
             {
-                let (idx, tag) = info.slots[c];
+                let (idx, tag) = info.slots.get(c);
                 self.tagged[c][idx] = TaggedEntry {
                     valid: true,
                     tag,

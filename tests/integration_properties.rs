@@ -5,7 +5,8 @@
 //! deterministic pseudo-random inputs (failures are reproducible by case index).
 
 use bebop::{
-    BlockDVtageConfig, MixSpec, ShardedTable, SpecWindowSize, SpeculativeWindow, MAX_NPRED,
+    BlockDVtageConfig, MixSpec, ShardedTable, SlotPredictions, SpecWindowSize, SpeculativeWindow,
+    MAX_NPRED,
 };
 use bebop_bench::sampling::{cluster_slices, workload_seed};
 use bebop_isa::{byte_index_in_block, fetch_block_pc, restore_snapshot, snapshot, SeqQueue};
@@ -27,10 +28,10 @@ fn rng(case: u64) -> SmallRng {
     SmallRng::seed_from_u64(0x9e37_79b9 ^ case)
 }
 
-fn slot_values(v: u64) -> [Option<u64>; MAX_NPRED] {
-    let mut vals = [None; MAX_NPRED];
-    vals[0] = Some(v);
-    vals
+fn slot_values(v: u64) -> SlotPredictions {
+    let mut vals = [0; MAX_NPRED];
+    vals[0] = v;
+    SlotPredictions::masked(&vals, 1)
 }
 
 /// Fetch-block arithmetic: the block PC is aligned, contains the PC, and the
