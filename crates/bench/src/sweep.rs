@@ -32,10 +32,12 @@
 //!   take the same retries. Retries and unsaved traces are counted in the
 //!   [`SweepReport`].
 //! * With [`SweepOptions::checkpoint_every`] set, each cell periodically
-//!   snapshots its full simulation state to `<dir>/ckpt/<jobkey>.bbpckpt`
-//!   (see `bebop::SimCheckpoint`); a `kill -9` mid-cell then costs only the
-//!   work since the last snapshot, and SIGINT/SIGTERM write a final snapshot
-//!   before the cell returns unjournaled (to be resumed later).
+//!   snapshots its full simulation state, alternating between two slots,
+//!   `<dir>/ckpt/<jobkey>.bbpckpt` and `<dir>/ckpt/<jobkey>.1.bbpckpt` (see
+//!   `bebop::checkpoint_slots`), each rewritten in place; a `kill -9`
+//!   mid-cell then costs only the work since the last snapshot, even when it
+//!   tears the snapshot being written, and SIGINT/SIGTERM write a final
+//!   snapshot before the cell returns unjournaled (to be resumed later).
 //! * A [`FaultPlan`] makes all of the above testable in-tree: deterministic
 //!   injected I/O errors, short reads, corruption and per-job panics.
 //!
@@ -51,7 +53,7 @@
 //! | job panic | permanent (config) | quarantine the cell, `reason_kind = panic` |
 //! | SIGINT / SIGTERM mid-sweep | — | in-flight cells final-checkpoint and return unjournaled (`skipped_on_shutdown`); resume re-runs them from their snapshots |
 //! | `kill -9` mid-sweep | — | resume: journal replay + torn-tail salvage; mid-cell snapshot restores the interrupted cell |
-//! | corrupt / stale / mismatched cell checkpoint | permanent (file) | rejected and discarded; the cell re-runs from zero |
+//! | corrupt / stale / mismatched cell checkpoint | permanent (file) | rejected; the cell resumes from its other slot if that one is valid, else both are discarded and it re-runs from zero |
 //! | checkpoint write error | transient | the cell runs on, unsnapshotted until a later write lands (`checkpoint_write_errors`) |
 
 use crate::{SweepVariant, TraceCachePolicy, TraceSet, TraceStore};
@@ -805,8 +807,13 @@ pub fn run_sweep_jobs(
                 Err(p) => Some(Err((ReasonKind::Panic, panic_reason(p)))),
                 Ok(run) => {
                     if let Some(why) = &run.rejected_checkpoint {
+                        let then = if run.resumed_from.is_some() {
+                            "resuming from the other snapshot"
+                        } else {
+                            "restarting the cell from zero"
+                        };
                         eprintln!(
-                            "[sweep] discarded stale checkpoint for {}: {why} (restarting the cell from zero)",
+                            "[sweep] rejected a checkpoint for {}: {why} ({then})",
                             req.cell_label(job.workload, job.variant)
                         );
                     }

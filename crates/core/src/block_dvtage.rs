@@ -746,8 +746,8 @@ impl BlockDVtage {
         match rec.provider() {
             Some((c, idx)) => {
                 let (_, expected_tag) = rec.alloc_slots.get(c);
-                let e = self.tagged[c].get_mut(idx);
-                if e.valid && e.tag == expected_tag {
+                if self.tagged.hits(c, idx, expected_tag) {
+                    let e = self.tagged.entry_mut(c, idx);
                     for (&(i, stride, correct), &r) in observed.iter().zip(&entropy) {
                         if correct {
                             e.slots.conf[i].on_correct_with(fpc, r);
@@ -758,8 +758,8 @@ impl BlockDVtage {
                             }
                         }
                     }
-                    e.useful = any_correct && !any_wrong;
-                    self.tagged[c].note_write(idx, rec.asid);
+                    self.tagged.set_useful(c, idx, any_correct && !any_wrong);
+                    self.tagged.note_write(c, idx, rec.asid);
                 }
             }
             None => {
@@ -798,13 +798,14 @@ impl BlockDVtage {
                         slots.conf[i] = ForwardProbabilisticCounter::new();
                     }
                 }
-                *self.tagged[comp].get_mut(idx) = TaggedEntry {
+                let entry = TaggedEntry {
                     valid: true,
                     tag,
                     useful: false,
                     slots,
                 };
-                self.tagged[comp].note_write(idx, rec.asid);
+                self.tagged.install(comp, idx, entry);
+                self.tagged.note_write(comp, idx, rec.asid);
             }
         }
         self.tagged
@@ -821,10 +822,7 @@ impl BlockDVtage {
     fn check_restored(&mut self) -> StateResult<()> {
         let fpc = &self.cfg.fpc;
         let vt0 = self.vt0.iter_mut().map(|e| &mut e.slots);
-        let tagged = self
-            .tagged
-            .iter_mut()
-            .flat_map(|t| t.iter_mut().map(|e| &mut e.slots));
+        let tagged = self.tagged.entries_mut().map(|e| &mut e.slots);
         for c in vt0.chain(tagged).flat_map(|s| s.conf.iter_mut()) {
             c.set_level(c.level(), fpc);
         }

@@ -10,16 +10,19 @@
 //! resumed run equal those of an uninterrupted one.
 //!
 //! The on-disk format follows the `bebop-trace` store conventions: magic,
-//! format version, configuration fingerprint, a trailing word-parallel
+//! format version, configuration fingerprint and a trailing word-parallel
 //! FNV-1a checksum ([`bebop_trace::fnv1a_wide`]) over everything before it,
-//! and atomic write-via-rename so a torn write leaves the previous
-//! checkpoint (or nothing) in place, never a half-written file. A stale,
-//! corrupt or version-mismatched checkpoint is *rejected and discarded* — the
-//! caller falls back to a from-zero run instead of propagating garbage state.
+//! so a torn or truncated file never decodes. A file is written either
+//! through a temporary file and a rename ([`SimCheckpoint::write_atomic`])
+//! or in place over an existing file (`SimCheckpoint::write_in_place`, what
+//! the resume driver does to its two alternating slots, see
+//! [`crate::checkpoint_slots`]). A stale, corrupt or version-mismatched
+//! checkpoint is *rejected* — the caller falls back to an older snapshot or
+//! a from-zero run instead of propagating garbage state.
 
 use bebop_trace::{fnv1a_wide, FNV_OFFSET_BASIS};
-use std::fs;
-use std::io;
+use std::fs::{self, OpenOptions};
+use std::io::{self, Write};
 use std::path::Path;
 
 /// Magic bytes opening every checkpoint file.
@@ -194,6 +197,28 @@ impl SimCheckpoint {
         bebop_trace::write_atomic(path, &self.encode())
     }
 
+    /// Writes the checkpoint over the file at `path` in place (creating its
+    /// directory and the file): the file is opened without truncation,
+    /// written, then cut to the new length. It is never truncated before the
+    /// write and never renamed over, which avoids the writeback a rename
+    /// over an existing file forces on some filesystems. A torn write leaves
+    /// a file whose trailing checksum fails, so the caller must keep the
+    /// previous snapshot in another file (see [`crate::checkpoint_slots`]).
+    pub(crate) fn write_in_place(&self, path: &Path) -> io::Result<()> {
+        let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
+        if let Some(dir) = dir {
+            fs::create_dir_all(dir)?;
+        }
+        let bytes = self.encode();
+        let mut file = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)?;
+        file.write_all(&bytes)?;
+        file.set_len(bytes.len() as u64)
+    }
+
     /// Loads and validates the checkpoint at `path`. A missing file is
     /// [`CheckpointError::Missing`]; every other failure mode identifies why
     /// the file was rejected so the caller can log it before discarding.
@@ -206,9 +231,7 @@ impl SimCheckpoint {
         Self::decode(&bytes, expected_fingerprint)
     }
 
-    /// Removes the checkpoint file, ignoring a missing file. Used both after
-    /// a successful run (the snapshot is stale the moment the run completes)
-    /// and when a rejected checkpoint is discarded.
+    /// Removes the checkpoint file, ignoring a missing file.
     pub fn discard(path: &Path) {
         let _ = fs::remove_file(path);
     }

@@ -74,7 +74,8 @@ pub use driver::{
 };
 pub use recovery::RecoveryPolicy;
 pub use resume::{
-    run_fingerprint, run_source_resumable, ResumableRun, ResumeOptions, RunOutcome, CHUNK_UOPS,
+    checkpoint_slots, run_fingerprint, run_source_resumable, ResumableRun, ResumeOptions,
+    RunOutcome, CHUNK_UOPS,
 };
 pub use shutdown::{install_shutdown_handler, set_shutdown_requested, shutdown_requested};
 pub use spec_window::{

@@ -8,6 +8,12 @@
 //! run's), and reacts to SIGINT/SIGTERM by writing a final checkpoint before
 //! returning.
 //!
+//! Snapshots alternate between two slots ([`checkpoint_slots`]): each one
+//! is rewritten in place over the older slot, so the newer slot keeps the
+//! previous complete snapshot while a write is in flight. Restore takes the
+//! valid slot with the most committed µ-ops, so a resume sees the previous
+//! complete snapshot or the new one, never a torn write.
+//!
 //! The simulation advances in chunks of [`CHUNK_UOPS`] committed µ-ops
 //! between signal and checkpoint-interval checks, so their overhead is
 //! amortised across ~a thousand µ-ops and the release hot path is unchanged
@@ -18,7 +24,7 @@ use crate::driver::{AnyPredictor, PredictorKind, UopSource};
 use crate::shutdown;
 use bebop_trace::{fnv1a, spec_fingerprint, FNV_OFFSET_BASIS};
 use bebop_uarch::{Pipeline, PipelineConfig, SimStats, ValuePredictor};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Committed µ-ops simulated between signal and checkpoint-interval checks.
 /// Large enough that the checks are amortised to noise; small enough that a
@@ -29,7 +35,8 @@ pub const CHUNK_UOPS: u64 = 1024;
 /// everything, reducing [`run_source_resumable`] to a chunked `run_source`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ResumeOptions<'a> {
-    /// Checkpoint file location. `None` disables persistence entirely.
+    /// The first checkpoint slot; the second is its sibling (see
+    /// [`checkpoint_slots`]). `None` disables persistence entirely.
     pub checkpoint_path: Option<&'a Path>,
     /// Snapshot every this many committed µ-ops (rounded up to chunk
     /// granularity). 0 with a path set means "no periodic snapshots, but
@@ -65,8 +72,10 @@ pub struct ResumableRun {
     /// A resumed run re-simulates at most `checkpoint_every + CHUNK_UOPS`
     /// µ-ops of lost progress.
     pub resumed_from: Option<u64>,
-    /// Why an existing checkpoint file was rejected and discarded, if one
-    /// was (`Missing` is not recorded — a first run is not a rejection).
+    /// Why an existing checkpoint slot was rejected, if one was (`Missing`
+    /// is not recorded — a first run is not a rejection). The run resumed
+    /// from the other slot when `resumed_from` is set, and otherwise ran
+    /// from zero after discarding both slots.
     pub rejected_checkpoint: Option<String>,
     /// Checkpoint writes (periodic or final) that failed. The run goes on
     /// without them: its statistics are unaffected, only a later resume
@@ -116,43 +125,80 @@ fn snapshot(
     }
 }
 
-/// Attempts to restore `pipeline`/`predictor` from the checkpoint at `path`.
-/// On success returns the stream position to fast-forward to; on any failure
-/// the (possibly partially mutated) components are rebuilt from scratch and
-/// the offending file is discarded.
+/// The two checkpoint slots of `path`: `path` itself and its sibling with
+/// `.1` before the extension (`<key>.bbpckpt` and `<key>.1.bbpckpt`).
+pub fn checkpoint_slots(path: &Path) -> [PathBuf; 2] {
+    let mut name = path.file_stem().unwrap_or_default().to_os_string();
+    name.push(".1");
+    if let Some(ext) = path.extension() {
+        name.push(".");
+        name.push(ext);
+    }
+    [path.to_path_buf(), path.with_file_name(name)]
+}
+
+/// Removes both checkpoint slots: the one way a run discards its snapshots.
+fn discard_slots(slots: &[PathBuf; 2]) {
+    for slot in slots {
+        SimCheckpoint::discard(slot);
+    }
+}
+
+/// A snapshot restored by [`try_restore`].
+struct Restored {
+    /// Which of the two slots it came from.
+    slot: usize,
+    committed: u64,
+    stream_pos: u64,
+}
+
+/// Restores `pipeline`/`predictor` from the valid slot with the most
+/// committed µ-ops, falling back to the other slot when that one fails to
+/// restore. A failed restore rebuilds both components from configuration,
+/// since it may have partially mutated them. Returns the restored snapshot,
+/// if any, and why a slot was rejected, if one was; when no slot restores,
+/// both are discarded.
 fn try_restore(
-    path: &Path,
+    slots: &[PathBuf; 2],
     fingerprint: u64,
     pipeline_cfg: &PipelineConfig,
     predictor_kind: &PredictorKind,
     pipeline: &mut Pipeline,
     predictor: &mut AnyPredictor,
-) -> Result<(u64, u64), Option<String>> {
-    let ckpt = match SimCheckpoint::load(path, fingerprint) {
-        Ok(c) => c,
-        Err(CheckpointError::Missing) => return Err(None),
-        Err(e) => {
-            SimCheckpoint::discard(path);
-            return Err(Some(e.to_string()));
-        }
-    };
-    let mut restore = || -> Result<(), String> {
-        pipeline
-            .restore_state(&ckpt.pipeline)
-            .map_err(|e| format!("pipeline: {e}"))?;
-        predictor.restore_state(&ckpt.predictor)
-    };
-    match restore() {
-        Ok(()) => Ok((ckpt.committed, ckpt.stream_pos)),
-        Err(e) => {
-            // A failed restore may have partially mutated the components:
-            // rebuild both from configuration before the from-zero run.
-            *pipeline = Pipeline::new(pipeline_cfg.clone());
-            *predictor = predictor_kind.build();
-            SimCheckpoint::discard(path);
-            Err(Some(CheckpointError::Restore(e).to_string()))
+) -> (Option<Restored>, Option<String>) {
+    let mut rejected = None;
+    let mut loaded = Vec::new();
+    for (slot, path) in slots.iter().enumerate() {
+        match SimCheckpoint::load(path, fingerprint) {
+            Ok(ckpt) => loaded.push((slot, ckpt)),
+            Err(CheckpointError::Missing) => {}
+            Err(e) => rejected = rejected.or(Some(e.to_string())),
         }
     }
+    loaded.sort_by_key(|(_, ckpt)| std::cmp::Reverse(ckpt.committed));
+    for (slot, ckpt) in loaded {
+        let restored = pipeline
+            .restore_state(&ckpt.pipeline)
+            .map_err(|e| format!("pipeline: {e}"))
+            .and_then(|()| predictor.restore_state(&ckpt.predictor));
+        match restored {
+            Ok(()) => {
+                let restored = Restored {
+                    slot,
+                    committed: ckpt.committed,
+                    stream_pos: ckpt.stream_pos,
+                };
+                return (Some(restored), rejected);
+            }
+            Err(e) => {
+                *pipeline = Pipeline::new(pipeline_cfg.clone());
+                *predictor = predictor_kind.build();
+                rejected = rejected.or(Some(CheckpointError::Restore(e).to_string()));
+            }
+        }
+    }
+    discard_slots(slots);
+    (None, rejected)
 }
 
 /// [`crate::run_source`] with checkpoint/restore and signal handling. With `ResumeOptions::default()` the behaviour (and the
@@ -185,26 +231,20 @@ pub fn run_source_resumable(
     let fingerprint = run_fingerprint(&source, pipeline_cfg, predictor_kind, max_uops);
     let mut pipeline = Pipeline::new(pipeline_cfg.clone());
     let mut predictor = predictor_kind.build();
-    let mut stream_pos = 0u64;
-    let mut resumed_from = None;
-    let mut rejected_checkpoint = None;
-
-    if let Some(path) = opts.checkpoint_path {
-        match try_restore(
-            path,
+    let slots = opts.checkpoint_path.map(checkpoint_slots);
+    let (restored, rejected_checkpoint) = match &slots {
+        Some(slots) => try_restore(
+            slots,
             fingerprint,
             pipeline_cfg,
             predictor_kind,
             &mut pipeline,
             &mut predictor,
-        ) {
-            Ok((committed, pos)) => {
-                stream_pos = pos;
-                resumed_from = Some(committed);
-            }
-            Err(why) => rejected_checkpoint = why,
-        }
-    }
+        ),
+        None => (None, None),
+    };
+    let resumed_from = restored.as_ref().map(|r| r.committed);
+    let mut stream_pos = restored.as_ref().map_or(0, |r| r.stream_pos);
 
     let mut stream = source.stream();
     // Fast-forward a fresh stream to the snapshot position: generation is
@@ -217,10 +257,17 @@ pub fn run_source_resumable(
     }
 
     let mut checkpoint_write_errors = 0;
+    // The slot the next snapshot overwrites: the one not restored from.
+    // It flips only once a write lands, so a failed write never puts the
+    // last complete snapshot at risk.
+    let mut next_slot = restored.map_or(0, |r| 1 - r.slot);
     let mut write_checkpoint = |pipeline: &Pipeline, predictor: &AnyPredictor, stream_pos| {
-        if let Some(path) = opts.checkpoint_path {
-            let written = snapshot(fingerprint, pipeline, predictor, stream_pos).write_atomic(path);
-            checkpoint_write_errors += u64::from(written.is_err());
+        if let Some(slots) = &slots {
+            let ckpt = snapshot(fingerprint, pipeline, predictor, stream_pos);
+            match ckpt.write_in_place(&slots[next_slot]) {
+                Ok(()) => next_slot = 1 - next_slot,
+                Err(_) => checkpoint_write_errors += 1,
+            }
         }
     };
     let mut next_checkpoint_at = if opts.checkpoint_every > 0 {
@@ -255,10 +302,10 @@ pub fn run_source_resumable(
         }
     }
 
-    // The run completed: the snapshot is stale the moment the final stats
-    // exist, so drop it rather than let a later run resurrect it.
-    if let Some(path) = opts.checkpoint_path {
-        SimCheckpoint::discard(path);
+    // The run completed: the snapshots are stale the moment the final stats
+    // exist, so drop them rather than let a later run resurrect one.
+    if let Some(slots) = &slots {
+        discard_slots(slots);
     }
     ResumableRun {
         outcome: RunOutcome::Complete(pipeline.finish(&mut predictor)),

@@ -48,6 +48,21 @@ struct TaggedEntry {
     useful: u8,
 }
 
+/// The valid bit of a tag-lane word; tags are at most 15 bits wide.
+const LANE_VALID: u16 = 1 << 15;
+
+/// The tag-lane word of an entry: `LANE_VALID | tag` for a valid entry,
+/// 0 for an invalid one. A lookup tag never reaches bit 15, so a valid
+/// entry whose (restored) tag does reach it maps to 0 and, as before, never
+/// hits.
+fn tag_lane_of(e: &TaggedEntry) -> u16 {
+    if e.valid && e.tag < LANE_VALID {
+        LANE_VALID | e.tag
+    } else {
+        0
+    }
+}
+
 /// Most tagged components a [`Tage`] supports (Table I uses 12).
 const MAX_TAGE_COMPONENTS: usize = 16;
 
@@ -204,6 +219,11 @@ pub struct Tage {
     bimodal: Vec<u8>, // 2-bit counters
     /// Every tagged component's entries, component after component.
     tagged: Vec<TaggedEntry>,
+    /// [`tag_lane_of`] each entry of `tagged`, at the same positions: the
+    /// hit scan of a lookup reads these two bytes per component instead of
+    /// the entries. Derived state: written with every allocation, rebuilt on
+    /// restore, never serialised.
+    tag_lane: Vec<u16>,
     history_lengths: Vec<usize>,
     /// Per-component tag widths, precomputed.
     tag_widths: Vec<u32>,
@@ -270,6 +290,7 @@ impl Tage {
         Tage {
             bimodal: vec![2; 1 << cfg.log_base],
             tagged: vec![TaggedEntry::default(); cfg.num_tagged << cfg.log_tagged],
+            tag_lane: vec![0; cfg.num_tagged << cfg.log_tagged],
             history_lengths,
             tag_widths,
             idx_fold,
@@ -339,10 +360,9 @@ impl Tage {
             l.idx[c] = c << self.cfg.log_tagged | self.tagged_index(pc, c);
             l.tag[c] = self.tagged_tag(pc, c);
         }
-        let mut hits = (0..n).rev().filter(|&c| {
-            let e = &self.tagged[l.idx[c]];
-            e.valid && e.tag == l.tag[c]
-        });
+        let mut hits = (0..n)
+            .rev()
+            .filter(|&c| self.tag_lane[l.idx[c]] == LANE_VALID | l.tag[c]);
         l.provider = hits.next();
         let alt = hits.next();
         let taken = |c: usize| self.tagged[l.idx[c]].ctr >= 4;
@@ -418,12 +438,14 @@ impl Tage {
                 // CAST: the modulo bounds pick below found.
                 let pick = (self.rand() as usize) % found.clamp(1, 2);
                 let comp = candidates[pick.min(found - 1)];
-                self.tagged[l.idx[comp]] = TaggedEntry {
+                let entry = TaggedEntry {
                     valid: true,
                     tag: l.tag[comp],
                     ctr: if taken { 4 } else { 3 },
                     useful: 0,
                 };
+                self.tagged[l.idx[comp]] = entry;
+                self.tag_lane[l.idx[comp]] = tag_lane_of(&entry);
             }
         }
 
@@ -452,10 +474,11 @@ impl Tage {
     }
 
     /// Re-derives the next useful-counter aging point from the restored
-    /// update count.
+    /// update count, and the tag lane from the restored entries.
     fn check_restored(&mut self) -> StateResult<()> {
         let period = self.cfg.useful_reset_period;
         self.next_reset = (self.updates / period + 1).saturating_mul(period);
+        self.tag_lane = self.tagged.iter().map(tag_lane_of).collect();
         Ok(())
     }
 
@@ -493,6 +516,7 @@ snap!(Tage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bebop_isa::{restore_snapshot, snapshot};
 
     #[test]
     fn history_lengths_are_geometric_and_monotone() {
@@ -584,6 +608,76 @@ mod tests {
                 run(&prefix_a),
                 run(&prefix_b),
                 "fold (len {orig_len}, width {clen}) leaked pre-window history"
+            );
+        }
+    }
+
+    /// The hitting components of `l`, longest history first, by a scan over
+    /// the entries: the reference the lane scan must equal.
+    fn scan_hits(t: &Tage, l: &Lookup) -> Vec<usize> {
+        (0..t.cfg.num_tagged)
+            .rev()
+            .filter(|&c| {
+                let e = &t.tagged[l.idx[c]];
+                e.valid && e.tag == l.tag[c]
+            })
+            .collect()
+    }
+
+    /// Seeded random branch streams with snapshot→restore cycles on a small
+    /// TAGE (16-entry components, short tags, a short useful-reset period),
+    /// so allocations, aliasing hits and useful aging are frequent. At every
+    /// step the lane equals the entries word for word, and the lookup's
+    /// provider, alternate and predictions equal a scan over the entries.
+    #[test]
+    fn tag_lane_agrees_with_a_scan_over_the_entries() {
+        let cfg = TageConfig {
+            log_tagged: 4,
+            tag_bits: 4,
+            useful_reset_period: 64,
+            ..TageConfig::default()
+        };
+        for seed in 1..=4u64 {
+            let mut t = Tage::new(cfg);
+            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut alternates = 0;
+            for step in 1..=3_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // A loop of eight branches with periodic outcomes and 1/16
+                // noise: histories recur, so entries are allocated, hit and
+                // aliased.
+                let pc = 0x1000 + (step % 8) * 4;
+                let taken = ((step / 8) % 3 != 0) ^ (x % 16 == 0);
+                let l = t.lookup(pc);
+                let hits = scan_hits(&t, &l);
+                alternates += usize::from(hits.len() >= 2);
+                assert_eq!(l.provider, hits.first().copied(), "seed {seed} step {step}");
+                let dir = |c: usize| t.tagged[l.idx[c]].ctr >= 4;
+                let base = t.bimodal[l.bimodal] >= 2;
+                let (pred, alt_pred) = match hits[..] {
+                    [] => (base, base),
+                    [p] => (dir(p), base),
+                    [p, a, ..] => (dir(p), dir(a)),
+                };
+                assert_eq!(
+                    (l.pred, l.alt_pred),
+                    (pred, alt_pred),
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(t.predict_and_update(pc, taken), pred);
+                if step % 700 == 0 {
+                    let mut back = Tage::new(cfg);
+                    restore_snapshot(&mut back, &snapshot(&t)).unwrap();
+                    t = back;
+                }
+                let lane: Vec<u16> = t.tagged.iter().map(tag_lane_of).collect();
+                assert_eq!(t.tag_lane, lane, "seed {seed} step {step}");
+            }
+            assert!(
+                alternates > 300,
+                "seed {seed}: {alternates} lookups had an alternate"
             );
         }
     }

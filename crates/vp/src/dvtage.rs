@@ -213,18 +213,18 @@ impl DVtage {
                 let alt_would_match = retired_last.is_some_and(|last| {
                     last.wrapping_add_signed(self.clamp(info.alt_stride)) == actual
                 });
-                let e = &mut self.tagged[c][i];
+                let e = self.tagged.entry_mut(c, i);
                 if correct {
                     e.conf.on_correct(&self.cfg.fpc, &mut self.rng);
                     if !alt_would_match {
-                        e.useful = true;
+                        self.tagged.set_useful(c, i, true);
                     }
                 } else {
                     e.conf.on_wrong();
                     if let Some(s) = observed_stride {
                         e.stride = s;
                     }
-                    e.useful = false;
+                    self.tagged.set_useful(c, i, false);
                 }
             }
             None => {
@@ -247,13 +247,17 @@ impl DVtage {
                 .victim(&info.slots, info.provider, &mut self.rng)
             {
                 let (idx, tag) = info.slots.get(c);
-                self.tagged[c][idx] = TaggedEntry {
-                    valid: true,
-                    tag,
-                    stride: observed_stride.unwrap_or(0),
-                    conf: ForwardProbabilisticCounter::new(),
-                    useful: false,
-                };
+                self.tagged.install(
+                    c,
+                    idx,
+                    TaggedEntry {
+                        valid: true,
+                        tag,
+                        stride: observed_stride.unwrap_or(0),
+                        conf: ForwardProbabilisticCounter::new(),
+                        useful: false,
+                    },
+                );
             }
         }
         self.tagged
@@ -267,7 +271,7 @@ impl DVtage {
         for e in &mut self.vt0 {
             e.conf.set_level(e.conf.level(), fpc);
         }
-        for e in self.tagged.iter_mut().flatten() {
+        for e in self.tagged.entries_mut() {
             e.conf.set_level(e.conf.level(), fpc);
         }
         for (_, info) in self.inflight.iter() {

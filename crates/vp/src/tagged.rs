@@ -9,6 +9,10 @@
 //!   history;
 //! * [`TaggedComponents`] — the component tables with the provider/alternate
 //!   scan, the allocation-victim policy and the periodic useful-bit reset;
+//!   beside each table it keeps a dense *tag lane*, one `u32` per entry
+//!   holding that entry's tag, valid bit and useful bit, so the provider and
+//!   victim scans read one lane word per component instead of one entry
+//!   (6–80 bytes, one host cache line) per component;
 //! * [`clamp_stride`] — the partial-stride truncation.
 //!
 //! Their prediction-time records travel to retirement in a
@@ -19,10 +23,21 @@
 //! stride plus a last-value table (D-VTAGE), or per-slot strides (BeBoP).
 //! Entries keep their own structs and checkpoint layouts; the shared code
 //! reaches them through the small [`Tagged`] trait.
+//!
+//! The lanes are derived state. The entries still hold `valid`, `tag` and
+//! `useful` and are what checkpoints write; the lanes are never serialised
+//! and are rebuilt from the entries on restore. To keep the two in step,
+//! every write of those three fields goes through [`TaggedComponents`]:
+//! [`install`](TaggedComponents::install),
+//! [`set_useful`](TaggedComponents::set_useful),
+//! [`reset_useful_if_due`](TaggedComponents::reset_useful_if_due) and the
+//! victim policy's useful-bit clearing. Predictors write only payload fields
+//! through [`entry_mut`](TaggedComponents::entry_mut), so they read an
+//! entry's payload only for the provider and for the entry they update.
 
 use crate::{Lfsr, ShardedTable};
-use bebop_isa::{fold_bits, snap, Snap, StateError, StateReader, StateResult, StateWriter};
-use std::ops::{Deref, DerefMut};
+use bebop_isa::{fold_bits, Snap, StateError, StateReader, StateResult, StateWriter};
+use std::ops::Deref;
 
 /// The maximum number of tagged components (the paper uses 6).
 pub const MAX_TAGGED: usize = 8;
@@ -226,11 +241,13 @@ impl TaggedGeometry {
     }
 }
 
-/// What the shared code needs of a tagged entry: the tag match and the
+/// What the shared code needs of a tagged entry: its valid bit, tag and
 /// useful bit. Implement it with [`tagged_entry!`](crate::tagged_entry).
 pub trait Tagged {
-    /// `true` when the entry is valid and holds `tag`.
-    fn hits(&self, tag: u16) -> bool;
+    /// The valid bit.
+    fn valid(&self) -> bool;
+    /// The tag.
+    fn tag(&self) -> u16;
     /// The useful bit.
     fn useful(&self) -> bool;
     /// Sets the useful bit.
@@ -243,8 +260,11 @@ pub trait Tagged {
 macro_rules! tagged_entry {
     ($t:ty) => {
         impl $crate::Tagged for $t {
-            fn hits(&self, tag: u16) -> bool {
-                self.valid && self.tag == tag
+            fn valid(&self) -> bool {
+                self.valid
+            }
+            fn tag(&self) -> u16 {
+                self.tag
             }
             fn useful(&self) -> bool {
                 self.useful
@@ -254,6 +274,17 @@ macro_rules! tagged_entry {
             }
         }
     };
+}
+
+/// Tag-lane word layout: the tag in the low 16 bits, then the valid bit and
+/// the useful bit.
+const LANE_VALID: u32 = 1 << 16;
+const LANE_USEFUL: u32 = 1 << 17;
+
+/// The lane word of an entry.
+fn lane_of<E: Tagged>(e: &E) -> u32 {
+    let flag = |set: bool, bit: u32| if set { bit } else { 0 };
+    u32::from(e.tag()) | flag(e.valid(), LANE_VALID) | flag(e.useful(), LANE_USEFUL)
 }
 
 /// One tagged component's table, seen as its entries in flat-index order: a
@@ -287,19 +318,28 @@ impl<E: Tagged> Component for ShardedTable<E> {
     }
 }
 
-/// The tagged components of a predictor: its geometry plus one table per
-/// component. Derefs to the tables, so `components[c]` is component `c`.
+/// The tagged components of a predictor: its geometry, one table per
+/// component and the tables' tag lanes. Derefs to the tables for reads, so
+/// `components[c]` is component `c`; writes go through the methods below.
 #[derive(Debug, Clone)]
 pub struct TaggedComponents<C> {
     geometry: TaggedGeometry,
     tables: Vec<C>,
+    /// Entries per component: every table is a copy of one template.
+    len: usize,
+    /// The tag lanes, component after component: entry `i` of component `c`
+    /// is `lanes[c * len + i]`, the word [`lane_of`] packs.
+    lanes: Vec<u32>,
 }
 
 impl<C: Component + Clone> TaggedComponents<C> {
     /// One copy of `table` per component of `geometry`.
     pub fn new(geometry: TaggedGeometry, table: C) -> Self {
+        let lane: Vec<u32> = table.entries().iter().map(lane_of).collect();
         TaggedComponents {
             tables: vec![table; geometry.num_tagged],
+            len: lane.len(),
+            lanes: lane.repeat(geometry.num_tagged),
             geometry,
         }
     }
@@ -316,13 +356,28 @@ impl<C: Component> TaggedComponents<C> {
         self.geometry.slots(k, ghist, path, tag_shift)
     }
 
+    /// Position of component `c`'s entry `idx` in the lanes.
+    fn at(&self, c: usize, idx: usize) -> usize {
+        debug_assert!(
+            idx < self.len,
+            "index {idx} outside a {}-entry component",
+            self.len
+        );
+        c * self.len + idx
+    }
+
+    /// `true` when component `c`'s entry `idx` is valid and holds `tag`.
+    pub fn hits(&self, c: usize, idx: usize, tag: u16) -> bool {
+        self.lanes[self.at(c, idx)] & !LANE_USEFUL == LANE_VALID | u32::from(tag)
+    }
+
     /// The provider (the hitting component with the longest history) and
     /// the alternate (the next hitting one), as `(component, index)` pairs.
     pub fn providers(&self, slots: &Slots) -> (Option<Hit>, Option<Hit>) {
         let mut provider = None;
         for c in (0..self.tables.len()).rev() {
             let (idx, tag) = slots.get(c);
-            if self.tables[c].entries()[idx].hits(tag) {
+            if self.hits(c, idx, tag) {
                 if provider.is_some() {
                     return (provider, Some((c, idx)));
                 }
@@ -346,8 +401,8 @@ impl<C: Component> TaggedComponents<C> {
         let start = provider.map_or(0, |(c, _)| c + 1);
         let mut first = [0usize; 2];
         let mut n = 0;
-        for (c, (t, &(idx, _))) in self.tables.iter().zip(&slots.0).enumerate().skip(start) {
-            if !t.entries()[usize::from(idx)].useful() {
+        for c in start..self.tables.len() {
+            if self.lanes[self.at(c, slots.get(c).0)] & LANE_USEFUL == 0 {
                 if n < 2 {
                     first[n] = c;
                 }
@@ -355,13 +410,45 @@ impl<C: Component> TaggedComponents<C> {
             }
         }
         if n == 0 {
-            for (t, &(idx, _)) in self.tables.iter_mut().zip(&slots.0).skip(start) {
-                t.entries_mut()[usize::from(idx)].set_useful(false);
+            for c in start..self.tables.len() {
+                self.set_useful(c, slots.get(c).0, false);
             }
             return None;
         }
         // CAST: the modulo bounds the pick below 2.
         Some(first[(rng.next_u64() as usize) % n.min(2)])
+    }
+
+    /// Writes `entry` (valid, tag, useful bit and payload) into component
+    /// `c` at `idx`.
+    pub fn install(&mut self, c: usize, idx: usize, entry: C::Entry) {
+        let at = self.at(c, idx);
+        self.lanes[at] = lane_of(&entry);
+        self.tables[c].entries_mut()[idx] = entry;
+    }
+
+    /// Sets the useful bit of component `c`'s entry `idx`.
+    pub fn set_useful(&mut self, c: usize, idx: usize, useful: bool) {
+        let at = self.at(c, idx);
+        if useful {
+            self.lanes[at] |= LANE_USEFUL;
+        } else {
+            self.lanes[at] &= !LANE_USEFUL;
+        }
+        self.tables[c].entries_mut()[idx].set_useful(useful);
+    }
+
+    /// Component `c`'s entry `idx`, for writing its payload. Its valid bit,
+    /// tag and useful bit must be written through [`Self::install`] and
+    /// [`Self::set_useful`], which keep the lanes in step.
+    pub fn entry_mut(&mut self, c: usize, idx: usize) -> &mut C::Entry {
+        &mut self.tables[c].entries_mut()[idx]
+    }
+
+    /// Every entry, component after component, for writing payloads (see
+    /// [`Self::entry_mut`]).
+    pub fn entries_mut(&mut self) -> impl Iterator<Item = &mut C::Entry> {
+        self.tables.iter_mut().flat_map(C::entries_mut)
     }
 
     /// The periodic useful-bit reset of TAGE: clears every useful bit when
@@ -371,7 +458,16 @@ impl<C: Component> TaggedComponents<C> {
             for e in self.tables.iter_mut().flat_map(C::entries_mut) {
                 e.set_useful(false);
             }
+            for lane in &mut self.lanes {
+                *lane &= !LANE_USEFUL;
+            }
         }
+    }
+
+    /// The lane words of the entries as they stand: what the lanes must
+    /// equal.
+    fn entry_lanes(&self) -> impl Iterator<Item = u32> + '_ {
+        self.tables.iter().flat_map(C::entries).map(lane_of)
     }
 
     /// Storage in bits: per entry, its component's tag plus `payload_bits`.
@@ -397,22 +493,46 @@ impl<C> Deref for TaggedComponents<C> {
     }
 }
 
-impl<C> DerefMut for TaggedComponents<C> {
-    fn deref_mut(&mut self) -> &mut [C] {
-        &mut self.tables
+impl<E: Tagged + Clone> TaggedComponents<ShardedTable<E>> {
+    /// Records a write to component `c`'s entry `idx` by context `asid` in
+    /// the component's ownership accounting ([`ShardedTable::note_write`]).
+    pub fn note_write(&mut self, c: usize, idx: usize, asid: u8) {
+        self.tables[c].note_write(idx, asid);
     }
 }
 
-// The tables only; the geometry is configuration and its fold memo derived.
-snap!(impl[C: Snap] TaggedComponents<C> { tables: Vec<C> });
+/// The tables only; the geometry is configuration, its fold memo and the
+/// lanes derived. A restore rebuilds the lanes from the restored entries
+/// (whose table sizes the `Vec` codec has checked). Under the `simcheck`
+/// feature a save first checks that every lane word agrees with its entry,
+/// so each checkpoint, including the one taken right after a restore,
+/// validates the lanes the run has been reading.
+impl<C: Snap + Component> Snap for TaggedComponents<C> {
+    const MIN_BYTES: usize = <Vec<C>>::MIN_BYTES;
+
+    fn save(&self, w: &mut StateWriter) {
+        #[cfg(feature = "simcheck")]
+        assert!(
+            self.entry_lanes().eq(self.lanes.iter().copied()),
+            "simcheck: tagged lanes disagree with their entries"
+        );
+        self.tables.save(w);
+    }
+
+    fn restore(&mut self, r: &mut StateReader<'_>) -> StateResult<()> {
+        self.tables.restore(r)?;
+        self.lanes = self.entry_lanes().collect();
+        Ok(())
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bebop_isa::{restore_snapshot, snapshot, SeqNum, SeqQueue};
+    use bebop_isa::{restore_snapshot, snap, snapshot, SeqNum, SeqQueue};
     use std::collections::VecDeque;
 
-    #[derive(Debug, Clone, Copy, Default)]
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     struct Entry {
         valid: bool,
         tag: u16,
@@ -497,14 +617,19 @@ mod tests {
         assert_eq!(t.providers(&slots), (None, None));
         for c in [0, 1, 3] {
             let (i, tag) = slots.get(c);
-            t[c][i] = Entry {
-                valid: true,
-                tag,
-                useful: false,
-            };
+            t.install(
+                c,
+                i,
+                Entry {
+                    valid: true,
+                    tag,
+                    useful: false,
+                },
+            );
         }
         assert_eq!(t.providers(&slots), (Some((3, 4)), Some((1, 2))));
-        t[3][4].tag = 41;
+        let retagged = Entry { tag: 41, ..t[3][4] };
+        t.install(3, 4, retagged);
         assert_eq!(t.providers(&slots), (Some((1, 2)), Some((0, 1))));
     }
 
@@ -516,8 +641,8 @@ mod tests {
         for _ in 0..64 {
             let mut t = components(6);
             // Components 1 and 3 are useful; the provider is component 0.
-            t[1][0].useful = true;
-            t[3][0].useful = true;
+            t.set_useful(1, 0, true);
+            t.set_useful(3, 0, true);
             let v = t.victim(&slots, Some((0, 0)), &mut rng).unwrap();
             seen[v] = true;
         }
@@ -529,7 +654,7 @@ mod tests {
         let slots = Slots([(3, 0); MAX_TAGGED]);
         let mut t = components(4);
         for c in 0..4 {
-            t[c][3].useful = true;
+            t.set_useful(c, 3, true);
         }
         let mut rng = Lfsr::new(11);
         let before = snapshot(&rng);
@@ -569,10 +694,114 @@ mod tests {
         );
     }
 
+    /// The provider and alternate by a scan over the entries themselves:
+    /// the reference the lane scan must equal.
+    fn scan_providers(tables: &[Vec<Entry>], slots: &Slots) -> (Option<Hit>, Option<Hit>) {
+        let mut hits = (0..tables.len()).rev().filter_map(|c| {
+            let (i, tag) = slots.get(c);
+            let e = &tables[c][i];
+            (e.valid && e.tag == tag).then_some((c, i))
+        });
+        (hits.next(), hits.next())
+    }
+
+    /// The allocation victim by a scan over the entries, clearing their
+    /// useful bits when no candidate exists.
+    fn scan_victim(
+        tables: &mut [Vec<Entry>],
+        slots: &Slots,
+        provider: Option<Hit>,
+        rng: &mut Lfsr,
+    ) -> Option<usize> {
+        let start = provider.map_or(0, |(c, _)| c + 1);
+        let candidates: Vec<usize> = (start..tables.len())
+            .filter(|&c| !tables[c][slots.get(c).0].useful)
+            .collect();
+        if candidates.is_empty() {
+            for (c, t) in tables.iter_mut().enumerate().skip(start) {
+                t[slots.get(c).0].useful = false;
+            }
+            return None;
+        }
+        Some(candidates[(rng.next_u64() as usize) % candidates.len().min(2)])
+    }
+
+    /// Seeded random sequences of installs, useful-bit writes, periodic
+    /// resets, victim picks and snapshot→restore cycles, mirrored on plain
+    /// entry tables: after every step the entries equal the mirror, every
+    /// lane word equals its entry's, and the lane-based provider, alternate
+    /// and victim equal the scans over the entries.
+    #[test]
+    fn lanes_agree_with_a_scan_over_the_entries() {
+        const N: usize = 6;
+        for seed in 1..=8u64 {
+            let mut ops = Lfsr::new(seed);
+            let mut t = components(N);
+            let mut mirror = vec![vec![Entry::default(); 16]; N];
+            // Few indices and tags, so hits, aliasing and full victim sets
+            // are common.
+            let random_slots = |ops: &mut Lfsr| {
+                let mut slots = Slots::default();
+                for slot in slots.0.iter_mut().take(N) {
+                    let r = ops.next_u64();
+                    *slot = ((r % 4) as u16, ((r >> 8) % 4) as u16);
+                }
+                slots
+            };
+            let mut alloc_rng = Lfsr::new(seed ^ 0x55);
+            for step in 1..=2_000u64 {
+                let r = ops.next_u64();
+                let (c, i) = ((r >> 8) as usize % N, (r >> 16) as usize % 4);
+                match r % 5 {
+                    0 => {
+                        let e = Entry {
+                            valid: r & (1 << 24) != 0,
+                            tag: ((r >> 25) % 4) as u16,
+                            useful: r & (1 << 28) != 0,
+                        };
+                        t.install(c, i, e);
+                        mirror[c][i] = e;
+                    }
+                    1 => {
+                        let useful = r & (1 << 24) != 0;
+                        t.set_useful(c, i, useful);
+                        mirror[c][i].useful = useful;
+                    }
+                    2 => {
+                        let slots = random_slots(&mut ops);
+                        let (provider, _) = scan_providers(&mirror, &slots);
+                        let mut reference_rng = alloc_rng.clone();
+                        let want = scan_victim(&mut mirror, &slots, provider, &mut reference_rng);
+                        assert_eq!(t.victim(&slots, provider, &mut alloc_rng), want);
+                        assert_eq!(snapshot(&alloc_rng), snapshot(&reference_rng));
+                    }
+                    3 => {
+                        let mut back = components(N);
+                        restore_snapshot(&mut back, &snapshot(&t)).unwrap();
+                        t = back;
+                    }
+                    _ => {}
+                }
+                t.reset_useful_if_due(step, 97);
+                if step % 97 == 0 {
+                    mirror.iter_mut().flatten().for_each(|e| e.useful = false);
+                }
+                for (c, want) in mirror.iter().enumerate() {
+                    assert_eq!(&t[c], want, "seed {seed} step {step}: entries");
+                    for (i, e) in want.iter().enumerate() {
+                        assert_eq!(t.lanes[t.at(c, i)], lane_of(e), "seed {seed} step {step}");
+                    }
+                }
+                let slots = random_slots(&mut ops);
+                assert_eq!(t.providers(&slots), scan_providers(&mirror, &slots));
+            }
+        }
+    }
+
     #[test]
     fn useful_reset_is_periodic() {
         let mut t = components(2);
-        t[1][5].useful = true;
+        t.set_useful(1, 5, true);
         t.reset_useful_if_due(3, 4);
         assert!(t[1][5].useful);
         t.reset_useful_if_due(8, 4);

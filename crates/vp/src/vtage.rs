@@ -120,16 +120,16 @@ impl Vtage {
         match info.provider {
             Some((c, i)) => {
                 let alt_matches = info.alt_prediction == actual;
-                let e = &mut self.tagged[c][i];
+                let e = self.tagged.entry_mut(c, i);
                 if correct {
                     e.conf.on_correct(fpc, &mut self.rng);
                     if !alt_matches {
-                        e.useful = true;
+                        self.tagged.set_useful(c, i, true);
                     }
                 } else {
                     e.conf.on_wrong();
                     e.value = actual;
-                    e.useful = false;
+                    self.tagged.set_useful(c, i, false);
                 }
             }
             None => {
@@ -150,13 +150,17 @@ impl Vtage {
                 .victim(&info.slots, info.provider, &mut self.rng)
             {
                 let (idx, tag) = info.slots.get(c);
-                self.tagged[c][idx] = TaggedEntry {
-                    valid: true,
-                    tag,
-                    value: actual,
-                    conf: ForwardProbabilisticCounter::new(),
-                    useful: false,
-                };
+                self.tagged.install(
+                    c,
+                    idx,
+                    TaggedEntry {
+                        valid: true,
+                        tag,
+                        value: actual,
+                        conf: ForwardProbabilisticCounter::new(),
+                        useful: false,
+                    },
+                );
             }
         }
         self.tagged
@@ -170,7 +174,7 @@ impl Vtage {
         for e in &mut self.base {
             e.conf.set_level(e.conf.level(), fpc);
         }
-        for e in self.tagged.iter_mut().flatten() {
+        for e in self.tagged.entries_mut() {
             e.conf.set_level(e.conf.level(), fpc);
         }
         for (_, info) in self.inflight.iter() {

@@ -9,7 +9,7 @@
 //! snapshot behind.
 
 use bebop::{
-    configs, par, run_fingerprint, run_slice, run_source, run_source_resumable,
+    checkpoint_slots, configs, par, run_fingerprint, run_slice, run_source, run_source_resumable,
     set_shutdown_requested, CheckpointError, MixSpec, PipelineConfig, PredictorKind, ResumeOptions,
     RunOutcome, SharingPolicy, SimCheckpoint, UopSource, WorkloadSpec, CHECKPOINT_FORMAT_VERSION,
 };
@@ -439,6 +439,104 @@ fn signal_interruption_leaves_a_resumable_checkpoint() {
     assert!(resumed.resumed_from.is_some());
     assert_eq!(resumed.outcome, RunOutcome::Complete(reference));
     assert!(!path.exists());
+}
+
+/// The two alternating checkpoint slots. A run interrupted once both slots
+/// hold a periodic snapshot leaves two snapshots behind. With the newest one
+/// torn (cut to half its length), the resume falls back to the older one and
+/// still finishes bit-identically. With both slots corrupt, it runs from
+/// zero and reports the rejection. A completed run, which wrote periodic
+/// snapshots of its own, leaves neither slot behind.
+#[test]
+fn a_torn_newest_slot_resumes_from_the_older_one() {
+    let _flag = own_shutdown_flag();
+    let spec = WorkloadSpec::named_demo("ckpt-slots");
+    let cfg = PipelineConfig::baseline_vp_6_60();
+    let kind = PredictorKind::BlockDVtage(configs::medium());
+    const BUDGET: u64 = if cfg!(feature = "simcheck") {
+        60_000
+    } else {
+        200_000
+    };
+    let reference = run_source(UopSource::Live(&spec), &cfg, &kind, BUDGET);
+    let fingerprint = run_fingerprint(&UopSource::Live(&spec), &cfg, &kind, BUDGET);
+    let path = tmp_path("slots");
+    let slots = checkpoint_slots(&path);
+    let opts = ResumeOptions {
+        checkpoint_path: Some(&path),
+        checkpoint_every: 10_000,
+        react_to_signals: true,
+    };
+    let run = || run_source_resumable(UopSource::Live(&spec), &cfg, &kind, BUDGET, opts);
+    let interrupt_once_both_slots_exist = || {
+        let done = AtomicBool::new(false);
+        let interrupted = std::thread::scope(|s| {
+            s.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    if slots.iter().all(|slot| slot.exists()) {
+                        set_shutdown_requested(true);
+                        return;
+                    }
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                }
+            });
+            let interrupted = run();
+            done.store(true, Ordering::Release);
+            interrupted
+        });
+        set_shutdown_requested(false);
+        assert!(
+            matches!(interrupted.outcome, RunOutcome::Interrupted { .. }),
+            "expected a signal interruption, got {:?}",
+            interrupted.outcome
+        );
+    };
+    let load = |slot: &PathBuf| SimCheckpoint::load(slot, fingerprint).expect("a valid slot");
+    let complete_and_clean = |resumed: &bebop::ResumableRun, what: &str| {
+        assert_eq!(
+            resumed.outcome,
+            RunOutcome::Complete(reference),
+            "{what}: SimStats must be bit-identical to an uninterrupted run"
+        );
+        assert!(
+            slots.iter().all(|slot| !slot.exists()),
+            "{what}: a completed run leaves neither slot behind"
+        );
+    };
+
+    interrupt_once_both_slots_exist();
+    let (a, b) = (load(&slots[0]), load(&slots[1]));
+    assert_ne!(a.committed, b.committed);
+    let (newest, older) = if a.committed > b.committed {
+        (&slots[0], b)
+    } else {
+        (&slots[1], a)
+    };
+    let torn = fs::read(newest).expect("newest slot");
+    fs::write(newest, &torn[..torn.len() / 2]).expect("tear the newest slot");
+    let resumed = run();
+    assert_eq!(
+        resumed.resumed_from,
+        Some(older.committed),
+        "a torn newest slot must fall back to the older one"
+    );
+    assert!(resumed.rejected_checkpoint.is_some());
+    complete_and_clean(&resumed, "torn newest slot");
+
+    interrupt_once_both_slots_exist();
+    for slot in &slots {
+        let mut bytes = fs::read(slot).expect("slot bytes");
+        let at = bytes.len() / 2;
+        bytes[at] ^= 0x40;
+        fs::write(slot, bytes).expect("corrupt the slot");
+    }
+    let resumed = run();
+    assert_eq!(
+        resumed.resumed_from, None,
+        "both slots corrupt: run from zero"
+    );
+    assert!(resumed.rejected_checkpoint.is_some());
+    complete_and_clean(&resumed, "both slots corrupt");
 }
 
 /// One payload-pinning scenario: a pipeline configuration, a predictor and
