@@ -56,10 +56,13 @@ impl<T: Copy + Default> MruSets<T> {
             None => self.ways - 1,
         };
         let b = s * self.ways;
-        let old = found.map(|_| self.entries[b + pos]);
-        self.entries.copy_within(b..b + pos, b + 1);
-        self.entries[b] = v;
-        old
+        // A shift loop, not `copy_within`: that is a libc `memmove` call per
+        // touch for a run of at most `ways` entries.
+        let mut carry = v;
+        for e in &mut self.entries[b..=b + pos] {
+            carry = std::mem::replace(e, carry);
+        }
+        found.map(|_| carry)
     }
 }
 
@@ -314,6 +317,60 @@ mod tests {
         c.fill(0x40);
         assert!(c.probe(0x40));
         assert_eq!(c.accesses(), 0);
+    }
+
+    /// The reference for [`MruSets::touch`]: one LRU list per set, most
+    /// recently used first.
+    fn reference_touch(
+        set: &mut Vec<(u64, u64)>,
+        ways: usize,
+        v: (u64, u64),
+    ) -> Option<(u64, u64)> {
+        let old = set.iter().position(|e| e.0 == v.0).map(|p| set.remove(p));
+        if old.is_none() && set.len() == ways {
+            set.pop();
+        }
+        set.insert(0, v);
+        old
+    }
+
+    #[test]
+    fn mru_sets_touch_matches_a_list_per_set() {
+        // The caches' and the BTB's associativities.
+        for ways in [8usize, 16] {
+            let sets = 4;
+            let mut m = MruSets::<(u64, u64)>::new(sets, ways);
+            let mut lists: Vec<Vec<(u64, u64)>> = vec![Vec::new(); sets];
+            let (mut mru_hits, mut lru_hits, mut fills, mut evictions) = (0, 0, 0, 0);
+            let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ ways as u64;
+            for step in 0..5_000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // CAST: reduced modulo the set count.
+                let s = (x % sets as u64) as usize;
+                // Keys from a pool half again as large as a set: hits,
+                // fills and evictions all recur. The value tags the step, so
+                // a returned entry shows which touch stored it.
+                let v = ((x >> 8) % (ways as u64 * 3 / 2), step);
+                let list = &mut lists[s];
+                match list.iter().position(|e| e.0 == v.0) {
+                    Some(0) => mru_hits += 1,
+                    Some(p) if p == ways - 1 => lru_hits += 1,
+                    Some(_) => {}
+                    None if list.len() < ways => fills += 1,
+                    None => evictions += 1,
+                }
+                let want = reference_touch(list, ways, v);
+                let got = m.touch(s, |e| e.0 == v.0, v);
+                assert_eq!(got, want, "{ways}-way step {step}");
+                assert_eq!(m.set(s), &list[..], "{ways}-way step {step}");
+            }
+            assert!(
+                mru_hits > 0 && lru_hits > 0 && fills == sets * ways && evictions > 0,
+                "{ways}-way: {mru_hits} MRU hits, {lru_hits} LRU hits, {fills} fills, {evictions} evictions"
+            );
+        }
     }
 
     #[test]

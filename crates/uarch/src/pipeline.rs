@@ -395,7 +395,10 @@ impl Pipeline {
         // segment stops on the exact committed count and leaves no hidden
         // in-batch state for a checkpoint to miss.
         while self.stats.uops + (self.batch.len() as u64) < stop_at_committed {
-            let Some(uop) = trace.next() else {
+            // Bound by reference: moving the freshly decoded `DynUop` stalls
+            // store-to-load forwarding on its just-written byte fields.
+            let next = trace.next();
+            let Some(uop) = next.as_ref() else {
                 break;
             };
             *stream_pos += 1;
@@ -404,11 +407,11 @@ impl Pipeline {
                     // A burst only follows a flushed mispredicting branch, so
                     // the batch is already empty; the flush is a no-op guard.
                     self.flush_batch(predictor);
-                    self.step_wrong_path(&uop, predictor);
+                    self.step_wrong_path(uop, predictor);
                 }
                 continue;
             }
-            self.enqueue(&uop, predictor);
+            self.enqueue(uop, predictor);
         }
         self.flush_batch(predictor);
     }

@@ -117,9 +117,9 @@ const COUNT_BITS: u32 = 16;
 const COUNT_MASK: u64 = (1 << COUNT_BITS) - 1;
 
 /// First cycle a ring tag cannot hold. No simulation gets near it (2^48
-/// cycles is days of simulated time); an allocation there means runaway state
-/// and dies with a structured panic, and restore rejects horizons within a
-/// dense span of it.
+/// cycles is days of simulated time). A horizon within a dense span of it
+/// means runaway state: raising one there dies with a structured panic and
+/// restore rejects one, so every dense cycle a lane tags lies below it.
 const TAG_LIMIT: u64 = 1 << (64 - COUNT_BITS);
 
 /// Ring slots a lane starts with; rings grow by powers of two up to
@@ -178,10 +178,6 @@ impl LaneRing {
     /// Sets the count of cycle `c`, `base <= c < base + MAX_DENSE_SPAN`,
     /// growing the ring when `c` lies past it.
     fn set(&mut self, c: u64, used: u16) {
-        assert!(
-            c < TAG_LIMIT,
-            "resource: lane pool: allocation at cycle {c} beyond the tag range — runaway latency sum or corrupt state"
-        );
         let span = c - self.base;
         if span >= self.ring.len() as u64 {
             self.grow(span);
@@ -249,6 +245,10 @@ impl LaneRing {
         if cycle <= self.base {
             return;
         }
+        assert!(
+            cycle <= TAG_LIMIT - MAX_DENSE_SPAN,
+            "resource: lane pool: horizon {cycle} beyond the tag range — runaway latency sum or corrupt state"
+        );
         self.base = cycle;
         if !self.far.is_empty() {
             self.migrate_far();
@@ -423,15 +423,22 @@ impl LanePool {
         let mask = l.ring.len() - 1;
         let mut c = cycle.max(l.base);
         while c < dense_end {
-            // CAST: masked by the power-of-two ring length.
-            let i = c as usize & mask;
-            let tag = l.ring[i];
-            if tag >> COUNT_BITS != c {
+            if c - l.base > mask as u64 {
                 l.set(c, 1);
                 return c;
             }
-            if tag & COUNT_MASK < u64::from(l.width) {
-                l.ring[i] = tag + 1;
+            // CAST: masked by the power-of-two ring length.
+            let i = c as usize & mask;
+            let tag = l.ring[i];
+            // Branch-free fresh-or-existing test: which one a slot holds is
+            // data-dependent, so branching on it mispredicts on the host.
+            let used = if tag >> COUNT_BITS == c {
+                tag & COUNT_MASK
+            } else {
+                0
+            };
+            if used < u64::from(l.width) {
+                l.ring[i] = c << COUNT_BITS | (used + 1);
                 return c;
             }
             c += 1;
@@ -467,6 +474,12 @@ impl LanePool {
     /// Future allocations below `cycle` are clamped up to it. Bumps the
     /// generation when `cycle` passes every earlier shared prune (and the
     /// initial horizon 0); otherwise does nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics with a structured `resource:` reason when `cycle` lies within
+    /// [`MAX_DENSE_SPAN`] of the 2^48-cycle tag range; so does
+    /// [`LanePool::prune_lane_below`].
     pub fn prune_below(&mut self, cycle: u64) {
         if cycle <= self.horizon {
             return;
@@ -976,6 +989,74 @@ mod tests {
         assert_eq!(p.tracked_cycles(), 3);
         p.prune_below(2_000_000);
         assert_eq!(p.tracked_cycles(), 0);
+    }
+
+    /// Allocates `n` slots of `lane` at `req` in both pools, checking that
+    /// they agree, and returns the last cycle.
+    fn allocate_both(lp: &mut LanePool, r: &mut SlotPool, lane: Lane, req: u64, n: u16) -> u64 {
+        let mut got = 0;
+        for k in 0..n {
+            got = lp.allocate(lane, req);
+            assert_eq!(got, r.allocate(req), "request {req}, allocation {k}");
+        }
+        got
+    }
+
+    #[test]
+    fn lane_pool_allocate_edges_match_slot_pool() {
+        let lane = Lane::Alu;
+        let w = widths()[lane as usize];
+        let mut lp = LanePool::new(widths());
+        let mut r = SlotPool::new(w);
+        let ring_len = |lp: &LanePool| lp.lanes[lane as usize].ring.len() as u64;
+        let prune = |lp: &mut LanePool, r: &mut SlotPool, cycle: u64| {
+            lp.prune_lane_below(lane, cycle);
+            r.prune_below(cycle);
+        };
+
+        // A slot holding a full tag of a cycle below the horizon is free.
+        assert_eq!(allocate_both(&mut lp, &mut r, lane, 5, w), 5);
+        prune(&mut lp, &mut r, 6);
+        let aliased = 5 + INITIAL_RING as u64;
+        assert_eq!(lp.lanes[lane as usize].ring[5], tag(5, u64::from(w)));
+        assert_eq!(allocate_both(&mut lp, &mut r, lane, aliased, w), aliased);
+        // The next cycle lies past the ring, which grows to hold it.
+        assert_eq!(
+            allocate_both(&mut lp, &mut r, lane, aliased, 1),
+            aliased + 1
+        );
+
+        // Requests exactly at and one past the ring length grow the ring.
+        let base = 200;
+        prune(&mut lp, &mut r, base);
+        let len = ring_len(&lp);
+        let at = base + len;
+        assert_eq!(allocate_both(&mut lp, &mut r, lane, at, 1), at);
+        assert_eq!(ring_len(&lp), 2 * len);
+        let past = base + ring_len(&lp) + 1;
+        assert_eq!(allocate_both(&mut lp, &mut r, lane, past, 1), past);
+        assert_eq!(ring_len(&lp), 4 * len);
+        // A full last ring cycle spills onto the ring length itself.
+        let last = base + ring_len(&lp) - 1;
+        assert_eq!(allocate_both(&mut lp, &mut r, lane, last, w), last);
+        assert_eq!(allocate_both(&mut lp, &mut r, lane, last, 1), last + 1);
+        assert_eq!(ring_len(&lp), 8 * len);
+        // Growth re-homed the earlier counts.
+        assert_eq!(allocate_both(&mut lp, &mut r, lane, at, w - 1), at);
+        assert_eq!(allocate_both(&mut lp, &mut r, lane, at, 1), at + 1);
+
+        // A request below the horizon is clamped up to it.
+        prune(&mut lp, &mut r, 10_000);
+        assert_eq!(allocate_both(&mut lp, &mut r, lane, 3, w), 10_000);
+        assert_eq!(allocate_both(&mut lp, &mut r, lane, 3, 1), 10_001);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the tag range")]
+    fn lane_pool_refuses_a_horizon_past_the_tag_range() {
+        let mut p = LanePool::new(widths());
+        p.prune_below(TAG_LIMIT - MAX_DENSE_SPAN);
+        p.prune_below(TAG_LIMIT - MAX_DENSE_SPAN + 1);
     }
 
     #[test]

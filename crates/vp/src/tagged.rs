@@ -374,17 +374,19 @@ impl<C: Component> TaggedComponents<C> {
     /// The provider (the hitting component with the longest history) and
     /// the alternate (the next hitting one), as `(component, index)` pairs.
     pub fn providers(&self, slots: &Slots) -> (Option<Hit>, Option<Hit>) {
-        let mut provider = None;
-        for c in (0..self.tables.len()).rev() {
+        // A hit mask, not an early-exit scan: where such a scan stops is
+        // data-dependent and mispredicts on the host.
+        let mut hits = 0u32;
+        for c in 0..self.tables.len() {
             let (idx, tag) = slots.get(c);
-            if self.hits(c, idx, tag) {
-                if provider.is_some() {
-                    return (provider, Some((c, idx)));
-                }
-                provider = Some((c, idx));
-            }
+            hits |= u32::from(self.hits(c, idx, tag)) << c;
         }
-        (provider, None)
+        // The provider is the highest hit, the alternate the next one.
+        let top = hits.checked_ilog2();
+        let alt = top.and_then(|c| (hits ^ 1 << c).checked_ilog2());
+        // CAST: component numbers are below MAX_TAGGED.
+        let hit = |c: u32| (c as usize, slots.get(c as usize).0);
+        (top.map(hit), alt.map(hit))
     }
 
     /// The TAGE allocation policy after a misprediction. The candidates are
