@@ -31,21 +31,22 @@
 //!   reads slot tags and predictions from the newest FIFO record, which is
 //!   always its own.
 //!
-//! Checkpoints keep the layout these records had before they were narrowed:
-//! the hand-written `Snap` impls widen on save and check the narrowed
-//! ranges on restore.
+//! Checkpoints write these records as stored. The restore checks what the
+//! narrow fields can still get wrong: indices outside the configured tables,
+//! byte tags outside the fetch block, the reserved context byte, and a
+//! current block that is not the newest record's.
 
 use crate::recovery::RecoveryPolicy;
 use crate::slot_simd;
 use crate::spec_window::{SlotPredictions, SpecWindowSize, SpeculativeWindow, MAX_NPRED};
 use bebop_isa::{
-    byte_index_in_block, ensure, fetch_block_pc, snap, snapshot, DynUop, SeqNum, SeqQueue, Snap,
-    StateError, StateReader, StateResult, StateWriter, VarVec,
+    byte_index_in_block, ensure, fetch_block_pc, snap, snapshot, DynUop, SeqNum, SeqQueue,
+    StateResult, VarVec,
 };
 use bebop_uarch::{restore_predictor, PredictCtx, SharingPolicy, SquashInfo, ValuePredictor};
 use bebop_vp::{
     clamp_stride, tag_width, tagged_entry, ForwardProbabilisticCounter, FpcParams, Hit, Lfsr,
-    ShardCounters, ShardedTable, Slots, TaggedComponents, TaggedGeometry, MAX_TAGGED,
+    ShardCounters, ShardedTable, Slots, TaggedComponents, TaggedGeometry,
 };
 
 /// The second block-number shift of BeBoP's tag hash.
@@ -304,22 +305,6 @@ impl BlockRecord {
             None => (VT0_PROVIDER, 0),
         };
     }
-
-    /// The slot tags as the `Option<u8>`s the checkpoint layout holds.
-    fn tag_options(&self) -> [Option<u8>; MAX_NPRED] {
-        self.slot_tags.map(|t| (t != NO_TAG).then_some(t))
-    }
-}
-
-/// Decodes a checkpointed `[Option<u8>; MAX_NPRED]` into [`NO_TAG`] form.
-fn restore_slot_tags(r: &mut StateReader<'_>) -> StateResult<[u8; MAX_NPRED]> {
-    let mut tags = [None::<u8>; MAX_NPRED];
-    tags.restore(r)?;
-    ensure(
-        !tags.contains(&Some(NO_TAG)),
-        "slot byte tag outside the fetch block",
-    )?;
-    Ok(tags.map(|t| t.unwrap_or(NO_TAG)))
 }
 
 /// Block-based D-VTAGE with BeBoP.
@@ -815,10 +800,12 @@ impl BlockDVtage {
         self.record_pool.push(rec);
     }
 
-    /// Clamps restored confidence levels to the configured saturation,
-    /// rejects byte tags outside the fetch block and in-flight block records
-    /// indexing outside the tables, and drops recycled records (they hold no
-    /// state).
+    /// Clamps restored confidence levels to the configured saturation and
+    /// rejects what the table codecs cannot: byte tags outside the fetch
+    /// block, in-flight block records indexing outside the tables or
+    /// carrying the reserved context byte (the ownership accounting's free
+    /// marker), and a current block that is not the newest record's or whose
+    /// cursor is past the slots. Drops recycled records (they hold no state).
     fn check_restored(&mut self) -> StateResult<()> {
         let fpc = &self.cfg.fpc;
         let vt0 = self.vt0.iter_mut().map(|e| &mut e.slots);
@@ -844,70 +831,21 @@ impl BlockDVtage {
                     && rec.results.iter().all(|&(b, _)| in_block(b)),
                 "block record byte tag outside the fetch block",
             )?;
+            ensure(rec.asid != u8::MAX, "block record context is reserved")?;
+        }
+        if let Some(cur) = &self.current {
+            ensure(
+                usize::from(cur.cursor) <= MAX_NPRED,
+                "current block cursor out of range",
+            )?;
+            ensure(
+                self.fifo
+                    .back()
+                    .is_some_and(|(seq, _)| *seq == cur.first_seq),
+                "current block is not the newest block record",
+            )?;
         }
         self.record_pool.clear();
-        Ok(())
-    }
-
-    /// Writes `current` in its pre-narrowing layout: the slot tags and
-    /// predictions come from its record, the newest in the FIFO.
-    fn save_current(&self, w: &mut StateWriter) {
-        w.bool(self.current.is_some());
-        let (Some(cur), Some((_, rec))) = (&self.current, self.fifo.back()) else {
-            return;
-        };
-        w.u64(cur.block_pc);
-        w.u8(cur.asid);
-        w.u64(cur.first_seq);
-        w.u64(u64::from(cur.cursor));
-        w.bool(cur.forbid_use);
-        rec.tag_options().save(w);
-        rec.slot_pred.save(w);
-        for i in 0..MAX_NPRED {
-            w.bool(cur.conf_mask & (1 << i) != 0);
-        }
-    }
-
-    /// Reads what [`Self::save_current`] wrote; runs after the FIFO is
-    /// restored, and rejects a block whose slots are not its record's.
-    fn restore_current(&mut self, r: &mut StateReader<'_>) -> StateResult<()> {
-        if !r.bool()? {
-            self.current = None;
-            return Ok(());
-        }
-        let block_pc = r.u64()?;
-        let asid = r.u8()?;
-        let first_seq = r.u64()?;
-        let cursor = r.u64()?;
-        let forbid_use = r.bool()?;
-        let slot_tags = restore_slot_tags(r)?;
-        let mut slot_pred = SlotPredictions::NONE;
-        slot_pred.restore(r)?;
-        let mut conf = [false; MAX_NPRED];
-        conf.restore(r)?;
-        ensure(
-            cursor <= MAX_NPRED as u64,
-            "current block cursor out of range",
-        )?;
-        ensure(
-            self.fifo.back().is_some_and(|(seq, rec)| {
-                *seq == first_seq && rec.slot_tags == slot_tags && rec.slot_pred == slot_pred
-            }),
-            "current block is not the newest block record",
-        )?;
-        let mut conf_mask = 0u8;
-        for (i, &c) in conf.iter().enumerate() {
-            conf_mask |= u8::from(c) << i;
-        }
-        self.current = Some(CurrentBlock {
-            block_pc,
-            first_seq,
-            asid,
-            // CAST: at most MAX_NPRED (checked above).
-            cursor: cursor as u8,
-            forbid_use,
-            conf_mask,
-        });
         Ok(())
     }
 }
@@ -932,105 +870,41 @@ snap!(TaggedEntry {
 });
 tagged_entry!(TaggedEntry);
 
-/// The pre-narrowing layout: the LVT index as `u64`, the provider as
-/// `Option<(usize, usize)>`, the slot tags as `[Option<u8>; MAX_NPRED]`.
-impl Snap for BlockRecord {
-    const MIN_BYTES: usize = 8
-        + 2
-        + 1
-        + <Option<Hit>>::MIN_BYTES
-        + Slots::MIN_BYTES
-        + <[Option<u8>; MAX_NPRED]>::MIN_BYTES
-        + SlotPredictions::MIN_BYTES
-        + <[u8; MAX_NPRED]>::MIN_BYTES
-        + <[i64; MAX_NPRED]>::MIN_BYTES
-        + <VarVec<(u8, u64)>>::MIN_BYTES;
-
-    fn save(&self, w: &mut StateWriter) {
-        w.u64(u64::from(self.lvt_index));
-        w.u16(self.lvt_tag);
-        w.u8(self.asid);
-        self.provider().save(w);
-        self.alloc_slots.save(w);
-        self.tag_options().save(w);
-        self.slot_pred.save(w);
-        self.provider_conf_levels.save(w);
-        self.provider_strides.save(w);
-        self.results.save(w);
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> StateResult<()> {
-        self.lvt_index = u32::try_from(r.u64()?)
-            .map_err(|_| StateError("block record LVT index does not fit u32"))?;
-        self.lvt_tag = r.u16()?;
-        self.asid = r.u8()?;
-        let mut provider: Option<Hit> = None;
-        provider.restore(r)?;
-        if let Some((c, i)) = provider {
-            ensure(
-                c < MAX_TAGGED,
-                "block record provider component out of range",
-            )?;
-            ensure(
-                i <= usize::from(u16::MAX),
-                "block record provider index does not fit u16",
-            )?;
-        }
-        self.set_provider(provider);
-        self.alloc_slots.restore(r)?;
-        self.slot_tags = restore_slot_tags(r)?;
-        self.slot_pred.restore(r)?;
-        self.provider_conf_levels.restore(r)?;
-        self.provider_strides.restore(r)?;
-        self.results.restore(r)
-    }
-}
-
-/// Field by field, except that `current` is written by
-/// `BlockDVtage::save_current` in its pre-narrowing layout.
-impl Snap for BlockDVtage {
-    const MIN_BYTES: usize = <ShardedTable<LvtEntry>>::MIN_BYTES
-        + <ShardedTable<Vt0Entry>>::MIN_BYTES
-        + <TaggedComponents<ShardedTable<TaggedEntry>>>::MIN_BYTES
-        + SpeculativeWindow::MIN_BYTES
-        + <SeqQueue<(SeqNum, BlockRecord)>>::MIN_BYTES
-        + 1 // current: a presence byte
-        + bool::MIN_BYTES
-        + <Option<u64>>::MIN_BYTES
-        + Lfsr::MIN_BYTES
-        + 3 * u64::MIN_BYTES;
-
-    fn save(&self, w: &mut StateWriter) {
-        self.lvt.save(w);
-        self.vt0.save(w);
-        self.tagged.save(w);
-        self.window.save(w);
-        self.fifo.save(w);
-        self.save_current(w);
-        self.force_new_block.save(w);
-        self.last_retired.save(w);
-        self.rng.save(w);
-        self.updates.save(w);
-        self.window_hits.save(w);
-        self.window_lookups.save(w);
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> StateResult<()> {
-        self.lvt.restore(r)?;
-        self.vt0.restore(r)?;
-        self.tagged.restore(r)?;
-        self.window.restore(r)?;
-        self.fifo.restore(r)?;
-        self.restore_current(r)?;
-        self.force_new_block.restore(r)?;
-        self.last_retired.restore(r)?;
-        self.rng.restore(r)?;
-        self.updates.restore(r)?;
-        self.window_hits.restore(r)?;
-        self.window_lookups.restore(r)?;
-        self.check_restored()
-    }
-}
+snap!(CurrentBlock {
+    block_pc: u64,
+    first_seq: u64,
+    asid: u8,
+    cursor: u8,
+    forbid_use: bool,
+    conf_mask: u8,
+});
+snap!(BlockRecord {
+    lvt_index: u32,
+    lvt_tag: u16,
+    asid: u8,
+    provider_comp: u8,
+    provider_idx: u16,
+    alloc_slots: Slots,
+    slot_tags: [u8; MAX_NPRED],
+    provider_conf_levels: [u8; MAX_NPRED],
+    slot_pred: SlotPredictions,
+    provider_strides: [i64; MAX_NPRED],
+    results: VarVec<(u8, u64)>,
+});
+snap!(BlockDVtage {
+    lvt: ShardedTable<LvtEntry>,
+    vt0: ShardedTable<Vt0Entry>,
+    tagged: TaggedComponents<ShardedTable<TaggedEntry>>,
+    window: SpeculativeWindow,
+    fifo: SeqQueue<(SeqNum, BlockRecord)>,
+    current: Option<CurrentBlock>,
+    force_new_block: bool,
+    last_retired: Option<u64>,
+    rng: Lfsr,
+    updates: u64,
+    window_hits: u64,
+    window_lookups: u64,
+} validate check_restored);
 
 impl ValuePredictor for BlockDVtage {
     fn name(&self) -> &str {
@@ -1192,7 +1066,7 @@ impl ValuePredictor for BlockDVtage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bebop_isa::{restore_snapshot, ArchReg, Uop, UopKind};
+    use bebop_isa::{restore_snapshot, ArchReg, Snap, Uop, UopKind};
 
     fn uop(seq: SeqNum, pc: u64, value: u64) -> DynUop {
         DynUop::new(
@@ -1556,153 +1430,6 @@ mod tests {
         });
     }
 
-    /// `BlockRecord` before its fields were narrowed: the layout its
-    /// checkpoint encoding keeps.
-    #[derive(Debug, Default)]
-    struct OldBlockRecord {
-        lvt_index: usize,
-        lvt_tag: u16,
-        asid: u8,
-        provider: Option<(usize, usize)>,
-        alloc_slots: [(usize, u16); MAX_TAGGED],
-        slot_tags: [Option<u8>; MAX_NPRED],
-        slot_pred: [Option<u64>; MAX_NPRED],
-        provider_conf_levels: [u8; MAX_NPRED],
-        provider_strides: [i64; MAX_NPRED],
-        results: VarVec<(u8, u64)>,
-    }
-    snap!(OldBlockRecord {
-        lvt_index: usize,
-        lvt_tag: u16,
-        asid: u8,
-        provider: Option<(usize, usize)>,
-        alloc_slots: [(usize, u16); MAX_TAGGED],
-        slot_tags: [Option<u8>; MAX_NPRED],
-        slot_pred: [Option<u64>; MAX_NPRED],
-        provider_conf_levels: [u8; MAX_NPRED],
-        provider_strides: [i64; MAX_NPRED],
-        results: VarVec<(u8, u64)>,
-    });
-
-    /// `CurrentBlock` before it moved its slots to the FIFO record.
-    #[derive(Debug, Default, Clone, Copy)]
-    struct OldCurrentBlock {
-        block_pc: u64,
-        asid: u8,
-        first_seq: u64,
-        cursor: usize,
-        forbid_use: bool,
-        slot_tags: [Option<u8>; MAX_NPRED],
-        slot_pred: [Option<u64>; MAX_NPRED],
-        slot_conf: [bool; MAX_NPRED],
-    }
-    snap!(OldCurrentBlock {
-        block_pc: u64,
-        asid: u8,
-        first_seq: u64,
-        cursor: usize,
-        forbid_use: bool,
-        slot_tags: [Option<u8>; MAX_NPRED],
-        slot_pred: [Option<u64>; MAX_NPRED],
-        slot_conf: [bool; MAX_NPRED],
-    });
-
-    /// A record with every field away from its default, in both layouts.
-    fn record_pair() -> (BlockRecord, OldBlockRecord) {
-        let mut slots = Slots::default();
-        slots.0[0] = (255, 0x1fff);
-        slots.0[5] = (7, 3);
-        let mut old_slots = [(0usize, 0u16); MAX_TAGGED];
-        old_slots[0] = (255, 0x1fff);
-        old_slots[5] = (7, 3);
-        let levels = [7, 0, 3, 7, 0, 0, 0, 0];
-        let strides = [1, -2, 0, i64::MIN, 0, 0, 0, 0];
-        let results = VarVec(vec![(0, 10), (15, 99)]);
-        let rec = BlockRecord {
-            lvt_index: 2047,
-            lvt_tag: 0x1f,
-            asid: 2,
-            provider_comp: 5,
-            provider_idx: 255,
-            alloc_slots: slots,
-            slot_tags: [0, 4, NO_TAG, 15, NO_TAG, NO_TAG, NO_TAG, NO_TAG],
-            provider_conf_levels: levels,
-            slot_pred: SlotPredictions::masked(&[10, 20, 0, u64::MAX, 0, 0, 0, 0], 0b1011),
-            provider_strides: strides,
-            results: results.clone(),
-        };
-        let old = OldBlockRecord {
-            lvt_index: 2047,
-            lvt_tag: 0x1f,
-            asid: 2,
-            provider: Some((5, 255)),
-            alloc_slots: old_slots,
-            slot_tags: [Some(0), Some(4), None, Some(15), None, None, None, None],
-            slot_pred: [
-                Some(10),
-                Some(20),
-                None,
-                Some(u64::MAX),
-                None,
-                None,
-                None,
-                None,
-            ],
-            provider_conf_levels: levels,
-            provider_strides: strides,
-            results,
-        };
-        (rec, old)
-    }
-
-    #[test]
-    fn block_record_writes_the_pre_narrowing_layout() {
-        assert_eq!(BlockRecord::MIN_BYTES, OldBlockRecord::MIN_BYTES);
-        let (mut rec, mut old) = record_pair();
-        assert_eq!(snapshot(&rec), snapshot(&old));
-        let mut back = BlockRecord::default();
-        restore_snapshot(&mut back, &snapshot(&old)).unwrap();
-        assert_eq!(snapshot(&back), snapshot(&old));
-        rec.set_provider(None);
-        old.provider = None;
-        assert_eq!(snapshot(&rec), snapshot(&old), "VT0-provided record");
-    }
-
-    #[test]
-    fn current_block_writes_the_pre_narrowing_layout() {
-        let mut d = BlockDVtage::new(fast_cfg());
-        let bytes = |d: &BlockDVtage| {
-            let mut w = StateWriter::new();
-            d.save_current(&mut w);
-            w.finish()
-        };
-        assert_eq!(bytes(&d), snapshot(&None::<OldCurrentBlock>));
-        let (rec, old_rec) = record_pair();
-        d.fifo.push((42, rec));
-        d.current = Some(CurrentBlock {
-            block_pc: 0x2000,
-            first_seq: 42,
-            asid: 1,
-            cursor: 3,
-            forbid_use: true,
-            conf_mask: 0b1001,
-        });
-        let old = OldCurrentBlock {
-            block_pc: 0x2000,
-            asid: 1,
-            first_seq: 42,
-            cursor: 3,
-            forbid_use: true,
-            slot_tags: old_rec.slot_tags,
-            slot_pred: old_rec.slot_pred,
-            slot_conf: [true, false, false, true, false, false, false, false],
-        };
-        assert_eq!(bytes(&d), snapshot(&Some(old)));
-        let mut back = BlockDVtage::new(fast_cfg());
-        restore_snapshot(&mut back, &snapshot(&d)).unwrap();
-        assert_eq!(snapshot(&back), snapshot(&d));
-    }
-
     /// A warmed predictor with three blocks predicted and not retired.
     fn inflight_predictor() -> BlockDVtage {
         let mut d = BlockDVtage::new(fast_cfg());
@@ -1721,106 +1448,101 @@ mod tests {
         assert!(err.0.contains(what), "expected {what:?}, got {err}");
     }
 
+    /// The oldest in-flight block record.
+    fn front(d: &mut BlockDVtage) -> &mut BlockRecord {
+        &mut d.fifo.front_mut().unwrap().1
+    }
+
+    /// Snapshots a copy of `d` after `edit`.
+    fn edited(d: &BlockDVtage, edit: impl FnOnce(&mut BlockDVtage)) -> Vec<u8> {
+        let mut bad = d.clone();
+        edit(&mut bad);
+        snapshot(&bad)
+    }
+
     #[test]
     fn hostile_narrowed_fields_are_rejected() {
         let d = inflight_predictor();
         let mut back = BlockDVtage::new(fast_cfg());
         restore_snapshot(&mut back, &snapshot(&d)).unwrap();
+        assert_eq!(snapshot(&back), snapshot(&d));
         let cfg = fast_cfg();
-        let edit = |f: &mut dyn FnMut(&mut BlockDVtage)| {
-            let mut bad = d.clone();
-            f(&mut bad);
-            snapshot(&bad)
-        };
         let outside = "block record indexes outside the tables";
         // CAST: test geometry sizes are far below u8/u16.
-        let bad = edit(&mut |b| b.fifo.front_mut().unwrap().1.provider_comp = cfg.num_tagged as u8);
+        let bad = edited(&d, |b| front(b).provider_comp = cfg.num_tagged as u8);
         assert_rejected(&bad, outside);
-        let bad = edit(&mut |b| {
-            b.fifo.front_mut().unwrap().1.alloc_slots.0[2].0 = cfg.tagged_entries as u16
+        let bad = edited(&d, |b| {
+            front(b).alloc_slots.0[2].0 = cfg.tagged_entries as u16;
         });
         assert_rejected(&bad, outside);
-        let bad = edit(&mut |b| b.fifo.front_mut().unwrap().1.slot_tags[0] = 16);
+        let bad = edited(&d, |b| front(b).slot_tags[0] = 16);
         assert_rejected(&bad, "byte tag outside the fetch block");
-        let bad = edit(&mut |b| b.current.as_mut().unwrap().first_seq += 1);
+        let bad = edited(&d, |b| b.current.as_mut().unwrap().first_seq += 1);
         assert_rejected(&bad, "not the newest block record");
+        // The ownership accounting's free marker is not a context: restoring
+        // it would hand it to `ShardedTable::note_write` at retirement.
+        let bad = edited(&d, |b| front(b).asid = u8::MAX);
+        assert_rejected(&bad, "context is reserved");
+        let mut back = BlockDVtage::new(fast_cfg());
+        let mut top = d.clone();
+        front(&mut top).asid = u8::MAX - 1;
+        restore_snapshot(&mut back, &snapshot(&top)).unwrap();
+        back.train(&uop(1_002, 0x1000, 0), 0, None);
     }
 
     #[test]
     fn hostile_current_slots_are_rejected() {
+        // The current block reads its slot tags and predictions from the
+        // newest FIFO record, so a block naming any other record (or none)
+        // is rejected.
         let d = inflight_predictor();
-        let (_, rec) = d.fifo.back().unwrap();
-        let cur = d.current.unwrap();
-        let old = OldCurrentBlock {
-            block_pc: cur.block_pc,
-            asid: cur.asid,
-            first_seq: cur.first_seq,
-            cursor: usize::from(cur.cursor),
-            forbid_use: cur.forbid_use,
-            slot_tags: rec.tag_options(),
-            slot_pred: std::array::from_fn(|i| rec.slot_pred.get(i)),
-            slot_conf: std::array::from_fn(|i| cur.conf_mask & (1 << i) != 0),
-        };
-        assert!(
-            old.slot_tags[0].is_some(),
-            "the warmed block has tagged slots"
-        );
-        // `current` follows the FIFO in the payload; splice edited copies in.
-        let bytes = snapshot(&d);
-        let at = [
-            snapshot(&d.lvt),
-            snapshot(&d.vt0),
-            snapshot(&d.tagged),
-            snapshot(&d.window),
-            snapshot(&d.fifo),
-        ]
-        .iter()
-        .map(Vec::len)
-        .sum::<usize>();
-        let len = snapshot(&Some(old)).len();
-        assert_eq!(bytes[at..at + len], snapshot(&Some(old)));
-        let splice = |c: OldCurrentBlock| {
-            let mut b = bytes[..at].to_vec();
-            b.extend(snapshot(&Some(c)));
-            b.extend(&bytes[at + len..]);
-            b
-        };
-        let mut retagged = old;
-        retagged.slot_tags[0] = Some(old.slot_tags[0].unwrap() ^ 1);
-        assert_rejected(&splice(retagged), "not the newest block record");
-        let mut repredicted = old;
-        repredicted.slot_pred[0] = Some(old.slot_pred[0].unwrap_or(0).wrapping_add(1));
-        assert_rejected(&splice(repredicted), "not the newest block record");
-        let mut far = old;
-        far.cursor = MAX_NPRED + 1;
-        assert_rejected(&splice(far), "cursor out of range");
+        let (older, _) = d.fifo.front().unwrap();
+        assert_ne!(*older, d.current.unwrap().first_seq);
+        let bad = edited(&d, |b| b.current.as_mut().unwrap().first_seq = *older);
+        assert_rejected(&bad, "not the newest block record");
+        let bad = edited(&d, |b| b.fifo.squash(0, drop));
+        assert_rejected(&bad, "not the newest block record");
+        // CAST: MAX_NPRED is 8.
+        let bad = edited(&d, |b| {
+            b.current.as_mut().unwrap().cursor = MAX_NPRED as u8 + 1
+        });
+        assert_rejected(&bad, "cursor out of range");
     }
 
     #[test]
     fn hostile_record_encodings_are_rejected() {
-        let restore = |old: &OldBlockRecord| {
-            let mut rec = BlockRecord::default();
-            restore_snapshot(&mut rec, &snapshot(old)).unwrap_err().0
-        };
-        let (_, old) = record_pair();
-        let mut o = OldBlockRecord {
-            results: VarVec(Vec::new()),
-            ..old
-        };
-        o.alloc_slots[1].0 = 1 << 16;
-        assert!(restore(&o).contains("does not fit u16"));
-        let (_, mut o) = record_pair();
-        o.provider = Some((0, 1 << 16));
-        assert!(restore(&o).contains("does not fit u16"));
-        let (_, mut o) = record_pair();
-        o.provider = Some((MAX_TAGGED, 0));
-        assert!(restore(&o).contains("provider component out of range"));
-        let (_, mut o) = record_pair();
-        o.lvt_index = 1 << 32;
-        assert!(restore(&o).contains("does not fit u32"));
-        let (_, mut o) = record_pair();
-        o.slot_tags[2] = Some(NO_TAG);
-        assert!(restore(&o).contains("byte tag outside the fetch block"));
+        // Each narrow field at a value its type holds but the tables do not.
+        let d = inflight_predictor();
+        let outside = "block record indexes outside the tables";
+        for edit in [
+            |r: &mut BlockRecord| r.alloc_slots.0[1].0 = u16::MAX,
+            |r: &mut BlockRecord| (r.provider_comp, r.provider_idx) = (0, u16::MAX),
+            |r: &mut BlockRecord| r.provider_comp = VT0_PROVIDER - 1,
+            |r: &mut BlockRecord| r.lvt_index = 2048,
+            |r: &mut BlockRecord| r.lvt_index = u32::MAX,
+        ] {
+            assert_rejected(&edited(&d, |b| edit(front(b))), outside);
+        }
+        let in_block = "byte tag outside the fetch block";
+        let bad = edited(&d, |b| front(b).slot_tags[2] = NO_TAG - 1);
+        assert_rejected(&bad, in_block);
+        let bad = edited(&d, |b| front(b).results.push((16, 0)));
+        assert_rejected(&bad, in_block);
+        // A prediction lane set under a clear mask bit: the record's bytes
+        // are spliced, since `SlotPredictions` only builds masked lanes.
+        let rec = &d.fifo.front().unwrap().1;
+        let free = (0..MAX_NPRED)
+            .find(|&i| rec.slot_pred.get(i).is_none())
+            .expect("the record has a slot without a prediction");
+        let mut bytes = snapshot(&d);
+        let rec_bytes = snapshot(rec);
+        let at = bytes
+            .windows(rec_bytes.len())
+            .position(|w| w == rec_bytes)
+            .unwrap();
+        let lanes = at + 4 + 2 + 1 + 1 + 2 + Slots::MIN_BYTES + 2 * MAX_NPRED;
+        bytes[lanes + 8 * free] = 1;
+        assert_rejected(&bytes, "without its mask bit");
     }
 
     #[test]

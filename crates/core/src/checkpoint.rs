@@ -41,8 +41,12 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"BBPCKPT\0";
 /// cycle order, and its overflow) and the flat TAGE tagged table (one entry
 /// list for all components instead of a list per component); 4 — the
 /// trailing checksum is the word-parallel [`bebop_trace::fnv1a_wide`] instead
-/// of byte-serial FNV-1a (header and payload bytes unchanged).
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 4;
+/// of byte-serial FNV-1a (header and payload bytes unchanged); 5 — the
+/// narrowed in-flight predictor records are written as stored: tagged-slot
+/// indices as `u16`, slot predictions as value lanes plus a mask, BeBoP's
+/// block records packed, and its current block without the slot tags and
+/// predictions it reads from the newest block record.
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 5;
 
 /// Why a checkpoint file was rejected (all outcomes mean "fall back to a
 /// from-zero run"; none are fatal).

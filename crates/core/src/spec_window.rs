@@ -7,10 +7,7 @@
 //! needed) and read associatively by partial tag, with an internal sequence number
 //! selecting the most recent matching entry.
 
-use bebop_isa::{
-    ensure, fold_bits, snap, SeqNum, SeqQueue, Sequenced, Snap, StateReader, StateResult,
-    StateWriter,
-};
+use bebop_isa::{ensure, fold_bits, snap, SeqNum, SeqQueue, Sequenced, StateResult};
 
 /// The maximum number of prediction slots per entry (`Npred`) supported by the
 /// allocation-free hot path. The paper sweeps 4/6/8 (Figure 6a); fixing the upper
@@ -18,8 +15,9 @@ use bebop_isa::{
 pub const MAX_NPRED: usize = 8;
 
 /// The per-slot speculative values of one prediction block: dense value
-/// lanes plus a presence mask. A slot without a prediction (always the case
-/// for slots at `npred..`) has its mask bit clear and its lane zero.
+/// lanes plus a presence mask, checkpointed as stored. A slot without a
+/// prediction (always the case for slots at `npred..`) has its mask bit
+/// clear and its lane zero; restore rejects a payload that breaks this.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SlotPredictions {
     values: [u64; MAX_NPRED],
@@ -61,30 +59,16 @@ impl SlotPredictions {
     pub fn mask(&self) -> u8 {
         self.mask
     }
-}
 
-/// The layout of `[Option<u64>; MAX_NPRED]`: per slot a presence byte, then
-/// the value when present.
-impl Snap for SlotPredictions {
-    const MIN_BYTES: usize = <[Option<u64>; MAX_NPRED]>::MIN_BYTES;
-
-    fn save(&self, w: &mut StateWriter) {
-        for i in 0..MAX_NPRED {
-            self.get(i).save(w);
-        }
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> StateResult<()> {
-        let mut slots = [None::<u64>; MAX_NPRED];
-        slots.restore(r)?;
-        let mut mask = 0u8;
-        for (i, s) in slots.iter().enumerate() {
-            mask |= u8::from(s.is_some()) << i;
-        }
-        *self = SlotPredictions::masked(&slots.map(|s| s.unwrap_or(0)), mask);
-        Ok(())
+    /// Rejects a restored lane that is non-zero under a clear mask bit, so
+    /// every value compares equal to the one [`Self::masked`] would build.
+    fn check_restored(&mut self) -> StateResult<()> {
+        let stray = (0..MAX_NPRED).any(|i| self.mask & (1 << i) == 0 && self.values[i] != 0);
+        ensure(!stray, "slot prediction lane set without its mask bit")
     }
 }
+
+snap!(SlotPredictions { values: [u64; MAX_NPRED], mask: u8 } validate check_restored);
 
 /// The size of the speculative window (Figure 7b sweeps this from ∞ down to none).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -245,7 +229,7 @@ snap!(SpeculativeWindow { entries: SeqQueue<SpecWindowEntry> } validate check_re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bebop_isa::{restore_snapshot, snapshot};
+    use bebop_isa::{restore_snapshot, snapshot, Snap};
     use std::collections::VecDeque;
 
     fn vals(v: u64) -> SlotPredictions {
@@ -269,30 +253,22 @@ mod tests {
     }
 
     #[test]
-    fn slot_predictions_write_the_option_layout() {
-        let old: [Option<u64>; MAX_NPRED] = [
-            Some(7),
-            None,
-            None,
-            Some(0),
-            None,
-            None,
-            None,
-            Some(u64::MAX),
-        ];
-        let new = SlotPredictions::masked(&old.map(|v| v.unwrap_or(0)), 0b1000_1001);
-        assert_eq!(snapshot(&new), snapshot(&old));
-        assert_eq!(
-            snapshot(&SlotPredictions::NONE),
-            snapshot(&[None::<u64>; MAX_NPRED])
-        );
-        assert_eq!(
-            SlotPredictions::MIN_BYTES,
-            <[Option<u64>; MAX_NPRED]>::MIN_BYTES
-        );
+    fn slot_predictions_write_lanes_and_mask() {
+        let mut values = [0u64; MAX_NPRED];
+        values[0] = 7;
+        values[7] = u64::MAX;
+        let preds = SlotPredictions::masked(&values, 0b1000_1001);
+        let mut wire = snapshot(&values);
+        wire.push(0b1000_1001);
+        assert_eq!(snapshot(&preds), wire);
+        assert_eq!(SlotPredictions::MIN_BYTES, 8 * MAX_NPRED + 1);
         let mut back = SlotPredictions::NONE;
-        restore_snapshot(&mut back, &snapshot(&old)).unwrap();
-        assert_eq!(back, new);
+        restore_snapshot(&mut back, &wire).unwrap();
+        assert_eq!(back, preds);
+        // A lane under a clear mask bit is rejected, not masked away.
+        wire[8] = 1;
+        let err = restore_snapshot(&mut back, &wire).unwrap_err();
+        assert!(err.0.contains("without its mask bit"), "{err}");
     }
 
     #[test]

@@ -105,7 +105,8 @@ pub fn restore_snapshot<T: Snap + ?Sized>(v: &mut T, bytes: &[u8]) -> StateResul
 /// Each field is written and read in list order through the codec of the
 /// stated type; fields not listed are configuration or derived state and are
 /// left as constructed. The stated type may be one the field derefs to —
-/// `flags: [bool]` encodes a `Vec<bool>` field without a length prefix. An
+/// `flags: [bool]` encodes a `Vec<bool>` field without a length prefix, and
+/// a tuple struct names its fields by position (`0: [u16; 4]`). An
 /// optional `validate method` names a `fn(&mut self) -> StateResult<()>` run
 /// after every field is decoded, for checks that need the configuration.
 /// Generic types put their parameters in brackets: `impl[T: Snap] Table<T>`.
@@ -137,7 +138,7 @@ pub fn restore_snapshot<T: Snap + ?Sized>(v: &mut T, bytes: &[u8]) -> StateResul
 #[macro_export]
 macro_rules! snap {
     (
-        impl[$($gen:tt)*] $t:ty { $($f:ident : $ft:ty),* $(,)? }
+        impl[$($gen:tt)*] $t:ty { $($f:tt : $ft:ty),* $(,)? }
         $(validate $check:ident)?
     ) => {
         impl<$($gen)*> $crate::Snap for $t {

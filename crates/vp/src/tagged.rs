@@ -36,7 +36,7 @@
 //! entry's payload only for the provider and for the entry they update.
 
 use crate::{Lfsr, ShardedTable};
-use bebop_isa::{fold_bits, Snap, StateError, StateReader, StateResult, StateWriter};
+use bebop_isa::{fold_bits, snap, Snap, StateReader, StateResult, StateWriter};
 use std::ops::Deref;
 
 /// The maximum number of tagged components (the paper uses 6).
@@ -44,8 +44,9 @@ pub const MAX_TAGGED: usize = 8;
 
 /// Per tagged component, the `(index, tag)` a key hashes to. Component
 /// indices fit `u16` (a component has at most 2^16 entries), which keeps the
-/// in-flight records that carry these pairs small; checkpoints still write
-/// each index as the `u64` it was when indices were `usize`.
+/// in-flight records that carry these pairs small. Checkpoints write the
+/// pairs as stored; whether an index lies inside its table is checked by the
+/// restoring predictor ([`TaggedComponents::holds`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Slots(pub [(u16, u16); MAX_TAGGED]);
 
@@ -57,26 +58,9 @@ impl Slots {
     }
 }
 
-/// The pre-narrowing layout: per component a `u64` index, then the `u16` tag.
-impl Snap for Slots {
-    const MIN_BYTES: usize = MAX_TAGGED * (8 + 2);
-
-    fn save(&self, w: &mut StateWriter) {
-        for &(idx, tag) in &self.0 {
-            w.u64(u64::from(idx));
-            w.u16(tag);
-        }
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> StateResult<()> {
-        for slot in &mut self.0 {
-            let idx = u16::try_from(r.u64()?)
-                .map_err(|_| StateError("tagged slot index does not fit u16"))?;
-            *slot = (idx, r.u16()?);
-        }
-        Ok(())
-    }
-}
+snap!(Slots {
+    0: [(u16, u16); MAX_TAGGED]
+});
 
 /// A hitting tagged entry as `(component, index)`.
 pub type Hit = (usize, usize);
@@ -670,26 +654,21 @@ mod tests {
     }
 
     #[test]
-    fn slots_write_the_usize_layout() {
+    fn slots_write_their_u16_pairs() {
         let mut g = TaggedGeometry::figure_5a();
         let slots = g.slots(0x1234_5678, 0xdead_beef, 0x2a, 8);
-        let old: [(usize, u16); MAX_TAGGED] = slots.0.map(|(i, t)| (usize::from(i), t));
-        assert_eq!(snapshot(&slots), snapshot(&old));
-        assert_eq!(Slots::MIN_BYTES, <[(usize, u16); MAX_TAGGED]>::MIN_BYTES);
+        assert_eq!(snapshot(&slots), snapshot(&slots.0));
+        assert_eq!(Slots::MIN_BYTES, MAX_TAGGED * 4);
         let mut back = Slots::default();
-        restore_snapshot(&mut back, &snapshot(&old)).unwrap();
+        restore_snapshot(&mut back, &snapshot(&slots)).unwrap();
         assert_eq!(back, slots);
-        // An index past u16 is rejected, not truncated.
-        let mut wide = old;
-        wide[3].0 = 1 << 16;
-        let err = restore_snapshot(&mut back, &snapshot(&wide)).unwrap_err();
-        assert!(err.to_string().contains("does not fit u16"), "{err}");
-        // One inside u16 but outside the table is left to `holds`.
+        // Every u16 index decodes; one outside its table is left to `holds`.
         let t = components(6);
         let mut outside = Slots::default();
         assert!(t.holds(None, &outside));
         outside.0[2].0 = 16;
-        assert!(!t.holds(None, &outside));
+        restore_snapshot(&mut back, &snapshot(&outside)).unwrap();
+        assert!(!t.holds(None, &back));
         assert!(
             !t.holds(Some((6, 0)), &Slots::default()),
             "component past num_tagged"

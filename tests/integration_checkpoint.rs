@@ -255,8 +255,8 @@ fn corrupt_truncated_and_mismatched_checkpoints_fall_back_to_zero() {
     }
 
     // A checkpoint written by the previous format version (here: a current
-    // checkpoint restamped as version 3, checksum intact) is rejected as a
-    // version mismatch, never decoded.
+    // checkpoint restamped as `CHECKPOINT_FORMAT_VERSION - 1`, checksum
+    // intact) is rejected as a version mismatch, never decoded.
     snapshot_at(&spec, &cfg, &kind, TOTAL / 2, &path);
     let mut old = fs::read(&path).expect("checkpoint bytes");
     old[8..12].copy_from_slice(&(CHECKPOINT_FORMAT_VERSION - 1).to_le_bytes());
@@ -612,10 +612,7 @@ fn pin_payloads(case: &PinCase) -> Vec<(u64, Vec<u8>, Vec<u8>)> {
 }
 
 /// FNV-1a digests of the component payloads: `(case, cut, pipeline,
-/// predictor)`. The predictor column was pinned when
-/// `CHECKPOINT_FORMAT_VERSION` was 2 and has not moved since; the pipeline
-/// column was re-pinned at version 3 (per-lane `LanePool`, flat TAGE table).
-/// Version 4 changed only the file checksum, not the payloads.
+/// predictor)`, pinned at `CHECKPOINT_FORMAT_VERSION` 5.
 const PINNED_PAYLOAD_DIGESTS: &[(&str, u64, u64, u64)] = &[
     ("plain-0", 2500, 0x3cd85c8aafad3bbd, 0xcbf29ce484222325),
     ("plain-0", 9000, 0xda4cdd1b5e9362ef, 0xcbf29ce484222325),
@@ -627,30 +624,30 @@ const PINNED_PAYLOAD_DIGESTS: &[(&str, u64, u64, u64)] = &[
     ("plain-3", 9000, 0xfde26e6eedf17f19, 0x50dbebacd0f0b038),
     ("plain-4", 2500, 0x3cd85c8aafad3bbd, 0x5682522da7318fe5),
     ("plain-4", 9000, 0xfde26e6eedf17f19, 0xa23159204afca6e7),
-    ("plain-5", 2500, 0x3cd85c8aafad3bbd, 0x6dfa66aef0a6898d),
-    ("plain-5", 9000, 0x356d0c78aacd5410, 0x967bd0f994788bd7),
-    ("plain-6", 2500, 0x3cd85c8aafad3bbd, 0xb4827aefdc1ca05e),
-    ("plain-6", 9000, 0x356d0c78aacd5410, 0xb208d33367b4bc78),
-    ("plain-7", 2500, 0x3cd85c8aafad3bbd, 0x3d4275b181a8f0e7),
-    ("plain-7", 9000, 0xeb257f5d5216fec7, 0xcc90deac20e89536),
-    ("plain-8", 2500, 0x3cd85c8aafad3bbd, 0x9438b797a699984d),
-    ("plain-8", 9000, 0xde6790fd1f341906, 0x46d9f0a859610109),
-    ("mix-shared", 2500, 0xdddc7e1ca87affbf, 0x7421812c2cfed42a),
-    ("mix-shared", 9000, 0x7cd00eb10a0f4364, 0xb2c7fb0e14750498),
+    ("plain-5", 2500, 0x3cd85c8aafad3bbd, 0x6867506c930dadd5),
+    ("plain-5", 9000, 0x356d0c78aacd5410, 0xd312ef753d6e2bef),
+    ("plain-6", 2500, 0x3cd85c8aafad3bbd, 0x2925da4ad717b37e),
+    ("plain-6", 9000, 0x356d0c78aacd5410, 0x6536f730e61dcda2),
+    ("plain-7", 2500, 0x3cd85c8aafad3bbd, 0xa8e95104d87059bf),
+    ("plain-7", 9000, 0xeb257f5d5216fec7, 0x7ecf3c226f220efe),
+    ("plain-8", 2500, 0x3cd85c8aafad3bbd, 0xceb0d6564dc9dae2),
+    ("plain-8", 9000, 0xde6790fd1f341906, 0xf6e44922689ac507),
+    ("mix-shared", 2500, 0xdddc7e1ca87affbf, 0x4d27eac251e3c24d),
+    ("mix-shared", 9000, 0x7cd00eb10a0f4364, 0xdcd4cd11c68ef11c),
     (
         "mix-partitioned",
         2500,
         0xdddc7e1ca87affbf,
-        0xd10c1f4ee45fcee6,
+        0x742842c7d275dc6e,
     ),
     (
         "mix-partitioned",
         9000,
         0xf21653db28760621,
-        0x722f206ceb403406,
+        0x87ee908a374c7394,
     ),
-    ("mix-tagged", 2500, 0xdddc7e1ca87affbf, 0x344b304d63944ecf),
-    ("mix-tagged", 9000, 0xf21653db28760621, 0x9409ac430234c913),
+    ("mix-tagged", 2500, 0xdddc7e1ca87affbf, 0x641d3502367d7130),
+    ("mix-tagged", 9000, 0xf21653db28760621, 0xf3fd18adeabb0f84),
     ("wrong-path-0", 2500, 0x5eb55f2a27c43b9b, 0xcbf29ce484222325),
     ("wrong-path-0", 9000, 0xef4e09424b450ed1, 0xcbf29ce484222325),
     ("wrong-path-1", 2500, 0xb961632b92297688, 0xcbf29ce484222325),
@@ -661,14 +658,14 @@ const PINNED_PAYLOAD_DIGESTS: &[(&str, u64, u64, u64)] = &[
     ("wrong-path-3", 9000, 0xef4e09424b450ed1, 0x2e0267e629fe678d),
     ("wrong-path-4", 2500, 0x5eb55f2a27c43b9b, 0x5372e12f5ed1b630),
     ("wrong-path-4", 9000, 0x0fca2c02d4e40758, 0xaa2d2cbd0ee2c657),
-    ("wrong-path-5", 2500, 0x5eb55f2a27c43b9b, 0x9742165a17d92f54),
-    ("wrong-path-5", 9000, 0xef4e09424b450ed1, 0x90c95e55ddbe20aa),
-    ("wrong-path-6", 2500, 0x5eb55f2a27c43b9b, 0x3df1bf8a2eb994e9),
-    ("wrong-path-6", 9000, 0x0fca2c02d4e40758, 0x408d84f694529ee0),
-    ("wrong-path-7", 2500, 0x5eb55f2a27c43b9b, 0xff3109deaae02508),
-    ("wrong-path-7", 9000, 0xd4ae4c0675546612, 0xe6312c99006b273b),
-    ("wrong-path-8", 2500, 0x5eb55f2a27c43b9b, 0xb83c1d5394e2e035),
-    ("wrong-path-8", 9000, 0x4a514594d2a44665, 0x624e4a003fd0853d),
+    ("wrong-path-5", 2500, 0x5eb55f2a27c43b9b, 0x9d0567aa6335485c),
+    ("wrong-path-5", 9000, 0xef4e09424b450ed1, 0x00f1ea6cfbb2fa62),
+    ("wrong-path-6", 2500, 0x5eb55f2a27c43b9b, 0xd197f3ae5a07d667),
+    ("wrong-path-6", 9000, 0x0fca2c02d4e40758, 0xf616769dcf4cba0d),
+    ("wrong-path-7", 2500, 0x5eb55f2a27c43b9b, 0x11fe45d65559eb10),
+    ("wrong-path-7", 9000, 0xd4ae4c0675546612, 0x38be83155927844b),
+    ("wrong-path-8", 2500, 0x5eb55f2a27c43b9b, 0xdd421db7b4139562),
+    ("wrong-path-8", 9000, 0x4a514594d2a44665, 0x611545ef4bec7417),
 ];
 
 /// The checkpoint format guard: the bytes every component writes are pinned.
@@ -676,7 +673,7 @@ const PINNED_PAYLOAD_DIGESTS: &[(&str, u64, u64, u64)] = &[
 /// digests; a refactor of the codec must leave them untouched.
 #[test]
 fn component_payload_bytes_are_pinned() {
-    assert_eq!(CHECKPOINT_FORMAT_VERSION, 4, "re-pin the digests below");
+    assert_eq!(CHECKPOINT_FORMAT_VERSION, 5, "re-pin the digests below");
     let digest = |b: &[u8]| fnv1a(FNV_OFFSET_BASIS, b);
     let cases = pin_cases();
     let got: Vec<(String, u64, u64, u64)> = par::par_map(&cases, |case| {

@@ -6,11 +6,14 @@
 //! kill points are seeded-random so the suite probes different crash shapes
 //! on every seed while staying reproducible.
 
-use bebop::{configs, PredictorKind};
+use bebop::{
+    configs, run_fingerprint, CheckpointError, PredictorKind, SimCheckpoint,
+    CHECKPOINT_FORMAT_VERSION,
+};
 use bebop_bench::sweep::{run_sweep_jobs, CellStatus, ReasonKind, SweepOptions, SweepRequest};
-use bebop_bench::{FaultPlan, TraceStore};
-use bebop_trace::WorkloadSpec;
-use bebop_uarch::PipelineConfig;
+use bebop_bench::{FaultPlan, TraceCachePolicy, TraceSet, TraceStore};
+use bebop_trace::{fnv1a_wide, WorkloadSpec, FNV_OFFSET_BASIS};
+use bebop_uarch::{Pipeline, PipelineConfig, ValuePredictor};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fs;
@@ -237,6 +240,87 @@ fn sweep_cells_checkpoint_and_produce_identical_ledgers() {
         ckpt_files, 0,
         "completed cells must discard their snapshots"
     );
+
+    // The upgrade path: an in-progress sweep whose `ckpt/` holds a real
+    // mid-cell snapshot of a BeBoP cell, planted once in this format (the
+    // control: it resumes) and once restamped as the previous format version.
+    // That one is rejected (the sweep says so on stderr), the cell re-runs
+    // from zero, and both ledgers equal the uninterrupted sweep's.
+    let plain_ledger = fs::read(plain.ledger_path.as_ref().unwrap()).unwrap();
+    let job = req
+        .expand()
+        .into_iter()
+        .find(|j| (j.variant, j.workload) == (2, 1))
+        .unwrap();
+    let (_, pipe, kind) = &req.variants[job.variant];
+    let set = TraceSet::build(
+        &req.workloads[job.workload..=job.workload],
+        UOPS,
+        &TraceCachePolicy::default(),
+    );
+    let fingerprint = run_fingerprint(&set.source(0), pipe, kind, UOPS);
+    let mut pipeline = Pipeline::new(pipe.clone());
+    let mut predictor = kind.build();
+    let mut stream_pos = 0;
+    pipeline.run_segment(
+        &mut set.source(0).stream(),
+        &mut predictor,
+        UOPS / 2,
+        &mut stream_pos,
+    );
+    let snapshot = SimCheckpoint {
+        fingerprint,
+        committed: pipeline.committed_uops(),
+        stream_pos,
+        pipeline: pipeline.save_state(),
+        predictor: predictor.save_state(),
+    };
+    for old in [false, true] {
+        let dir = tmp_dir(if old { "ckpt-old" } else { "ckpt-current" });
+        let opts = |max_cells| SweepOptions {
+            max_cells,
+            checkpoint_every: 256,
+            ..SweepOptions::default()
+        };
+        let partial = run_sweep_jobs(&req, &dir, None, &opts(Some(1))).expect("partial");
+        assert_eq!((partial.executed, partial.complete), (1, false));
+        let path = dir.join("ckpt").join(format!("{:016x}.bbpckpt", job.key.0));
+        let mut bytes = snapshot.encode();
+        if old {
+            bytes[8..12].copy_from_slice(&(CHECKPOINT_FORMAT_VERSION - 1).to_le_bytes());
+            let body = bytes.len() - 8;
+            let checksum = fnv1a_wide(FNV_OFFSET_BASIS, &bytes[..body]);
+            bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+        }
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        fs::write(&path, &bytes).unwrap();
+        let found = CHECKPOINT_FORMAT_VERSION - 1;
+        assert_eq!(
+            SimCheckpoint::load(&path, fingerprint).map(|_| ()),
+            if old {
+                Err(CheckpointError::VersionMismatch { found })
+            } else {
+                Ok(())
+            }
+        );
+
+        let resumed = run_sweep_jobs(&req, &dir, None, &opts(None)).expect("resume");
+        assert!(resumed.complete);
+        assert_eq!((resumed.resumed, resumed.executed), (1, 8));
+        let from = if old { 0 } else { snapshot.committed };
+        assert_eq!(
+            (resumed.checkpoint_resumes, resumed.checkpoint_resumed_uops),
+            (u64::from(!old), from),
+            "old format: {old}"
+        );
+        assert_eq!(
+            fs::read(resumed.ledger_path.as_ref().unwrap()).unwrap(),
+            plain_ledger,
+            "old format: {old}"
+        );
+        assert_eq!(fs::read_dir(dir.join("ckpt")).unwrap().count(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
     let _ = fs::remove_dir_all(&plain_dir);
     let _ = fs::remove_dir_all(&ckpt_dir);
 }
